@@ -2,9 +2,7 @@
 
 Exports resolve lazily (PEP 562): ``from repro.analysis import
 format_table`` imports only :mod:`repro.analysis.report`, not the
-whole package.  This keeps NumPy-only paths (the sweep benchmark in
-minimal CI environments, the planner fill path) importable without
-the SciPy-dependent analysis modules.
+whole package, so a command loads only the analysis modules it uses.
 """
 
 from __future__ import annotations

@@ -159,8 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--store-dir", default=None, metavar="DIR",
             help=(
-                "columnar sweep store directory (shard-level .npz "
-                "persistence; mutually exclusive with --cache-dir)"
+                "columnar sweep store directory (memory-mapped .npy "
+                "shards with .meta.json sidecars; mutually exclusive "
+                "with --cache-dir)"
             ),
         )
         _add_telemetry_flag(p)

@@ -12,7 +12,8 @@ conservation, structural constraints a sound linear model
   additivity test.
 
 :class:`LinearEnergyModel` fits with non-negative least squares
-(scipy NNLS), reports in-sample quality, and predicts new profiles.
+(scipy NNLS, imported at the first fit), reports in-sample quality,
+and predicts new profiles.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from repro.energymodel.events import ApplicationProfile
 
@@ -87,6 +87,8 @@ def fit_energy_model(
         [[p.event(name) for name in event_names] for p in profiles], dtype=float
     )
     y = np.array([p.energy_j for p in profiles], dtype=float)
+    from scipy.optimize import nnls
+
     # Column scaling keeps NNLS well-conditioned for event counts that
     # span many orders of magnitude.
     scale = np.maximum(np.abs(x).max(axis=0), 1e-30)

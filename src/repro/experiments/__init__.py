@@ -9,10 +9,7 @@ deduplicate a whole session up front.
 
 Submodules load lazily (PEP 562): ``from repro.experiments import
 headline`` imports only that module and its dependencies.  This keeps
-CLI startup proportional to what a command touches and lets
-SciPy-free tooling (the benchmark harness in minimal CI environments)
-use the sweep-driven experiments, whose module-level imports are
-NumPy-only, without dragging in the SciPy-dependent modules.
+CLI startup proportional to what a command touches.
 """
 
 from __future__ import annotations

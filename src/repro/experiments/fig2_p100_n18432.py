@@ -81,12 +81,33 @@ def rank_correlation(points: list[ParetoPoint]) -> float:
     )
 
 
-def _rank_correlation_cols(times: np.ndarray, energies: np.ndarray) -> float:
-    """Column-native :func:`rank_correlation`."""
-    from scipy.stats import spearmanr
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``; tied values share the mean of their ranks."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    run_start = np.empty(len(xs), dtype=bool)
+    run_start[0] = True
+    np.not_equal(xs[1:], xs[:-1], out=run_start[1:])
+    starts = np.flatnonzero(run_start)
+    ends = np.append(starts[1:], len(xs))
+    ranks = np.empty(len(xs))
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
 
-    res = spearmanr(times, energies)
-    return float(res.statistic)
+
+def _rank_correlation_cols(times: np.ndarray, energies: np.ndarray) -> float:
+    """Column-native :func:`rank_correlation`.
+
+    Spearman's rho: the Pearson correlation of average ranks.  The
+    ranks are stacked as columns, as ``scipy.stats.spearmanr`` stacks
+    them, so both sum in the same order.  NaN when either column holds
+    a NaN or is constant.
+    """
+    if np.isnan(times).any() or np.isnan(energies).any():
+        return float("nan")
+    ranks = np.column_stack((_average_ranks(times), _average_ranks(energies)))
+    with np.errstate(invalid="ignore"):
+        return float(np.corrcoef(ranks, rowvar=False)[1, 0])
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,10 @@ callables:
   half-width is within the target relative precision;
 * :func:`pearson_normality_check` — Pearson χ² goodness-of-fit test of
   the observations against a fitted normal distribution.
+
+SciPy supplies the t, normal and χ² quantiles.  It is imported inside
+the functions that need them, so importing this module (which the GPU
+and power-meter simulators do) stays cheap.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 __all__ = [
     "MeasurementResult",
@@ -95,6 +98,8 @@ def confidence_halfwidth(
     s = float(obs.std(ddof=1))
     if s == 0.0:
         return 0.0
+    from scipy import stats as sps
+
     t_crit = float(sps.t.ppf(0.5 + confidence / 2.0, df=n - 1))
     return t_crit * s / math.sqrt(n)
 
@@ -171,10 +176,11 @@ def required_runs_estimate(
 ) -> int:
     """Predict the repetitions the protocol will need from a pilot sample.
 
-    Solves ``t_{n-1} · cv / sqrt(n) <= precision`` by iteration — the
-    planning step a measurement campaign runs before committing to a
-    full sweep ("can we afford the exhaustive front at this noise
-    level?").  Returns at least the pilot's own size lower bound of 2.
+    Returns the smallest ``n >= 2`` with ``t_{n-1} · cv / sqrt(n) <=
+    precision``, where ``cv`` is the pilot's coefficient of variation —
+    the planning step a measurement campaign runs before committing to
+    a full sweep ("can we afford the exhaustive front at this noise
+    level?").
 
     Raises
     ------
@@ -184,21 +190,29 @@ def required_runs_estimate(
     obs = np.asarray(pilot, dtype=float)
     if len(obs) < 3:
         raise ValueError("need a pilot of at least 3 observations")
+    if not np.isfinite(obs).all():
+        raise ValueError("pilot observations must be finite")
     if not (0.0 < precision < 1.0):
         raise ValueError("precision must be a fraction in (0, 1)")
+    if not (0.0 < confidence < 1.0):
+        raise ValueError("confidence must be in (0, 1)")
     mean = float(obs.mean())
     if mean <= 0:
         raise ValueError("pilot mean must be positive")
     cv = float(obs.std(ddof=1)) / mean
     if cv == 0.0:
         return 2
-    n = 2
+    from scipy import stats as sps
+
+    q = 0.5 + confidence / 2.0
+    # t_{n-1} > z for every n, so no n below the normal-quantile bound
+    # (z·cv/precision)² qualifies.  The left-hand side falls as n grows,
+    # so the first n from that bound up that qualifies is the smallest.
+    n = max(2, math.ceil((float(sps.norm.ppf(q)) * cv / precision) ** 2))
     while n <= max_runs:
-        t_crit = float(sps.t.ppf(0.5 + confidence / 2.0, df=n - 1))
-        if t_crit * cv / math.sqrt(n) <= precision:
+        if float(sps.t.ppf(q, df=n - 1)) * cv / math.sqrt(n) <= precision:
             return n
-        # Jump by the closed-form z-approximation to avoid a slow walk.
-        n = max(n + 1, int(math.ceil((t_crit * cv / precision) ** 2 * 0.5)))
+        n += 1
     raise ValueError(
         f"pilot CV {cv:.3f} needs more than {max_runs} runs for "
         f"{precision:.1%} precision"
@@ -236,6 +250,8 @@ def pearson_normality_check(
         n_bins = min(10, max(4, n // 5))
     if n_bins < 4:
         raise ValueError("need at least 4 bins")
+    from scipy import stats as sps
+
     # Equiprobable bin edges under the fitted normal.
     quantiles = np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
     edges = sps.norm.ppf(quantiles, loc=mu, scale=sigma)

@@ -1,0 +1,63 @@
+"""Import-path guard: the CLI's common commands never load SciPy.
+
+Importing SciPy would cost most of a command's start-up, and neither
+``repro all`` nor ``repro report`` calls it.  The guard starts a fresh
+interpreter and checks which modules are loaded, so unlike a timing
+gate it cannot flake on a slow host.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: Runs in the child: records the scipy modules loaded after each stage.
+CHILD = """
+import contextlib, io, json, os, sys
+
+def scipy_modules():
+    return sorted(
+        m for m in sys.modules if m == "scipy" or m.startswith("scipy.")
+    )
+
+stages = {}
+import repro.cli
+repro.cli.build_parser()
+stages["import"] = scipy_modules()
+with contextlib.redirect_stdout(io.StringIO()):
+    repro.cli.main(["all"])
+stages["all"] = scipy_modules()
+report = os.path.join(sys.argv[1], "report.md")
+with contextlib.redirect_stdout(io.StringIO()):
+    repro.cli.main(["report", "--output", report])
+stages["report"] = scipy_modules()
+print(json.dumps(stages))
+"""
+
+
+@pytest.fixture(scope="module")
+def loaded_scipy(tmp_path_factory) -> dict[str, list[str]]:
+    env = {
+        k: v
+        for k, v in os.environ.items()
+        if k not in ("REPRO_STORE_DIR", "REPRO_CACHE_DIR", "REPRO_DEVICE_DIR")
+    }
+    env["PYTHONPATH"] = str(SRC)
+    out = tmp_path_factory.mktemp("cli-imports")
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, str(out)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("stage", ["import", "all", "report"])
+def test_no_scipy_module_loaded(loaded_scipy, stage):
+    assert loaded_scipy[stage] == []
