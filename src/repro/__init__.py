@@ -18,8 +18,8 @@ The package provides:
   pipeline and the Student-t repetition protocol.
 * :mod:`repro.energymodel` — the theory of energy predictive models:
   additivity testing and constrained linear models.
-* :mod:`repro.sweep` — parallel sweep engine with a content-addressed
-  on-disk result cache; the substrate for every sweep-driven
+* :mod:`repro.sweep` — the session planner over the columnar result
+  store (:mod:`repro.store`); the substrate for every sweep-driven
   experiment.
 * :mod:`repro.experiments` — one module per paper figure/table.
 

@@ -178,13 +178,13 @@ def weak_ep_study_table(
     """Weak-EP + Pareto analysis of one sweep table (columnar fast path).
 
     The structured-array twin of :func:`weak_ep_study`: ``table`` is a
-    ``POINT_DTYPE`` array (``repro.sweep.shm.POINT_DTYPE`` — the
-    engine/planner ``table()`` protocol) and ``region_mask`` an
-    optional boolean mask over its rows selecting the *local*-front
-    sub-region.  The whole analysis runs on the columns; only the
-    front members (a handful of rows) are materialized as
-    :class:`ParetoPoint` records, and the resulting study renders
-    byte-identically to the point path
+    ``POINT_DTYPE`` array (``repro.sweep.planner.POINT_DTYPE`` — what
+    :meth:`repro.sweep.planner.EvalPlanner.table` serves) and
+    ``region_mask`` an optional boolean mask over its rows selecting
+    the *local*-front sub-region.  The whole analysis runs on the
+    columns; only the front members (a handful of rows) are
+    materialized as :class:`ParetoPoint` records, and the resulting
+    study renders byte-identically to the point path
     (``tests/test_analysis_table_parity.py``).
     """
     if not len(table):

@@ -23,10 +23,8 @@ custom workload, without writing code:
   ``repro-device/1`` files, ``synth`` profiling samples from a
   registered device, and ``fit`` a calibration from (time, energy)
   samples;
-* ``bench`` — time the scalar / parallel / vectorized sweep backends
-  and the planner session path, and write ``BENCH_sweep.json``;
-* ``cache migrate`` — convert a JSON point cache into a columnar
-  store losslessly;
+* ``bench`` — time the scalar model, the vectorized batch model and
+  the planner session path, and write ``BENCH_sweep.json``;
 * ``trace`` — render a telemetry JSONL file (written by
   ``--telemetry jsonl:PATH``) as a span tree with self-time, metrics
   and the run-provenance manifest (see :mod:`repro.obs`);
@@ -39,14 +37,13 @@ custom workload, without writing code:
   nonzero exit on confirmed regressions);
 * ``report`` — run everything and write a single markdown report.
 
-The sweep-driven commands (``experiment``, ``sweep``) accept
-``--jobs`` (process-pool parallelism), ``--backend`` (``scalar`` or
-``vectorized`` evaluation), ``--cache-dir`` and ``--no-cache`` (the
-persistent per-point JSON cache) or ``--store-dir`` (the columnar
-shard store; see :mod:`repro.sweep`).  They, plus ``all`` and
-``bench``, accept ``--telemetry off|summary|jsonl:PATH``
-(:mod:`repro.obs`): ``off`` is the default and byte-identical to the
-uninstrumented output.
+The sweep-driven commands (``experiment``, ``sweep``, ``all``) all
+evaluate through one :class:`repro.sweep.planner.EvalPlanner`, backed
+by the columnar store at ``--store-dir``, else ``$REPRO_STORE_DIR``,
+else held in memory for the run.  They, plus ``bench``, accept
+``--telemetry off|summary|jsonl:PATH|prom:PATH`` (:mod:`repro.obs`):
+``off`` is the default and byte-identical to the uninstrumented
+output.
 """
 
 from __future__ import annotations
@@ -82,11 +79,11 @@ _EXPERIMENTS = (
 
 
 def positive_int(text: str) -> int:
-    """Argparse type for flags that must be >= 1 (``--jobs`` etc.).
+    """Argparse type for flags that must be >= 1 (``--n``, ``--repeats``).
 
-    Validates at the parser boundary so ``--jobs 0`` or ``--jobs -4``
-    is a clean usage error instead of a traceback from deep inside the
-    engine or the process pool.
+    Validates at the parser boundary so ``--n 0`` or ``--n -4096`` is a
+    clean usage error instead of a traceback from deep inside the
+    model.
     """
     try:
         value = int(text)
@@ -132,36 +129,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_engine_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--jobs", type=positive_int, default=1, metavar="N",
-            help="worker processes for sweep evaluation (default 1: serial)",
-        )
-        p.add_argument(
-            "--backend", choices=("scalar", "vectorized"), default="scalar",
-            help=(
-                "sweep evaluation backend: 'scalar' is the reference "
-                "path, 'vectorized' evaluates all points in one NumPy "
-                "batch (~10x faster, <=1e-9 relative deviation)"
-            ),
-        )
-        p.add_argument(
-            "--cache-dir", default=None, metavar="DIR",
-            help=(
-                "persistent sweep-point cache directory (default: "
-                "$REPRO_CACHE_DIR if set, else no cache)"
-            ),
-        )
-        p.add_argument(
-            "--no-cache", action="store_true",
-            help="disable the sweep cache even if $REPRO_CACHE_DIR is set",
-        )
+    def add_planner_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--store-dir", default=None, metavar="DIR",
             help=(
                 "columnar sweep store directory (memory-mapped .npy "
-                "shards with .meta.json sidecars; mutually exclusive "
-                "with --cache-dir)"
+                "shards with .meta.json sidecars; default: "
+                "$REPRO_STORE_DIR if set, else in-memory for this run "
+                "only)"
             ),
         )
         _add_telemetry_flag(p)
@@ -170,16 +145,19 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment", help="regenerate one paper artifact"
     )
     exp.add_argument("id", choices=_EXPERIMENTS)
-    add_engine_flags(exp)
+    add_planner_flags(exp)
 
     sweep = sub.add_parser(
         "sweep", help="sweep a GPU matmul workload and print the front"
     )
-    add_engine_flags(sweep)
+    add_planner_flags(sweep)
     sweep.add_argument("--device", choices=device_choices, default="p100")
-    sweep.add_argument("--n", type=int, default=10240, help="matrix size")
     sweep.add_argument(
-        "--products", type=int, default=24, help="total products T = G*R"
+        "--n", type=positive_int, default=10240, help="matrix size"
+    )
+    sweep.add_argument(
+        "--products", type=positive_int, default=24,
+        help="total products T = G*R",
     )
     sweep.add_argument(
         "--all-points", action="store_true",
@@ -200,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="best energy saving within a slowdown budget",
     )
     trade.add_argument("--device", choices=device_choices, default="p100")
-    trade.add_argument("--n", type=int, default=10240)
+    trade.add_argument("--n", type=positive_int, default=10240)
     trade.add_argument(
         "--budget", type=float, default=5.0,
         help="tolerated slowdown in percent",
@@ -213,22 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
             "cross-experiment planner"
         ),
     )
-    run_all.add_argument(
-        "--store-dir", default=None, metavar="DIR",
-        help=(
-            "columnar store directory (default: $REPRO_STORE_DIR if "
-            "set, else in-memory for this run only)"
-        ),
-    )
-    run_all.add_argument(
-        "--backend", choices=("scalar", "vectorized"),
-        default="vectorized",
-        help=(
-            "fill backend for store misses (default vectorized: one "
-            "NumPy mega-batch per device/size group)"
-        ),
-    )
-    _add_telemetry_flag(run_all)
+    add_planner_flags(run_all)
 
     trace = sub.add_parser(
         "trace",
@@ -421,28 +384,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--description", default="", help="description for the output file"
     )
 
-    cache = sub.add_parser(
-        "cache", help="manage the persistent sweep result stores"
-    )
-    cache_sub = cache.add_subparsers(dest="cache_command", required=True)
-    migrate = cache_sub.add_parser(
-        "migrate",
-        help="convert a JSON point cache into a columnar store",
-    )
-    migrate.add_argument(
-        "--cache-dir", required=True, metavar="DIR",
-        help="source JSON cache directory (left untouched)",
-    )
-    migrate.add_argument(
-        "--store-dir", required=True, metavar="DIR",
-        help="destination columnar store directory",
-    )
-
     from repro.sweep.bench import add_bench_flags
 
     bench = sub.add_parser(
         "bench",
-        help="time scalar vs parallel vs vectorized sweep backends",
+        help="time the scalar vs vectorized sweep models and the planner",
     )
     add_bench_flags(bench)
     _add_telemetry_flag(bench)
@@ -460,32 +406,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_engine(args: argparse.Namespace):
-    """Construct the SweepEngine the sweep-driven commands share.
+def _build_planner(store_dir: str | None):
+    """The planner every sweep-driven command evaluates through.
 
-    Persistence resolution: ``--store-dir`` attaches the columnar
-    store (and is mutually exclusive with the JSON cache flags);
-    otherwise ``--no-cache`` wins, then ``--cache-dir``, then the
-    ``REPRO_CACHE_DIR`` environment variable, else no cache.
+    Backed by the columnar store at ``store_dir``, else at
+    ``$REPRO_STORE_DIR``, else held in memory for this run only.
     """
     import os
 
-    from repro.sweep import SweepEngine
+    from repro.sweep.planner import EvalPlanner
 
-    if args.jobs < 1:
-        raise SystemExit("--jobs must be at least 1")
-    store_dir = getattr(args, "store_dir", None)
-    if store_dir is not None and args.cache_dir is not None:
-        raise SystemExit("--store-dir and --cache-dir are mutually exclusive")
-    cache_dir = None
-    if store_dir is None and not args.no_cache:
-        cache_dir = args.cache_dir or os.environ.get("REPRO_CACHE_DIR")
-    return SweepEngine(
-        jobs=args.jobs,
-        cache_dir=cache_dir,
-        store_dir=store_dir,
-        backend=args.backend,
-    )
+    if store_dir is None:
+        store_dir = os.environ.get("REPRO_STORE_DIR")
+    return EvalPlanner(store_dir=store_dir)
 
 
 def _run_experiment(exp_id: str, engine=None) -> str:
@@ -553,24 +486,19 @@ def _run_experiment(exp_id: str, engine=None) -> str:
     raise AssertionError(f"unhandled experiment {exp_id!r}")
 
 
-def _run_all(store_dir: str | None, backend: str) -> str:
+def _run_all(store_dir: str | None) -> str:
     """Run every sweep-driven experiment through one planner session.
 
     All requests are collected and executed *before* any experiment
     runs, so each experiment's sweeps are pure store lookups; the
     planner stats at the end show the dedup the session bought.
     """
-    import os
-
     from repro.sweep.planner import (
         SESSION_EXPERIMENTS,
-        EvalPlanner,
         collect_session_requests,
     )
 
-    if store_dir is None:
-        store_dir = os.environ.get("REPRO_STORE_DIR")
-    planner = EvalPlanner(store_dir=store_dir, backend=backend)
+    planner = _build_planner(store_dir)
     planner.add_all(collect_session_requests())
     planner.execute()
 
@@ -587,13 +515,6 @@ def _run_all(store_dir: str | None, backend: str) -> str:
         f"{s.batches} batches"
     )
     return "\n".join(out)
-
-
-def _run_cache_migrate(cache_dir: str, store_dir: str) -> str:
-    from repro.store import migrate_json_cache
-
-    report = migrate_json_cache(cache_dir, store_dir)
-    return report.render()
 
 
 def _get_gpu(name: str):
@@ -654,10 +575,12 @@ def _run_sweep(
 
 
 def _run_tradeoff(device: str, n: int, budget_pct: float) -> str:
+    import math
+
     from repro.apps.matmul_gpu import MatmulGPUApp
     from repro.core import saving_at_degradation
 
-    if budget_pct < 0:
+    if math.isnan(budget_pct) or budget_pct < 0:
         raise SystemExit("budget must be non-negative")
     app = MatmulGPUApp(_get_gpu(device))
     points = app.sweep_points(n)
@@ -896,8 +819,10 @@ def _experiment_requests(exp_id: str):
 def _provenance_for(args: argparse.Namespace) -> dict:
     """Build the run-provenance manifest of one telemetry-carrying run."""
     from repro.obs.provenance import run_manifest
+    from repro.sweep.keys import SHARD_BACKEND
 
-    backend = getattr(args, "backend", None)
+    # The planner's evaluator: the one backend of the sweep commands.
+    backend = SHARD_BACKEND
     if args.command == "experiment":
         return run_manifest(
             f"experiment {args.id}",
@@ -925,7 +850,7 @@ def _provenance_for(args: argparse.Namespace) -> dict:
         return run_manifest(
             "all", backend=backend, requests=collect_session_requests()
         )
-    return run_manifest(args.command, backend=backend)
+    return run_manifest(args.command)
 
 
 def _load_perf_run(path: str) -> list:
@@ -1029,12 +954,13 @@ def _run_perf(args: argparse.Namespace) -> int:
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "experiment":
-        print(_run_experiment(args.id, engine=_build_engine(args)))
+        planner = _build_planner(args.store_dir)
+        print(_run_experiment(args.id, engine=planner))
     elif args.command == "sweep":
         print(
             _run_sweep(
                 args.device, args.n, args.products, args.all_points,
-                save=args.save, engine=_build_engine(args),
+                save=args.save, engine=_build_planner(args.store_dir),
             )
         )
     elif args.command == "front":
@@ -1042,7 +968,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     elif args.command == "tradeoff":
         print(_run_tradeoff(args.device, args.n, args.budget))
     elif args.command == "all":
-        print(_run_all(args.store_dir, args.backend))
+        print(_run_all(args.store_dir))
     elif args.command == "machines":
         print(_run_machines())
     elif args.command == "devices":
@@ -1058,11 +984,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             print(_run_devices_fit(args))
         else:  # pragma: no cover - argparse enforces choices
             raise AssertionError(args.devices_command)
-    elif args.command == "cache":
-        if args.cache_command == "migrate":
-            print(_run_cache_migrate(args.cache_dir, args.store_dir))
-        else:  # pragma: no cover - argparse enforces choices
-            raise AssertionError(args.cache_command)
     elif args.command == "trace":
         from repro.obs.trace import main as trace_main
 

@@ -30,7 +30,7 @@ from repro.machines.specs import GPUSpec
 P100 = get_machine("p100")
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sweep.engine import SweepEngine
+    from repro.sweep.planner import EvalPlanner
 
 __all__ = ["BudgetRow", "BudgetedSearchResult", "run", "requests"]
 
@@ -91,14 +91,14 @@ def run(
     budget_fractions: tuple[float, ...] = (0.1, 0.2, 0.35, 0.5, 1.0),
     seed: int = 0,
     *,
-    engine: "SweepEngine | None" = None,
+    engine: "EvalPlanner | None" = None,
 ) -> BudgetedSearchResult:
     """Score the greedy search at several evaluation budgets.
 
-    With ``engine`` given, every point evaluation (the exhaustive sweep
-    and the greedy search's probes) is routed through the engine's
-    persistent cache; the in-run memo below still guarantees each
-    configuration is modelled at most once per run either way.
+    With ``engine`` given, one planner table over the whole
+    configuration space serves the exhaustive sweep and every greedy
+    probe; without it the in-run memo below still guarantees each
+    configuration is run through the scalar model at most once.
     """
     from repro import obs
 
@@ -111,7 +111,7 @@ def _run_scored(
     n: int,
     budget_fractions: tuple[float, ...],
     seed: int,
-    engine: "SweepEngine | None",
+    engine: "EvalPlanner | None",
 ) -> BudgetedSearchResult:
     app = MatmulGPUApp(spec)
     space = app.config_space()
@@ -119,8 +119,7 @@ def _run_scored(
 
     cache: dict[tuple[int, int, int], tuple[float, float]] = {}
 
-    table_fn = getattr(engine, "table", None) if engine is not None else None
-    if table_fn is not None:
+    if engine is not None:
         # Columnar prefill: one table request covers the exhaustive
         # pass and every configuration a greedy probe can touch, so
         # ``evaluate`` below never leaves the in-run memo.
@@ -129,7 +128,7 @@ def _run_scored(
         request = SweepRequest(
             device=spec, n=n, min_bs=1, cal=app.device.cal
         )
-        rows = table_fn(
+        rows = engine.table(
             request,
             [
                 MatmulConfig(bs=c["bs"], g=c["g"], r=c["r"])
@@ -150,18 +149,8 @@ def _run_scored(
     def evaluate(cfg) -> tuple[float, float]:
         key = (cfg["bs"], cfg["g"], cfg["r"])
         if key not in cache:
-            if engine is not None:
-                point = engine.evaluate(
-                    spec, n,
-                    MatmulConfig(bs=cfg["bs"], g=cfg["g"], r=cfg["r"]),
-                    cal=app.device.cal,
-                )
-                cache[key] = (point.time_s, point.energy_j)
-            else:
-                run_ = app.device.run_matmul(
-                    n, cfg["bs"], cfg["g"], cfg["r"]
-                )
-                cache[key] = (run_.time_s, run_.dynamic_energy_j)
+            run_ = app.device.run_matmul(n, cfg["bs"], cfg["g"], cfg["r"])
+            cache[key] = (run_.time_s, run_.dynamic_energy_j)
         return cache[key]
 
     exhaustive_pts = [

@@ -28,7 +28,7 @@ from repro.machines import get_machine
 P100 = get_machine("p100")
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sweep.engine import SweepEngine
+    from repro.sweep.planner import EvalPlanner
 
 __all__ = ["Fig2Result", "run", "requests", "monotone_fraction"]
 
@@ -177,8 +177,10 @@ class Fig2Result:
         )
 
 
-def run(n: int = N_PAPER, *, engine: "SweepEngine | None" = None) -> Fig2Result:
-    """Regenerate the Fig. 2 analysis (optionally through a sweep engine)."""
+def run(
+    n: int = N_PAPER, *, engine: "EvalPlanner | None" = None
+) -> Fig2Result:
+    """Regenerate the Fig. 2 analysis (optionally through a planner)."""
     from repro import obs
 
     with obs.span("experiment.fig2", n=n):

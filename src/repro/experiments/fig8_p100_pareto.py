@@ -32,7 +32,7 @@ from repro.machines import get_machine
 P100 = get_machine("p100")
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sweep.engine import SweepEngine
+    from repro.sweep.planner import EvalPlanner
 
 __all__ = ["Fig8Result", "run", "requests", "PAPER_SIZES"]
 
@@ -91,9 +91,9 @@ class Fig8Result:
 def run(
     sizes: tuple[int, ...] = PAPER_SIZES,
     *,
-    engine: "SweepEngine | None" = None,
+    engine: "EvalPlanner | None" = None,
 ) -> Fig8Result:
-    """Regenerate the Fig. 8 analysis (optionally through a sweep engine)."""
+    """Regenerate the Fig. 8 analysis (optionally through a planner)."""
     from repro import obs
 
     with obs.span("experiment.fig8", sizes=len(sizes)):

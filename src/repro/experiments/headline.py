@@ -36,7 +36,7 @@ K40C = get_machine("k40c")
 P100 = get_machine("p100")
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sweep.engine import SweepEngine
+    from repro.sweep.planner import EvalPlanner
 
 __all__ = ["DeviceHeadline", "HeadlineResult", "run", "requests", "DEFAULT_SIZES"]
 
@@ -112,7 +112,7 @@ class HeadlineResult:
 def _analyze(
     spec: GPUSpec,
     sizes: tuple[int, ...],
-    engine: "SweepEngine | None" = None,
+    engine: "EvalPlanner | None" = None,
 ) -> DeviceHeadline:
     app = MatmulGPUApp(spec)
     global_sizes: list[int] = []
@@ -157,7 +157,7 @@ def _analyze(
 def run(
     sizes: dict[str, tuple[int, ...]] | None = None,
     *,
-    engine: "SweepEngine | None" = None,
+    engine: "EvalPlanner | None" = None,
 ) -> HeadlineResult:
     """Aggregate the headline statistics over the workload ranges."""
     from repro import obs

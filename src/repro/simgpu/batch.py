@@ -33,8 +33,8 @@ Quantities that must be *exact* — warp-row counts, the auxiliary
 decay — are computed per unique input value with the scalar functions
 and broadcast, not re-derived in floating point.
 
-The scalar path remains the reference: caches and golden snapshots
-stay keyed to it (see :mod:`repro.sweep.keys`).
+The scalar path remains the model of record: the golden snapshots and
+the parity tests compare this batch against it.
 """
 
 from __future__ import annotations
@@ -440,8 +440,7 @@ def evaluate_configs_batch_arrays(
     """Columnar variant of :func:`evaluate_configs_batch`.
 
     Returns the index-aligned ``(time_s, dynamic_energy_j)`` float64
-    columns directly, without materializing per-point tuples — the
-    sweep engine's array path consumes these as-is.
+    columns directly, without materializing per-point tuples.
     """
     count = len(configs)
     if not count:
@@ -462,7 +461,7 @@ def evaluate_configs_batch(
     n: int,
     configs,
 ) -> list[tuple[float, float]]:
-    """Vectorized drop-in for ``repro.sweep.worker.evaluate_chunk``.
+    """``(time_s, dynamic_energy_j)`` pairs of one sweep, in one batch.
 
     ``configs`` is any sequence of objects with ``bs``/``g``/``r``
     attributes (e.g. :class:`repro.apps.matmul_gpu.MatmulConfig`);

@@ -159,8 +159,8 @@ P100_CAL = GPUCalibration(
 )
 
 #: Keyed by spec *name*, not ``id(spec)``: an equal-but-distinct
-#: GPUSpec (pickled across process-pool workers, copied, or loaded
-#: from a registry file) must resolve to the same calibration.
+#: GPUSpec (pickled, copied, or loaded from a registry file) must
+#: resolve to the same calibration.
 _BY_NAME = {K40C.name: K40C_CAL, P100.name: P100_CAL}
 
 

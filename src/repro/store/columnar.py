@@ -1,11 +1,11 @@
 """Columnar shard store keyed by sweep-point identity (mmap fast path).
 
 Layout: one shard per :func:`repro.sweep.keys.shard_digest` identity —
-device spec, calibration, matrix size, model version and execution
-backend — under the store root, plus an advisory index::
+device spec, calibration, matrix size and model version — under the
+store root, plus an advisory index::
 
-    <root>/<device>-n<N>-<backend>-<digest16>.npy
-    <root>/<device>-n<N>-<backend>-<digest16>.meta.json
+    <root>/<device>-n<N>-vectorized-<digest16>.npy
+    <root>/<device>-n<N>-vectorized-<digest16>.meta.json
     <root>/manifest.json
 
 A shard holds the full column set of one sweep's points — the packed
@@ -28,19 +28,14 @@ correctness.  The sidecar, by contrast, is load-bearing: a shard whose
 sidecar is missing, unreadable, or disagrees with the array's row
 count is treated as a torn pair and recomputed.
 
-Format ``repro-sweep-store/1`` (a monolithic ``.npz``, eagerly
-decompressed) is still *read* transparently; the first append to a
-legacy shard rewrites it as v2 and removes the ``.npz``.
-
-Durability contract (same as the JSON point cache): every write goes
-through a temp file + ``os.replace``, so an interrupted run never
-leaves a half-written shard under its final name; a corrupted or
-truncated shard is treated as empty and recomputed, and the next
-append overwrites it.  Appends re-read the shard from disk before
-merging, so two concurrent writers converge on the union of their
-rows except for a benign last-write-wins race window (the loser's
-rows read as misses and are recomputed — values are deterministic, so
-nothing can diverge).
+Durability contract: every write goes through a temp file +
+``os.replace``, so an interrupted run never leaves a half-written
+shard under its final name; a corrupted or truncated shard is treated
+as empty and recomputed, and the next append overwrites it.  Appends
+re-read the shard from disk before merging, so two concurrent writers
+converge on the union of their rows except for a benign
+last-write-wins race window (the loser's rows read as misses and are
+recomputed — values are deterministic, so nothing can diverge).
 """
 
 from __future__ import annotations
@@ -49,7 +44,6 @@ import json
 import os
 import re
 import warnings
-import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -59,11 +53,10 @@ import numpy as np
 from repro import obs
 from repro.machines.specs import GPUSpec
 from repro.simgpu.calibration import GPUCalibration
-from repro.sweep.keys import MODEL_VERSION, shard_digest
+from repro.sweep.keys import MODEL_VERSION, SHARD_BACKEND, shard_digest
 
 __all__ = [
     "SHARD_FORMAT",
-    "LEGACY_SHARD_FORMAT",
     "MANIFEST_FORMAT",
     "ShardKey",
     "ColumnarStore",
@@ -87,7 +80,6 @@ class StoreIntegrityWarning(UserWarning):
     """
 
 SHARD_FORMAT = "repro-sweep-store/2"
-LEGACY_SHARD_FORMAT = "repro-sweep-store/1"
 MANIFEST_FORMAT = "repro-sweep-store-manifest/1"
 MANIFEST_NAME = "manifest.json"
 
@@ -148,7 +140,7 @@ def _slug(name: str) -> str:
 
 @dataclass(frozen=True)
 class ShardKey:
-    """Identity of one shard: ``(device, n, model_version, backend)``.
+    """Identity of one shard: ``(device, n, model_version)``.
 
     ``digest`` is :func:`repro.sweep.keys.shard_digest` over the full
     spec + calibration payload, so two calibrations of the same device
@@ -159,13 +151,12 @@ class ShardKey:
     device: str
     n: int
     model_version: str
-    backend: str
     digest: str
 
     @property
     def stem(self) -> str:
         return (
-            f"{_slug(self.device)}-n{self.n}-{self.backend}-"
+            f"{_slug(self.device)}-n{self.n}-{SHARD_BACKEND}-"
             f"{self.digest[:16]}"
         )
 
@@ -177,25 +168,14 @@ class ShardKey:
     def meta_filename(self) -> str:
         return f"{self.stem}.meta.json"
 
-    @property
-    def legacy_filename(self) -> str:
-        return f"{self.stem}.npz"
 
-
-def shard_key(
-    spec: GPUSpec,
-    cal: GPUCalibration,
-    n: int,
-    *,
-    backend: str = "scalar",
-) -> ShardKey:
-    """The :class:`ShardKey` of one device/size/calibration/backend."""
+def shard_key(spec: GPUSpec, cal: GPUCalibration, n: int) -> ShardKey:
+    """The :class:`ShardKey` of one device/size/calibration."""
     return ShardKey(
         device=spec.name,
         n=int(n),
         model_version=MODEL_VERSION,
-        backend=backend,
-        digest=shard_digest(spec, cal, n, backend=backend),
+        digest=shard_digest(spec, cal, n),
     )
 
 
@@ -215,7 +195,7 @@ class _Shard:
     block: np.ndarray
     mapped: bool = False
     #: Set after the objective columns of served rows first checked out
-    #: as finite/non-negative (legacy eager loads validate at open).
+    #: as finite/non-negative.
     values_checked: bool = field(default=False, repr=False)
 
     @property
@@ -272,7 +252,7 @@ def _make_block(
 _EMPTY = _Shard(block=np.empty((6, 0), dtype=np.int64), values_checked=True)
 
 #: Exceptions a torn/foreign/garbage shard file can raise on load.
-_LOAD_ERRORS = (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile)
+_LOAD_ERRORS = (OSError, ValueError, KeyError, EOFError)
 
 
 class ColumnarStore:
@@ -316,9 +296,6 @@ class ColumnarStore:
     def meta_path(self, key: ShardKey) -> Path:
         return self.root / key.meta_filename
 
-    def legacy_path(self, key: ShardKey) -> Path:
-        return self.root / key.legacy_filename
-
     @property
     def manifest_path(self) -> Path:
         return self.root / MANIFEST_NAME
@@ -328,18 +305,14 @@ class ColumnarStore:
     def _read_shard(self, key: ShardKey) -> _Shard:
         """Load a shard from disk; a corrupt or absent file is empty.
 
-        The v2 ``.npy`` is *memory-mapped*, not read: only the packed
-        key column is touched here (sorted-unique soundness).  Falls
-        back to the eager v1 ``.npz`` reader when only a legacy shard
-        exists at this identity.
+        The ``.npy`` is *memory-mapped*, not read: only the packed
+        key column is touched here (sorted-unique soundness).
         """
         path = self.shard_path(key)
         try:
             meta = json.loads(self.meta_path(key).read_text())
             block = np.load(path, mmap_mode="r", allow_pickle=False)
         except FileNotFoundError:
-            if self.legacy_path(key).is_file():
-                return self._read_legacy_shard(key)
             # A block without its sidecar (or vice versa) is a torn
             # pair — unless neither exists, which is just a cold shard.
             if path.is_file() or self.meta_path(key).is_file():
@@ -356,41 +329,6 @@ class ColumnarStore:
         if reason is not None:
             self._recompute_fallback(path, reason)
             return _EMPTY
-        return shard
-
-    def _read_legacy_shard(self, key: ShardKey) -> _Shard:
-        """Eagerly load a v1 ``.npz`` shard (decompressed, validated)."""
-        path = self.legacy_path(key)
-        try:
-            with np.load(path, allow_pickle=False) as z:
-                meta = json.loads(str(z["meta"][()]))
-                block = _make_block(
-                    np.asarray(z["packed"], dtype=np.int64),
-                    np.asarray(z["bs"], dtype=np.int64),
-                    np.asarray(z["g"], dtype=np.int64),
-                    np.asarray(z["r"], dtype=np.int64),
-                    np.asarray(z["time_s"], dtype=np.float64),
-                    np.asarray(z["energy_j"], dtype=np.float64),
-                )
-        except _LOAD_ERRORS + (json.JSONDecodeError,):
-            self._recompute_fallback(path, "corrupt")
-            return _EMPTY
-        obs.count("store.shard.legacy_loads")
-        shard = _Shard(block=block)
-        reason = self._shard_rejection(
-            key, meta, shard, expected_format=LEGACY_SHARD_FORMAT
-        )
-        if reason == "unknown-device":
-            self._raise_unknown_device(path, meta)
-        if reason is not None:
-            self._recompute_fallback(path, reason)
-            return _EMPTY
-        # Eager loads validate values up front (the columns are already
-        # in memory, so the check is free relative to the decompress).
-        if not self._values_sound(shard.time_s, shard.energy_j):
-            self._recompute_fallback(path, "corrupt")
-            return _EMPTY
-        shard.values_checked = True
         return shard
 
     @staticmethod
@@ -443,11 +381,7 @@ class ColumnarStore:
 
     @staticmethod
     def _shard_rejection(
-        key: ShardKey,
-        meta: dict[str, Any],
-        shard: _Shard,
-        *,
-        expected_format: str = SHARD_FORMAT,
+        key: ShardKey, meta: dict[str, Any], shard: _Shard
     ) -> str | None:
         """Why a shard cannot be trusted at this address (None = sound).
 
@@ -470,12 +404,12 @@ class ColumnarStore:
         """
         if not isinstance(meta, dict):
             return "corrupt"
-        if meta.get("format") != expected_format:
+        if meta.get("format") != SHARD_FORMAT:
             return "corrupt"
         if (
             meta.get("digest") != key.digest
             or meta.get("model_version") != key.model_version
-            or meta.get("backend") != key.backend
+            or meta.get("backend") != SHARD_BACKEND
             or meta.get("device") != key.device
             or meta.get("n") != key.n
         ):
@@ -628,9 +562,7 @@ class ColumnarStore:
         Existing rows win on duplicate configuration keys (values are
         deterministic per identity, so the choice is cosmetic).  The
         shard is re-read from disk before merging so rows appended by a
-        concurrent writer since our last load are preserved.  A legacy
-        v1 shard at this identity is upgraded: the merge result is
-        written in v2 form and the ``.npz`` removed.
+        concurrent writer since our last load are preserved.
         """
         bs = np.asarray(bs, dtype=np.int64)
         g = np.asarray(g, dtype=np.int64)
@@ -685,7 +617,7 @@ class ColumnarStore:
             "device": key.device,
             "n": key.n,
             "model_version": key.model_version,
-            "backend": key.backend,
+            "backend": SHARD_BACKEND,
             "digest": key.digest,
             "points": len(shard),
         }
@@ -706,8 +638,6 @@ class ColumnarStore:
             os.replace(meta_tmp, meta_path)
         finally:
             meta_tmp.unlink(missing_ok=True)
-        # The v2 pair supersedes any legacy shard at this identity.
-        self.legacy_path(key).unlink(missing_ok=True)
 
     # -- manifest -----------------------------------------------------------
 
@@ -733,7 +663,7 @@ class ColumnarStore:
             "device": key.device,
             "n": key.n,
             "model_version": key.model_version,
-            "backend": key.backend,
+            "backend": SHARD_BACKEND,
             "points": points,
         }
         self._write_manifest(doc)
@@ -751,8 +681,7 @@ class ColumnarStore:
 
         Recovers from a lost or corrupted manifest (the shards are the
         source of truth); unreadable shard files are skipped and
-        counted in :attr:`corrupt_shards`.  Covers both v2 sidecar
-        pairs and legacy ``.npz`` shards.
+        counted in :attr:`corrupt_shards`.
         """
         doc: dict[str, Any] = {"format": MANIFEST_FORMAT, "shards": {}}
         obs.count("store.manifest.rebuilds")
@@ -785,33 +714,6 @@ class ColumnarStore:
                 "backend": meta.get("backend"),
                 "points": points,
             }
-        for path in sorted(self.root.glob("*.npz")):
-            try:
-                with np.load(path, allow_pickle=False) as z:
-                    meta = json.loads(str(z["meta"][()]))
-                    points = int(len(z["packed"]))
-            except _LOAD_ERRORS + (json.JSONDecodeError,):
-                self.corrupt_shards += 1
-                continue
-            if (
-                not isinstance(meta, dict)
-                or meta.get("format") != LEGACY_SHARD_FORMAT
-                or "digest" not in meta
-            ):
-                self.corrupt_shards += 1
-                continue
-            # A v2 pair at the same digest supersedes the legacy file.
-            doc["shards"].setdefault(
-                meta["digest"],
-                {
-                    "file": path.name,
-                    "device": meta.get("device"),
-                    "n": meta.get("n"),
-                    "model_version": meta.get("model_version"),
-                    "backend": meta.get("backend"),
-                    "points": points,
-                },
-            )
         self._write_manifest(doc)
         return doc
 
@@ -821,10 +723,7 @@ class ColumnarStore:
         if (
             not doc["shards"]
             and self.root.is_dir()
-            and (
-                any(self.root.glob("*.meta.json"))
-                or any(self.root.glob("*.npz"))
-            )
+            and any(self.root.glob("*.meta.json"))
         ):
             doc = self.rebuild_manifest()
         return doc

@@ -1,34 +1,26 @@
-"""Backend benchmark for the sweep engine (``repro bench``).
+"""Backend benchmark for the sweep models (``repro bench``).
 
-Times the execution paths — serial scalar reference, process-pool
-parallel scalar, NumPy-vectorized batch, and the cross-experiment
-planner over the columnar store — and records the results as
-``BENCH_sweep.json`` so the perf trajectory of the simulator is
-tracked in-repo.
+Times the evaluation paths — the scalar model of record, the
+NumPy-vectorized batch model, and the cross-experiment planner over
+the columnar store — and records the results as ``BENCH_sweep.json``
+so the perf trajectory of the simulator is tracked in-repo.
 
 Methodology
 -----------
 Each backend evaluates the *same* configuration list (the full default
-sweep of :class:`repro.apps.matmul_gpu.MatmulGPUApp`) with no cache
+sweep of :class:`repro.apps.matmul_gpu.MatmulGPUApp`) with no store
 attached, so the measurement is pure evaluation:
 
-* ``scalar`` times :func:`repro.sweep.worker.evaluate_chunk` — the
-  exact per-point call the serial engine path makes;
-* ``parallel`` times a ``jobs``-worker :class:`SweepEngine` end to end
-  with ``mode="parallel"`` forced (including pool startup — that is
-  what a user pays).  Each case also records ``auto_mode``: the path a
-  default ``mode="auto"`` engine actually chose for that grid, so the
-  document shows whether the auto heuristic would have paid the pool
-  cost (on the paper's 146-point grids it picks serial — see
-  :data:`repro.sweep.engine.PARALLEL_MIN_POINTS`);
+* ``scalar`` times a :meth:`repro.simgpu.device.GPUDevice.run_matmul`
+  loop over the configurations — the scalar model of record;
 * ``vectorized`` times :func:`repro.simgpu.batch.evaluate_configs_batch`.
 
 The ``planner`` section benchmarks a whole *session* on an enlarged
 grid (both devices x sizes x total-products variants, with overlapping
 requests as real experiment sessions have):
 
-* ``per_experiment_s`` — one fresh scalar engine per request, no
-  cache: the per-experiment baseline path (how ``repro experiment``
+* ``per_experiment_s`` — a scalar ``run_matmul`` loop per request, no
+  store: the per-experiment baseline path (how ``repro experiment``
   ran each figure before the planner existed);
 * ``planner_cold_s`` — one :class:`repro.sweep.planner.EvalPlanner`
   over an empty columnar store: dedup + vectorized mega-batch fill +
@@ -59,13 +51,6 @@ an artifact).
 
 Bench v4 sections (the zero-copy fast path):
 
-* ``parallel_crossover`` measures where the shared-memory process-pool
-  transport actually beats the serial scalar path on synthetic grids
-  of growing size, and records the measured crossover next to the
-  configured :data:`repro.sweep.engine.PARALLEL_MIN_POINTS` so the
-  auto-mode threshold stays an observed quantity, not folklore.  On
-  multi-core hosts the largest grid gates: parallel slower than serial
-  above the threshold is a transport regression.
 * ``incremental_front`` streams a synthetic point cloud through
   :class:`repro.core.incremental.IncrementalParetoFront` and diffs the
   result against the batch ``front_indices`` kernel — the
@@ -116,11 +101,9 @@ __all__ = [
 ]
 
 #: Schema tag of the BENCH_sweep.json document.  ``/2`` added the
-#: per-case ``auto_mode`` field and the session-level ``planner``
-#: section; ``/3`` added ``telemetry_overhead`` (warm planner session
-#: with telemetry recording on vs off) and the telemetry JSONL
-#: artifact; ``/4`` added ``parallel_crossover`` (measured
-#: shared-memory pool crossover vs the configured auto threshold),
+#: session-level ``planner`` section; ``/3`` added
+#: ``telemetry_overhead`` (warm planner session with telemetry
+#: recording on vs off) and the telemetry JSONL artifact; ``/4`` added
 #: ``incremental_front`` (streaming-vs-batch equivalence gate),
 #: ``host.peak_rss_kb``, and the ``--large`` million-point
 #: memory-mapped store section with its sub-linear peak-RSS gate;
@@ -129,17 +112,15 @@ __all__ = [
 #: planner session's provenance ``inputs_digest`` — the inputs of the
 #: bench history store and the Mann-Whitney regression sentinel
 #: (:mod:`repro.obs.history`, :mod:`repro.obs.sentinel`, ``repro perf
-#: check``).
-BENCH_VERSION = "repro-bench/5"
+#: check``); ``/6`` drops the process-pool ``parallel`` case, the
+#: ``parallel_crossover`` section and the per-case ``jobs``,
+#: ``auto_mode``, ``parallel_s`` and ``speedup_parallel`` fields, with
+#: the pool itself.
+BENCH_VERSION = "repro-bench/6"
 
 #: CI gate: telemetry-on may cost at most this fraction over
 #: telemetry-off on the warm planner session case.
 TELEMETRY_OVERHEAD_LIMIT = 0.05
-
-#: Synthetic grid sizes for the parallel-crossover measurement; the
-#: largest sits above :data:`repro.sweep.engine.PARALLEL_MIN_POINTS`
-#: so the gate exercises the regime where auto mode pools.
-CROSSOVER_GRID_SIZES = (128, 512, 2048, 4096)
 
 #: Row count of the ``--large`` synthetic shard.
 LARGE_POINTS = 1_000_000
@@ -169,27 +150,16 @@ class BenchmarkCase:
     n: int
     configs: int
     scalar_s: float
-    parallel_s: float | None
     vectorized_s: float
     max_rel_deviation: float
-    jobs: int
-    #: Path a ``mode="auto"`` engine chose for this grid ("serial" or
-    #: "process-pool").
-    auto_mode: str = "serial"
     #: Raw per-repeat wall samples per backend (``scalar`` /
-    #: ``vectorized`` / ``parallel``) — the ``*_s`` summaries above
-    #: are their minima; the history store keeps the full arrays.
+    #: ``vectorized``) — the ``*_s`` summaries above are their minima;
+    #: the history store keeps the full arrays.
     samples: dict[str, list[float]] = field(default_factory=dict)
 
     @property
     def speedup_vectorized(self) -> float:
         return self.scalar_s / self.vectorized_s
-
-    @property
-    def speedup_parallel(self) -> float | None:
-        if self.parallel_s is None:
-            return None
-        return self.scalar_s / self.parallel_s
 
     def as_dict(self) -> dict:
         return {
@@ -197,13 +167,9 @@ class BenchmarkCase:
             "n": self.n,
             "configs": self.configs,
             "scalar_s": self.scalar_s,
-            "parallel_s": self.parallel_s,
             "vectorized_s": self.vectorized_s,
-            "speedup_parallel": self.speedup_parallel,
             "speedup_vectorized": self.speedup_vectorized,
             "max_rel_deviation": self.max_rel_deviation,
-            "jobs": self.jobs,
-            "auto_mode": self.auto_mode,
             "samples": self.samples,
         }
 
@@ -234,22 +200,29 @@ def _best_of(fn, repeats: int) -> float:
     return min(_samples_of(fn, repeats))
 
 
-def _bench_case(
-    device: str, n: int, *, repeats: int, jobs: int, parallel: bool
-) -> BenchmarkCase:
+def _scalar_sweep(spec, cal, n: int, configs) -> list[tuple[float, float]]:
+    """``(time_s, dynamic_energy_j)`` of each config by the scalar model."""
+    from repro.simgpu.device import GPUDevice
+
+    device = GPUDevice(spec, cal)
+    out = []
+    for c in configs:
+        result = device.run_matmul(n, c.bs, c.g, c.r)
+        out.append((result.time_s, result.dynamic_energy_j))
+    return out
+
+
+def _bench_case(device: str, n: int, *, repeats: int) -> BenchmarkCase:
     from repro.apps.matmul_gpu import MatmulGPUApp
     from repro.machines import get_machine
     from repro.simgpu.batch import evaluate_configs_batch
-    from repro.sweep.engine import SweepEngine
-    from repro.sweep.plan import SweepRequest
-    from repro.sweep.worker import evaluate_chunk
 
     spec = get_machine(device)
     app = MatmulGPUApp(spec)
     cal = app.device.cal
     configs = app.sweep_configs()
 
-    scalar = evaluate_chunk(spec, cal, n, configs)
+    scalar = _scalar_sweep(spec, cal, n, configs)
     vectorized = evaluate_configs_batch(spec, cal, n, configs)
     max_dev = max(
         max(
@@ -260,45 +233,22 @@ def _bench_case(
     )
 
     scalar_samples = _samples_of(
-        lambda: evaluate_chunk(spec, cal, n, configs), repeats
+        lambda: _scalar_sweep(spec, cal, n, configs), repeats
     )
     vectorized_samples = _samples_of(
         lambda: evaluate_configs_batch(spec, cal, n, configs), repeats
     )
-    request = SweepRequest(device=spec, n=n, cal=cal)
-
-    # What would mode="auto" have picked here?  Run one (untimed) auto
-    # engine and read the recorded path — honest accounting instead of
-    # re-deriving the heuristic.
-    auto_engine = SweepEngine(jobs=jobs)
-    auto_engine.evaluate_configs(request, configs)
-    auto_mode = auto_engine.stats.last_mode or "serial"
-
-    samples = {
-        "scalar": scalar_samples,
-        "vectorized": vectorized_samples,
-    }
-    parallel_s = None
-    if parallel:
-        def run_parallel() -> None:
-            SweepEngine(jobs=jobs, mode="parallel").evaluate_configs(
-                request, configs
-            )
-
-        samples["parallel"] = _samples_of(run_parallel, repeats)
-        parallel_s = min(samples["parallel"])
-
     return BenchmarkCase(
         device=device,
         n=n,
         configs=len(configs),
         scalar_s=min(scalar_samples),
-        parallel_s=parallel_s,
         vectorized_s=min(vectorized_samples),
         max_rel_deviation=max_dev,
-        jobs=jobs,
-        auto_mode=auto_mode,
-        samples=samples,
+        samples={
+            "scalar": scalar_samples,
+            "vectorized": vectorized_samples,
+        },
     )
 
 
@@ -323,16 +273,18 @@ def _planner_requests(sizes: Sequence[int]) -> list:
 
 
 def _bench_planner(sizes: Sequence[int], *, repeats: int) -> dict:
-    from repro.sweep.engine import SweepEngine
     from repro.sweep.planner import EvalPlanner
 
     requests = _planner_requests(sizes)
 
     def per_experiment() -> None:
-        # The pre-planner path: each experiment builds its own scalar
-        # engine, no shared state, duplicates recomputed in full.
+        # The pre-planner path: each experiment runs its own scalar
+        # sweep, no shared state, duplicates recomputed in full.
         for request in requests:
-            SweepEngine().evaluate_configs(request, request.configs())
+            _scalar_sweep(
+                request.spec, request.calibration, request.n,
+                request.configs(),
+            )
 
     def run_planner(store_dir) -> EvalPlanner:
         planner = EvalPlanner(store_dir=store_dir)
@@ -406,8 +358,11 @@ def _bench_telemetry(
     # cancel ordering bias, and gate on the *interquartile mean of
     # the paired differences* — min-of-block ratios flickered past
     # the 5% gate on 1-2 cpu CI runners because the two minima sample
-    # different noise floors.
-    repeats = max(51, repeats)
+    # different noise floors.  The floor is 201 pairs: on a 2-cpu host
+    # with a true overhead near 2%, 51-pair estimates had a standard
+    # deviation of 1.6% and crossed 5% in about 6% of runs; 201 pairs
+    # halve the deviation and kept every estimate under 3.7%.
+    repeats = max(201, repeats)
 
     def session(store_dir) -> None:
         planner = EvalPlanner(store_dir=store_dir)
@@ -475,60 +430,6 @@ def _synthetic_configs(count: int) -> list:
         MatmulConfig(bs=4 + (i % 29), g=1, r=1 + i // 29)
         for i in range(count)
     ]
-
-
-def _bench_crossover(
-    *, repeats: int, jobs: int, n: int = 1024
-) -> dict:
-    """Serial vs shared-memory pool on synthetic grids of growing size.
-
-    The measured crossover (smallest grid where the pool wins) is what
-    :data:`repro.sweep.engine.PARALLEL_MIN_POINTS` is calibrated
-    against; recording both keeps the auto-mode threshold honest.  On
-    single-core hosts the pool can never win — the section still
-    records the (slower) pool timings, and the gate is skipped.
-    """
-    from repro.sweep.engine import PARALLEL_MIN_POINTS, SweepEngine
-    from repro.sweep.plan import SweepRequest
-
-    request = SweepRequest(device="p100", n=n)
-    # Fewer than two workers can't beat serial by construction; force
-    # a real pool so the transport is exercised even on small hosts.
-    jobs = max(2, jobs)
-    rows = []
-    crossover = None
-    for count in CROSSOVER_GRID_SIZES:
-        configs = _synthetic_configs(count)
-        serial_s = _best_of(
-            lambda: SweepEngine(mode="serial").evaluate_configs(
-                request, configs
-            ),
-            repeats,
-        )
-        parallel_s = _best_of(
-            lambda: SweepEngine(jobs=jobs, mode="parallel")
-            .evaluate_configs(request, configs),
-            repeats,
-        )
-        rows.append(
-            {
-                "points": count,
-                "serial_s": serial_s,
-                "parallel_s": parallel_s,
-                "speedup": serial_s / parallel_s,
-            }
-        )
-        if crossover is None and parallel_s < serial_s:
-            crossover = count
-    return {
-        "n": n,
-        "jobs": jobs,
-        "transport": "shared-memory",
-        "rows": rows,
-        "measured_crossover": crossover,
-        "configured_threshold": PARALLEL_MIN_POINTS,
-        "gated": (os.cpu_count() or 1) >= 2,
-    }
 
 
 def _bench_incremental(*, repeats: int, points: int = 50_000) -> dict:
@@ -683,10 +584,7 @@ def run_benchmark(
     device: str = "p100",
     sizes: Sequence[int] = DEFAULT_SIZES,
     repeats: int = 5,
-    jobs: int | None = None,
-    parallel: bool = True,
     planner: bool = True,
-    crossover: bool = True,
     large: bool = False,
     telemetry_jsonl: str | Path | None = None,
 ) -> dict:
@@ -695,14 +593,9 @@ def run_benchmark(
 
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
-    if jobs is None:
-        jobs = min(8, os.cpu_count() or 1)
     from repro.obs.provenance import git_revision, requests_digest
 
-    cases = [
-        _bench_case(device, n, repeats=repeats, jobs=jobs, parallel=parallel)
-        for n in sizes
-    ]
+    cases = [_bench_case(device, n, repeats=repeats) for n in sizes]
     doc = {
         "version": BENCH_VERSION,
         "host": {
@@ -718,10 +611,6 @@ def run_benchmark(
         "inputs_digest": requests_digest(_planner_requests(sizes)),
         "cases": [c.as_dict() for c in cases],
     }
-    if crossover:
-        doc["parallel_crossover"] = _bench_crossover(
-            repeats=repeats, jobs=jobs
-        )
     doc["incremental_front"] = _bench_incremental(repeats=repeats)
     if planner:
         doc["planner"] = _bench_planner(sizes, repeats=repeats)
@@ -740,60 +629,29 @@ def format_results(doc: dict) -> str:
     """Human-readable table of a benchmark document."""
     from repro.analysis.report import format_table
 
-    rows = []
-    for c in doc["cases"]:
-        par = (
-            f"{c['parallel_s'] * 1e3:.2f} ({c['speedup_parallel']:.1f}x)"
-            if c["parallel_s"] is not None
-            else "-"
+    rows = [
+        (
+            c["device"],
+            c["n"],
+            c["configs"],
+            f"{c['scalar_s'] * 1e3:.2f}",
+            f"{c['vectorized_s'] * 1e3:.2f} "
+            f"({c['speedup_vectorized']:.1f}x)",
+            f"{c['max_rel_deviation']:.1e}",
         )
-        rows.append(
-            (
-                c["device"],
-                c["n"],
-                c["configs"],
-                f"{c['scalar_s'] * 1e3:.2f}",
-                par,
-                f"{c['vectorized_s'] * 1e3:.2f} "
-                f"({c['speedup_vectorized']:.1f}x)",
-                c.get("auto_mode", "-"),
-                f"{c['max_rel_deviation']:.1e}",
-            )
-        )
+        for c in doc["cases"]
+    ]
     out = format_table(
         [
             "device",
             "N",
             "configs",
             "scalar (ms)",
-            "parallel (ms)",
             "vectorized (ms)",
-            "auto mode",
             "max rel dev",
         ],
         rows,
     )
-    x = doc.get("parallel_crossover")
-    if x is not None:
-        measured = x["measured_crossover"]
-        out += (
-            f"\n\nparallel crossover (shared-memory transport, "
-            f"{x['jobs']} workers, N={x['n']}): measured "
-            f"{measured if measured is not None else 'never'}, "
-            f"auto threshold {x['configured_threshold']}\n"
-            + format_table(
-                ["points", "serial (ms)", "parallel (ms)", "speedup"],
-                [
-                    (
-                        r["points"],
-                        f"{r['serial_s'] * 1e3:.2f}",
-                        f"{r['parallel_s'] * 1e3:.2f}",
-                        f"{r['speedup']:.2f}x",
-                    )
-                    for r in x["rows"]
-                ],
-            )
-        )
     inc = doc.get("incremental_front")
     if inc is not None:
         out += (
@@ -865,24 +723,15 @@ def add_bench_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--device", choices=gpu_device_choices(), default="p100"
     )
-    parser.add_argument(
-        "--sizes", type=int, nargs="+", default=list(DEFAULT_SIZES),
-        metavar="N", help="matrix sizes to sweep (default: 10240 18432)",
-    )
-    parser.add_argument(
-        "--repeats", type=int, default=5,
-        help="timing repeats per backend; wall-clock is the minimum",
-    )
     from repro.cli import positive_int
 
     parser.add_argument(
-        "--jobs", type=positive_int, default=None, metavar="N",
-        help="workers for the parallel case (default: min(8, cpus))",
+        "--sizes", type=positive_int, nargs="+", default=list(DEFAULT_SIZES),
+        metavar="N", help="matrix sizes to sweep (default: 10240 18432)",
     )
     parser.add_argument(
-        "--no-parallel", action="store_true",
-        help="skip the process-pool case (pool startup dominates it "
-             "on small machines)",
+        "--repeats", type=positive_int, default=5,
+        help="timing repeats per backend; wall-clock is the minimum",
     )
     parser.add_argument(
         "--no-planner", action="store_true",
@@ -897,8 +746,8 @@ def add_bench_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--quick", action="store_true",
-        help="single repeat, no parallel case — the CI smoke settings "
-             "(the planner case stays on)",
+        help="single repeat — the CI smoke settings (the planner case "
+             "stays on)",
     )
     parser.add_argument(
         "--output", default="BENCH_sweep.json", metavar="FILE",
@@ -953,10 +802,7 @@ def run_from_args(args: argparse.Namespace) -> int:
         device=args.device,
         sizes=args.sizes,
         repeats=1 if args.quick else args.repeats,
-        jobs=args.jobs,
-        parallel=not (args.no_parallel or args.quick),
         planner=not args.no_planner,
-        crossover=not args.no_parallel,
         large=args.large,
         telemetry_jsonl=telemetry_jsonl,
     )
@@ -1003,18 +849,6 @@ def run_from_args(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         failed = True
-    crossover = doc.get("parallel_crossover")
-    if crossover is not None and crossover["gated"]:
-        largest = crossover["rows"][-1]
-        if largest["speedup"] < 1.0:
-            print(
-                f"FAIL: shared-memory pool slower than serial at "
-                f"{largest['points']} points ({largest['speedup']:.2f}x) "
-                f"on a {doc['host']['cpus']}-cpu host — parallel "
-                f"transport regression",
-                file=sys.stderr,
-            )
-            failed = True
     incremental = doc.get("incremental_front")
     if incremental is not None and not incremental["equivalent"]:
         print(
@@ -1045,8 +879,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro bench",
         description=(
-            "Time scalar vs parallel vs vectorized sweep backends and "
-            "the planner session path"
+            "Time the scalar vs vectorized sweep models and the planner "
+            "session path"
         ),
     )
     add_bench_flags(parser)

@@ -1,18 +1,19 @@
-"""Stable content-addressed keys for sweep points.
+"""Stable content-addressed identities for sweep shards.
 
 A sweep point is fully determined by the device specification, the
 calibration constants, the matrix size, the ``(BS, G, R)``
-configuration, and the simulator version.  :func:`sweep_key` hashes a
-canonical JSON encoding of exactly those inputs, so
+configuration, and the simulator version.  :func:`shard_digest` hashes
+a canonical JSON encoding of all of those inputs except the
+configuration, so
 
-* two runs that would compute the same number share one cache entry,
+* every point of one device/size/calibration shares one store shard,
 * any change to a spec constant, a calibration constant (including the
   sensitivity study's perturbed calibrations) or the model version
-  produces a different key — a stale entry can never be returned for a
-  changed model.
+  produces a different digest — a stale shard can never be returned
+  for a changed model.
 
-JSON float encoding uses ``repr`` (shortest round-trip), so the key is
-stable across processes and Python sessions on the same platform.
+JSON float encoding uses ``repr`` (shortest round-trip), so the digest
+is stable across processes and Python sessions on the same platform.
 """
 
 from __future__ import annotations
@@ -25,13 +26,19 @@ from typing import Any
 from repro.machines.specs import GPUSpec
 from repro.simgpu.calibration import GPUCalibration
 
-__all__ = ["MODEL_VERSION", "canonical_json", "shard_digest", "sweep_key"]
+__all__ = ["MODEL_VERSION", "SHARD_BACKEND", "canonical_json", "shard_digest"]
 
 #: Version of the GPU simulator's *code* (the constants are hashed
 #: directly).  Bump whenever `repro.simgpu` changes the mapping from
 #: (spec, calibration, N, BS, G, R) to (time, energy); the golden
 #: regression tests fail loudly if a change lands without a bump.
 MODEL_VERSION = "gpu-matmul/1"
+
+#: The evaluator every stored point comes from (the vectorized batch
+#: model).  It is part of each shard's digest payload, file name and
+#: sidecar; changing it would move every existing store to new
+#: addresses and make it cold.
+SHARD_BACKEND = "vectorized"
 
 
 def canonical_json(value: Any) -> str:
@@ -41,60 +48,18 @@ def canonical_json(value: Any) -> str:
     )
 
 
-def sweep_key(
-    spec: GPUSpec,
-    cal: GPUCalibration,
-    n: int,
-    config: dict[str, int],
-    *,
-    backend: str = "scalar",
-) -> str:
-    """SHA-256 content key of one ``(device, N, config)`` sweep point.
+def shard_digest(spec: GPUSpec, cal: GPUCalibration, n: int) -> str:
+    """SHA-256 identity of one ``(device, calibration, N)`` shard.
 
-    ``backend`` names the execution path that computed the point.  The
-    scalar reference path is the identity of the cache — its keys (and
-    every existing cache entry and golden snapshot) are unchanged — so
-    ``"scalar"`` adds nothing to the payload.  Any other backend is
-    mixed into the key: its results agree with the reference only to a
-    parity tolerance, and must never be served where reference values
-    were requested (or vice versa).
+    Every sweep point of one device/size/calibration combination shares
+    one digest, which is how the columnar store (:mod:`repro.store`)
+    groups points into shards.
     """
-    payload = _sweep_payload(spec, cal, n, backend)
-    payload["config"] = {k: int(v) for k, v in sorted(config.items())}
-    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
-
-
-def _sweep_payload(
-    spec: GPUSpec, cal: GPUCalibration, n: int, backend: str
-) -> dict[str, Any]:
-    """The config-independent part of a sweep point's identity."""
-    payload: dict[str, Any] = {
+    payload = {
         "model_version": MODEL_VERSION,
         "spec": dataclasses.asdict(spec),
         "calibration": dataclasses.asdict(cal),
         "n": int(n),
+        "backend": SHARD_BACKEND,
     }
-    if backend != "scalar":
-        payload["backend"] = backend
-    return payload
-
-
-def shard_digest(
-    spec: GPUSpec,
-    cal: GPUCalibration,
-    n: int,
-    *,
-    backend: str = "scalar",
-) -> str:
-    """SHA-256 identity of one ``(device, N, model, backend)`` shard.
-
-    This is :func:`sweep_key` minus the configuration: every sweep
-    point of one device/size/calibration/backend combination shares one
-    digest, which is how the columnar store (:mod:`repro.store`) groups
-    points into shards.  Like :func:`sweep_key`, any change to a spec
-    constant, a calibration constant or :data:`MODEL_VERSION` moves the
-    points to a fresh shard, so a stale shard can never be read for a
-    changed model.
-    """
-    payload = _sweep_payload(spec, cal, n, backend)
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()

@@ -3,7 +3,7 @@
 A :class:`SweepRequest` names one ``(device, N)`` sweep — device (by
 registry key or spec), matrix size, workload ``T = G·R``, optional
 tile floor and calibration override — and resolves to the exact
-configuration list the serial reference path enumerates.  The engine
+configuration list the scalar reference path enumerates.  The planner
 evaluates requests; everything about *what* to evaluate lives here.
 """
 

@@ -13,8 +13,8 @@ the session inside out:
    register :class:`~repro.sweep.plan.SweepRequest`\\ s up front.
 2. **Deduplicate** — requested points are packed to int64 keys and
    uniqued per shard identity (device + calibration + N + model
-   version + backend), so a point shared by any number of experiments
-   is evaluated at most once per session.
+   version), so a point shared by any number of experiments is
+   evaluated at most once per session.
 3. **Partition** — one vectorized pass per shard against the columnar
    store (:mod:`repro.store`) splits the unique points into hits and
    misses.
@@ -28,11 +28,12 @@ The hot path is columnar end to end — packed int64 keys, float64
 objective columns, structured arrays — with zero per-point dict
 materialization; :class:`~repro.core.pareto.ParetoPoint` records are
 only built at the analysis boundary when an experiment asks for its
-points.  The planner implements the engine protocol
-(:meth:`EvalPlanner.evaluate_configs` / :meth:`EvalPlanner.evaluate`),
-so every experiment's ``engine=`` parameter accepts it unchanged, and
-unplanned requests (e.g. probes of a search loop) are filled lazily
-through the same machinery.
+points.  The planner is the only evaluator behind the experiments'
+``engine=`` parameters and every sweep-driven CLI command; unplanned
+requests (e.g. a single ``repro sweep``) are filled lazily through the
+same machinery.  ``engine=None`` runs the scalar model of record
+(:meth:`repro.simgpu.device.GPUDevice.run_matmul`) instead, which is
+also the oracle the planner is tested against.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from repro.apps.matmul_gpu import MatmulConfig
 from repro.core.pareto import ParetoPoint
 from repro.machines.specs import GPUSpec
 from repro.simgpu.calibration import GPUCalibration
-from repro.sweep.engine import BACKENDS
 from repro.sweep.plan import SweepRequest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -62,10 +62,17 @@ __all__ = [
     "SESSION_EXPERIMENTS",
 ]
 
-#: Structured row type results flow through on the hot path (defined
-#: in :mod:`repro.sweep.shm`, shared with the shared-memory transport;
-#: re-exported here for compatibility).
-from repro.sweep.shm import POINT_DTYPE  # noqa: E402
+#: Structured row type results flow through on the hot path: the
+#: configuration key columns plus the two objective columns.
+POINT_DTYPE = np.dtype(
+    [
+        ("bs", np.int64),
+        ("g", np.int64),
+        ("r", np.int64),
+        ("time_s", np.float64),
+        ("energy_j", np.float64),
+    ]
+)
 
 #: The sweep-driven experiments ``repro all`` runs through one planner.
 SESSION_EXPERIMENTS = (
@@ -168,13 +175,10 @@ class EvalPlanner:
         Columnar result store to partition against and fill into
         (:class:`repro.store.ColumnarStore`).  Without one, the planner
         still deduplicates and mega-batches, but nothing persists.
-    backend:
-        How misses are computed: ``"vectorized"`` (default — one
-        :func:`repro.simgpu.batch.batch_run_matmul` mega-batch per
-        distinct spec/calibration) or ``"scalar"`` (the per-point
-        reference path; bit-identical to the serial engine).  Stored
-        results are tagged per backend, exactly like the engine's
-        cache keys.
+
+    Misses are computed by the vectorized batch model, one
+    :func:`~repro.simgpu.batch.batch_run_matmul` mega-batch per
+    distinct spec/calibration.
     """
 
     def __init__(
@@ -182,21 +186,14 @@ class EvalPlanner:
         *,
         store: ColumnarStore | None = None,
         store_dir: str | Path | None = None,
-        backend: str = "vectorized",
     ) -> None:
         if store is not None and store_dir is not None:
             raise ValueError("pass store_dir or store, not both")
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}: expected one of "
-                f"{', '.join(BACKENDS)}"
-            )
         if store is None and store_dir is not None:
             from repro.store.columnar import ColumnarStore
 
             store = ColumnarStore(store_dir)
         self.store = store
-        self.backend = backend
         self.stats = PlannerStats()
         self._groups: dict[str, _GroupState] = {}
 
@@ -207,7 +204,7 @@ class EvalPlanner:
     ) -> _GroupState:
         from repro.store.columnar import shard_key
 
-        key = shard_key(spec, cal, n, backend=self.backend)
+        key = shard_key(spec, cal, n)
         group = self._groups.get(key.digest)
         if group is None:
             group = _GroupState(key, spec, cal, n)
@@ -242,7 +239,7 @@ class EvalPlanner:
         Idempotent — pending sets are drained, and re-adding known
         points is free.  Returns :attr:`stats`.
         """
-        with obs.span("planner.execute", backend=self.backend):
+        with obs.span("planner.execute"):
             fills: dict[
                 tuple[GPUSpec, GPUCalibration], list[tuple[_GroupState, np.ndarray]]
             ] = {}
@@ -291,7 +288,10 @@ class EvalPlanner:
         cal: GPUCalibration,
         entries: list[tuple[_GroupState, np.ndarray]],
     ) -> None:
-        """Evaluate all missing points of one (spec, cal) as one batch."""
+        """Evaluate all missing points of one (spec, cal) as one batch
+        and scatter the results back per shard."""
+        from repro.simgpu.batch import batch_run_matmul
+
         ns = np.concatenate(
             [np.full(len(p), grp.n, dtype=np.int64) for grp, p in entries]
         )
@@ -302,61 +302,31 @@ class EvalPlanner:
         with obs.span(
             "planner.fill_misses",
             device=spec.name,
-            backend=self.backend,
             points=int(len(packed)),
             shards=len(entries),
         ):
-            self._fill_batch(spec, cal, entries, ns, packed, bs, g, r)
-
-    def _fill_batch(
-        self,
-        spec: GPUSpec,
-        cal: GPUCalibration,
-        entries: list[tuple[_GroupState, np.ndarray]],
-        ns: np.ndarray,
-        packed: np.ndarray,
-        bs: np.ndarray,
-        g: np.ndarray,
-        r: np.ndarray,
-    ) -> None:
-        """Evaluate one mega-batch and scatter it back per shard."""
-        if self.backend == "vectorized":
-            from repro.simgpu.batch import batch_run_matmul
-
             out = batch_run_matmul(spec, cal, ns, bs, g, r)
-            times = out.time_s
-            energies = out.dynamic_energy_j
-        else:
-            from repro.simgpu.device import GPUDevice
+            self.stats.batches += 1
+            self.stats.computed += len(packed)
+            obs.count("planner.batches")
+            obs.count("planner.points.computed", len(packed))
 
-            device = GPUDevice(spec, cal)
-            times = np.empty(len(packed))
-            energies = np.empty(len(packed))
-            for i in range(len(packed)):
-                res = device.run_matmul(
-                    int(ns[i]), int(bs[i]), int(g[i]), int(r[i])
-                )
-                times[i] = res.time_s
-                energies[i] = res.dynamic_energy_j
-        self.stats.batches += 1
-        self.stats.computed += len(packed)
-        obs.count("planner.batches")
-        obs.count("planner.points.computed", len(packed))
+            offset = 0
+            for grp, p in entries:
+                end = offset + len(p)
+                t = out.time_s[offset:end]
+                e = out.dynamic_energy_j[offset:end]
+                if self.store is not None:
+                    self.store.append(
+                        grp.key, bs[offset:end], g[offset:end],
+                        r[offset:end], t, e,
+                    )
+                    grp.merge_keys(p)  # values live in the store shard
+                else:
+                    grp.merge(p, t, e)
+                offset = end
 
-        offset = 0
-        for grp, p in entries:
-            end = offset + len(p)
-            t, e = times[offset:end], energies[offset:end]
-            if self.store is not None:
-                self.store.append(
-                    grp.key, bs[offset:end], g[offset:end], r[offset:end], t, e
-                )
-                grp.merge_keys(p)  # values live in the store shard
-            else:
-                grp.merge(p, t, e)
-            offset = end
-
-    # -- serving (engine protocol) ------------------------------------------
+    # -- serving ------------------------------------------------------------
 
     def table(
         self,
@@ -416,7 +386,7 @@ class EvalPlanner:
     def evaluate_configs(
         self, request: SweepRequest, configs: list[MatmulConfig]
     ) -> list[ParetoPoint]:
-        """Engine-protocol serving: ParetoPoints in ``configs`` order.
+        """ParetoPoints of one request, in ``configs`` order.
 
         Dict/ParetoPoint materialization happens here, at the analysis
         boundary, and nowhere on the fill path.
@@ -437,7 +407,7 @@ class EvalPlanner:
         *,
         cal: GPUCalibration | None = None,
     ) -> ParetoPoint:
-        """Evaluate one configuration (engine protocol)."""
+        """Evaluate one configuration."""
         if isinstance(config, dict):
             config = MatmulConfig(
                 bs=config["bs"], g=config["g"], r=config["r"]
@@ -446,7 +416,11 @@ class EvalPlanner:
         return self.evaluate_configs(request, [config])[0]
 
     def sweep(self, device: str | GPUSpec, n: int, **kwargs) -> list[ParetoPoint]:
-        """Full-sweep convenience mirroring :meth:`SweepEngine.sweep`."""
+        """Every valid configuration of one ``(device, N)`` sweep.
+
+        Same enumeration and order as :meth:`repro.apps.matmul_gpu.
+        MatmulGPUApp.sweep_points`.
+        """
         request = SweepRequest(device=device, n=n, **kwargs)
         return self.evaluate_configs(request, request.configs())
 

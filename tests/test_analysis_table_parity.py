@@ -98,7 +98,7 @@ class TestWeakEPStudyParity:
         assert got.local_headline is None
 
     def test_empty_table_raises(self):
-        from repro.sweep.shm import POINT_DTYPE
+        from repro.sweep.planner import POINT_DTYPE
 
         with pytest.raises(ValueError, match="empty sweep"):
             weak_ep_study_table("p100", 1024, np.empty(0, POINT_DTYPE))
@@ -199,28 +199,3 @@ class TestFigureRenderParity:
         )
         front = pareto_front(MatmulGPUApp(P100).sweep_points(10240))
         assert _p100_verdict(P100_CAL, 10240) == (len(front) >= 2)
-
-    def test_budgeted_search_table_prefill_matches_per_point_serving(self):
-        """The columnar prefill serves the same floats as the legacy
-        per-point ``engine.evaluate`` loop (same engine, same backend —
-        backends themselves may differ in the last ulp)."""
-        from repro.experiments import budgeted_search
-        from repro.sweep.engine import SweepEngine
-
-        class PointOnlyEngine:
-            """Engine protocol without ``table`` — forces the legacy path."""
-
-            def __init__(self):
-                self._inner = SweepEngine(backend="vectorized")
-
-            def evaluate(self, *args, **kwargs):
-                return self._inner.evaluate(*args, **kwargs)
-
-        result = budgeted_search.run(
-            budget_fractions=(0.2, 0.5),
-            engine=SweepEngine(backend="vectorized"),
-        )
-        legacy = budgeted_search.run(
-            budget_fractions=(0.2, 0.5), engine=PointOnlyEngine()
-        )
-        assert result == legacy

@@ -4,10 +4,10 @@ The contract under test (``repro.simgpu.batch``): the NumPy batch
 evaluation agrees with the scalar reference path
 (``GPUDevice.run_matmul``) to ≤ 1e-9 relative error per lane — over
 the *full* K40c and P100 configuration spaces, over randomized config
-spaces (property-based, seeded), and through the
-``SweepEngine(backend="vectorized")`` execution path.  The scalar path
-stays the reference: its cache keys and golden snapshots must be
-untouched by the new backend.
+spaces (property-based, seeded), and through the planner
+(:class:`repro.sweep.planner.EvalPlanner`), which serves every
+sweep-driven command from this batch.  The scalar path stays the model
+of record.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from repro.simgpu.batch import (
 from repro.simgpu.calibration import calibration_for
 from repro.simgpu.device import GPUDevice
 from repro.simgpu.kernel import max_group_size
-from repro.sweep import SweepEngine, SweepRequest, sweep_key
-from repro.sweep.engine import chunk_size_for
+from repro.sweep import EvalPlanner
 
 PARITY_RTOL = 1e-9
 
@@ -155,80 +154,12 @@ class TestBatchInputHandling:
             )
 
 
-class TestEngineBackend:
-    def test_unknown_backend_is_clean_error(self):
-        with pytest.raises(ValueError, match="unknown backend 'cuda'"):
-            SweepEngine(backend="cuda")
-
-    def test_vectorized_sweep_matches_scalar_engine(self):
-        scalar = SweepEngine().sweep("p100", 10240)
-        vec = SweepEngine(backend="vectorized").sweep("p100", 10240)
+class TestPlannerBackend:
+    def test_planner_sweep_matches_scalar_model(self):
+        scalar = MatmulGPUApp(P100).sweep_points(10240)
+        vec = EvalPlanner().sweep("p100", 10240)
         assert len(scalar) == len(vec)
         for s, v in zip(scalar, vec):
             assert v.config == s.config
             assert v.time_s == pytest.approx(s.time_s, rel=PARITY_RTOL)
             assert v.energy_j == pytest.approx(s.energy_j, rel=PARITY_RTOL)
-
-    def test_vectorized_engine_stats(self):
-        engine = SweepEngine(backend="vectorized")
-        points = engine.sweep("k40c", 8192)
-        assert engine.stats.requested == len(points)
-        assert engine.stats.computed == len(points)
-        assert engine.stats.cache_hits == 0
-
-    def test_vectorized_cache_roundtrip_and_key_isolation(self, tmp_path):
-        """Vectorized results are cached and reused — under keys that
-        can never collide with the scalar reference cache."""
-        req = SweepRequest(device="p100", n=2048)
-        configs = req.configs()[:10]
-
-        vec = SweepEngine(backend="vectorized", cache_dir=tmp_path)
-        first = vec.evaluate_configs(req, configs)
-        warm = SweepEngine(backend="vectorized", cache_dir=tmp_path)
-        again = warm.evaluate_configs(req, configs)
-        assert warm.stats.cache_hits == len(configs)
-        assert [(p.time_s, p.energy_j) for p in again] == [
-            (p.time_s, p.energy_j) for p in first
-        ]
-
-        # The scalar engine sees none of the vectorized entries.
-        scalar = SweepEngine(cache_dir=tmp_path)
-        scalar.evaluate_configs(req, configs)
-        assert scalar.stats.cache_hits == 0
-
-    def test_scalar_keys_unchanged_by_backend_parameter(self):
-        cal = calibration_for(P100)
-        cfg = {"bs": 32, "g": 1, "r": 24}
-        assert sweep_key(P100, cal, 10240, cfg) == sweep_key(
-            P100, cal, 10240, cfg, backend="scalar"
-        )
-        assert sweep_key(P100, cal, 10240, cfg, backend="vectorized") != (
-            sweep_key(P100, cal, 10240, cfg)
-        )
-
-
-class TestAdaptiveChunking:
-    def test_small_sweeps_do_not_serialize_behind_one_chunk(self):
-        # 20 points over 4 workers used to fit in two 16-point chunks;
-        # now every worker gets work.
-        size = chunk_size_for(20, 4)
-        assert size < 16
-        assert -(-20 // size) >= 4  # at least one chunk per worker
-
-    def test_bounds(self):
-        assert chunk_size_for(1, 8) == 4  # floor
-        assert chunk_size_for(10**6, 1) == 256  # cap
-        assert chunk_size_for(0, 4) == 4
-
-    def test_scales_with_sweep_size(self):
-        assert chunk_size_for(10_000, 4) > chunk_size_for(100, 4)
-
-    def test_parallel_path_uses_adaptive_chunks(self):
-        """jobs>1 with a sweep bigger than one chunk still matches."""
-        req = SweepRequest(device="k40c", n=4096)
-        configs = req.configs()[:24]
-        serial = SweepEngine().evaluate_configs(req, configs)
-        parallel = SweepEngine(jobs=2).evaluate_configs(req, configs)
-        assert [(p.time_s, p.energy_j) for p in serial] == [
-            (p.time_s, p.energy_j) for p in parallel
-        ]

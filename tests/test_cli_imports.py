@@ -1,9 +1,10 @@
 """Import-path guard: the CLI's common commands never load SciPy.
 
 Importing SciPy would cost most of a command's start-up, and neither
-``repro all`` nor ``repro report`` calls it.  The guard starts a fresh
-interpreter and checks which modules are loaded, so unlike a timing
-gate it cannot flake on a slow host.
+``repro all`` nor ``repro report`` calls it.  Nor does building the
+parser load a process pool: every sweep is evaluated in-process.  The
+guard starts a fresh interpreter and checks which modules are loaded,
+so unlike a timing gate it cannot flake on a slow host.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-#: Runs in the child: records the scipy modules loaded after each stage.
+#: Runs in the child: records the scipy modules loaded after each stage,
+#: and the pool modules loaded once the parser is built.
 CHILD = """
 import contextlib, io, json, os, sys
 
@@ -31,6 +33,10 @@ stages = {}
 import repro.cli
 repro.cli.build_parser()
 stages["import"] = scipy_modules()
+stages["pool"] = sorted(
+    m for m in ("multiprocessing", "concurrent.futures.process")
+    if m in sys.modules
+)
 with contextlib.redirect_stdout(io.StringIO()):
     repro.cli.main(["all"])
 stages["all"] = scipy_modules()
@@ -43,11 +49,11 @@ print(json.dumps(stages))
 
 
 @pytest.fixture(scope="module")
-def loaded_scipy(tmp_path_factory) -> dict[str, list[str]]:
+def loaded_modules(tmp_path_factory) -> dict[str, list[str]]:
     env = {
         k: v
         for k, v in os.environ.items()
-        if k not in ("REPRO_STORE_DIR", "REPRO_CACHE_DIR", "REPRO_DEVICE_DIR")
+        if k not in ("REPRO_STORE_DIR", "REPRO_DEVICE_DIR")
     }
     env["PYTHONPATH"] = str(SRC)
     out = tmp_path_factory.mktemp("cli-imports")
@@ -59,5 +65,9 @@ def loaded_scipy(tmp_path_factory) -> dict[str, list[str]]:
 
 
 @pytest.mark.parametrize("stage", ["import", "all", "report"])
-def test_no_scipy_module_loaded(loaded_scipy, stage):
-    assert loaded_scipy[stage] == []
+def test_no_scipy_module_loaded(loaded_modules, stage):
+    assert loaded_modules[stage] == []
+
+
+def test_parser_loads_no_process_pool(loaded_modules):
+    assert loaded_modules["pool"] == []

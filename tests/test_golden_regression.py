@@ -10,7 +10,8 @@ next benchmark run.
 
 If a change is intentional: regenerate the snapshots with
 ``PYTHONPATH=src python -m pytest benchmarks -q`` and bump
-:data:`repro.sweep.keys.MODEL_VERSION` so stale caches are invalidated.
+:data:`repro.sweep.keys.MODEL_VERSION` so stale store shards are
+invalidated.
 """
 
 from __future__ import annotations
@@ -67,15 +68,16 @@ class TestGoldenSnapshots:
             "headline", render_headline_snapshot(headline.run())
         )
 
-    def test_headline_through_engine_matches_snapshot(self, tmp_path):
-        """The engine path renders the same golden text, warm or cold."""
-        from repro.sweep import SweepEngine
+    def test_headline_through_planner_matches_snapshot(self, tmp_path):
+        """The store-backed planner renders the same golden text, cold
+        or warm, and the warm run computes nothing."""
+        from repro.sweep import EvalPlanner
 
-        engine = SweepEngine(jobs=1, cache_dir=tmp_path)
+        cold = EvalPlanner(store_dir=tmp_path)
         assert_matches_snapshot(
-            "headline", render_headline_snapshot(headline.run(engine=engine))
+            "headline", render_headline_snapshot(headline.run(engine=cold))
         )
-        warm = SweepEngine(jobs=1, cache_dir=tmp_path)
+        warm = EvalPlanner(store_dir=tmp_path)
         assert_matches_snapshot(
             "headline", render_headline_snapshot(headline.run(engine=warm))
         )

@@ -1,7 +1,7 @@
 """Tests for :mod:`repro.obs` — the telemetry subsystem.
 
 Span nesting and id determinism, the off-mode no-op fast path (with a
-measured overhead bound against a vectorized sweep), metrics registry
+measured overhead bound against a planner-served sweep), metrics registry
 semantics, JSONL round-trip through ``repro trace``, run-provenance
 digests, span-tree determinism across warm vs. cold planner sessions,
 the store-integrity warning + counter surface, and the CLI boundary
@@ -24,7 +24,7 @@ from repro.obs.telemetry import _NOOP_SPAN
 from repro.simgpu.calibration import K40C_CAL, P100_CAL
 from repro.store import ColumnarStore, pack_configs, shard_key
 from repro.store.columnar import StoreIntegrityWarning
-from repro.sweep import EvalPlanner, SweepEngine, SweepRequest
+from repro.sweep import EvalPlanner, SweepRequest
 
 
 @pytest.fixture(autouse=True)
@@ -99,12 +99,6 @@ class TestMetrics:
         hist = tel.histograms["wall"]
         assert (hist.count, hist.total, hist.min, hist.max) == (3, 6.0, 1.0, 3.0)
         assert hist.mean == 2.0
-
-    def test_merge_counts_folds_worker_side_increments(self):
-        tel = obs.set_telemetry(obs.Telemetry("summary"))
-        tel.count("chunks")
-        tel.merge_counts({"chunks": 2, "points": 100})
-        assert tel.counters == {"chunks": 3, "points": 100}
 
     def test_snapshot_sorts_names(self):
         tel = obs.set_telemetry(obs.Telemetry("summary"))
@@ -198,10 +192,10 @@ class TestJsonlAndTrace:
 
 class TestProvenance:
     def test_manifest_core_fields(self):
-        m = provenance.run_manifest("sweep", backend="scalar")
+        m = provenance.run_manifest("sweep", backend="vectorized")
         assert m["format"] == provenance.MANIFEST_FORMAT
         assert m["command"] == "sweep"
-        assert m["backend"] == "scalar"
+        assert m["backend"] == "vectorized"
         from repro.sweep.keys import MODEL_VERSION
 
         assert m["model_version"] == MODEL_VERSION
@@ -289,21 +283,21 @@ class TestSpanTreeDeterminism:
 
 
 class TestOffPathOverhead:
-    def test_off_path_adds_under_two_percent_to_a_vectorized_sweep(self):
+    def test_off_path_adds_under_two_percent_to_a_planner_sweep(self):
         """Bound the no-op instrumentation cost against real sweep work.
 
         The instrumented sweep path executes a small constant number of
         helper calls per *batch* (spans + counters), never per point.
         Measure the per-call cost of the off fast path directly and
-        compare a generous 100-call budget against the measured wall
-        time of one vectorized sweep — the overhead must stay < 2%.
+        compare a generous budget against the measured wall time of one
+        sweep filled and served by a fresh planner — the overhead must
+        stay < 2%.
         """
         assert obs.get_telemetry().enabled is False
-        engine = SweepEngine(backend="vectorized")
         req = SweepRequest(device="p100", n=4096)
         configs = req.configs()
         sweep_s = min(
-            _timed(lambda: engine.evaluate_configs(req, configs))
+            _timed(lambda: EvalPlanner().table(req, configs))
             for _ in range(5)
         )
 
@@ -322,7 +316,7 @@ class TestOffPathOverhead:
             f"off-path span+counter pair costs {per_pair_s * 1e9:.0f} ns; "
             f"{budget} sites would add "
             f"{budget * per_pair_s / sweep_s:.2%} to a "
-            f"{sweep_s * 1e3:.2f} ms vectorized sweep"
+            f"{sweep_s * 1e3:.2f} ms planner sweep"
         )
 
 
@@ -334,7 +328,7 @@ def _timed(fn):
 
 class TestStoreIntegritySurface:
     def _filled_store(self, tmp_path):
-        key = shard_key(P100, P100_CAL, 4096, backend="scalar")
+        key = shard_key(P100, P100_CAL, 4096)
         store = ColumnarStore(tmp_path)
         store.append(key, [4, 8], [2, 2], [12, 12], [1.0, 2.0], [10.0, 20.0])
         return key, store
@@ -355,7 +349,7 @@ class TestStoreIntegritySurface:
 
     def test_stale_shard_warns_and_counts(self, tmp_path):
         key, store = self._filled_store(tmp_path)
-        other = shard_key(P100, P100_CAL, 8192, backend="scalar")
+        other = shard_key(P100, P100_CAL, 8192)
         shutil.copy(store.shard_path(key), store.shard_path(other))
         shutil.copy(store.meta_path(key), store.meta_path(other))
         tel = obs.set_telemetry(obs.Telemetry("summary"))
@@ -394,7 +388,7 @@ class TestCliTelemetry:
         out = capsys.readouterr().out
         assert "-- telemetry summary --" in out
         assert "cli.sweep" in out
-        assert "sweep.points.requested" in out
+        assert "planner.points.requested" in out
 
     def test_off_is_byte_identical_to_default(self, capsys):
         assert main(["sweep", "--device", "p100", "--n", "2048"]) == 0
@@ -410,7 +404,7 @@ class TestCliTelemetry:
         path = tmp_path / "run.jsonl"
         assert main(
             ["sweep", "--device", "k40c", "--n", "2048",
-             "--backend", "vectorized", "--telemetry", f"jsonl:{path}"]
+             "--telemetry", f"jsonl:{path}"]
         ) == 0
         capsys.readouterr()
         assert main(["trace", str(path)]) == 0
@@ -432,8 +426,29 @@ class TestCliTelemetry:
         prov = next(e for e in events if e["event"] == "provenance")
         assert prov["command"] == "sweep"
         assert prov["device"] == "p100"
+        assert prov["backend"] == "vectorized"
         assert prov["requests"] == 1
         assert len(prov["inputs_digest"]) == 64
+
+    @pytest.mark.parametrize(
+        "argv,command",
+        [
+            (["experiment", "fig7"], "experiment fig7"),
+            (["all"], "all"),
+        ],
+    )
+    def test_jsonl_provenance_names_the_planner_backend(
+        self, tmp_path, capsys, argv, command
+    ):
+        path = tmp_path / "run.jsonl"
+        assert main([*argv, "--telemetry", f"jsonl:{path}"]) == 0
+        capsys.readouterr()
+        events = [
+            json.loads(line) for line in path.read_text().splitlines()
+        ]
+        prov = next(e for e in events if e["event"] == "provenance")
+        assert prov["command"] == command
+        assert prov["backend"] == "vectorized"
 
     def test_bad_spec_is_a_clean_error(self):
         with pytest.raises(SystemExit, match="unknown telemetry spec"):

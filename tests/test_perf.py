@@ -561,7 +561,7 @@ class TestOpenMetrics:
         text = path.read_text()
         assert "# TYPE repro_run_info gauge" in text
         assert 'command="sweep"' in text
-        assert "repro_sweep_points_requested_total" in text
+        assert "repro_planner_points_requested_total" in text
 
 
 class TestPerfCli:

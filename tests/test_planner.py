@@ -1,36 +1,67 @@
 """Unit tests for :mod:`repro.sweep.planner` — the session planner.
 
-Engine-protocol parity (bit-exact against the serial reference for the
-scalar backend, against the batch backend for the vectorized one),
-cross-experiment dedup accounting, warm-store zero-compute reruns,
-mixed-size mega-batch exactness, and golden-snapshot identity of the
-planner-served figure set.
+Request resolution, bit-exact parity with per-sweep batch evaluation,
+agreement of every serving path (in memory, cold store, warm store,
+through the app) with the scalar model of record, cross-experiment
+dedup accounting, warm-store zero-compute reruns,
+mixed-size mega-batch exactness, calibration-separated shards, the
+noise bypass, and golden-snapshot identity of the planner-served
+figure set.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.apps.matmul_gpu import MatmulConfig
-from repro.sweep import EvalPlanner, SweepEngine, SweepRequest
+from repro.apps.matmul_gpu import MatmulConfig, MatmulGPUApp
+from repro.core.pareto import ParetoPoint, pareto_front
+from repro.machines.specs import K40C, P100
+from repro.simgpu.batch import evaluate_configs_batch
+from repro.simgpu.calibration import P100_CAL, calibration_for
+from repro.sweep import EvalPlanner, SweepRequest, resolve_device
 from repro.sweep.planner import POINT_DTYPE, collect_session_requests
 
 
-class TestPlannerParity:
-    def test_scalar_backend_matches_serial_engine_bit_exactly(self):
-        req = SweepRequest(device="p100", n=4096)
-        reference = SweepEngine().evaluate_configs(req, req.configs())
-        planner = EvalPlanner(backend="scalar")
-        assert planner.evaluate_configs(req, req.configs()) == reference
+def batch_points(req, configs):
+    """The request's points from one per-sweep batch evaluation."""
+    pairs = evaluate_configs_batch(req.spec, req.calibration, req.n, configs)
+    return [
+        ParetoPoint(time_s=t, energy_j=e, config=c.as_dict())
+        for c, (t, e) in zip(configs, pairs)
+    ]
 
-    def test_vectorized_backend_matches_batch_engine_bit_exactly(self):
+
+class TestResolveDevice:
+    def test_registry_keys(self):
+        assert resolve_device("p100") is P100
+        assert resolve_device("k40c") is K40C
+        assert resolve_device(P100) is P100
+
+    def test_cpu_is_rejected(self):
+        with pytest.raises(ValueError, match="not a GPU"):
+            resolve_device("haswell")
+
+
+class TestSweepRequest:
+    def test_configs_match_app_enumeration(self):
+        req = SweepRequest(device="p100", n=10240)
+        assert req.configs() == MatmulGPUApp(P100).sweep_configs()
+
+    def test_default_calibration(self):
+        req = SweepRequest(device="k40c", n=8192)
+        assert req.calibration is calibration_for(K40C)
+
+
+class TestPlannerParity:
+    def test_matches_per_sweep_batch_bit_exactly(self):
         req = SweepRequest(device="k40c", n=4096)
-        reference = SweepEngine(backend="vectorized").evaluate_configs(
+        planner = EvalPlanner()
+        assert planner.evaluate_configs(req, req.configs()) == batch_points(
             req, req.configs()
         )
-        planner = EvalPlanner()
-        assert planner.evaluate_configs(req, req.configs()) == reference
 
     def test_mixed_size_mega_batch_is_bit_exact(self, tmp_path):
         """Lanes of a mixed-N fill equal their per-sweep evaluations."""
@@ -44,25 +75,94 @@ class TestPlannerParity:
         planner.execute()
         assert planner.stats.batches == 1  # one (spec, cal) mega-batch
         for req in reqs:
-            per_sweep = SweepEngine(backend="vectorized").evaluate_configs(
-                req, req.configs()
+            assert planner.evaluate_configs(req, req.configs()) == (
+                batch_points(req, req.configs())
             )
-            assert planner.evaluate_configs(req, req.configs()) == per_sweep
 
     def test_evaluate_single_point(self):
         cfg = MatmulConfig(bs=32, g=1, r=24)
-        planner = EvalPlanner(backend="scalar")
-        expected = SweepEngine().evaluate("k40c", 4096, cfg)
+        planner = EvalPlanner()
+        (expected,) = batch_points(SweepRequest(device="k40c", n=4096), [cfg])
         assert planner.evaluate("k40c", 4096, cfg) == expected
-        # Dict configs are accepted too (engine protocol).
+        # Dict configs are accepted too.
         assert planner.evaluate("k40c", 4096, cfg.as_dict()) == expected
 
-    def test_sweep_convenience_matches_engine(self):
-        planner = EvalPlanner(backend="scalar")
-        assert planner.sweep("p100", 2048) == SweepEngine().sweep("p100", 2048)
+    def test_sweep_convenience_matches_batch(self):
+        req = SweepRequest(device="p100", n=2048)
+        assert EvalPlanner().sweep("p100", 2048) == batch_points(
+            req, req.configs()
+        )
+
+
+#: The paper's figure sizes: Fig. 7 (K40c, N = 8704 and 10240),
+#: Fig. 8 (P100, N = 10240 and 14336) and Fig. 2 (P100, N = 18432).
+SERVING_CASES = [
+    ("k40c", K40C, 8704),
+    ("k40c", K40C, 10240),
+    ("p100", P100, 10240),
+    ("p100", P100, 14336),
+    ("p100", P100, 18432),
+]
+
+
+@pytest.mark.parametrize("device,spec,n", SERVING_CASES)
+class TestServingPathParity:
+    def test_matches_scalar_model_of_record(self, device, spec, n):
+        """Same configurations in the same order, objectives equal to
+        the last few ulps, and the same Pareto front as the scalar
+        ``run_matmul`` path."""
+        scalar = MatmulGPUApp(spec).sweep_points(n)
+        served = EvalPlanner().sweep(device, n)
+        assert [p.config for p in served] == [p.config for p in scalar]
+        np.testing.assert_allclose(
+            [p.time_s for p in served], [p.time_s for p in scalar],
+            rtol=1e-12,
+        )
+        np.testing.assert_allclose(
+            [p.energy_j for p in served], [p.energy_j for p in scalar],
+            rtol=1e-12,
+        )
+        assert [p.config for p in pareto_front(served)] == [
+            p.config for p in pareto_front(scalar)
+        ]
+
+    def test_app_through_planner_matches_planner(
+        self, device, spec, n, tmp_path
+    ):
+        planner = EvalPlanner(store_dir=tmp_path)
+        assert MatmulGPUApp(spec).sweep_points(n, engine=planner) == (
+            EvalPlanner().sweep(device, n)
+        )
+        assert planner.stats.computed == len(
+            MatmulGPUApp(spec).sweep_configs()
+        )
+
+    def test_warm_store_matches_in_memory(self, device, spec, n, tmp_path):
+        in_memory = EvalPlanner().sweep(device, n)
+        assert EvalPlanner(store_dir=tmp_path).sweep(device, n) == in_memory
+        warm = EvalPlanner(store_dir=tmp_path)
+        assert MatmulGPUApp(spec).sweep_points(n, engine=warm) == in_memory
+        assert warm.sweep(device, n) == in_memory
+        assert warm.stats.computed == 0
 
 
 class TestPlannerAccounting:
+    def test_two_devices_fill_in_two_batches(self):
+        """One mega-batch per (spec, calibration); each request is
+        served its own rows, in request order."""
+        reqs = [
+            SweepRequest(device="p100", n=4096),
+            SweepRequest(device="k40c", n=2048),
+        ]
+        planner = EvalPlanner()
+        planner.add_all(reqs)
+        stats = planner.execute()
+        assert stats.batches == 2
+        for req in reqs:
+            assert planner.evaluate_configs(req, req.configs()) == (
+                batch_points(req, req.configs())
+            )
+
     def test_duplicate_requests_dedup_to_one_sweep(self):
         req = SweepRequest(device="p100", n=4096)
         planner = EvalPlanner()
@@ -119,9 +219,29 @@ class TestPlannerAccounting:
         with pytest.raises(ValueError, match="not both"):
             EvalPlanner(store=ColumnarStore(tmp_path), store_dir=tmp_path)
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            EvalPlanner(backend="cuda")
+    def test_perturbed_calibration_gets_its_own_shard(self, tmp_path):
+        planner = EvalPlanner(store_dir=tmp_path)
+        base = planner.sweep("p100", 4096)
+        perturbed_cal = dataclasses.replace(
+            P100_CAL, e_lane_j=P100_CAL.e_lane_j * 1.2
+        )
+        perturbed = planner.sweep("p100", 4096, cal=perturbed_cal)
+        assert planner.stats.store_hits == 0
+        assert planner.stats.computed == len(base) + len(perturbed)
+        assert len(list(tmp_path.glob("*.npy"))) == 2
+        assert [p.config for p in base] == [p.config for p in perturbed]
+        assert base != perturbed
+
+    def test_noisy_sweeps_bypass_the_planner(self, tmp_path):
+        """rng sweeps must neither read nor fill the store."""
+        planner = EvalPlanner(store_dir=tmp_path)
+        app = MatmulGPUApp(P100)
+        noisy = app.sweep_points(
+            4096, rng=np.random.default_rng(7), engine=planner
+        )
+        assert planner.stats.requested == 0
+        assert not any(tmp_path.iterdir())
+        assert len(noisy) == len(app.sweep_configs())
 
 
 class TestStructuredServing:
@@ -202,10 +322,9 @@ class TestPlannerServedExperiments:
         sens = sensitivity.run(engine=session)
         # Everything was pre-planned: serving added zero evaluations.
         assert session.stats.computed == computed_before
-        # Bit-identical to the same backend run per-experiment, and the
+        # Bit-identical to a fresh per-experiment planner, and the
         # structural verdicts match the scalar reference.
-        vec = SweepEngine(backend="vectorized")
-        assert fig2 == fig2_p100_n18432.run(engine=vec)
+        assert fig2 == fig2_p100_n18432.run(engine=EvalPlanner())
         assert sens.fraction_held == sensitivity.run().fraction_held
 
     def test_budgeted_search_probes_served_from_session(self, session):
@@ -216,7 +335,4 @@ class TestPlannerServedExperiments:
         # Greedy probes hit points outside the default sweep; the
         # session's min_bs=1 request covers them, so nothing computes.
         assert session.stats.computed == computed_before
-        reference = budgeted_search.run(
-            engine=SweepEngine(backend="vectorized")
-        )
-        assert result == reference
+        assert result == budgeted_search.run(engine=EvalPlanner())

@@ -2,8 +2,9 @@
 
 Round-trip bit-exactness, vectorized hit/miss partitioning, the
 corruption/truncation → recompute fallback, model-version staleness,
-concurrent-writer merging, manifest recovery, and the JSON cache →
-store migration (including its bit-identity to recomputation).
+concurrent-writer merging, manifest recovery, the pinned shard
+address, and the planner over a store (cold/warm identity, partial
+fills, resumed sessions, recovery from every kind of damaged shard).
 """
 
 from __future__ import annotations
@@ -17,11 +18,9 @@ import pytest
 
 from repro.apps.matmul_gpu import MatmulGPUApp
 from repro.machines.specs import K40C, P100
-from repro.simgpu.calibration import P100_CAL
+from repro.simgpu.calibration import K40C_CAL, P100_CAL
 from repro.store import (
     ColumnarStore,
-    MigrationReport,
-    migrate_json_cache,
     pack_config,
     pack_configs,
     shard_key,
@@ -32,11 +31,11 @@ from repro.store.columnar import (
     SHARD_FORMAT,
     StoreIntegrityWarning,
 )
-from repro.sweep import SweepEngine, SweepRequest
+from repro.sweep import EvalPlanner, SweepRequest
 
 
-def _p100_key(n=4096, backend="scalar"):
-    return shard_key(P100, P100_CAL, n, backend=backend)
+def _p100_key(n=4096):
+    return shard_key(P100, P100_CAL, n)
 
 
 def _rows(count=8, seed=3):
@@ -77,25 +76,41 @@ class TestShardKey:
     def test_digest_distinguishes_identity(self):
         base = _p100_key()
         assert _p100_key(n=8192).digest != base.digest
-        assert _p100_key(backend="vectorized").digest != base.digest
         assert shard_key(K40C, P100_CAL, 4096).digest != base.digest
         perturbed = dataclasses.replace(
             P100_CAL, e_lane_j=P100_CAL.e_lane_j * 1.2
         )
         assert shard_key(P100, perturbed, 4096).digest != base.digest
 
-    def test_scalar_digest_matches_legacy_payload(self):
-        """Scalar keys must not depend on the backend tag (back-compat)."""
-        from repro.sweep.keys import shard_digest
+    def test_shard_address_is_pinned(self):
+        """Existing stores stay warm: the digest payload still names the
+        vectorized backend, exactly as when shards were written."""
+        key = shard_key(P100, P100_CAL, 10240)
+        assert key.filename == (
+            "nvidia-p100-pcie-n10240-vectorized-d6c55ee8cdd801c1.npy"
+        )
+        assert key.digest == (
+            "d6c55ee8cdd801c129530e9ed43ce85f696366d4ae2a595464113a0a36e7c4fe"
+        )
 
-        assert _p100_key().digest == shard_digest(P100, P100_CAL, 4096)
+    def test_key_is_stable_across_equal_copies(self):
+        """The address is derived from content, not object identity:
+        a pickled spec and a copied calibration land on the same
+        shard."""
+        import pickle
+
+        clone = shard_key(
+            pickle.loads(pickle.dumps(P100)),
+            dataclasses.replace(P100_CAL),
+            4096,
+        )
+        assert clone == _p100_key()
 
     def test_filename_is_digest_derived(self):
         key = _p100_key()
         assert key.digest[:16] in key.filename
         assert key.filename.endswith(".npy")
         assert key.meta_filename.endswith(".meta.json")
-        assert key.legacy_filename.endswith(".npz")
         assert key.meta_filename.startswith(key.stem)
 
 
@@ -365,7 +380,7 @@ class TestUnknownDeviceShards:
 
 
 class TestShardFormatV2:
-    """The mmap fast path: lazy opens, copy-on-serve, legacy upgrade."""
+    """The mmap fast path: lazy opens, copy-on-serve."""
 
     @pytest.fixture()
     def tel(self):
@@ -475,49 +490,6 @@ class TestShardFormatV2:
         assert np.isnan(times).all()
         assert fresh.corrupt_shards == 1
 
-    def test_legacy_npz_shard_is_read_and_upgraded(self, tmp_path):
-        """A v1 .npz at a shard's identity serves transparently and is
-        rewritten in v2 form (npz removed) by the next append."""
-        key = _p100_key()
-        bs, g, r, t, e = _rows()
-        packed = (bs.astype(np.int64) << 42) | (g.astype(np.int64) << 21) | r
-        order = np.argsort(packed)
-        store = ColumnarStore(tmp_path)
-        store.root.mkdir(parents=True, exist_ok=True)
-        meta = {
-            "format": "repro-sweep-store/1",
-            "device": key.device,
-            "n": key.n,
-            "model_version": key.model_version,
-            "backend": key.backend,
-            "digest": key.digest,
-            "points": len(packed),
-        }
-        with open(store.legacy_path(key), "wb") as fh:
-            np.savez(
-                fh,
-                meta=np.array(json.dumps(meta)),
-                packed=packed[order],
-                bs=bs[order].astype(np.int64),
-                g=g[order].astype(np.int64),
-                r=r[order].astype(np.int64),
-                time_s=t[order],
-                energy_j=e[order],
-            )
-        times, energies, hit = store.lookup(key, packed)
-        assert hit.all()
-        np.testing.assert_array_equal(times, t)
-        np.testing.assert_array_equal(energies, e)
-        # The upgrade: append one new row -> v2 pair written, npz gone.
-        store.append(key, [31], [7], [99], [1.0], [2.0])
-        assert store.shard_path(key).is_file()
-        assert store.meta_path(key).is_file()
-        assert not store.legacy_path(key).is_file()
-        fresh = ColumnarStore(tmp_path)
-        times2, _, hit2 = fresh.lookup(key, packed)
-        assert hit2.all()
-        np.testing.assert_array_equal(times2, t)
-
     def test_rebuilt_manifest_covers_v2_pairs(self, tmp_path):
         key = _p100_key()
         bs, g, r, t, e = _rows()
@@ -530,128 +502,141 @@ class TestShardFormatV2:
         assert entry["file"].endswith(".npy")
 
 
-class TestEngineWithStore:
-    def test_store_and_cache_are_exclusive(self, tmp_path):
-        with pytest.raises(ValueError, match="not both"):
-            SweepEngine(cache_dir=tmp_path / "c", store_dir=tmp_path / "s")
+def _edit_sidecar(**fields):
+    def damage(store, key):
+        meta = json.loads(store.meta_path(key).read_text())
+        meta.update(fields)
+        store.meta_path(key).write_text(json.dumps(meta))
 
-    def test_store_dir_and_store_are_exclusive(self, tmp_path):
-        with pytest.raises(ValueError, match="not both"):
-            SweepEngine(
-                store_dir=tmp_path, store=ColumnarStore(tmp_path)
-            )
+    return damage
 
+
+def _miscount_sidecar(store, key):
+    meta = json.loads(store.meta_path(key).read_text())
+    _edit_sidecar(points=meta["points"] + 1)(store, key)
+
+
+def _rewrite_block(transform):
+    def damage(store, key):
+        path = store.shard_path(key)
+        np.save(path, transform(np.load(path, allow_pickle=False)))
+
+    return damage
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:100])
+
+
+#: Ways a shard on disk can go bad, and the warning each must raise.
+#: Every one must be recomputed and rewritten, never served.
+DAMAGED_SHARDS = {
+    "torn-sidecar": (
+        lambda s, k: s.meta_path(k).write_text(
+            s.meta_path(k).read_text()[:20]
+        ),
+        "corrupt",
+    ),
+    "sidecar-not-an-object": (
+        lambda s, k: s.meta_path(k).write_text("[1, 2, 3]"), "corrupt"
+    ),
+    "foreign-format": (_edit_sidecar(format="other/9"), "corrupt"),
+    "row-count-mismatch": (_miscount_sidecar, "corrupt"),
+    "scalar-backend": (_edit_sidecar(backend="scalar"), "stale"),
+    "other-size": (_edit_sidecar(n=4097), "stale"),
+    "other-device": (_edit_sidecar(device=P100.name), "stale"),
+    "other-digest": (_edit_sidecar(digest="0" * 64), "stale"),
+    "old-model-version": (
+        _edit_sidecar(model_version="gpu-matmul/0"), "stale"
+    ),
+    "float-block": (
+        _rewrite_block(lambda b: b.view(np.float64)), "corrupt"
+    ),
+    "flat-block": (_rewrite_block(np.ravel), "corrupt"),
+    "five-row-block": (_rewrite_block(lambda b: b[:5]), "corrupt"),
+    "unsorted-keys": (_rewrite_block(lambda b: b[:, ::-1]), "corrupt"),
+    "duplicate-keys": (
+        _rewrite_block(lambda b: b[:, [0, *range(b.shape[1] - 1)]]),
+        "corrupt",
+    ),
+    "truncated-block": (lambda s, k: _truncate(s.shard_path(k)), "corrupt"),
+    "missing-sidecar": (lambda s, k: s.meta_path(k).unlink(), "corrupt"),
+    "missing-block": (lambda s, k: s.shard_path(k).unlink(), "corrupt"),
+}
+
+
+class TestPlannerWithStore:
     def test_cold_then_warm_is_bit_identical(self, tmp_path):
-        reference = SweepEngine().sweep("p100", 4096)
-        cold = SweepEngine(store_dir=tmp_path)
+        reference = EvalPlanner().sweep("p100", 4096)
+        cold = EvalPlanner(store_dir=tmp_path)
         assert cold.sweep("p100", 4096) == reference
         assert cold.stats.computed == len(reference)
 
-        warm = SweepEngine(store_dir=tmp_path)
+        warm = EvalPlanner(store_dir=tmp_path)
         assert warm.sweep("p100", 4096) == reference
         assert warm.stats.computed == 0
-        assert warm.stats.cache_hits == len(reference)
+        assert warm.stats.store_hits == len(reference)
+
+    def test_interrupted_session_resumes(self, tmp_path):
+        """A session that died before writing one of its shards
+        recomputes exactly that shard's points on the next run."""
+        reqs = [SweepRequest(device="k40c", n=n) for n in (2048, 4096, 8192)]
+        first = EvalPlanner(store_dir=tmp_path)
+        first.add_all(reqs)
+        first.execute()
+        full = [first.evaluate_configs(r, r.configs()) for r in reqs]
+        lost = shard_key(K40C, K40C_CAL, 4096)
+        first.store.shard_path(lost).unlink()
+        first.store.meta_path(lost).unlink()
+
+        resumed = EvalPlanner(store_dir=tmp_path)
+        resumed.add_all(reqs)
+        resumed.execute()
+        assert [resumed.evaluate_configs(r, r.configs()) for r in reqs] == full
+        assert resumed.stats.computed == len(reqs[1].configs())
+        assert resumed.stats.store_hits == (
+            len(reqs[0].configs()) + len(reqs[2].configs())
+        )
+
+    @pytest.mark.parametrize(
+        "damage,reason",
+        list(DAMAGED_SHARDS.values()),
+        ids=list(DAMAGED_SHARDS),
+    )
+    def test_damaged_shard_is_recomputed_and_healed(
+        self, tmp_path, damage, reason
+    ):
+        full = EvalPlanner(store_dir=tmp_path).sweep("k40c", 4096)
+        damage(ColumnarStore(tmp_path), shard_key(K40C, K40C_CAL, 4096))
+        planner = EvalPlanner(store_dir=tmp_path)
+        with pytest.warns(StoreIntegrityWarning, match=reason):
+            assert planner.sweep("k40c", 4096) == full
+        assert planner.stats.computed == len(full)
+        healed = EvalPlanner(store_dir=tmp_path)
+        assert healed.sweep("k40c", 4096) == full
+        assert healed.stats.computed == 0
 
     def test_partial_store_fills_only_misses(self, tmp_path):
         req = SweepRequest(device="k40c", n=4096)
         configs = req.configs()
-        seed = SweepEngine(store_dir=tmp_path)
-        seed.evaluate_configs(req, configs[: len(configs) // 2])
+        half = len(configs) // 2
+        EvalPlanner(store_dir=tmp_path).evaluate_configs(req, configs[:half])
 
-        rest = SweepEngine(store_dir=tmp_path)
+        rest = EvalPlanner(store_dir=tmp_path)
         points = rest.evaluate_configs(req, configs)
-        assert points == SweepEngine().evaluate_configs(req, configs)
-        assert rest.stats.cache_hits == len(configs) // 2
-        assert rest.stats.computed == len(configs) - len(configs) // 2
+        assert points == EvalPlanner().evaluate_configs(req, configs)
+        assert rest.stats.store_hits == half
+        assert rest.stats.computed == len(configs) - half
 
     def test_corrupted_shard_recomputed_transparently(self, tmp_path):
-        from repro.simgpu.calibration import K40C_CAL
-
-        engine = SweepEngine(store_dir=tmp_path)
-        full = engine.sweep("k40c", 4096)
+        full = EvalPlanner(store_dir=tmp_path).sweep("k40c", 4096)
         key = shard_key(K40C, K40C_CAL, 4096)
-        engine2 = SweepEngine(store_dir=tmp_path)
-        engine2.store.shard_path(key).write_bytes(b"garbage")
+        planner = EvalPlanner(store_dir=tmp_path)
+        planner.store.shard_path(key).write_bytes(b"garbage")
         with pytest.warns(StoreIntegrityWarning, match="corrupt"):
-            assert engine2.sweep("k40c", 4096) == full
-        assert engine2.stats.computed == len(full)
+            assert planner.sweep("k40c", 4096) == full
+        assert planner.stats.computed == len(full)
         # The recomputation healed the shard on disk.
-        healed = SweepEngine(store_dir=tmp_path)
+        healed = EvalPlanner(store_dir=tmp_path)
         assert healed.sweep("k40c", 4096) == full
         assert healed.stats.computed == 0
-
-    def test_backends_use_distinct_shards(self, tmp_path):
-        scalar = SweepEngine(store_dir=tmp_path)
-        scalar.sweep("p100", 4096)
-        vec = SweepEngine(store_dir=tmp_path, backend="vectorized")
-        vec.sweep("p100", 4096)
-        assert vec.stats.cache_hits == 0  # no cross-backend leakage
-        assert vec.stats.computed == vec.stats.requested
-
-
-class TestMigration:
-    def _populate_json_cache(self, cache_dir, n=4096):
-        engine = SweepEngine(cache_dir=cache_dir)
-        return engine.sweep("p100", n)
-
-    def test_migrated_store_is_bit_identical_to_recomputation(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        store_dir = tmp_path / "store"
-        reference = self._populate_json_cache(cache_dir)
-
-        report = migrate_json_cache(cache_dir, store_dir)
-        assert isinstance(report, MigrationReport)
-        assert report.scanned == len(reference)
-        assert report.migrated == len(reference)
-        assert report.skipped_foreign == 0 and report.skipped_corrupt == 0
-
-        warm = SweepEngine(store_dir=store_dir)
-        assert warm.sweep("p100", 4096) == reference
-        assert warm.stats.computed == 0  # every migrated point served
-        # ...and every stored objective equals a fresh recomputation
-        # bit for bit (JSON repr round-trip + float64 columns).
-        assert SweepEngine().sweep("p100", 4096) == reference
-
-    def test_migration_is_idempotent(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        store_dir = tmp_path / "store"
-        self._populate_json_cache(cache_dir)
-        first = migrate_json_cache(cache_dir, store_dir)
-        second = migrate_json_cache(cache_dir, store_dir)
-        assert second.migrated == first.migrated
-        assert second.shards == first.shards
-
-    def test_foreign_records_are_left_in_place(self, tmp_path):
-        """Perturbed-calibration records can't be claimed — skipped."""
-        cache_dir = tmp_path / "cache"
-        store_dir = tmp_path / "store"
-        perturbed = dataclasses.replace(
-            P100_CAL, e_lane_j=P100_CAL.e_lane_j * 1.2
-        )
-        engine = SweepEngine(cache_dir=cache_dir)
-        engine.sweep("p100", 4096, cal=perturbed)
-        n_records = len(list(cache_dir.glob("??/*.json")))
-
-        report = migrate_json_cache(cache_dir, store_dir)
-        assert report.scanned == n_records
-        assert report.migrated == 0
-        assert report.skipped_foreign == n_records
-        # The JSON cache is untouched.
-        assert len(list(cache_dir.glob("??/*.json"))) == n_records
-
-    def test_corrupt_records_are_counted(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        store_dir = tmp_path / "store"
-        reference = self._populate_json_cache(cache_dir)
-        victim = sorted(cache_dir.glob("??/*.json"))[0]
-        victim.write_text("{torn")
-        report = migrate_json_cache(cache_dir, store_dir)
-        assert report.skipped_corrupt == 1
-        assert report.migrated == len(reference) - 1
-
-    def test_render_summarizes(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        self._populate_json_cache(cache_dir)
-        report = migrate_json_cache(cache_dir, tmp_path / "store")
-        text = report.render()
-        assert "migrated" in text and str(report.migrated) in text
