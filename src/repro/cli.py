@@ -133,8 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--store-dir", default=None, metavar="DIR",
             help=(
-                "columnar sweep store directory (memory-mapped .npy "
-                "shards with .meta.json sidecars; default: "
+                "columnar sweep store directory (.npy shards with "
+                ".meta.json sidecars; default: "
                 "$REPRO_STORE_DIR if set, else in-memory for this run "
                 "only)"
             ),

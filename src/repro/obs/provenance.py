@@ -24,14 +24,14 @@ from pathlib import Path
 from typing import Any, Sequence
 
 __all__ = [
-    "MANIFEST_FORMAT",
+    "PROVENANCE_FORMAT",
     "git_revision",
     "calibration_digest",
     "requests_digest",
     "run_manifest",
 ]
 
-MANIFEST_FORMAT = "repro-provenance/1"
+PROVENANCE_FORMAT = "repro-provenance/1"
 
 
 def git_revision(root: str | Path | None = None) -> str:
@@ -123,7 +123,7 @@ def run_manifest(
     from repro.sweep.keys import MODEL_VERSION
 
     manifest: dict[str, Any] = {
-        "format": MANIFEST_FORMAT,
+        "format": PROVENANCE_FORMAT,
         "command": command,
         "git_sha": git_revision(),
         "model_version": MODEL_VERSION,

@@ -1,41 +1,35 @@
-"""Columnar shard store keyed by sweep-point identity (mmap fast path).
+"""Columnar shard store keyed by sweep-point identity.
 
 Layout: one shard per :func:`repro.sweep.keys.shard_digest` identity —
 device spec, calibration, matrix size and model version — under the
-store root, plus an advisory index::
+store root::
 
     <root>/<device>-n<N>-vectorized-<digest16>.npy
     <root>/<device>-n<N>-vectorized-<digest16>.meta.json
-    <root>/manifest.json
 
 A shard holds the full column set of one sweep's points — the packed
 ``(BS, G, R)`` configuration keys (sorted, unique), the unpacked key
 columns and the ``time_s`` / ``energy_j`` objective columns — stored
 as one ``(6, n)`` int64 block (format ``repro-sweep-store/2``).  The
 float64 objective columns live bit-for-bit in int64 lanes so the whole
-shard is a single homogeneous ``.npy`` that ``np.load(mmap_mode="r")``
-can map lazily; :class:`_Shard` reinterprets them zero-copy.  Opening
-a shard therefore touches only the header plus the packed-key column
-(for the sorted-unique soundness check); objective pages are faulted
-in on demand and copied only for the rows a lookup actually serves
-(counted under ``store.shard.bytes_copied``).
+shard is a single homogeneous ``.npy``; :class:`_Shard` reinterprets
+them with a view.  A shard is read whole and checked once, at load:
+the largest one any command writes holds 164 points (8 KB), too small
+for a partial or deferred read to pay.
 
-The identity/row-count metadata lives in a JSON sidecar.  Because the
-filename is derived from the content digest, the *manifest* is
-advisory — it powers inspection and stats, but lookups never depend on
-it, so a stale or corrupted manifest can degrade tooling output, never
-correctness.  The sidecar, by contrast, is load-bearing: a shard whose
-sidecar is missing, unreadable, or disagrees with the array's row
-count is treated as a torn pair and recomputed.
+The identity/row-count metadata lives in a JSON sidecar.  A shard
+whose sidecar is missing, unreadable, or disagrees with the array's
+row count is treated as a torn pair and recomputed.
 
 Durability contract: every write goes through a temp file +
 ``os.replace``, so an interrupted run never leaves a half-written
-shard under its final name; a corrupted or truncated shard is treated
-as empty and recomputed, and the next append overwrites it.  Appends
-re-read the shard from disk before merging, so two concurrent writers
-converge on the union of their rows except for a benign
-last-write-wins race window (the loser's rows read as misses and are
-recomputed — values are deterministic, so nothing can diverge).
+shard under its final name; a corrupted or truncated shard, or one
+holding non-finite or negative objectives, is treated as empty and
+recomputed, and the next append overwrites it.  Appends re-read the
+shard from disk before merging, so two concurrent writers converge on
+the union of their rows except for a benign last-write-wins race
+window (the loser's rows read as misses and are recomputed — values
+are deterministic, so nothing can diverge).
 """
 
 from __future__ import annotations
@@ -44,7 +38,7 @@ import json
 import os
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -53,18 +47,14 @@ import numpy as np
 from repro import obs
 from repro.machines.specs import GPUSpec
 from repro.simgpu.calibration import GPUCalibration
-from repro.sweep.keys import MODEL_VERSION, SHARD_BACKEND, shard_digest
+from repro.sweep.keys import MODEL_VERSION, SHARD_BACKEND, pack_keys, shard_digest
 
 __all__ = [
     "SHARD_FORMAT",
-    "MANIFEST_FORMAT",
     "ShardKey",
     "ColumnarStore",
     "StoreIntegrityWarning",
     "shard_key",
-    "pack_config",
-    "pack_configs",
-    "unpack_config",
 ]
 
 
@@ -72,66 +62,17 @@ class StoreIntegrityWarning(UserWarning):
     """A shard could not be trusted and its points will be recomputed.
 
     Emitted (once per shard load) when a shard file is corrupt,
-    truncated, or structurally stale at its address.  Correctness is
-    unaffected — the shard reads as empty and the points are
-    recomputed — but silent recomputes hide lost cache capacity, so
-    the event is surfaced here and counted under
-    ``store.shard.recompute_fallbacks``.
+    truncated, holds a non-finite or negative objective value, or is
+    stale at its address.  Correctness is unaffected — the shard reads
+    as empty and the points are recomputed — but silent recomputes
+    hide lost cache capacity, so the event is surfaced here and
+    counted under ``store.shard.recompute_fallbacks``.
     """
 
 SHARD_FORMAT = "repro-sweep-store/2"
-MANIFEST_FORMAT = "repro-sweep-store-manifest/1"
-MANIFEST_NAME = "manifest.json"
-
-#: Bits per packed (BS, G, R) field.  2^21 comfortably covers every
-#: admissible value (BS ≤ 32, G ≤ 8, R ≤ total_products) while keeping
-#: the packed key inside exact int64 range.
-_FIELD_BITS = 21
-_FIELD_MAX = (1 << _FIELD_BITS) - 1
 
 #: Row indices of the (6, n) shard block.
 _COL_PACKED, _COL_BS, _COL_G, _COL_R, _COL_TIME, _COL_ENERGY = range(6)
-
-
-def pack_config(bs: int, g: int, r: int) -> int:
-    """Pack one ``(BS, G, R)`` configuration into a sortable int64."""
-    if not (0 < bs <= _FIELD_MAX and 0 < g <= _FIELD_MAX and 0 < r <= _FIELD_MAX):
-        raise ValueError(
-            f"(bs={bs}, g={g}, r={r}) outside the packable range "
-            f"1..{_FIELD_MAX}"
-        )
-    return (bs << (2 * _FIELD_BITS)) | (g << _FIELD_BITS) | r
-
-
-def pack_configs(configs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized :func:`pack_config` over a config sequence.
-
-    ``configs`` is any sequence of objects with ``bs``/``g``/``r``
-    attributes; returns ``(packed, bs, g, r)`` int64 arrays aligned
-    with the input order.
-    """
-    count = len(configs)
-    bs = np.fromiter((c.bs for c in configs), dtype=np.int64, count=count)
-    g = np.fromiter((c.g for c in configs), dtype=np.int64, count=count)
-    r = np.fromiter((c.r for c in configs), dtype=np.int64, count=count)
-    if count and not (
-        0 < bs.min() and bs.max() <= _FIELD_MAX
-        and 0 < g.min() and g.max() <= _FIELD_MAX
-        and 0 < r.min() and r.max() <= _FIELD_MAX
-    ):
-        raise ValueError(f"configuration outside the packable range 1..{_FIELD_MAX}")
-    packed = (bs << (2 * _FIELD_BITS)) | (g << _FIELD_BITS) | r
-    return packed, bs, g, r
-
-
-def unpack_config(packed: int) -> tuple[int, int, int]:
-    """Invert :func:`pack_config`; returns ``(bs, g, r)``."""
-    p = int(packed)
-    return (
-        p >> (2 * _FIELD_BITS),
-        (p >> _FIELD_BITS) & _FIELD_MAX,
-        p & _FIELD_MAX,
-    )
 
 
 def _slug(name: str) -> str:
@@ -181,22 +122,15 @@ def shard_key(spec: GPUSpec, cal: GPUCalibration, n: int) -> ShardKey:
 
 @dataclass
 class _Shard:
-    """One loaded shard: a ``(6, n)`` int64 block, possibly memory-mapped.
+    """One loaded shard: a ``(6, n)`` int64 block.
 
     Rows are sorted unique by packed key.  The two objective columns
     are float64 values stored bit-for-bit in int64 lanes so the whole
-    shard is one homogeneous mmap-able array; :attr:`time_s` /
-    :attr:`energy_j` reinterpret them with a zero-copy view.  With
-    ``mapped=True`` no column has been read from disk yet except the
-    packed keys (validated at open); objective pages fault in only
-    when a lookup serves their rows.
+    shard is one homogeneous array; :attr:`time_s` / :attr:`energy_j`
+    reinterpret them with a view.
     """
 
     block: np.ndarray
-    mapped: bool = False
-    #: Set after the objective columns of served rows first checked out
-    #: as finite/non-negative.
-    values_checked: bool = field(default=False, repr=False)
 
     @property
     def packed(self) -> np.ndarray:
@@ -249,7 +183,7 @@ def _make_block(
     return block
 
 
-_EMPTY = _Shard(block=np.empty((6, 0), dtype=np.int64), values_checked=True)
+_EMPTY = _Shard(block=np.empty((6, 0), dtype=np.int64))
 
 #: Exceptions a torn/foreign/garbage shard file can raise on load.
 _LOAD_ERRORS = (OSError, ValueError, KeyError, EOFError)
@@ -296,22 +230,14 @@ class ColumnarStore:
     def meta_path(self, key: ShardKey) -> Path:
         return self.root / key.meta_filename
 
-    @property
-    def manifest_path(self) -> Path:
-        return self.root / MANIFEST_NAME
-
     # -- loading ------------------------------------------------------------
 
     def _read_shard(self, key: ShardKey) -> _Shard:
-        """Load a shard from disk; a corrupt or absent file is empty.
-
-        The ``.npy`` is *memory-mapped*, not read: only the packed
-        key column is touched here (sorted-unique soundness).
-        """
+        """Load and check a whole shard; a corrupt or absent file is empty."""
         path = self.shard_path(key)
         try:
             meta = json.loads(self.meta_path(key).read_text())
-            block = np.load(path, mmap_mode="r", allow_pickle=False)
+            block = np.load(path, allow_pickle=False)
         except FileNotFoundError:
             # A block without its sidecar (or vice versa) is a torn
             # pair — unless neither exists, which is just a cold shard.
@@ -321,8 +247,7 @@ class ColumnarStore:
         except _LOAD_ERRORS + (json.JSONDecodeError,):
             self._recompute_fallback(path, "corrupt")
             return _EMPTY
-        obs.count("store.shard.mmap_opens")
-        shard = _Shard(block=block, mapped=True)
+        shard = _Shard(block=block)
         reason = self._shard_rejection(key, meta, shard)
         if reason == "unknown-device":
             self._raise_unknown_device(path, meta)
@@ -371,15 +296,6 @@ class ColumnarStore:
         )
 
     @staticmethod
-    def _values_sound(time_s: np.ndarray, energy_j: np.ndarray) -> bool:
-        return bool(
-            np.isfinite(time_s).all()
-            and np.isfinite(energy_j).all()
-            and not (time_s < 0).any()
-            and not (energy_j < 0).any()
-        )
-
-    @staticmethod
     def _shard_rejection(
         key: ShardKey, meta: dict[str, Any], shard: _Shard
     ) -> str | None:
@@ -397,10 +313,8 @@ class ColumnarStore:
         — the readers raise instead.  ``"corrupt"`` — anything
         structurally broken: wrong format tag, wrong block shape, a
         sidecar row count disagreeing with the array (torn pair),
-        unsorted keys.  Deliberately *not* checked here for mapped
-        shards: objective-value soundness — that would fault in every
-        page, defeating the mmap; served rows are checked at copy-out
-        time instead.
+        unsorted keys, or an objective value that is not a finite,
+        non-negative number.
         """
         if not isinstance(meta, dict):
             return "corrupt"
@@ -423,6 +337,9 @@ class ColumnarStore:
             return "corrupt"  # torn block/sidecar pair
         if len(shard) and not (np.diff(shard.packed) > 0).all():
             return "corrupt"  # lookups require sorted unique keys
+        for values in (shard.time_s, shard.energy_j):
+            if not (np.isfinite(values) & (values >= 0)).all():
+                return "corrupt"
         return None
 
     def _shard(self, key: ShardKey) -> _Shard:
@@ -433,46 +350,24 @@ class ColumnarStore:
         return shard
 
     def open_shards(self, keys) -> None:
-        """Warm the shard cache for many identities with parallel I/O.
-
-        Shard opens are independent metadata + header reads (the mmap
-        faults no data pages), so a multi-shard planner partition can
-        overlap them instead of paying the open latency serially.
-        Results land in the same per-store cache that :meth:`lookup`
-        uses; corrupt/stale fallbacks behave exactly as in serial
-        opens.
-        """
-        pending = [k for k in keys if k.digest not in self._shards]
-        # Dedup by digest while preserving order.
-        unique: dict[str, ShardKey] = {}
-        for k in pending:
-            unique.setdefault(k.digest, k)
-        if not unique:
+        """Load every shard of ``keys`` not loaded yet into the cache
+        that :meth:`contains` and :meth:`lookup` read."""
+        pending = {k.digest: k for k in keys if k.digest not in self._shards}
+        if not pending:
             return
-        with obs.span("store.open_shards", shards=len(unique)):
-            if len(unique) == 1:
-                (key,) = unique.values()
-                self._shard(key)
-                return
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(
-                max_workers=min(8, len(unique))
-            ) as pool:
-                loaded = list(pool.map(self._read_shard, unique.values()))
-            for key, shard in zip(unique.values(), loaded):
-                self._shards[key.digest] = shard
+        with obs.span("store.open_shards", shards=len(pending)):
+            for digest, key in pending.items():
+                self._shards[digest] = self._read_shard(key)
 
     # -- queries ------------------------------------------------------------
 
     def contains(self, key: ShardKey, packed: np.ndarray) -> np.ndarray:
-        """Hit mask of a packed-key request, without touching values.
+        """Hit mask of a packed-key request.
 
-        The partition half of :meth:`lookup`: one ``searchsorted``
-        over the (mapped) key column, no objective pages faulted, no
-        rows copied.  Use when the values are only needed later (the
-        planner partitions every experiment's requests up front and
-        serves rows at figure-render time).
+        The partition half of :meth:`lookup`, for callers that need
+        the values only later (the planner partitions every
+        experiment's requests up front and serves rows at
+        figure-render time).
         """
         with obs.span(
             "store.contains", device=key.device, n=key.n, points=len(packed)
@@ -504,12 +399,7 @@ class ColumnarStore:
         """Partition a packed-key request into hits and misses.
 
         One vectorized pass: returns ``(time_s, energy_j, hit)`` arrays
-        aligned with ``packed``; miss lanes hold NaN objectives.  Only
-        the hit rows' objective lanes are copied out of the mapped
-        shard (``store.shard.bytes_copied``); their values are checked
-        at this copy-out boundary, so a structurally-sound shard with
-        garbage objectives degrades to all-miss + recompute rather
-        than serving it.
+        aligned with ``packed``; miss lanes hold NaN objectives.
         """
         with obs.span(
             "store.lookup",
@@ -522,29 +412,13 @@ class ColumnarStore:
             times = np.full(m, np.nan)
             energies = np.full(m, np.nan)
             hit, pos_safe = self._hit_positions(shard, packed)
-            hits = int(hit.sum())
-            if hits:
-                rows = pos_safe[hit]
-                t_hit = shard.time_s[rows]  # fancy index: the serve copy
-                e_hit = shard.energy_j[rows]
-                if not shard.values_checked and not self._values_sound(
-                    t_hit, e_hit
-                ):
-                    self._shards[key.digest] = _EMPTY
-                    self._recompute_fallback(self.shard_path(key), "corrupt")
-                    return times, energies, np.zeros(m, dtype=bool)
-                times[hit] = t_hit
-                energies[hit] = e_hit
-                obs.count(
-                    "store.shard.bytes_copied", 2 * 8 * hits
-                )
+            rows = pos_safe[hit]
+            times[hit] = shard.time_s[rows]
+            energies[hit] = shard.energy_j[rows]
+            hits = len(rows)
             obs.count("store.shard.hits", hits)
             obs.count("store.shard.misses", m - hits)
             return times, energies, hit
-
-    def shard_points(self, key: ShardKey) -> int:
-        """Number of points stored for one shard identity."""
-        return len(self._shard(key))
 
     # -- writes -------------------------------------------------------------
 
@@ -569,7 +443,7 @@ class ColumnarStore:
         r = np.asarray(r, dtype=np.int64)
         time_s = np.asarray(time_s, dtype=np.float64)
         energy_j = np.asarray(energy_j, dtype=np.float64)
-        packed = (bs << (2 * _FIELD_BITS)) | (g << _FIELD_BITS) | r
+        packed = pack_keys(bs, g, r)
 
         with obs.span(
             "store.append", device=key.device, n=key.n, points=len(packed)
@@ -600,11 +474,9 @@ class ColumnarStore:
                 np.concatenate([current.time_s, time_s])[first],
                 np.concatenate([current.energy_j, energy_j])[first],
             ),
-            values_checked=current.values_checked,
         )
         self._write_shard(key, merged)
         self._shards[key.digest] = merged
-        self._update_manifest(key, len(merged))
         obs.count("store.shard.appends")
         obs.count("store.points.appended", len(packed))
         return len(merged)
@@ -638,99 +510,3 @@ class ColumnarStore:
             os.replace(meta_tmp, meta_path)
         finally:
             meta_tmp.unlink(missing_ok=True)
-
-    # -- manifest -----------------------------------------------------------
-
-    def _load_manifest(self) -> dict[str, Any]:
-        try:
-            doc = json.loads(self.manifest_path.read_text())
-        except FileNotFoundError:
-            return {"format": MANIFEST_FORMAT, "shards": {}}
-        except (OSError, json.JSONDecodeError):
-            return {"format": MANIFEST_FORMAT, "shards": {}}
-        if (
-            not isinstance(doc, dict)
-            or doc.get("format") != MANIFEST_FORMAT
-            or not isinstance(doc.get("shards"), dict)
-        ):
-            return {"format": MANIFEST_FORMAT, "shards": {}}
-        return doc
-
-    def _update_manifest(self, key: ShardKey, points: int) -> None:
-        doc = self._load_manifest()
-        doc["shards"][key.digest] = {
-            "file": key.filename,
-            "device": key.device,
-            "n": key.n,
-            "model_version": key.model_version,
-            "backend": SHARD_BACKEND,
-            "points": points,
-        }
-        self._write_manifest(doc)
-
-    def _write_manifest(self, doc: dict[str, Any]) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        tmp = self.manifest_path.with_name(
-            f".{MANIFEST_NAME}.{os.getpid()}.tmp"
-        )
-        tmp.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-        os.replace(tmp, self.manifest_path)
-
-    def rebuild_manifest(self) -> dict[str, Any]:
-        """Regenerate the index from the shard files themselves.
-
-        Recovers from a lost or corrupted manifest (the shards are the
-        source of truth); unreadable shard files are skipped and
-        counted in :attr:`corrupt_shards`.
-        """
-        doc: dict[str, Any] = {"format": MANIFEST_FORMAT, "shards": {}}
-        obs.count("store.manifest.rebuilds")
-        if not self.root.is_dir():
-            return doc
-        for meta_path in sorted(self.root.glob("*.meta.json")):
-            npy = meta_path.with_name(
-                meta_path.name[: -len(".meta.json")] + ".npy"
-            )
-            try:
-                meta = json.loads(meta_path.read_text())
-                block = np.load(npy, mmap_mode="r", allow_pickle=False)
-                points = int(block.shape[1])
-            except _LOAD_ERRORS + (json.JSONDecodeError, IndexError):
-                self.corrupt_shards += 1
-                continue
-            if (
-                not isinstance(meta, dict)
-                or meta.get("format") != SHARD_FORMAT
-                or "digest" not in meta
-                or meta.get("points") != points
-            ):
-                self.corrupt_shards += 1
-                continue
-            doc["shards"][meta["digest"]] = {
-                "file": npy.name,
-                "device": meta.get("device"),
-                "n": meta.get("n"),
-                "model_version": meta.get("model_version"),
-                "backend": meta.get("backend"),
-                "points": points,
-            }
-        self._write_manifest(doc)
-        return doc
-
-    def manifest(self) -> dict[str, Any]:
-        """The shard index; rebuilt from shard files when absent/corrupt."""
-        doc = self._load_manifest()
-        if (
-            not doc["shards"]
-            and self.root.is_dir()
-            and any(self.root.glob("*.meta.json"))
-        ):
-            doc = self.rebuild_manifest()
-        return doc
-
-    def __len__(self) -> int:
-        """Total points across all shards on disk."""
-        return sum(
-            int(entry.get("points", 0))
-            for entry in self.manifest()["shards"].values()
-        )

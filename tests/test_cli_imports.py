@@ -2,9 +2,12 @@
 
 Importing SciPy would cost most of a command's start-up, and neither
 ``repro all`` nor ``repro report`` calls it.  Nor does building the
-parser load a process pool: every sweep is evaluated in-process.  The
-guard starts a fresh interpreter and checks which modules are loaded,
-so unlike a timing gate it cannot flake on a slow host.
+parser load a process pool: every sweep is evaluated in-process.
+``repro all``, with or without a store, loads neither ``numpy.ma``
+(``np.unique`` and ``np.union1d`` import it, about 12 ms) nor a thread
+pool (shards are read one after another).  The guard starts a fresh
+interpreter and checks which modules are loaded, so unlike a timing
+gate it cannot flake on a slow host.
 """
 
 from __future__ import annotations
@@ -20,7 +23,10 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: Runs in the child: records the scipy modules loaded after each stage,
-#: and the pool modules loaded once the parser is built.
+#: the pool modules loaded once the parser is built, and the masked-array
+#: and thread-pool modules loaded by ``repro all`` (``all:unneeded``),
+#: then by two more runs, cold and warm, on a store
+#: (``all --store-dir:unneeded``).
 CHILD = """
 import contextlib, io, json, os, sys
 
@@ -29,17 +35,24 @@ def scipy_modules():
         m for m in sys.modules if m == "scipy" or m.startswith("scipy.")
     )
 
+def loaded(*names):
+    return sorted(m for m in names if m in sys.modules)
+
+UNNEEDED = ("numpy.ma", "concurrent.futures.thread")
 stages = {}
 import repro.cli
 repro.cli.build_parser()
 stages["import"] = scipy_modules()
-stages["pool"] = sorted(
-    m for m in ("multiprocessing", "concurrent.futures.process")
-    if m in sys.modules
-)
+stages["pool"] = loaded("multiprocessing", "concurrent.futures.process")
 with contextlib.redirect_stdout(io.StringIO()):
     repro.cli.main(["all"])
 stages["all"] = scipy_modules()
+stages["all:unneeded"] = loaded(*UNNEEDED)
+store = os.path.join(sys.argv[1], "store")
+for _ in range(2):
+    with contextlib.redirect_stdout(io.StringIO()):
+        repro.cli.main(["all", "--store-dir", store])
+stages["all --store-dir:unneeded"] = loaded(*UNNEEDED)
 report = os.path.join(sys.argv[1], "report.md")
 with contextlib.redirect_stdout(io.StringIO()):
     repro.cli.main(["report", "--output", report])
@@ -71,3 +84,8 @@ def test_no_scipy_module_loaded(loaded_modules, stage):
 
 def test_parser_loads_no_process_pool(loaded_modules):
     assert loaded_modules["pool"] == []
+
+
+@pytest.mark.parametrize("stage", ["all", "all --store-dir"])
+def test_all_loads_no_masked_arrays_or_thread_pool(loaded_modules, stage):
+    assert loaded_modules[f"{stage}:unneeded"] == []

@@ -22,9 +22,10 @@ from repro.machines.specs import K40C, P100
 from repro.obs import provenance, trace
 from repro.obs.telemetry import _NOOP_SPAN
 from repro.simgpu.calibration import K40C_CAL, P100_CAL
-from repro.store import ColumnarStore, pack_configs, shard_key
+from repro.store import ColumnarStore, shard_key
 from repro.store.columnar import StoreIntegrityWarning
 from repro.sweep import EvalPlanner, SweepRequest
+from repro.sweep.keys import pack_configs
 
 
 @pytest.fixture(autouse=True)
@@ -150,7 +151,7 @@ class TestJsonlAndTrace:
         kinds = [e["event"] for e in events]
         assert kinds == ["header", "provenance", "span", "span", "metrics"]
         assert events[0]["format"] == obs.TELEMETRY_FORMAT
-        assert events[1]["format"] == provenance.MANIFEST_FORMAT
+        assert events[1]["format"] == provenance.PROVENANCE_FORMAT
 
     def test_render_covers_tree_metrics_and_provenance(self, tmp_path):
         self._sample(tmp_path)
@@ -193,7 +194,7 @@ class TestJsonlAndTrace:
 class TestProvenance:
     def test_manifest_core_fields(self):
         m = provenance.run_manifest("sweep", backend="vectorized")
-        assert m["format"] == provenance.MANIFEST_FORMAT
+        assert m["format"] == provenance.PROVENANCE_FORMAT
         assert m["command"] == "sweep"
         assert m["backend"] == "vectorized"
         from repro.sweep.keys import MODEL_VERSION

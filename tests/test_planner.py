@@ -213,6 +213,21 @@ class TestPlannerAccounting:
         stats = planner.execute()
         assert stats.requested > stats.unique_points
 
+    def test_in_memory_session_builds_no_shard_key(self, monkeypatch):
+        """Without a store, groups are keyed by (spec, calibration, N),
+        so serving the whole `repro all` session hashes no SHA-256
+        shard digest."""
+        from repro import cli
+
+        monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
+        expected = cli._run_all(None)
+
+        def no_shard_key(*args):
+            raise AssertionError("shard key built without a store")
+
+        monkeypatch.setattr("repro.store.columnar.shard_key", no_shard_key)
+        assert cli._run_all(None) == expected
+
     def test_store_and_store_dir_are_exclusive(self, tmp_path):
         from repro.store import ColumnarStore
 

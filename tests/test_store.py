@@ -1,8 +1,8 @@
 """Unit tests for :mod:`repro.store` — the columnar shard store.
 
-Round-trip bit-exactness, vectorized hit/miss partitioning, the
-corruption/truncation → recompute fallback, model-version staleness,
-concurrent-writer merging, manifest recovery, the pinned shard
+The packed-key layout, round-trip bit-exactness, vectorized hit/miss
+partitioning, the corruption/truncation → recompute fallback,
+model-version staleness, concurrent-writer merging, the pinned shard
 address, and the planner over a store (cold/warm identity, partial
 fills, resumed sessions, recovery from every kind of damaged shard).
 """
@@ -19,19 +19,10 @@ import pytest
 from repro.apps.matmul_gpu import MatmulGPUApp
 from repro.machines.specs import K40C, P100
 from repro.simgpu.calibration import K40C_CAL, P100_CAL
-from repro.store import (
-    ColumnarStore,
-    pack_config,
-    pack_configs,
-    shard_key,
-    unpack_config,
-)
-from repro.store.columnar import (
-    MANIFEST_FORMAT,
-    SHARD_FORMAT,
-    StoreIntegrityWarning,
-)
+from repro.store import ColumnarStore, shard_key
+from repro.store.columnar import StoreIntegrityWarning
 from repro.sweep import EvalPlanner, SweepRequest
+from repro.sweep.keys import pack_configs, pack_keys, unique_keys, unpack_keys
 
 
 def _p100_key(n=4096):
@@ -48,28 +39,45 @@ def _rows(count=8, seed=3):
     return bs, g, r, t, e
 
 
+def _packed(*configs):
+    """Packed keys of ``(bs, g, r)`` triples."""
+    bs, g, r = np.array(configs, dtype=np.int64).reshape(-1, 3).T
+    return pack_keys(bs, g, r)
+
+
 class TestPacking:
     def test_pack_unpack_roundtrip(self):
-        for cfg in [(1, 1, 1), (32, 8, 24), (32, 1, 120), (7, 3, 11)]:
-            assert unpack_config(pack_config(*cfg)) == cfg
+        cfgs = [(1, 1, 1), (32, 8, 24), (32, 1, 120), (7, 3, 11)]
+        bs, g, r = unpack_keys(_packed(*cfgs))
+        assert list(zip(bs.tolist(), g.tolist(), r.tolist())) == cfgs
 
     def test_pack_orders_lexicographically(self):
-        assert pack_config(2, 1, 1) > pack_config(1, 8, 120)
-        assert pack_config(4, 2, 1) > pack_config(4, 1, 120)
+        low, high = _packed((1, 8, 120), (2, 1, 1))
+        assert high > low
+        low, high = _packed((4, 1, 120), (4, 2, 1))
+        assert high > low
 
     def test_pack_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            pack_config(0, 1, 1)
+            _packed((0, 1, 1))
         with pytest.raises(ValueError):
-            pack_config(1, 1, 1 << 21)
+            _packed((1, 1, 1 << 21))
 
     def test_pack_configs_matches_scalar(self):
         configs = MatmulGPUApp(P100).sweep_configs()
         packed, bs, g, r = pack_configs(configs)
-        assert [unpack_config(p) for p in packed] == [
-            (c.bs, c.g, c.r) for c in configs
+        assert packed.tolist() == [
+            (c.bs << 42) | (c.g << 21) | c.r for c in configs
         ]
         assert bs.dtype == np.int64 and len(bs) == len(configs)
+        assert [a.tolist() for a in unpack_keys(packed)] == [
+            bs.tolist(), g.tolist(), r.tolist()
+        ]
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 500])
+    def test_unique_keys_matches_np_unique(self, size):
+        packed = np.random.default_rng(size).integers(0, 40, size)
+        np.testing.assert_array_equal(unique_keys(packed), np.unique(packed))
 
 
 class TestShardKey:
@@ -122,7 +130,7 @@ class TestColumnarStore:
         store.append(key, bs, g, r, t, e)
 
         fresh = ColumnarStore(tmp_path)
-        packed = (bs.astype(np.int64) << 42) | (g.astype(np.int64) << 21) | r
+        packed = pack_keys(bs, g, r)
         times, energies, hit = fresh.lookup(key, packed)
         assert hit.all()
         # Exact per-lane equality in request order, regardless of the
@@ -135,10 +143,8 @@ class TestColumnarStore:
         key = _p100_key()
         bs, g, r, t, e = _rows()
         store.append(key, bs, g, r, t, e)
-        known = pack_config(int(bs[0]), int(g[0]), int(r[0]))
-        unknown = pack_config(31, 7, 99)
         times, energies, hit = store.lookup(
-            key, np.array([unknown, known], dtype=np.int64)
+            key, _packed((31, 7, 99), (bs[0], g[0], r[0]))
         )
         assert list(hit) == [False, True]
         assert np.isnan(times[0]) and np.isnan(energies[0])
@@ -153,7 +159,7 @@ class TestColumnarStore:
         assert n_rows == 2
         times, energies, hit = store.lookup(
             key,
-            np.array([pack_config(4, 2, 12), pack_config(8, 2, 12)]),
+            _packed((4, 2, 12), (8, 2, 12)),
         )
         assert hit.all()
         assert times[0] == 1.5 and energies[0] == 300.0
@@ -170,7 +176,7 @@ class TestColumnarStore:
         fresh = ColumnarStore(tmp_path)
         _, _, hit = fresh.lookup(
             key,
-            np.array([pack_config(4, 2, 12), pack_config(8, 2, 12)]),
+            _packed((4, 2, 12), (8, 2, 12)),
         )
         assert hit.all()
         assert len(list(tmp_path.glob(".*.tmp"))) == 0  # no leftovers
@@ -182,11 +188,8 @@ class TestColumnarStore:
         store.append(key, bs, g, r, t, e)
         store.shard_path(key).write_bytes(b"this is not a zip archive")
         fresh = ColumnarStore(tmp_path)
-        packed, *_ = pack_configs(
-            [type("C", (), {"bs": 4, "g": 2, "r": 12})()]
-        )
         with pytest.warns(StoreIntegrityWarning, match="corrupt"):
-            _, _, hit = fresh.lookup(key, packed)
+            _, _, hit = fresh.lookup(key, _packed((4, 2, 12)))
         assert not hit.any()
         assert fresh.corrupt_shards == 1
 
@@ -199,9 +202,7 @@ class TestColumnarStore:
         path.write_bytes(path.read_bytes()[:100])  # torn write
         fresh = ColumnarStore(tmp_path)
         with pytest.warns(StoreIntegrityWarning, match="corrupt"):
-            _, _, hit = fresh.lookup(
-                key, np.array([pack_config(4, 2, 12)])
-            )
+            _, _, hit = fresh.lookup(key, _packed((4, 2, 12)))
         assert not hit.any()
         assert fresh.corrupt_shards == 1
 
@@ -215,7 +216,7 @@ class TestColumnarStore:
         shutil.copy(store.shard_path(key), store.shard_path(other))
         shutil.copy(store.meta_path(key), store.meta_path(other))
         fresh = ColumnarStore(tmp_path)
-        packed = (bs.astype(np.int64) << 42) | (g.astype(np.int64) << 21) | r
+        packed = pack_keys(bs, g, r)
         with pytest.warns(StoreIntegrityWarning, match="stale"):
             _, _, hit = fresh.lookup(other, packed)
         assert not hit.any()
@@ -235,7 +236,7 @@ class TestColumnarStore:
         new_key = _p100_key()
         assert new_key.digest != old_key.digest  # distinct address
         fresh = ColumnarStore(tmp_path)
-        packed = (bs.astype(np.int64) << 42) | (g.astype(np.int64) << 21) | r
+        packed = pack_keys(bs, g, r)
         _, _, hit = fresh.lookup(new_key, packed)
         assert not hit.any()
         # Even a byte-copy of the stale shard to the new address fails
@@ -247,45 +248,6 @@ class TestColumnarStore:
             _, _, hit = fresh2.lookup(new_key, packed)
         assert not hit.any()
         assert fresh2.stale_shards == 1  # old version at new address
-
-    def test_manifest_tracks_appends(self, tmp_path):
-        store = ColumnarStore(tmp_path)
-        key = _p100_key()
-        bs, g, r, t, e = _rows()
-        store.append(key, bs, g, r, t, e)
-        doc = json.loads((tmp_path / "manifest.json").read_text())
-        assert doc["format"] == MANIFEST_FORMAT
-        assert doc["shards"][key.digest]["points"] == len(bs)
-        assert doc["shards"][key.digest]["file"] == key.filename
-        assert len(store) == len(bs)
-
-    def test_lost_manifest_is_rebuilt_from_shards(self, tmp_path):
-        store = ColumnarStore(tmp_path)
-        key = _p100_key()
-        bs, g, r, t, e = _rows()
-        store.append(key, bs, g, r, t, e)
-        (tmp_path / "manifest.json").unlink()
-        fresh = ColumnarStore(tmp_path)
-        assert fresh.manifest()["shards"][key.digest]["points"] == len(bs)
-        assert (tmp_path / "manifest.json").is_file()  # re-persisted
-
-    def test_corrupt_manifest_never_affects_lookups(self, tmp_path):
-        store = ColumnarStore(tmp_path)
-        key = _p100_key()
-        bs, g, r, t, e = _rows()
-        store.append(key, bs, g, r, t, e)
-        (tmp_path / "manifest.json").write_text("{not json")
-        fresh = ColumnarStore(tmp_path)
-        packed = (bs.astype(np.int64) << 42) | (g.astype(np.int64) << 21) | r
-        _, _, hit = fresh.lookup(key, packed)
-        assert hit.all()
-        # And the advisory index recovers.
-        assert fresh.manifest()["shards"][key.digest]["points"] == len(bs)
-
-    def test_empty_manifest_on_empty_store(self, tmp_path):
-        store = ColumnarStore(tmp_path / "never-written")
-        assert store.manifest() == {"format": MANIFEST_FORMAT, "shards": {}}
-        assert len(store) == 0
 
 
 class TestUnknownDeviceShards:
@@ -310,7 +272,7 @@ class TestUnknownDeviceShards:
         shutil.copy(store.shard_path(ghost_key), store.shard_path(target))
         shutil.copy(store.meta_path(ghost_key), store.meta_path(target))
         fresh = ColumnarStore(tmp_path)
-        packed = (bs.astype(np.int64) << 42) | (g.astype(np.int64) << 21) | r
+        packed = pack_keys(bs, g, r)
         with pytest.raises(UnknownDeviceError) as err:
             fresh.lookup(target, packed)
         message = str(err.value)
@@ -328,7 +290,7 @@ class TestUnknownDeviceShards:
         shutil.copy(store.shard_path(key), store.shard_path(other))
         shutil.copy(store.meta_path(key), store.meta_path(other))
         fresh = ColumnarStore(tmp_path)
-        packed = (bs.astype(np.int64) << 42) | (g.astype(np.int64) << 21) | r
+        packed = pack_keys(bs, g, r)
         with pytest.warns(StoreIntegrityWarning, match="stale"):
             _, _, hit = fresh.lookup(other, packed)
         assert not hit.any()
@@ -349,7 +311,7 @@ class TestUnknownDeviceShards:
         target = _p100_key()
         shutil.copy(store.shard_path(ghost_key), store.shard_path(target))
         shutil.copy(store.meta_path(ghost_key), store.meta_path(target))
-        packed = (bs.astype(np.int64) << 42) | (g.astype(np.int64) << 21) | r
+        packed = pack_keys(bs, g, r)
 
         with pytest.raises(UnknownDeviceError):
             ColumnarStore(store_dir).lookup(target, packed)
@@ -374,13 +336,13 @@ class TestUnknownDeviceShards:
         bs, g, r, t, e = _rows()
         store.append(ghost_key, bs, g, r, t, e)
         fresh = ColumnarStore(tmp_path)
-        packed = (bs.astype(np.int64) << 42) | (g.astype(np.int64) << 21) | r
+        packed = pack_keys(bs, g, r)
         _, _, hit = fresh.lookup(ghost_key, packed)
         assert hit.all()
 
 
 class TestShardFormatV2:
-    """The mmap fast path: lazy opens, copy-on-serve."""
+    """Whole-shard loads: each shard is read and checked once."""
 
     @pytest.fixture()
     def tel(self):
@@ -398,44 +360,17 @@ class TestShardFormatV2:
         store.append(key, bs, g, r, t, e)
         return key, bs, g, r, t, e
 
-    def test_fresh_lookup_maps_the_shard(self, tmp_path):
+    def test_contains_partitions_hits_and_misses(self, tmp_path, tel):
         key, bs, g, r, t, e = self._seed(tmp_path)
         fresh = ColumnarStore(tmp_path)
-        packed = (bs.astype(np.int64) << 42) | (g.astype(np.int64) << 21) | r
-        _, _, hit = fresh.lookup(key, packed[:4])
-        assert hit.all()
-        shard = fresh._shards[key.digest]
-        assert shard.mapped
-        assert isinstance(shard.block, np.memmap)
-
-    def test_partial_hit_copies_only_served_rows(self, tmp_path, tel):
-        """Regression for the eager full-shard decompress: serving a
-        small key subset out of a large shard must copy exactly the
-        served objective lanes, never the whole shard."""
-        key, bs, g, r, t, e = self._seed(tmp_path, count=256)
-        fresh = ColumnarStore(tmp_path)
-        packed = (bs.astype(np.int64) << 42) | (g.astype(np.int64) << 21) | r
-        times, energies, hit = fresh.lookup(key, packed[:10])
-        assert hit.all()
-        np.testing.assert_array_equal(times, t[:10])
-        assert tel.counters["store.shard.mmap_opens"] == 1
-        # Two float64 lanes per served row — and nothing else.
-        assert tel.counters["store.shard.bytes_copied"] == 10 * 2 * 8
-        shard_bytes = fresh._shards[key.digest].block.nbytes
-        assert tel.counters["store.shard.bytes_copied"] < shard_bytes // 10
-
-    def test_contains_partitions_without_copying_values(self, tmp_path, tel):
-        key, bs, g, r, t, e = self._seed(tmp_path)
-        fresh = ColumnarStore(tmp_path)
-        packed = (bs.astype(np.int64) << 42) | (g.astype(np.int64) << 21) | r
-        probe = np.concatenate([packed[:5], [pack_config(31, 7, 999)]])
+        packed = pack_keys(bs, g, r)
+        probe = np.concatenate([packed[:5], _packed((31, 7, 999))])
         hit = fresh.contains(key, probe)
         assert list(hit) == [True] * 5 + [False]
-        assert tel.counters.get("store.shard.bytes_copied", 0) == 0
         assert tel.counters["store.shard.hits"] == 5
         assert tel.counters["store.shard.misses"] == 1
 
-    def test_open_shards_warms_the_cache(self, tmp_path, tel):
+    def test_open_shards_warms_the_cache(self, tmp_path, monkeypatch):
         a = _p100_key()
         b = _p100_key(n=8192)
         store = ColumnarStore(tmp_path)
@@ -443,18 +378,22 @@ class TestShardFormatV2:
         store.append(a, bs, g, r, t, e)
         store.append(b, bs, g, r, t, e)
         fresh = ColumnarStore(tmp_path)
-        fresh.open_shards([a, b, a])  # duplicates are deduped
-        assert tel.counters["store.shard.mmap_opens"] == 2
-        packed = (bs.astype(np.int64) << 42) | (g.astype(np.int64) << 21) | r
-        _, _, hit = fresh.lookup(a, packed)
+        reads = []
+        read = fresh._read_shard
+        monkeypatch.setattr(
+            fresh, "_read_shard", lambda key: reads.append(key) or read(key)
+        )
+        fresh.open_shards([a, b, a])  # duplicates are read once
+        assert reads == [a, b]
+        _, _, hit = fresh.lookup(a, pack_keys(bs, g, r))
         assert hit.all()
-        assert tel.counters["store.shard.mmap_opens"] == 2  # cache hit
+        assert reads == [a, b]  # served from the cache
 
     def test_torn_pair_missing_sidecar_is_corrupt(self, tmp_path):
         key, bs, g, r, t, e = self._seed(tmp_path)
         store = ColumnarStore(tmp_path)
         store.meta_path(key).unlink()
-        packed = (bs.astype(np.int64) << 42) | (g.astype(np.int64) << 21) | r
+        packed = pack_keys(bs, g, r)
         with pytest.warns(StoreIntegrityWarning, match="corrupt"):
             _, _, hit = store.lookup(key, packed)
         assert not hit.any()
@@ -466,40 +405,8 @@ class TestShardFormatV2:
         meta["points"] += 1
         store.meta_path(key).write_text(json.dumps(meta))
         with pytest.warns(StoreIntegrityWarning, match="corrupt"):
-            _, _, hit = store.lookup(
-                key, np.array([pack_config(4, 2, 12)])
-            )
+            _, _, hit = store.lookup(key, _packed((4, 2, 12)))
         assert not hit.any()
-
-    def test_garbage_values_degrade_to_miss_at_serve_time(self, tmp_path):
-        """Mapped opens skip value validation (it would fault every
-        page); a structurally-sound shard with non-finite objectives
-        must still never be served — the copy-out boundary checks the
-        lanes it serves."""
-        key, bs, g, r, t, e = self._seed(tmp_path)
-        block = np.load(store_path := ColumnarStore(tmp_path).shard_path(key),
-                        mmap_mode="r+", allow_pickle=False)
-        block[4, :] = np.float64(np.nan).view(np.int64)  # time_s lanes
-        block.flush()
-        del block
-        fresh = ColumnarStore(tmp_path)
-        packed = (bs.astype(np.int64) << 42) | (g.astype(np.int64) << 21) | r
-        with pytest.warns(StoreIntegrityWarning, match="corrupt"):
-            times, energies, hit = fresh.lookup(key, packed)
-        assert not hit.any()
-        assert np.isnan(times).all()
-        assert fresh.corrupt_shards == 1
-
-    def test_rebuilt_manifest_covers_v2_pairs(self, tmp_path):
-        key = _p100_key()
-        bs, g, r, t, e = _rows()
-        store = ColumnarStore(tmp_path)
-        store.append(key, bs, g, r, t, e)
-        (tmp_path / "manifest.json").unlink()
-        fresh = ColumnarStore(tmp_path)
-        entry = fresh.manifest()["shards"][key.digest]
-        assert entry["points"] == len(bs)
-        assert entry["file"].endswith(".npy")
 
 
 def _edit_sidecar(**fields):
@@ -522,6 +429,17 @@ def _rewrite_block(transform):
         np.save(path, transform(np.load(path, allow_pickle=False)))
 
     return damage
+
+
+def _set_objective(row, value):
+    """Overwrite the first point's ``time_s`` (row 4) or ``energy_j``
+    (row 5) lane with ``value``."""
+
+    def transform(block):
+        block[row, 0] = np.float64(value).view(np.int64)
+        return block
+
+    return _rewrite_block(transform)
 
 
 def _truncate(path):
@@ -559,6 +477,9 @@ DAMAGED_SHARDS = {
         _rewrite_block(lambda b: b[:, [0, *range(b.shape[1] - 1)]]),
         "corrupt",
     ),
+    "nan-time": (_set_objective(4, np.nan), "corrupt"),
+    "negative-energy": (_set_objective(5, -1.0), "corrupt"),
+    "infinite-energy": (_set_objective(5, np.inf), "corrupt"),
     "truncated-block": (lambda s, k: _truncate(s.shard_path(k)), "corrupt"),
     "missing-sidecar": (lambda s, k: s.meta_path(k).unlink(), "corrupt"),
     "missing-block": (lambda s, k: s.shard_path(k).unlink(), "corrupt"),
