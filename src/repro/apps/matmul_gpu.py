@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -40,7 +41,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sweep.plan import SweepRequest
     from repro.sweep.planner import EvalPlanner
 
-__all__ = ["MatmulConfig", "MatmulGPUApp", "divisors"]
+__all__ = [
+    "ConfigEnumeration",
+    "MatmulConfig",
+    "MatmulGPUApp",
+    "config_enumeration",
+    "divisors",
+]
 
 
 def divisors(n: int) -> list[int]:
@@ -66,6 +73,62 @@ class MatmulConfig:
 
     def as_dict(self) -> dict[str, int]:
         return {"bs": self.bs, "g": self.g, "r": self.r}
+
+
+class ConfigEnumeration(tuple):
+    """One memoized ``(BS, G, R)`` enumeration, in the reference order.
+
+    An immutable tuple of :class:`MatmulConfig`, shared by every caller
+    that enumerates the same space (:func:`config_enumeration`), with
+    the space's packed key columns built once on first use
+    (:attr:`columns`).
+    """
+
+    @cached_property
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only ``(packed, bs, g, r)`` int64 key columns.
+
+        What :func:`repro.sweep.keys.pack_configs` returns for these
+        configs; the planner reads them instead of packing the same
+        list again on every request.
+        """
+        # repro.sweep imports this module at load time, so its key
+        # layout is imported here, on first use.
+        from repro.sweep.keys import pack_configs
+
+        columns = pack_configs(self)
+        for column in columns:
+            column.flags.writeable = False
+        return columns
+
+
+@lru_cache(maxsize=256)
+def config_enumeration(
+    spec: GPUSpec,
+    total_products: int,
+    bs_range: tuple[int, int],
+    g_cap: int,
+    min_bs: int,
+) -> ConfigEnumeration:
+    """All valid ``(BS, G, R)`` of one space, enumerated once per process.
+
+    The key is everything the enumeration reads; the calibration and
+    the matrix size do not change which configurations are valid, so
+    e.g. every perturbed calibration of the sensitivity study shares
+    one entry.  The result is immutable because it is shared.
+    """
+    lo, hi = bs_range
+    lo = max(lo, min_bs)
+    divs = divisors(total_products)
+    configs = []
+    for bs in range(lo, hi + 1):
+        gmax = max_group_size(spec, bs, g_cap)
+        configs.extend(
+            MatmulConfig(bs=bs, g=g, r=total_products // g)
+            for g in divs
+            if g <= gmax
+        )
+    return ConfigEnumeration(configs)
 
 
 class MatmulGPUApp:
@@ -117,16 +180,17 @@ class MatmulGPUApp:
         """All valid (BS, G, R) with G·R = total_products.
 
         G must divide the workload and respect the shared-memory limit
-        for BS (``repro.simgpu.kernel.max_group_size``).
+        for BS (``repro.simgpu.kernel.max_group_size``).  Served from
+        the process-wide memo (:func:`config_enumeration`).
         """
-        lo, hi = self.bs_range
-        lo = max(lo, self.min_bs if min_bs is None else min_bs)
-        divs = divisors(self.total_products)
-        for bs in range(lo, hi + 1):
-            gmax = max_group_size(self.spec, bs, self.g_cap)
-            for g in divs:
-                if g <= gmax:
-                    yield MatmulConfig(bs=bs, g=g, r=self.total_products // g)
+        return iter(
+            self._enumeration(self.min_bs if min_bs is None else min_bs)
+        )
+
+    def _enumeration(self, min_bs: int) -> ConfigEnumeration:
+        return config_enumeration(
+            self.spec, self.total_products, self.bs_range, self.g_cap, min_bs
+        )
 
     def config_space(self) -> ConfigurationSpace:
         """The decision-variable space as a
@@ -149,8 +213,8 @@ class MatmulGPUApp:
             is_valid=valid,
         )
 
-    def sweep_configs(self, *, min_bs: int | None = None) -> list[MatmulConfig]:
-        """The sweep's configuration list, in the reference order.
+    def sweep_enumeration(self, *, min_bs: int | None = None) -> ConfigEnumeration:
+        """The sweep's configurations as the shared, immutable memo entry.
 
         Applies the sweep default floor (BS ≥ 4 — the paper's populated
         region) when ``min_bs`` is None.  This single enumeration is
@@ -160,7 +224,12 @@ class MatmulGPUApp:
         """
         if min_bs is None:
             min_bs = max(self.min_bs, 4)
-        return list(self.valid_configs(min_bs=min_bs))
+        return self._enumeration(min_bs)
+
+    def sweep_configs(self, *, min_bs: int | None = None) -> list[MatmulConfig]:
+        """The sweep's configuration list, in the reference order
+        (a fresh list of :meth:`sweep_enumeration`)."""
+        return list(self.sweep_enumeration(min_bs=min_bs))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -206,14 +275,10 @@ class MatmulGPUApp:
         model of record.  Noise-injected sweeps (``rng``) always run
         in-process — noise must not be stored.
         """
+        configs = self.sweep_enumeration(min_bs=min_bs)
         if engine is not None and rng is None:
-            return engine.evaluate_configs(
-                self._request(n, min_bs), self.sweep_configs(min_bs=min_bs)
-            )
-        return [
-            self.evaluate(n, cfg, rng=rng)
-            for cfg in self.sweep_configs(min_bs=min_bs)
-        ]
+            return engine.evaluate_configs(self._request(n, min_bs), configs)
+        return [self.evaluate(n, cfg, rng=rng) for cfg in configs]
 
     def sweep_table(
         self,
@@ -233,7 +298,7 @@ class MatmulGPUApp:
         """
         from repro.sweep.planner import POINT_DTYPE
 
-        configs = self.sweep_configs(min_bs=min_bs)
+        configs = self.sweep_enumeration(min_bs=min_bs)
         if engine is not None:
             return engine.table(self._request(n, min_bs), configs)
         out = np.empty(len(configs), dtype=POINT_DTYPE)

@@ -23,8 +23,10 @@ This module provides:
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from bisect import bisect_left
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 from repro.core.pareto import ParetoPoint, pareto_front
@@ -65,6 +67,10 @@ class ConfigurationSpace:
         skipped during enumeration (the paper: "due to the limited size
         of the per-block shared memory, only certain (G, R) combinations
         are permissible for a given BS").
+
+    The space is enumerated once, on first use, and the valid
+    configurations are kept; treat ``variables`` and ``is_valid`` as
+    fixed from then on.
     """
 
     variables: dict[str, Sequence[Any]]
@@ -79,16 +85,25 @@ class ConfigurationSpace:
             if len(values) == 0:
                 raise ValueError(f"variable {name!r} has no admissible values")
 
-    def __iter__(self) -> Iterable[dict[str, Any]]:
-        names = list(self.variables)
-        for combo in itertools.product(*(self.variables[n] for n in names)):
-            cfg = dict(zip(names, combo))
-            if self.is_valid(cfg):
-                yield cfg
+    @cached_property
+    def _valid_keys(self) -> tuple[tuple[Any, ...], ...]:
+        """Value tuples (in variable order) of the valid configurations,
+        in enumeration order: one pass of ``is_valid`` over the product."""
+        names = tuple(self.variables)
+        return tuple(
+            combo
+            for combo in itertools.product(*self.variables.values())
+            if self.is_valid(dict(zip(names, combo)))
+        )
+
+    def __iter__(self) -> Iterator[dict[str, Any]]:
+        names = tuple(self.variables)
+        for combo in self._valid_keys:
+            yield dict(zip(names, combo))
 
     def size(self) -> int:
-        """Number of valid configurations (enumerates the space)."""
-        return sum(1 for _ in self)
+        """Number of valid configurations."""
+        return len(self._valid_keys)
 
 
 def exhaustive_front(
@@ -122,16 +137,21 @@ def greedy_front_search(
     stride sampling), then repeatedly perturbs one decision variable of
     a current non-dominated configuration to a neighbouring value,
     keeping evaluations that are not dominated by the running front.
-    Deterministic for a fixed ``seed``.  Stops after ``budget``
-    evaluations.
+    A probe that lands on an already evaluated configuration jumps to
+    a random unevaluated one instead, and so does a front none of
+    whose members has a valid neighbour.  Deterministic for a fixed
+    ``seed``.  Stops after ``budget`` evaluations, or when every valid
+    configuration has been evaluated.
 
-    The running front is maintained incrementally
-    (:class:`repro.core.incremental.IncrementalParetoFront`) rather
-    than re-sorted from scratch each refinement step, so a budget of n
-    evaluations costs O(n log n) front work in total instead of
-    O(n² log n); the maintained front is provably identical to
-    ``pareto_front`` over the evaluations so far, so the rng decision
-    sequence — and therefore the search trajectory — is unchanged.
+    The search works on value tuples: each configuration's tuple is
+    computed once, at enumeration, a probe is checked by membership in
+    the set of valid tuples (the same test as ``is_valid``, since a
+    probe never leaves the product of the variables), and a random
+    jump picks from the unevaluated configurations, kept in
+    enumeration order as each evaluation removes its own.  The running
+    front is maintained incrementally
+    (:class:`repro.core.incremental.IncrementalParetoFront`), which is
+    provably identical to ``pareto_front`` over the evaluations so far.
 
     Returns the approximate front and every configuration evaluated.
     The approximation is only as good as the budget; integration tests
@@ -145,55 +165,84 @@ def greedy_front_search(
     from repro.core.incremental import IncrementalParetoFront
 
     rng = random.Random(seed)
-    all_cfgs = list(space)
-    if not all_cfgs:
+    all_keys = space._valid_keys
+    if not all_keys:
         raise ValueError("configuration space has no valid configurations")
 
-    names = list(space.variables)
+    names = tuple(space.variables)
+    # Per variable: its position in a key, and its values.
+    axes = [
+        (i, tuple(values)) for i, values in enumerate(space.variables.values())
+    ]
+    valid = set(all_keys)
+    # Enumeration positions of every key, and the unevaluated ones in
+    # order: the list a random jump picks from.
+    positions: dict[tuple, list[int]] = {}
+    for pos, k in enumerate(all_keys):
+        positions.setdefault(k, []).append(pos)
+    unseen = list(range(len(all_keys)))
+
     evaluated: list[EvaluatedConfig] = []
+    configs: dict[tuple, dict[str, Any]] = {}
     running = IncrementalParetoFront()
-    seen: set[tuple] = set()
 
-    def key(cfg: Mapping[str, Any]) -> tuple:
-        return tuple(cfg[n] for n in names)
-
-    def try_eval(cfg: dict[str, Any]) -> None:
-        k = key(cfg)
-        if k in seen or len(evaluated) >= budget:
+    def try_eval(k: tuple) -> None:
+        if k in configs or len(evaluated) >= budget:
             return
-        seen.add(k)
+        for pos in positions[k]:
+            del unseen[bisect_left(unseen, pos)]
+        cfg = configs[k] = dict(zip(names, k))
         ec = EvaluatedConfig(cfg, *evaluate(cfg))
         evaluated.append(ec)
-        running.insert_point(ec.to_point())
+        running.insert_point(ParetoPoint(ec.time_s, ec.energy_j, config=k))
+
+    def movable(k: tuple) -> bool:
+        """Whether one step of one variable from ``k`` is valid."""
+        for i, values in axes:
+            at = values.index(k[i])
+            for j in (at - 1, at + 1):
+                if 0 <= j < len(values) and (
+                    k[:i] + (values[j],) + k[i + 1:] in valid
+                ):
+                    return True
+        return False
 
     # Seed phase: stride-sample ~1/4 of the budget across the space.
     n_seed = max(2, budget // 4)
-    stride = max(1, len(all_cfgs) // n_seed)
-    for cfg in all_cfgs[::stride]:
-        try_eval(cfg)
+    stride = max(1, len(all_keys) // n_seed)
+    for k in all_keys[::stride]:
+        try_eval(k)
 
     # Refinement: perturb front members one variable at a time.
+    checked = -1
     while len(evaluated) < budget:
-        front = running.points()
-        base = rng.choice(front).config
-        name = rng.choice(names)
-        values = list(space.variables[name])
-        idx = values.index(base[name])
-        step = rng.choice([-1, 1])
-        new_idx = idx + step
-        if not (0 <= new_idx < len(values)):
+        if checked != len(evaluated):
+            # The front changed: take its members afresh, and escape
+            # if no probe from it can ever land on a valid config.
+            checked = len(evaluated)
+            front = running.configs()
+            if not any(map(movable, front)):
+                if not unseen:
+                    break
+                try_eval(all_keys[rng.choice(unseen)])
+                continue
+        base = rng.choice(front)
+        i, values = rng.choice(axes)
+        j = values.index(base[i]) + rng.choice((-1, 1))
+        if not (0 <= j < len(values)):
             continue
-        cand = dict(base)
-        cand[name] = values[new_idx]
-        if not space.is_valid(cand):
+        cand = base[:i] + (values[j],) + base[i + 1:]
+        if cand not in valid:
             continue
-        before = len(evaluated)
-        try_eval(cand)
-        if len(evaluated) == before:
+        if cand in configs:
             # Duplicate; jump to a random unseen configuration to escape.
-            fresh = [c for c in all_cfgs if key(c) not in seen]
-            if not fresh:
+            if not unseen:
                 break
-            try_eval(rng.choice(fresh))
+            cand = all_keys[rng.choice(unseen)]
+        try_eval(cand)
 
-    return running.points(), evaluated
+    front_points = [
+        ParetoPoint(p.time_s, p.energy_j, config=configs[p.config])
+        for p in running.points()
+    ]
+    return front_points, evaluated

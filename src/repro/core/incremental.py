@@ -149,6 +149,10 @@ class IncrementalParetoFront:
             for t, e, c in zip(self._times, self._energies, self._configs)
         ]
 
+    def configs(self) -> list[Any]:
+        """The members' configs in time order, without building points."""
+        return list(self._configs)
+
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The current front as ``(time_s, energy_j)`` float64 columns."""
         return (

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 from repro.analysis.front_quality import additive_epsilon, igd
 from repro.analysis.report import format_table
-from repro.apps.matmul_gpu import MatmulConfig, MatmulGPUApp
+from repro.apps.matmul_gpu import MatmulGPUApp
 from repro.core.biobjective import greedy_front_search
 from repro.core.pareto import ParetoPoint, pareto_front
 from repro.machines import get_machine
@@ -128,13 +128,7 @@ def _run_scored(
         request = SweepRequest(
             device=spec, n=n, min_bs=1, cal=app.device.cal
         )
-        rows = engine.table(
-            request,
-            [
-                MatmulConfig(bs=c["bs"], g=c["g"], r=c["r"])
-                for c in space
-            ],
-        )
+        rows = engine.table(request, app.sweep_enumeration(min_bs=1))
         cache.update(
             zip(
                 zip(
@@ -154,7 +148,7 @@ def _run_scored(
         return cache[key]
 
     exhaustive_pts = [
-        ParetoPoint(*evaluate(cfg), config=dict(cfg)) for cfg in space
+        ParetoPoint(*evaluate(cfg), config=cfg) for cfg in space
     ]
     reference = pareto_front(exhaustive_pts)
 

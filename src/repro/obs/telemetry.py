@@ -144,42 +144,30 @@ _NOOP_SPAN = _NoopSpan()
 
 
 class _ActiveSpan:
-    """Context manager recording one span into its telemetry's log."""
+    """Context manager logging one span's entry and exit.
 
-    __slots__ = ("_tel", "_name", "_attrs", "_id", "_parent", "_depth", "_t0")
+    The on path only appends to its telemetry's event log: the span
+    itself on entry, ``(span, t0, t1)`` on exit.  Ids, parents and
+    depths are assigned when the log is replayed into records
+    (:attr:`Telemetry.spans`), in entry order, exactly as if they had
+    been assigned at entry.
+    """
+
+    __slots__ = ("_log", "_name", "_attrs", "_t0", "_id", "_parent", "_depth")
 
     def __init__(self, tel: "Telemetry", name: str, attrs: dict[str, Any]):
-        self._tel = tel
+        self._log = tel._log
         self._name = name
         self._attrs = attrs
 
     def __enter__(self) -> "_ActiveSpan":
-        tel = self._tel
-        self._id = tel._next_span_id
-        tel._next_span_id += 1
-        stack = tel._span_stack
-        self._parent = stack[-1] if stack else None
-        self._depth = len(stack)
-        stack.append(self._id)
+        self._log.append(self)
         self._t0 = time.perf_counter_ns()
         return self
 
     def __exit__(self, *exc: object) -> None:
         t1 = time.perf_counter_ns()
-        tel = self._tel
-        if tel._span_stack and tel._span_stack[-1] == self._id:
-            tel._span_stack.pop()
-        tel.spans.append(
-            SpanRecord(
-                span_id=self._id,
-                parent_id=self._parent,
-                name=self._name,
-                depth=self._depth,
-                start_ns=self._t0 - tel._epoch_ns,
-                duration_ns=t1 - self._t0,
-                attrs=self._attrs,
-            )
-        )
+        self._log.append((self, self._t0, t1))
 
     def set(self, **attrs: Any) -> None:
         """Attach attributes discovered mid-span (e.g. result counts)."""
@@ -202,7 +190,11 @@ class Telemetry:
         self.mode = mode
         self.path = Path(path) if path is not None else None
         self.enabled = mode != "off"
-        self.spans: list[SpanRecord] = []
+        self._spans: list[SpanRecord] = []
+        # Span entries and exits in the order they happened; replayed
+        # into records when :attr:`spans` is read, off the instrumented
+        # code's time.
+        self._log: list[_ActiveSpan | tuple[_ActiveSpan, int, int]] = []
         self.counters: dict[str, int] = {}
         self.gauges: dict[str, float] = {}
         self.histograms: dict[str, HistogramSummary] = {}
@@ -210,6 +202,30 @@ class Telemetry:
         self._span_stack: list[int] = []
         self._next_span_id = 1
         self._epoch_ns = time.perf_counter_ns()
+
+    @property
+    def spans(self) -> list[SpanRecord]:
+        """Every completed span, in completion order."""
+        stack = self._span_stack
+        for event in self._log:
+            if type(event) is tuple:  # an exit: (span, t0, t1)
+                span, t0, t1 = event
+                if stack and stack[-1] == span._id:
+                    stack.pop()
+                self._spans.append(
+                    SpanRecord(
+                        span._id, span._parent, span._name, span._depth,
+                        t0 - self._epoch_ns, t1 - t0, span._attrs,
+                    )
+                )
+            else:  # an entry: the span itself
+                event._id = self._next_span_id
+                self._next_span_id += 1
+                event._parent = stack[-1] if stack else None
+                event._depth = len(stack)
+                stack.append(event._id)
+        self._log.clear()
+        return self._spans
 
     # -- recording ----------------------------------------------------------
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.apps.matmul_gpu import MatmulConfig, MatmulGPUApp
+from repro.apps.matmul_gpu import ConfigEnumeration, MatmulConfig, MatmulGPUApp
 from repro.machines.specs import GPUSpec, get_machine
 from repro.simgpu.calibration import GPUCalibration, calibration_for
 
@@ -68,6 +68,12 @@ class SweepRequest:
             self.spec, self.calibration, total_products=self.total_products
         )
 
+    def enumeration(self) -> ConfigEnumeration:
+        """The configurations as the shared memo entry, with their
+        packed key columns (:class:`~repro.apps.matmul_gpu.
+        ConfigEnumeration`)."""
+        return self.app().sweep_enumeration(min_bs=self.min_bs)
+
     def configs(self) -> list[MatmulConfig]:
         """The configuration list, in the serial reference order."""
-        return self.app().sweep_configs(min_bs=self.min_bs)
+        return list(self.enumeration())

@@ -38,14 +38,15 @@ also the oracle the planner is tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro import obs
-from repro.apps.matmul_gpu import MatmulConfig
+from repro.apps.matmul_gpu import ConfigEnumeration, MatmulConfig
 from repro.core.pareto import ParetoPoint
 from repro.machines.specs import GPUSpec
 from repro.simgpu.calibration import GPUCalibration
@@ -216,13 +217,11 @@ class EvalPlanner:
     def add(
         self,
         request: SweepRequest,
-        configs: list[MatmulConfig] | None = None,
+        configs: Sequence[MatmulConfig] | None = None,
     ) -> None:
         """Register one sweep request (its full config list by default)."""
-        if configs is None:
-            configs = request.configs()
         group = self._group_for(request.spec, request.calibration, request.n)
-        packed, _, _, _ = pack_configs(configs)
+        packed, _, _, _ = _columns(request, configs)
         group.pending.append(packed)
         self.stats.requested += len(packed)
         obs.count("planner.points.requested", len(packed))
@@ -323,7 +322,7 @@ class EvalPlanner:
     def table(
         self,
         request: SweepRequest,
-        configs: list[MatmulConfig] | None = None,
+        configs: Sequence[MatmulConfig] | None = None,
     ) -> np.ndarray:
         """Results of one request as a structured array (:data:`POINT_DTYPE`).
 
@@ -332,18 +331,16 @@ class EvalPlanner:
         dedup/partition/mega-batch machinery.  With a store, the
         objective values are looked up in the group's shard here.
         """
-        if configs is None:
-            configs = request.configs()
+        packed, bs, g, r = _columns(request, configs)
         with obs.span(
             "planner.serve",
             device=request.spec.name,
             n=request.n,
-            points=len(configs),
+            points=len(packed),
         ):
             group = self._group_for(
                 request.spec, request.calibration, request.n
             )
-            packed, bs, g, r = pack_configs(configs)
             unknown = ~group.known_mask(packed)
             if unknown.any():
                 missing = unique_keys(packed[unknown])
@@ -365,15 +362,15 @@ class EvalPlanner:
                     )
             else:
                 times, energies = group.get(packed)
-        self.stats.served += len(configs)
-        obs.count("planner.points.served", len(configs))
-        out = np.empty(len(configs), dtype=POINT_DTYPE)
+        self.stats.served += len(packed)
+        obs.count("planner.points.served", len(packed))
+        out = np.empty(len(packed), dtype=POINT_DTYPE)
         out["bs"], out["g"], out["r"] = bs, g, r
         out["time_s"], out["energy_j"] = times, energies
         return out
 
     def evaluate_configs(
-        self, request: SweepRequest, configs: list[MatmulConfig]
+        self, request: SweepRequest, configs: Sequence[MatmulConfig]
     ) -> list[ParetoPoint]:
         """ParetoPoints of one request, in ``configs`` order.
 
@@ -411,7 +408,19 @@ class EvalPlanner:
         MatmulGPUApp.sweep_points`.
         """
         request = SweepRequest(device=device, n=n, **kwargs)
-        return self.evaluate_configs(request, request.configs())
+        return self.evaluate_configs(request, request.enumeration())
+
+
+def _columns(
+    request: SweepRequest, configs: Sequence[MatmulConfig] | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(packed, bs, g, r)`` of ``configs`` (the request's own by
+    default); a memoized enumeration brings its columns packed once."""
+    if configs is None:
+        configs = request.enumeration()
+    if isinstance(configs, ConfigEnumeration):
+        return configs.columns
+    return pack_configs(configs)
 
 
 def collect_session_requests() -> tuple[SweepRequest, ...]:

@@ -15,8 +15,9 @@ from repro.apps.fft2d import (
     largest_prime_factor,
     radix_penalty,
 )
-from repro.apps.matmul_gpu import MatmulGPUApp, divisors
+from repro.apps.matmul_gpu import MatmulGPUApp, config_enumeration, divisors
 from repro.machines import HASWELL, K40C, P100
+from repro.simgpu.calibration import P100_CAL
 from repro.simgpu.kernel import max_group_size, shared_mem_per_block
 
 
@@ -84,6 +85,35 @@ class TestMatmulConfigSpace:
         pts = app.sweep_points(2048)
         assert all(set(p.config) == {"bs", "g", "r"} for p in pts)
         assert len(pts) == sum(1 for _ in app.valid_configs(min_bs=4))
+
+    def test_enumeration_is_shared_across_calibrations(self):
+        """The memo key is what the enumeration reads; the calibration
+        is not part of it."""
+        import dataclasses
+
+        perturbed = dataclasses.replace(P100_CAL, e_lane_j=P100_CAL.e_lane_j * 2)
+        shared = MatmulGPUApp(P100).sweep_enumeration()
+        assert MatmulGPUApp(P100, perturbed).sweep_enumeration() is shared
+        assert MatmulGPUApp(K40C).sweep_enumeration() is not shared
+        assert MatmulGPUApp(P100).sweep_enumeration(min_bs=1) is not shared
+        assert MatmulGPUApp(P100, g_cap=4).sweep_enumeration() is not shared
+        assert (
+            MatmulGPUApp(P100, bs_range=(1, 16)).sweep_enumeration()
+            is not shared
+        )
+        assert shared is config_enumeration(P100, 24, (1, 32), 8, 4)
+
+    def test_enumeration_is_immutable_and_lists_are_fresh(self):
+        app = MatmulGPUApp(P100)
+        configs = app.sweep_configs()
+        configs.clear()  # a caller's list is its own
+        assert app.sweep_configs() == list(app.sweep_enumeration())
+        assert len(app.sweep_configs()) == 146
+        packed, bs, g, r = app.sweep_enumeration().columns
+        assert list(bs) == [c.bs for c in app.sweep_configs()]
+        for column in (packed, bs, g, r):
+            with pytest.raises(ValueError):
+                column[0] = 0
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

@@ -299,6 +299,20 @@ class TestAllCommand:
         assert main(["all"]) == 0
         assert "planner session:" in capsys.readouterr().out
 
+    def test_all_enumerates_each_sweep_space_once(self, capsys):
+        """The session's 48 requests span 3 configuration spaces (K40c
+        and P100 from BS 4, P100 from BS 1 for the budgeted search);
+        each is enumerated once per process, then served by the memo."""
+        from repro.apps.matmul_gpu import config_enumeration
+
+        config_enumeration.cache_clear()
+        assert main(["all"]) == 0
+        first = config_enumeration.cache_info()
+        assert first.misses == first.currsize == 3
+        assert main(["all"]) == 0
+        assert config_enumeration.cache_info().misses == 3
+        capsys.readouterr()
+
 
 class TestCommands:
     def test_machines(self, capsys):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.core.biobjective import (
@@ -22,6 +24,29 @@ def synthetic_evaluator(cfg):
     time = 10.0 + (32 - x) * 0.25 + y * 0.1
     energy = 100.0 + 0.6 * (x - 20 - 2 * y) ** 2 + 3.0 * y
     return time, energy
+
+
+def finishes(fn, seconds=30.0):
+    """``fn()``, run on a daemon thread that must return in time.
+
+    A search that never returns then fails the test instead of hanging
+    the suite (there is no per-test timeout plugin).
+    """
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = fn()
+        except BaseException as exc:  # re-raised on the test's thread
+            outcome["error"] = exc
+
+    worker = threading.Thread(target=target, daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), f"did not return within {seconds} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
 
 
 def make_space(valid=None):
@@ -51,6 +76,22 @@ class TestConfigurationSpace:
     def test_iteration_yields_dicts(self):
         cfg = next(iter(make_space()))
         assert set(cfg) == {"x", "y"}
+
+    def test_enumerates_once_and_yields_fresh_dicts(self):
+        calls = []
+
+        def valid(cfg):
+            calls.append(dict(cfg))
+            return cfg["x"] % 2 == 0
+
+        space = make_space(valid)
+        assert space.size() == 15 * 4
+        first = list(space)
+        first[0]["x"] = -1  # a caller's edit must not reach the space
+        assert list(space)[0]["x"] == 4
+        exhaustive_front(space, synthetic_evaluator)
+        greedy_front_search(space, synthetic_evaluator, budget=30, seed=1)
+        assert len(calls) == 29 * 4  # one pass over the product
 
 
 class TestExhaustiveFront:
@@ -119,3 +160,43 @@ class TestGreedySearch:
             space, synthetic_evaluator, budget=60, seed=2
         )
         assert all(ec.config["x"] != 20 for ec in evaluated)
+
+    def test_single_configuration_space_stops_short_of_budget(self):
+        space = ConfigurationSpace(variables={"x": [7], "y": [1]})
+        front, evaluated = finishes(
+            lambda: greedy_front_search(
+                space, synthetic_evaluator, budget=2, seed=0
+            )
+        )
+        assert [ec.config for ec in evaluated] == [{"x": 7, "y": 1}]
+        assert [p.config for p in front] == [{"x": 7, "y": 1}]
+
+    def test_space_without_valid_moves_jumps_to_unseen_configs(self):
+        # Valid only on the diagonal: every one-variable move leaves
+        # it, so no probe from any front member can ever be valid.
+        space = ConfigurationSpace(
+            variables={"x": list(range(10)), "y": list(range(10))},
+            is_valid=lambda c: c["x"] == c["y"],
+        )
+
+        def evaluator(cfg):
+            return 1.0 + cfg["x"], 10.0 - cfg["x"]
+
+        _, evaluated = finishes(
+            lambda: greedy_front_search(space, evaluator, budget=8, seed=0)
+        )
+        keys = [(ec.config["x"], ec.config["y"]) for ec in evaluated]
+        assert len(keys) == 8 == len(set(keys))
+        assert all(x == y for x, y in keys)
+
+    def test_exhausted_space_stops(self):
+        space = ConfigurationSpace(
+            variables={"x": list(range(10)), "y": list(range(10))},
+            is_valid=lambda c: c["x"] == c["y"],
+        )
+        _, evaluated = finishes(
+            lambda: greedy_front_search(
+                space, synthetic_evaluator, budget=50, seed=4
+            )
+        )
+        assert len(evaluated) == space.size() == 10

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.apps.matmul_gpu import MatmulGPUApp
 from repro.experiments import budgeted_search
 from repro.machines import P100
+from repro.sweep import EvalPlanner
 
 
 class TestBudgetedSearch:
@@ -36,3 +38,29 @@ class TestBudgetedSearch:
     def test_render(self, result):
         out = result.render()
         assert "IGD" in out and "eps-indicator" in out
+
+    @pytest.mark.parametrize("with_planner", [False, True])
+    def test_one_validity_pass_per_run(self, monkeypatch, with_planner):
+        """The space is enumerated once per run: the exhaustive pass,
+        the planner prefill, ``size()`` and every greedy call share it,
+        and a probe is checked against the valid set, not the predicate.
+        """
+        calls = 0
+        config_space = MatmulGPUApp.config_space
+
+        def counted(app):
+            space = config_space(app)
+            valid = space.is_valid
+
+            def is_valid(cfg):
+                nonlocal calls
+                calls += 1
+                return valid(cfg)
+
+            space.is_valid = is_valid
+            return space
+
+        monkeypatch.setattr(MatmulGPUApp, "config_space", counted)
+        engine = EvalPlanner() if with_planner else None
+        budgeted_search.run(engine=engine)
+        assert calls == 32 * 8 * 8  # BS x G x R: one pass over the product

@@ -26,7 +26,14 @@ from repro.analysis.goldens import (
     render_fig8_snapshot,
     render_headline_snapshot,
 )
-from repro.experiments import fig7_k40c_pareto, fig8_p100_pareto, headline
+from repro.experiments import (
+    budgeted_search,
+    fig7_k40c_pareto,
+    fig8_p100_pareto,
+    headline,
+    sensitivity,
+)
+from repro.sweep import EvalPlanner
 
 SNAPSHOT_DIR = Path(__file__).parent.parent / "benchmarks" / "output"
 
@@ -71,8 +78,6 @@ class TestGoldenSnapshots:
     def test_headline_through_planner_matches_snapshot(self, tmp_path):
         """The store-backed planner renders the same golden text, cold
         or warm, and the warm run computes nothing."""
-        from repro.sweep import EvalPlanner
-
         cold = EvalPlanner(store_dir=tmp_path)
         assert_matches_snapshot(
             "headline", render_headline_snapshot(headline.run(engine=cold))
@@ -82,3 +87,26 @@ class TestGoldenSnapshots:
             "headline", render_headline_snapshot(headline.run(engine=warm))
         )
         assert warm.stats.computed == 0
+
+    # The budgeted search's trajectory (which configurations the rng
+    # probes, in which order) shows only in these two renderings; the
+    # benches emit ``result.render()`` as is.
+
+    def test_budgeted_search_matches_snapshot(self):
+        assert_matches_snapshot(
+            "budgeted_search", budgeted_search.run().render()
+        )
+
+    def test_budgeted_search_through_planner_matches_snapshot(self):
+        assert_matches_snapshot(
+            "budgeted_search",
+            budgeted_search.run(engine=EvalPlanner()).render(),
+        )
+
+    def test_sensitivity_matches_snapshot(self):
+        assert_matches_snapshot("sensitivity", sensitivity.run().render())
+
+    def test_sensitivity_through_planner_matches_snapshot(self):
+        assert_matches_snapshot(
+            "sensitivity", sensitivity.run(engine=EvalPlanner()).render()
+        )

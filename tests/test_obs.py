@@ -61,6 +61,25 @@ class TestSpans:
             sp.set(points=7)
         assert tel.spans[0].attrs == {"points": 7}
 
+    def test_records_are_built_when_read_in_completion_order(self):
+        """Spans are logged as entry and exit events and become
+        SpanRecords on read; a read inside an open span keeps earlier
+        records, their order and the ids still to come."""
+        tel = obs.set_telemetry(obs.Telemetry("summary"))
+        with obs.span("outer"):
+            with obs.span("first", points=3):
+                pass
+            (first,) = tel.spans
+            assert isinstance(first, obs.SpanRecord)
+            assert (first.span_id, first.parent_id, first.depth) == (2, 1, 1)
+            with obs.span("second") as sp:
+                sp.set(late=True)
+        assert [s.name for s in tel.spans] == ["first", "second", "outer"]
+        assert tel.spans[0] is first
+        assert first.attrs == {"points": 3}
+        assert tel.spans[1].attrs == {"late": True}
+        assert tel.spans[2].parent_id is None
+
     def test_off_mode_records_nothing(self):
         tel = obs.get_telemetry()  # fixture installed the off registry
         assert obs.span("x", a=1) is _NOOP_SPAN

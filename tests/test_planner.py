@@ -275,6 +275,21 @@ class TestStructuredServing:
             rows["time_s"], [p.time_s for p in points]
         )
 
+    def test_memoized_columns_serve_like_a_config_list(self):
+        """A request's memoized enumeration (no configs given) and the
+        same configs as a plain list are packed alike and served alike."""
+        req = SweepRequest(device="k40c", n=3072, min_bs=1)
+        planner = EvalPlanner()
+        planner.add(req)
+        planner.add(req, req.configs())
+        assert planner.stats.requested == 2 * len(req.configs())
+        from_memo = planner.table(req)
+        np.testing.assert_array_equal(from_memo, planner.table(req, req.configs()))
+        np.testing.assert_array_equal(
+            from_memo, planner.table(req, req.enumeration())
+        )
+        assert planner.stats.computed == len(req.configs())
+
     def test_unplanned_request_fills_lazily(self, tmp_path):
         planner = EvalPlanner(store_dir=tmp_path)
         # Nothing collected up front; a direct table() still works and
