@@ -2,9 +2,8 @@
 
 :func:`generate_report` runs every experiment and assembles their
 rendered outputs into a single markdown document — the "reproduce the
-whole paper" entry point used by ``python -m repro report``.  Slow
-extras (sensitivity, ablations, strategy studies) are optional so the
-quick path stays interactive.
+whole paper" entry point used by ``python -m repro report``.  The
+extras (sensitivity, ablations, strategy studies) are optional.
 """
 
 from __future__ import annotations
@@ -92,7 +91,8 @@ def generate_report(*, include_extras: bool = False) -> str:
 
     ``include_extras`` adds the extension studies (ablation,
     sensitivity, metric battery, method comparison, budgeted search,
-    strategy comparisons) — several extra minutes of sweeps.
+    strategy comparisons); ``repro report --extras`` takes about a
+    second.
     """
     sections = _core_sections()
     if include_extras:

@@ -141,16 +141,12 @@ class MulticoreCPU:
         eff = self._shape_efficiency(lib, rows) * eff_part
         core_peak = freq_scale * spec.base_clock_hz * spec.dp_flops_per_cycle
 
-        # Count threads per physical core to apply the SMT share.
-        from collections import Counter
-
-        per_core = Counter(c.physical_core for c in placement.cpus)
+        # Apply the SMT share per physical core.
+        solo = core_peak * eff
+        shared = min(core_peak, core_peak * eff * cal.smt_throughput)
         agg = 0.0
-        for _, cnt in per_core.items():
-            if cnt == 1:
-                agg += core_peak * eff
-            else:
-                agg += min(core_peak, core_peak * eff * cal.smt_throughput)
+        for threads in placement.threads_per_core:
+            agg += solo if threads == 1 else shared
 
         # DRAM roofline.
         traffic_per_flop = cal.traffic_bytes_per_flop * traffic_part
@@ -221,8 +217,6 @@ class MulticoreCPU:
             # costs f^1.5 per op, and the per-core wake power follows
             # f^2.5.  Memory-side (DRAM, dTLB walk, uncore) power is
             # clock-domain independent.
-            from repro.simcpu.power import CPUPowerBreakdown
-
             volt = freq_scale**1.5
             power = CPUPowerBreakdown(
                 cores_w=power.cores_w * freq_scale**2.5,

@@ -14,7 +14,9 @@ which matches how the paper's applications were pinned.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 from repro.machines.specs import CPUSpec
 
@@ -39,10 +41,19 @@ class Placement:
     ----------
     cpus:
         The logical CPUs hosting threads, in placement order.
+    threads_per_core:
+        Threads on each active physical core, in the order the cores
+        first receive a thread.
     active_physical_cores:
         Number of distinct physical cores with ≥ 1 thread.
     smt_cores:
         Number of physical cores running two threads.
+    active_sockets:
+        Number of sockets with ≥ 1 thread.
+
+    The counts are computed on first use and kept: a placement is
+    immutable, and :func:`place_threads` hands out one instance per
+    thread count.
     """
 
     cpus: tuple[LogicalCPU, ...]
@@ -51,18 +62,19 @@ class Placement:
     def n_threads(self) -> int:
         return len(self.cpus)
 
-    @property
+    @cached_property
+    def threads_per_core(self) -> tuple[int, ...]:
+        return tuple(Counter(c.physical_core for c in self.cpus).values())
+
+    @cached_property
     def active_physical_cores(self) -> int:
-        return len({c.physical_core for c in self.cpus})
+        return len(self.threads_per_core)
 
-    @property
+    @cached_property
     def smt_cores(self) -> int:
-        from collections import Counter
+        return sum(1 for v in self.threads_per_core if v >= 2)
 
-        counts = Counter(c.physical_core for c in self.cpus)
-        return sum(1 for v in counts.values() if v >= 2)
-
-    @property
+    @cached_property
     def active_sockets(self) -> int:
         return len({c.socket for c in self.cpus})
 
@@ -90,11 +102,16 @@ def enumerate_topology(spec: CPUSpec) -> list[LogicalCPU]:
     return cpus
 
 
+@lru_cache(maxsize=1024)
 def place_threads(spec: CPUSpec, n_threads: int) -> Placement:
     """Scatter-place ``n_threads`` threads, one per logical CPU.
 
     Breadth-first: alternate sockets across physical cores, using
     second hyperthreads only once every physical core hosts a thread.
+
+    Memoized per ``(spec, n_threads)``: a placement depends on nothing
+    else, and a configuration sweep places the same few thread counts
+    once per (partition, p, t) configuration.
 
     Raises
     ------

@@ -258,9 +258,10 @@ def _dynamic_power(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(dynamic_w, product_time_s, launch_time_s)`` at a clock array.
 
-    The vectorized transcription of ``GPUDevice._power_at`` (pipeline
-    timing → launch time → ``kernel_power``), preserving the scalar
-    path's operation order.
+    The vectorized transcription of one clock probe of
+    ``GPUDevice.run_matmul`` (pipeline timing → launch time →
+    ``power_components``), preserving the scalar path's operation
+    order.
     """
     # ``clock_hz`` may be a Python float (one clock for every lane —
     # the boost/base/floor probes) or a per-lane array (bisection

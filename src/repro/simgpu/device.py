@@ -35,10 +35,14 @@ import numpy as np
 
 from repro.machines.specs import GPUSpec
 from repro.simgpu.calibration import GPUCalibration, calibration_for
-from repro.simgpu.dvfs import OperatingPoint, solve_operating_clock
+from repro.simgpu.dvfs import solve_operating_clock
 from repro.simgpu.kernel import KernelResources, matmul_kernel_resources
 from repro.simgpu.occupancy import Occupancy, compute_occupancy
-from repro.simgpu.power import PowerBreakdown, kernel_power
+from repro.simgpu.power import (
+    PowerBreakdown,
+    kernel_power_terms,
+    power_components,
+)
 
 __all__ = ["KernelRunResult", "GPUDevice"]
 
@@ -67,6 +71,100 @@ class KernelRunResult:
     product_time_s: float
 
 
+class _KernelTerms:
+    """The clock-independent terms of one ``run_matmul`` call.
+
+    Everything :meth:`at` needs that does not depend on the core clock —
+    the DRAM roofline time, the pipeline's cycle counts and the two
+    clock-free power terms — is computed once here, so a DVFS probe
+    only does the clock-dependent arithmetic.  :meth:`at` evaluates
+    each distinct clock once and returns the same tuple on a repeat;
+    the memo lives as long as the call, never across calls.
+    """
+
+    __slots__ = (
+        "spec", "cal", "blocks_per_sm", "compute_cycles", "tile_fetch_bytes",
+        "sm_steps", "t_dram", "g", "lanes", "dram_bytes", "activity_base_w",
+        "aux_windows_w", "evaluated",
+    )
+
+    def __init__(
+        self,
+        spec: GPUSpec,
+        cal: GPUCalibration,
+        res: KernelResources,
+        occ: Occupancy,
+    ) -> None:
+        self.spec, self.cal = spec, cal
+        self.blocks_per_sm = occ.blocks_per_sm
+        self.compute_cycles = res.compute_cycles_per_kstep
+        self.tile_fetch_bytes = res.tile_fetch_bytes
+        # Tile steps one SM runs per product: its share of the grid's
+        # blocks, each walking every k-step.
+        self.sm_steps = (
+            math.ceil(res.grid_blocks / spec.sm_count) * res.ksteps_per_product
+        )
+        bw_sat = min(1.0, occ.active_warps_per_sm / cal.warps_to_saturate_bw)
+        self.t_dram = (res.total_dram_bytes / res.g) / (
+            spec.mem_bandwidth_bps * bw_sat
+        )
+        self.g = res.g
+        self.lanes = res.lanes_issued
+        self.dram_bytes = res.total_dram_bytes
+        self.activity_base_w, self.aux_windows_w = kernel_power_terms(
+            spec, cal, occupancy=occ.warp_occupancy, n=res.n, g=res.g
+        )
+        self.evaluated: dict[float, tuple] = {}
+
+    def at(self, clock_hz: float) -> tuple:
+        """``(board_w, dynamic_w, product_s, launch_s, components)``.
+
+        ``components`` is the :func:`power_components` tuple at
+        ``clock_hz``; ``board_w`` adds the idle power the DVFS solver
+        compares against the cap.
+        """
+        ev = self.evaluated.get(clock_hz)
+        if ev is not None:
+            return ev
+        spec, cal = self.spec, self.cal
+        bw_per_sm_bytes_per_cycle = spec.mem_bandwidth_bps / (
+            clock_hz * spec.sm_count
+        )
+        mem_cycles = (
+            cal.mem_latency_cycles
+            + self.tile_fetch_bytes / bw_per_sm_bytes_per_cycle
+        )
+        compute = self.compute_cycles
+        per_block = max(compute, (compute + mem_cycles) / self.blocks_per_sm)
+        t_pipe = self.sm_steps * per_block / clock_hz
+        t_product = max(t_pipe, self.t_dram)
+        # The launch time's G·t and the launch-average rates' G·t are
+        # the same product.
+        g_t = self.g * t_product
+        t_launch = cal.launch_overhead_s + g_t
+        components = power_components(
+            spec,
+            cal,
+            clock_hz,
+            self.lanes / g_t,
+            self.dram_bytes / g_t,
+            self.activity_base_w,
+            self.aux_windows_w,
+            t_product,
+            t_launch,
+        )
+        compute_w, dram_w, activity_w, aux_w, leakage_w = components
+        dynamic_w = compute_w + dram_w + activity_w + aux_w + leakage_w
+        ev = self.evaluated[clock_hz] = (
+            spec.idle_power_w + dynamic_w,
+            dynamic_w,
+            t_product,
+            t_launch,
+            components,
+        )
+        return ev
+
+
 class GPUDevice:
     """Analytical model of one GPU running the paper's matmul kernel.
 
@@ -81,59 +179,6 @@ class GPUDevice:
     def __init__(self, spec: GPUSpec, cal: GPUCalibration | None = None) -> None:
         self.spec = spec
         self.cal = cal if cal is not None else calibration_for(spec)
-
-    # -- timing -----------------------------------------------------------
-
-    def _product_time_s(
-        self, res: KernelResources, occ: Occupancy, clock_hz: float
-    ) -> float:
-        """Time of one matmul product at the given core clock."""
-        spec, cal = self.spec, self.cal
-        c = occ.blocks_per_sm
-        bw_per_sm_bytes_per_cycle = spec.mem_bandwidth_bps / (
-            clock_hz * spec.sm_count
-        )
-        mem_cycles = (
-            cal.mem_latency_cycles
-            + res.tile_fetch_bytes / bw_per_sm_bytes_per_cycle
-        )
-        compute = res.compute_cycles_per_kstep
-        per_block = max(compute, (compute + mem_cycles) / c)
-        blocks_share = math.ceil(res.grid_blocks / spec.sm_count)
-        t_pipe = blocks_share * res.ksteps_per_product * per_block / clock_hz
-
-        bw_sat = min(1.0, occ.active_warps_per_sm / cal.warps_to_saturate_bw)
-        t_dram = (res.total_dram_bytes / res.g) / (
-            spec.mem_bandwidth_bps * bw_sat
-        )
-        return max(t_pipe, t_dram)
-
-    def _launch_time_s(self, product_time_s: float, g: int) -> float:
-        return self.cal.launch_overhead_s + g * product_time_s
-
-    # -- power ------------------------------------------------------------
-
-    def _power_at(
-        self, res: KernelResources, occ: Occupancy, clock_hz: float
-    ) -> tuple[PowerBreakdown, float, float]:
-        """(power, product_time, launch_time) at one clock."""
-        t_product = self._product_time_s(res, occ, clock_hz)
-        t_launch = self._launch_time_s(t_product, res.g)
-        power = kernel_power(
-            self.spec,
-            self.cal,
-            lane_rate_per_s=res.lanes_issued / (res.g * t_product),
-            dram_bytes_per_s=res.total_dram_bytes / (res.g * t_product),
-            occupancy=occ.warp_occupancy,
-            n=res.n,
-            g=res.g,
-            product_time_s=t_product,
-            active_time_s=t_launch,
-            clock_hz=clock_hz,
-        )
-        return power, t_product, t_launch
-
-    # -- public API --------------------------------------------------------
 
     def run_matmul(
         self,
@@ -158,87 +203,76 @@ class GPUDevice:
         cap — the standard practice for profiling/additivity studies
         where clock wander would confound the measurement.
         ``pinned_clock_hz`` pins an arbitrary application clock from
-        the part's ladder instead (implies fixed-clock semantics); it
-        must lie within [40% of base, boost].
+        the part's ladder instead; it must lie within [40% of base,
+        boost].  A pin is a *maximum*: on an autoboost part a pin whose
+        board power exceeds the cap is throttled like autoboost, and
+        the run never reports a clock above the pin.
         """
+        spec, cal = self.spec, self.cal
         if r < 1:
             raise ValueError("R must be at least 1")
         if pinned_clock_hz is not None:
-            lo = 0.4 * self.spec.base_clock_hz
-            hi = self.spec.boost_clock_hz
+            lo = 0.4 * spec.base_clock_hz
+            hi = spec.boost_clock_hz
             if not (lo <= pinned_clock_hz <= hi):
                 raise ValueError(
                     f"pinned clock {pinned_clock_hz/1e6:.0f} MHz outside "
                     f"the supported ladder [{lo/1e6:.0f}, {hi/1e6:.0f}] MHz"
                 )
-        res = matmul_kernel_resources(self.spec, self.cal, n, bs, g)
+        res = matmul_kernel_resources(spec, cal, n, bs, g)
         occ = compute_occupancy(
-            self.spec, res.threads_per_block, res.smem_per_block_bytes
+            spec, res.threads_per_block, res.smem_per_block_bytes
         )
+        at = _KernelTerms(spec, cal, res, occ).at
 
         def board_power(clock_hz: float) -> float:
-            power, _, _ = self._power_at(res, occ, clock_hz)
-            return self.spec.idle_power_w + power.dynamic_w
+            return at(clock_hz)[0]
 
+        # ``start_hz`` is the clock a throttled run starts from before
+        # it heat-soaks: the pinned clock if there is one, else boost.
+        start_hz = spec.boost_clock_hz
         if pinned_clock_hz is not None:
             # An application clock is a *maximum*: the power cap still
             # applies, so a hot pin above the sustainable clock gets
             # throttled down exactly like autoboost would be.
-            p_pinned = board_power(pinned_clock_hz)
-            if self.spec.has_autoboost and p_pinned > self.cal.power_cap_w:
-                op = solve_operating_clock(self.spec, self.cal, board_power)
-                op = OperatingPoint(
-                    clock_hz=min(op.clock_hz, pinned_clock_hz),
-                    board_power_w=board_power(
-                        min(op.clock_hz, pinned_clock_hz)
-                    ),
-                    throttled=True,
-                )
-            else:
-                op = OperatingPoint(
-                    clock_hz=pinned_clock_hz,
-                    board_power_w=p_pinned,
-                    throttled=False,
-                )
-        elif fixed_clock:
-            op = OperatingPoint(
-                clock_hz=self.spec.base_clock_hz,
-                board_power_w=board_power(self.spec.base_clock_hz),
-                throttled=False,
+            start_hz = clock_hz = pinned_clock_hz
+            throttled = spec.has_autoboost and (
+                board_power(pinned_clock_hz) > cal.power_cap_w
             )
+            if throttled:
+                op = solve_operating_clock(spec, cal, board_power)
+                clock_hz = min(op.clock_hz, pinned_clock_hz)
+        elif fixed_clock:
+            clock_hz, throttled = spec.base_clock_hz, False
         else:
-            op = solve_operating_clock(self.spec, self.cal, board_power)
-        clock_hz = op.clock_hz
-        throttled = op.throttled
-        if throttled and self.spec.has_autoboost:
+            op = solve_operating_clock(spec, cal, board_power)
+            clock_hz, throttled = op.clock_hz, op.throttled
+        if throttled:
             # Thermal inertia: throttling only takes hold once the die
             # heat-soaks.  A measurement sequence much shorter than the
-            # thermal time constant runs (mostly) in the cold boost
-            # window at full voltage; long sequences settle at the cap.
-            # Blend the operating clock by the heat-soak fraction.
-            _, t_p_boost, t_l_boost = self._power_at(
-                res, occ, self.spec.boost_clock_hz
-            )
-            total_boost_s = r * t_l_boost
-            soak = 1.0 - math.exp(-total_boost_s / self.cal.thermal_tau_s)
-            clock_hz = (
-                self.spec.boost_clock_hz * (1.0 - soak) + op.clock_hz * soak
-            )
+            # thermal time constant runs (mostly) at its starting clock
+            # at full voltage; long sequences settle at the cap.  Blend
+            # the operating clock by the heat-soak fraction.
+            launch_at_start_s = at(start_hz)[3]
+            total_start_s = r * launch_at_start_s
+            soak = 1.0 - math.exp(-total_start_s / cal.thermal_tau_s)
+            clock_hz = start_hz * (1.0 - soak) + clock_hz * soak
             throttled = soak > 0.5
-        power, t_product, t_launch = self._power_at(res, occ, clock_hz)
+        _, dynamic_w, t_product, t_launch, components = at(clock_hz)
+        power = PowerBreakdown(*components)
 
         time_s = r * t_launch
-        energy_j = power.dynamic_w * time_s
+        energy_j = dynamic_w * time_s
         if rng is not None:
-            tj = self.cal.time_jitter
+            tj = cal.time_jitter
             time_s *= max(0.5, 1.0 + tj * rng.standard_normal())
-            energy_j = power.dynamic_w * time_s
+            energy_j = dynamic_w * time_s
             energy_j *= max(0.5, 1.0 + 0.4 * tj * rng.standard_normal())
 
         return KernelRunResult(
             time_s=time_s,
             dynamic_energy_j=energy_j,
-            dynamic_power_w=power.dynamic_w,
+            dynamic_power_w=dynamic_w,
             clock_hz=clock_hz,
             throttled=throttled,
             occupancy=occ,

@@ -96,8 +96,9 @@ class KernelResources:
     #: Issue cycles per tile step per block (shared-load bound path),
     #: including replay and CPI calibration.
     compute_cycles_per_kstep: float
-    #: Memory cycles per tile step per block at the base clock:
-    #: latency plus tile transfer at the per-SM bandwidth share.
+    #: DRAM bytes one block fetches per tile step: the As/Bs tile pair,
+    #: inflated by partially used sectors and net of L2 hits.  The
+    #: device turns them into memory cycles at the operating clock.
     tile_fetch_bytes: float
     #: Launch-total DRAM traffic (bytes).
     total_dram_bytes: float

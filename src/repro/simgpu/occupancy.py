@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.machines.specs import GPUSpec
 
@@ -57,6 +58,7 @@ class Occupancy:
 REGISTERS_PER_SM = 65536
 
 
+@lru_cache(maxsize=4096)
 def compute_occupancy(
     spec: GPUSpec,
     threads_per_block: int,
@@ -70,6 +72,12 @@ def compute_occupancy(
     (``floor(64K / (regs · threads))`` blocks); 0 disables it — the
     paper's kernel is register-light (≈ 30 regs, never the limiter for
     BS ≥ 8), so the default models it as unconstrained.
+
+    Memoized across calls, like
+    :func:`repro.simgpu.kernel.matmul_kernel_resources`: the result is a
+    frozen :class:`Occupancy` that depends only on the hashable spec,
+    the block shape and the register count, and a sweep revisits the
+    same few block shapes at every matrix size.
 
     Raises
     ------

@@ -25,7 +25,13 @@ from dataclasses import dataclass
 from repro.machines.specs import GPUSpec
 from repro.simgpu.calibration import GPUCalibration
 
-__all__ = ["PowerBreakdown", "aux_decay", "kernel_power"]
+__all__ = [
+    "PowerBreakdown",
+    "aux_decay",
+    "kernel_power",
+    "kernel_power_terms",
+    "power_components",
+]
 
 
 @dataclass(frozen=True)
@@ -69,6 +75,65 @@ def aux_decay(spec: GPUSpec, n: int) -> float:
     return max(0.0, 1.0 - ratio**4)
 
 
+def kernel_power_terms(
+    spec: GPUSpec, cal: GPUCalibration, *, occupancy: float, n: int, g: int
+) -> tuple[float, float]:
+    """The clock-independent power terms of one launch.
+
+    Returns ``(activity_base_w, aux_windows_w)``: the activity floor
+    before clock scaling, ``a0 + a1·ω^k``, and the auxiliary draw summed
+    over the (G-1) inter-group windows, ``58 W · decay(N) · (G-1)``.
+    Both are the same at every clock, so a DVFS solve computes them
+    once and hands them to :func:`power_components` at each probe.
+    """
+    if not (0.0 < occupancy <= 1.0):
+        raise ValueError("occupancy must be in (0, 1]")
+    # Activity power is superlinear in occupancy on parts with
+    # fine-grained clock gating (occ_exp > 1: near-zero draw at low
+    # residency, steep near full residency); Kepler-class coarse gating
+    # is occ_exp = 1 with a large base term.
+    activity_base_w = cal.p_act0_w + cal.p_act1_w * occupancy**cal.occ_exp
+    # The auxiliary component draws aux_power_w during the (G-1)
+    # inter-group windows, each lasting one product time.
+    aux_windows_w = cal.aux_power_w * aux_decay(spec, n) * (g - 1)
+    return activity_base_w, aux_windows_w
+
+
+def power_components(
+    spec: GPUSpec,
+    cal: GPUCalibration,
+    clock_hz: float,
+    lane_rate_per_s: float,
+    dram_bytes_per_s: float,
+    activity_base_w: float,
+    aux_windows_w: float,
+    product_time_s: float,
+    active_time_s: float,
+) -> tuple[float, float, float, float, float]:
+    """``(compute, dram, activity, aux, leakage)`` watts at one clock.
+
+    The one copy of the component formula: :func:`kernel_power` and
+    every clock probe of :meth:`repro.simgpu.device.GPUDevice.run_matmul`
+    evaluate power through it.  The two clock-independent terms come
+    from :func:`kernel_power_terms`.
+    """
+    if active_time_s <= 0 or product_time_s <= 0:
+        raise ValueError("times must be positive")
+    x = clock_hz / spec.base_clock_hz
+    compute = cal.e_lane_j * x ** (cal.volt_exp - 1.0) * lane_rate_per_s
+    dram = cal.e_dram_j_per_byte * dram_bytes_per_s
+    activity = activity_base_w * x**cal.volt_exp
+    # Averaged over the launch.
+    aux = aux_windows_w * product_time_s / active_time_s
+    # Steady-state die temperature rises roughly linearly with electrical
+    # power and leakage rises superlinearly with temperature; the
+    # quadratic term captures the composition.  Measured against a
+    # cold-idle baseline this excess leakage is part of *dynamic* energy.
+    electrical = compute + dram + activity + aux
+    leakage = cal.leak_quad * electrical * electrical / 100.0
+    return compute, dram, activity, aux, leakage
+
+
 def kernel_power(
     spec: GPUSpec,
     cal: GPUCalibration,
@@ -89,37 +154,19 @@ def kernel_power(
     one product inside the launch and ``active_time_s`` the whole
     launch duration (= G·product time plus overheads).
     """
-    if active_time_s <= 0 or product_time_s <= 0:
-        raise ValueError("times must be positive")
-    if not (0.0 < occupancy <= 1.0):
-        raise ValueError("occupancy must be in (0, 1]")
-    scale = (clock_hz / spec.base_clock_hz) ** (cal.volt_exp - 1.0)
-    act_scale = (clock_hz / spec.base_clock_hz) ** cal.volt_exp
-
-    compute = cal.e_lane_j * scale * lane_rate_per_s
-    dram = cal.e_dram_j_per_byte * dram_bytes_per_s
-    # Activity power is superlinear in occupancy on parts with
-    # fine-grained clock gating (occ_exp > 1: near-zero draw at low
-    # residency, steep near full residency); Kepler-class coarse gating
-    # is occ_exp = 1 with a large base term.
-    activity = (
-        cal.p_act0_w + cal.p_act1_w * occupancy**cal.occ_exp
-    ) * act_scale
-    # The auxiliary component draws aux_power_w during the (G-1)
-    # inter-group windows, each lasting one product time; averaged over
-    # the launch.
-    aux_energy = cal.aux_power_w * aux_decay(spec, n) * (g - 1) * product_time_s
-    aux = aux_energy / active_time_s
-    # Steady-state die temperature rises roughly linearly with electrical
-    # power and leakage rises superlinearly with temperature; the
-    # quadratic term captures the composition.  Measured against a
-    # cold-idle baseline this excess leakage is part of *dynamic* energy.
-    electrical = compute + dram + activity + aux
-    leakage = cal.leak_quad * electrical * electrical / 100.0
+    activity_base_w, aux_windows_w = kernel_power_terms(
+        spec, cal, occupancy=occupancy, n=n, g=g
+    )
     return PowerBreakdown(
-        compute_w=compute,
-        dram_w=dram,
-        activity_w=activity,
-        aux_w=aux,
-        leakage_w=leakage,
+        *power_components(
+            spec,
+            cal,
+            clock_hz,
+            lane_rate_per_s,
+            dram_bytes_per_s,
+            activity_base_w,
+            aux_windows_w,
+            product_time_s,
+            active_time_s,
+        )
     )

@@ -38,9 +38,10 @@ The per-``(N, BS, G)`` memo caches (``matmul_kernel_resources`` /
 backend: those caches are keyed by the sweep's inputs, so a production
 sweep of a *new* matrix size never hits them — timing warm repeats of
 the identical sweep would measure an artifact of the benchmark loop,
-not the fresh-sweep cost users pay.  Caches keyed only by BS
-(``avg_rows_per_warp``), which are legitimately shared across sweeps,
-stay warm.
+not the fresh-sweep cost users pay.  Caches keyed by the block shape
+rather than N — ``avg_rows_per_warp`` (BS) and ``compute_occupancy``
+(threads and shared memory per block) — are legitimately shared across
+sweeps and stay warm.
 
 The ``telemetry_overhead`` section times the warm planner session with
 telemetry off and on (``repro.obs``); the run fails if the on-path

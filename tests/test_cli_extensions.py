@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.summary import generate_report
+from repro.apps.matmul_gpu import MatmulGPUApp
 from repro.cli import main
+from repro.experiments.dvfs_comparison import GPU_CLOCK_LADDER_FRACTIONS
 from repro.machines import K40C, P100
 from repro.simgpu.device import GPUDevice
 from repro.simgpu.occupancy import REGISTERS_PER_SM, compute_occupancy
@@ -32,6 +34,20 @@ class TestPinnedClock:
         r = dev.run_matmul(14336, 32, r=24, pinned_clock_hz=P100.boost_clock_hz)
         assert r.throttled
         assert r.clock_hz < P100.boost_clock_hz
+
+    def test_pin_is_a_maximum(self, dev):
+        # Throttling may pull a hot pin down, never up: the
+        # thermal-inertia blend starts from the pin.  The sweep is the
+        # P100 DVFS study's (``dvfs_comparison.run_gpu``, N = 10240).
+        for cfg in MatmulGPUApp(P100).valid_configs(min_bs=4):
+            for frac in GPU_CLOCK_LADDER_FRACTIONS:
+                pin = frac * P100.base_clock_hz
+                r = dev.run_matmul(
+                    10240, cfg.bs, cfg.g, cfg.r, pinned_clock_hz=pin
+                )
+                assert r.clock_hz <= pin, (cfg, frac, r.clock_hz)
+        r = dev.run_matmul(1024, 4, 5, 1, pinned_clock_hz=1404e6)
+        assert r.clock_hz <= 1404e6
 
     def test_pin_outside_ladder_rejected(self, dev):
         with pytest.raises(ValueError, match="ladder"):

@@ -174,3 +174,40 @@ class TestMulticoreCPU:
     def test_invalid_n(self, haswell_cpu: MulticoreCPU):
         with pytest.raises(ValueError):
             haswell_cpu.run_dgemm(0, DGEMMConfig("row", 1, 1))
+
+
+#: ``run_dgemm`` of a 32-thread configuration (8 SMT cores, 16 solo),
+#: as ``(freq_scale, float.hex of time_s, dynamic_energy_j, gflops,
+#: avg_utilization, then the five power components)``.
+EXACT_DGEMM = [
+    (1.0, ("0x1.05164b5ee484ep+4", "0x1.ad36061789826p+10",
+           "0x1.434822751a9dcp+9", "0x1.fc0ef65de01efp+5",
+           "0x1.5333333333334p+5", "0x1.6a1359cad6215p+5",
+           "0x1.c000000000000p+3", "0x1.5d942ccc0716cp+0",
+           "0x1.17f1556f5dbdbp+1")),
+    (0.7, ("0x1.74fb4719d8bdcp+4", "0x1.3184b6e8c0746p+10",
+           "0x1.c498303d8ba9bp+8", "0x1.fc0ef65de01efp+5",
+           "0x1.161e828a34f76p+4", "0x1.28e0200146acbp+4",
+           "0x1.c000000000000p+3", "0x1.e9690b8409ecbp-1",
+           "0x1.87eb779be9a32p+0")),
+]
+
+
+class TestExactValues:
+    """The CPU model of record's outputs, exact to the last bit."""
+
+    @pytest.mark.parametrize(
+        "freq_scale, expected", EXACT_DGEMM, ids=["freq-1.0", "freq-0.7"]
+    )
+    def test_run_dgemm_bit_exact(self, haswell_cpu, freq_scale, expected):
+        cfg = DGEMMConfig("block", 4, 8, "openblas")
+        r = haswell_cpu.run_dgemm(N, cfg, freq_scale=freq_scale)
+        p = r.power
+        got = (
+            r.time_s, r.dynamic_energy_j, r.gflops, r.avg_utilization,
+            p.cores_w, p.flops_w, p.uncore_w, p.dram_w, p.dtlb_w,
+        )
+        assert tuple(v.hex() for v in got) == expected
+        assert (r.placement.active_physical_cores, r.placement.smt_cores) == (
+            24, 8
+        )

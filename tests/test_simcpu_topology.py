@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.apps.dgemm_cpu import DGEMMCPUApp
 from repro.machines import HASWELL
+from repro.simcpu import topology
 from repro.simcpu.topology import enumerate_topology, place_threads
 
 
@@ -74,3 +76,29 @@ class TestPlacement:
             for c in p.cpus:
                 per_socket[c.socket] += 1
             assert abs(per_socket[0] - per_socket[1]) <= 1
+
+
+class TestPlacementMemo:
+    def test_sweep_places_each_thread_count_once(self, monkeypatch):
+        built = []
+        real = topology.enumerate_topology
+
+        def counting(spec):
+            built.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(topology, "enumerate_topology", counting)
+        place_threads.cache_clear()
+        app = DGEMMCPUApp(HASWELL)
+        results = app.sweep(17408, "mkl")
+        assert len(results) == 147
+        assert len(built) == len(app.thread_counts) == 10
+
+    def test_counts_follow_placement_order(self):
+        p = place_threads(HASWELL, 30)
+        # Scatter fills every physical core before any second
+        # hyperthread, and second hyperthreads follow the same order.
+        assert p.threads_per_core == (2,) * 6 + (1,) * 18
+        assert p.active_physical_cores == 24
+        assert p.smt_cores == 6
+        assert p.active_sockets == 2

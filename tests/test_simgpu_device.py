@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.machines import K40C, P100
+from repro.simgpu import device
 from repro.simgpu.device import GPUDevice
 
 
@@ -116,3 +117,152 @@ class TestValidation:
         r = p100.run_matmul(2048, 26)
         assert r.occupancy.limiter == "warps"
         assert r.occupancy.blocks_per_sm == 2
+
+
+#: ``KernelRunResult`` fields and ``PowerBreakdown`` components pinned
+#: bit for bit by :class:`TestExactValues`, in the order of each row.
+EXACT_FIELDS = ("time_s", "dynamic_energy_j", "clock_hz", "product_time_s")
+POWER_FIELDS = ("compute_w", "dram_w", "activity_w", "aux_w", "leakage_w")
+
+#: One ``run_matmul`` call per branch of the clock logic, as
+#: ``(spec, args, kwargs, throttled, float.hex of EXACT_FIELDS then
+#: POWER_FIELDS)``.  An ``"rng"`` kwarg is the seed of a fresh generator.
+EXACT_RUNS = [
+    pytest.param(
+        K40C, (10240, 32), {}, False,
+        ("0x1.805b4d96e694dp+2", "0x1.22607b09e7446p+10",
+         "0x1.633e620000000p+29", "0x1.805b1b41ffb2bp+2",
+         "0x1.f49d9511fa03ep+5", "0x1.e1a9e703f28fep+3",
+         "0x1.9000000000000p+6", "0x0.0p+0", "0x1.f8d526325d75dp+3"),
+        id="k40c-default",
+    ),
+    pytest.param(
+        K40C, (4096, 16, 2, 3), {"fixed_clock": True}, False,
+        ("0x1.69a17b06dae6ap+1", "0x1.2f6d1d81b415fp+9",
+         "0x1.633e620000000p+29", "0x1.e22b1161eccd2p-2",
+         "0x1.f289f697311e3p+5", "0x1.194dc58ea4257p+4",
+         "0x1.5e00000000000p+6", "0x1.c41da79eee91ep+4",
+         "0x1.32401d8b196a8p+4"),
+        id="k40c-fixed-clock",
+    ),
+    pytest.param(
+        P100, (10240, 26), {}, False,
+        ("0x1.52731e7a82550p+0", "0x1.094ef15b3f587p+8",
+         "0x1.60dc080000000p+30", "0x1.527276b4d60dep+0",
+         "0x1.9fe649d1476f7p+5", "0x1.50de358db2854p+4",
+         "0x1.6926b58bfacbbp+6", "0x0.0p+0", "0x1.2ac6ee94b7994p+5"),
+        id="p100-boost",
+    ),
+    pytest.param(
+        P100, (10240, 24, 2, 1), {}, False,
+        ("0x1.470e3ac508d4fp+1", "0x1.5d78eed873fe7p+9",
+         "0x1.5f1c6ec6033d6p+30", "0x1.470de6e232b16p+0",
+         "0x1.9940634e9126ap+5", "0x1.5f158afe9c5e6p+4",
+         "0x1.cb102a55f10adp+6", "0x1.74581eead2678p+4",
+         "0x1.f347d2b4d2941p+5"),
+        id="p100-throttled-soak-below-half",
+    ),
+    pytest.param(
+        P100, (14336, 32, 1, 24), {}, True,
+        ("0x1.5bc99586223eap+6", "0x1.3e1cdc601c0a6p+14",
+         "0x1.449ceb52686c0p+30", "0x1.cfb71e2557855p+1",
+         "0x1.51b5c8fee2034p+5", "0x1.fc5c65eee873ep+3",
+         "0x1.fedebd821fc93p+6", "0x0.0p+0", "0x1.82b7285ae0dc0p+5"),
+        id="p100-throttled-soak-above-half",
+    ),
+    pytest.param(
+        P100, (14336, 32, 1, 24), {"fixed_clock": True}, False,
+        ("0x1.64913cc96c786p+6", "0x1.2fcb154eb3b56p+14",
+         "0x1.3c9eb00000000p+30", "0x1.db6bfd29ba7cfp+1",
+         "0x1.3d4daffdd0c27p+5", "0x1.efd7e45803cd2p+3",
+         "0x1.e000000000000p+6", "0x0.0p+0", "0x1.579eaa4cdd45ap+5"),
+        id="p100-fixed-clock",
+    ),
+    pytest.param(
+        P100, (4096, 24), {"pinned_clock_hz": 900e6}, False,
+        ("0x1.1251aee4d3809p-3", "0x1.209c9a99e9479p+3",
+         "0x1.ad27480000000p+29", "0x1.124c70b77147bp-3",
+         "0x1.df1fe0b0dc334p+3", "0x1.af505aa15f9bcp+3",
+         "0x1.0c11d47ec67f2p+5", "0x0.0p+0", "0x1.57fa225540d94p+2"),
+        id="p100-pinned-under-cap",
+    ),
+    pytest.param(
+        P100, (14336, 32, 1, 24), {"pinned_clock_hz": P100.boost_clock_hz},
+        True,
+        ("0x1.5bc99586223eap+6", "0x1.3e1cdc601c0a6p+14",
+         "0x1.449ceb52686c0p+30", "0x1.cfb71e2557855p+1",
+         "0x1.51b5c8fee2034p+5", "0x1.fc5c65eee873ep+3",
+         "0x1.fedebd821fc93p+6", "0x0.0p+0", "0x1.82b7285ae0dc0p+5"),
+        id="p100-pinned-boost-over-cap",
+    ),
+    pytest.param(
+        P100, (4096, 16, 2, 2), {"rng": 9}, False,
+        ("0x1.4bd86e416be6ap-2", "0x1.e3011ade2058bp+6",
+         "0x1.60524fe4a12b0p+30", "0x1.4d2993b3f7e97p-4",
+         "0x1.9c8d4cef1d255p+5", "0x1.086346a4cf446p+5",
+         "0x1.397b9bb07bdc7p+7", "0x1.cda011dd0d8c5p+4",
+         "0x1.98e0702a14f78p+6"),
+        id="p100-rng",
+    ),
+]
+
+
+class TestExactValues:
+    """The model of record's outputs, exact to the last bit.
+
+    The goldens are rounded and batch parity allows 1e-9 relative
+    error, so an ulp-level drift in the scalar model would pass both;
+    it fails here.
+    """
+
+    @pytest.mark.parametrize("spec, args, kwargs, throttled, expected", EXACT_RUNS)
+    def test_run_matmul_bit_exact(self, spec, args, kwargs, throttled, expected):
+        if "rng" in kwargs:
+            kwargs = {**kwargs, "rng": np.random.default_rng(kwargs["rng"])}
+        r = GPUDevice(spec).run_matmul(*args, **kwargs)
+        got = tuple(getattr(r, f).hex() for f in EXACT_FIELDS) + tuple(
+            getattr(r.power, f).hex() for f in POWER_FIELDS
+        )
+        assert dict(zip(EXACT_FIELDS + POWER_FIELDS, got)) == dict(
+            zip(EXACT_FIELDS + POWER_FIELDS, expected)
+        )
+        assert r.throttled is throttled
+        assert r.dynamic_power_w == r.power.dynamic_w
+
+
+class TestClockEvaluations:
+    """``run_matmul`` evaluates each distinct clock once per call."""
+
+    @pytest.fixture
+    def clocks(self, monkeypatch) -> list[float]:
+        """Clocks the device evaluates power at, in call order."""
+        seen: list[float] = []
+        real = device.power_components
+
+        def counting(spec, cal, clock_hz, *rest):
+            seen.append(clock_hz)
+            return real(spec, cal, clock_hz, *rest)
+
+        monkeypatch.setattr(device, "power_components", counting)
+        return seen
+
+    @pytest.mark.parametrize(
+        "spec, args, kwargs",
+        [
+            pytest.param(K40C, (10240, 32), {}, id="k40c"),
+            pytest.param(P100, (10240, 26), {}, id="p100-boost"),
+            pytest.param(
+                P100, (14336, 32, 1, 24), {"fixed_clock": True},
+                id="p100-fixed-clock",
+            ),
+        ],
+    )
+    def test_single_clock_call_evaluates_once(self, clocks, spec, args, kwargs):
+        r = GPUDevice(spec).run_matmul(*args, **kwargs)
+        assert clocks == [r.clock_hz]
+
+    def test_throttled_call_evaluates_boost_once(self, clocks):
+        r = GPUDevice(P100).run_matmul(14336, 32, 1, 24)
+        assert r.clock_hz < P100.boost_clock_hz
+        assert clocks.count(P100.boost_clock_hz) == 1
+        assert len(clocks) == len(set(clocks))
