@@ -853,6 +853,21 @@ def _provenance_for(args: argparse.Namespace) -> dict:
     return run_manifest(args.command)
 
 
+def _run_trace(path: str) -> str:
+    """Every run of a telemetry stream, each under a ``run k/N`` banner
+    when there are several."""
+    from repro.obs.ingest import load_cli_stream
+    from repro.obs.perf import render_trace
+
+    runs = load_cli_stream(path, "repro trace").runs
+    parts = []
+    for index, run in enumerate(runs, 1):
+        if len(runs) > 1:
+            parts.append(f"== run {index}/{len(runs)} ==")
+        parts.append(render_trace(run))
+    return "\n".join(parts)
+
+
 def _load_perf_run(path: str) -> list:
     """One telemetry run for the perf analytics, with CLI-grade errors.
 
@@ -860,22 +875,12 @@ def _load_perf_run(path: str) -> list:
     with a warning — profiling two merged runs as one would
     double-count every aggregate.
     """
-    from pathlib import Path
+    from repro.obs.ingest import load_cli_stream
 
-    from repro.obs.ingest import TelemetryStreamError, load_stream
-
-    target = Path(path)
-    if not target.is_file():
-        raise SystemExit(f"repro perf: no such file: {target}")
-    try:
-        stream = load_stream(target)
-    except TelemetryStreamError as exc:
-        raise SystemExit(f"repro perf: {exc}") from None
-    for warning in stream.warnings:
-        print(f"repro perf: warning: {warning}", file=sys.stderr)
+    stream = load_cli_stream(path, "repro perf")
     if len(stream.runs) > 1:
         print(
-            f"repro perf: warning: {target} holds "
+            f"repro perf: warning: {stream.path} holds "
             f"{len(stream.runs)} concatenated runs; analyzing the last",
             file=sys.stderr,
         )
@@ -985,9 +990,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         else:  # pragma: no cover - argparse enforces choices
             raise AssertionError(args.devices_command)
     elif args.command == "trace":
-        from repro.obs.trace import main as trace_main
-
-        print(trace_main(args.file))
+        print(_run_trace(args.file))
     elif args.command == "perf":
         return _run_perf(args)
     elif args.command == "bench":

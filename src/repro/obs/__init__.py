@@ -11,13 +11,18 @@ metric namespace and the manifest schema):
   attached to every experiment output.
 
 On top of those, the **performance observatory** (``docs/MODEL.md``
-§6.6): tolerant event-stream ingestion (:mod:`repro.obs.ingest`),
-span-profile analytics — self/total aggregates, critical path,
-folded-stack flamegraphs (:mod:`repro.obs.perf`) — the append-only
-bench history store (:mod:`repro.obs.history`) and the Mann-Whitney
-regression sentinel (:mod:`repro.obs.sentinel`) behind the ``repro
-perf`` CLI family, plus a Prometheus textfile exporter
-(:mod:`repro.obs.openmetrics`, ``--telemetry prom:PATH``).
+§6.6), one module per job:
+
+* :mod:`repro.obs.ingest` — the tolerant JSONL reader of telemetry
+  streams and bench history;
+* :mod:`repro.obs.perf` — the span tree and everything rendered from
+  it: ``repro trace``, self/total profiles, the critical path and
+  folded-stack flamegraphs (``repro perf report|diff|flamegraph``);
+* :mod:`repro.obs.history` — the append-only bench history store;
+* :mod:`repro.obs.sentinel` — the Mann-Whitney regression sentinel
+  (``repro perf check``);
+* :mod:`repro.obs.openmetrics` — the Prometheus textfile exporter
+  (``--telemetry prom:PATH``).
 
 Off by default: the module-level helpers are no-ops until the CLI (or
 a test) installs an enabled :class:`Telemetry` via :func:`configure`.

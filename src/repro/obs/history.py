@@ -18,14 +18,16 @@ one JSONL record to ``benchmarks/history/`` carrying
 
 Records are one JSON object per line so appends are atomic-enough
 (O_APPEND of one short line) and the file never needs rewriting; the
-loader tolerates a truncated final line the same way telemetry
-ingestion does.
+loader reads them with the telemetry reader
+(:func:`repro.obs.ingest.read_jsonl`), so a truncated final line and
+garbage are handled exactly as in a telemetry stream.
 """
 
 from __future__ import annotations
 
 import json
 import platform
+import warnings
 from pathlib import Path
 from typing import Any
 
@@ -155,30 +157,21 @@ def append_record(path: str | Path, record: dict[str, Any]) -> Path:
 def load_history(path: str | Path) -> list[dict[str, Any]]:
     """All records of a history file, oldest first.
 
-    A missing file is an empty history (the first run ever has none);
-    a truncated final line is dropped; garbage mid-file is an error
-    with file:line context.
+    A missing file is an empty history (the first run ever has none).
+    Otherwise :func:`repro.obs.ingest.read_jsonl` reads it: a truncated
+    final line is dropped with a :func:`warnings.warn`, and garbage
+    elsewhere, or a file with no valid record, is an error with
+    file:line context.
     """
+    from repro.obs.ingest import read_jsonl
+
     target = Path(path)
     if not target.exists():
         return []
-    lines = target.read_text().splitlines()
-    last_nonempty = max(
-        (i for i, line in enumerate(lines, 1) if line.strip()), default=0
-    )
-    records = []
-    for lineno, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if lineno == last_nonempty:
-                continue  # interrupted append; the rest is intact
-            raise ValueError(
-                f"{target}:{lineno}: not a history record ({exc})"
-            ) from None
+    values, dropped = read_jsonl(target, "history record", "bench history")
+    for message in dropped:
+        warnings.warn(message, stacklevel=2)
+    for lineno, record in values:
         if (
             not isinstance(record, dict)
             or record.get("format") != HISTORY_FORMAT
@@ -186,5 +179,4 @@ def load_history(path: str | Path) -> list[dict[str, Any]]:
             raise ValueError(
                 f"{target}:{lineno}: not a {HISTORY_FORMAT} record"
             )
-        records.append(record)
-    return records
+    return [record for _, record in values]

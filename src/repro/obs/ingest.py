@@ -1,28 +1,18 @@
-"""Tolerant ``repro-telemetry/1`` JSONL ingestion.
+"""Tolerant JSONL ingestion: telemetry streams and bench history.
 
-Every consumer of a telemetry event stream (``repro trace``, the
-``repro perf`` analytics family) goes through this module instead of
-parsing lines ad hoc, so the failure modes real streams exhibit are
-handled once, identically, everywhere:
-
-* **empty file** — a clear :class:`TelemetryStreamError` naming the
-  path, never an opaque downstream ``IndexError``;
-* **truncated final line** — a run that was killed mid-write leaves a
-  partial JSON object on the last line; the reader drops it and
-  records a warning instead of raising ``json.JSONDecodeError`` (the
-  rest of the stream is still perfectly analyzable);
-* **garbage in the middle** — a non-final unparsable line *is* an
-  error (the stream's integrity is gone), reported as
-  ``path:lineno: message``;
-* **concatenated runs** — appending several runs to one file is
-  legitimate (``>>`` redirection, log rotation misfires); each
-  ``header`` event starts a new run, and :func:`load_runs` returns
-  them split, in order.
+:func:`read_jsonl` is the one reader of both JSONL files the repo
+reads, ``repro-telemetry/1`` event streams (``repro trace``, ``repro
+perf``) and ``repro-bench-history/1`` records (``repro perf check``).
+A truncated final line (a run killed mid-write) is dropped with a
+warning; garbage on any other line is a ``path:lineno`` error, and a
+file with nothing valid in it an error naming the path.  Several runs
+appended to one telemetry file are split at each ``header`` event.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -30,14 +20,14 @@ from typing import Any
 __all__ = [
     "TelemetryStreamError",
     "TelemetryStream",
+    "read_jsonl",
     "load_stream",
-    "load_runs",
-    "load_single_run",
+    "load_cli_stream",
 ]
 
 
 class TelemetryStreamError(ValueError):
-    """A telemetry stream that cannot be analyzed, with file context."""
+    """A telemetry stream or bench history that cannot be read."""
 
 
 @dataclass
@@ -57,82 +47,89 @@ class TelemetryStream:
         return [e for run in self.runs for e in run]
 
 
-def load_stream(path: str | Path) -> TelemetryStream:
-    """Parse a telemetry JSONL file tolerantly (see module docstring).
+def read_jsonl(
+    path: Path, item: str, kind: str
+) -> tuple[list[tuple[int, Any]], list[str]]:
+    """``(lineno, value)`` of every JSON line of ``path``, and warnings.
 
-    Raises :class:`TelemetryStreamError` for an empty/missing file or
-    for garbage on a non-final line; a truncated final line is dropped
-    with a warning.
+    Blank lines are skipped; a truncated final line after valid ones
+    is dropped with a warning.  Raises :class:`TelemetryStreamError`
+    for an unreadable file, for garbage on any other line (``item``
+    names what a line should have been) and for a file with no valid
+    line (``kind`` names the file).
     """
-    target = Path(path)
     try:
-        text = target.read_text()
+        text = path.read_text()
     except OSError as exc:
-        raise TelemetryStreamError(f"{target}: {exc}") from None
+        raise TelemetryStreamError(f"{path}: {exc}") from None
     lines = text.splitlines()
-    stream = TelemetryStream(path=target)
-    parsed: list[tuple[int, dict[str, Any]]] = []
     last_nonempty = max(
         (i for i, line in enumerate(lines, 1) if line.strip()), default=0
     )
+    values: list[tuple[int, Any]] = []
+    warnings: list[str] = []
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
             continue
         try:
-            event = json.loads(line)
+            values.append((lineno, json.loads(line)))
         except json.JSONDecodeError as exc:
-            # A partial *final* line after valid events is a run that
-            # was killed mid-write — tolerable.  Garbage anywhere
-            # else (including a stream that never parsed at all) is
-            # not.
-            if lineno == last_nonempty and parsed:
-                stream.warnings.append(
-                    f"{target}:{lineno}: dropped truncated final line "
+            if lineno == last_nonempty and values:
+                warnings.append(
+                    f"{path}:{lineno}: dropped truncated final line "
                     f"({exc.msg})"
                 )
                 continue
             raise TelemetryStreamError(
-                f"{target}:{lineno}: not a JSON event line ({exc})"
+                f"{path}:{lineno}: not a {item} ({exc})"
             ) from None
+    if not values:
+        raise TelemetryStreamError(f"{path}: empty {kind}")
+    return values, warnings
+
+
+def load_stream(path: str | Path) -> TelemetryStream:
+    """Parse a telemetry JSONL file with :func:`read_jsonl`, split into
+    runs; raises :class:`TelemetryStreamError` for a line that is not
+    an event."""
+    target = Path(path)
+    values, warnings = read_jsonl(
+        target, "JSON event line", "telemetry stream"
+    )
+    stream = TelemetryStream(path=target, warnings=warnings)
+    current: list[dict[str, Any]] = []
+    for lineno, event in values:
         if not isinstance(event, dict) or "event" not in event:
             raise TelemetryStreamError(
                 f"{target}:{lineno}: not a telemetry event"
             )
-        parsed.append((lineno, event))
-    if not parsed:
-        raise TelemetryStreamError(f"{target}: empty telemetry stream")
-
-    current: list[dict[str, Any]] = []
-    for lineno, event in parsed:
         if event["event"] == "header" and current:
             stream.runs.append(current)
             current = []
         current.append(event)
     stream.runs.append(current)
-    if stream.runs and stream.runs[0][0].get("event") != "header":
+    if stream.runs[0][0].get("event") != "header":
         stream.warnings.append(
             f"{target}: stream does not start with a header event"
         )
     return stream
 
 
-def load_runs(path: str | Path) -> list[list[dict[str, Any]]]:
-    """The runs of a telemetry file, split at ``header`` events."""
-    return load_stream(path).runs
+def load_cli_stream(path: str | Path, command: str) -> TelemetryStream:
+    """:func:`load_stream` for a CLI command such as ``"repro trace"``.
 
-
-def load_single_run(path: str | Path) -> list[dict[str, Any]]:
-    """The events of a file that must contain exactly one run.
-
-    Concatenated streams are a usage error here — the caller wants one
-    run's analytics, and silently merging two would double-count.
+    A missing file or a :class:`TelemetryStreamError` exits with a
+    message prefixed by ``command``; each warning goes to stderr under
+    the same prefix.
     """
-    stream = load_stream(path)
-    if len(stream.runs) != 1:
-        raise TelemetryStreamError(
-            f"{stream.path}: {len(stream.runs)} concatenated runs in one "
-            f"stream; analyze one run at a time (split at each 'header' "
-            f"line)"
-        )
-    return stream.runs[0]
+    target = Path(path)
+    if not target.is_file():
+        raise SystemExit(f"{command}: no such file: {target}")
+    try:
+        stream = load_stream(target)
+    except TelemetryStreamError as exc:
+        raise SystemExit(f"{command}: {exc}") from None
+    for warning in stream.warnings:
+        print(f"{command}: warning: {warning}", file=sys.stderr)
+    return stream

@@ -1,13 +1,15 @@
-"""Span-profile analytics over ``repro-telemetry/1`` streams.
+"""Span trees and span-profile analytics over ``repro-telemetry/1`` streams.
 
-``repro trace`` renders one run as a tree for eyeballing; this module
-turns the same events into *profiles*:
+Every view of a stream is built on one span tree (:func:`build_tree`)
+and one self-time rule (wall minus direct children):
 
+* :func:`render_trace` — ``repro trace``: one run's provenance, span
+  tree with wall and self time, and metrics, for eyeballing;
 * :func:`span_profile` — per-span-name aggregates: call count, total
-  (wall) time and **self** time (wall minus direct children — where
-  time was actually spent, not merely passed through).  For a
-  well-formed tree self-time is non-negative and the self-times sum
-  exactly to the root wall time (``tests/test_perf.py`` pins both).
+  (wall) time and **self** time (where time was actually spent, not
+  merely passed through).  For a well-formed tree self-time is
+  non-negative and the self-times sum exactly to the root wall time
+  (``tests/test_perf.py`` pins both).
 * :func:`critical_path` — the chain from the longest root span down
   through each node's longest child: the sequence of spans that
   bounds the run's wall time.
@@ -29,6 +31,7 @@ from typing import Any, Iterable, Sequence
 __all__ = [
     "SpanProfile",
     "build_tree",
+    "render_trace",
     "span_profile",
     "critical_path",
     "folded_stacks",
@@ -87,6 +90,84 @@ def _self_ns(
 ) -> int:
     child_ns = sum(c["duration_ns"] for c in children.get(span["id"], []))
     return max(0, span["duration_ns"] - child_ns)
+
+
+def _event(
+    events: Iterable[dict[str, Any]], kind: str
+) -> dict[str, Any] | None:
+    """The first event of ``kind`` (``provenance``, ``metrics``), if any."""
+    return next((e for e in events if e.get("event") == kind), None)
+
+
+def _fmt_attrs(attrs: dict[str, Any]) -> str:
+    if not attrs:
+        return ""
+    inner = ", ".join(f"{k}={v}" for k, v in sorted(attrs.items()))
+    return f"  [{inner}]"
+
+
+def render_trace(events: Sequence[dict[str, Any]]) -> str:
+    """``repro trace``: provenance, span tree and metrics of one run."""
+    lines: list[str] = []
+    provenance = _event(events, "provenance")
+    if provenance is not None:
+        lines.append("provenance:")
+        for key in (
+            "command",
+            "git_sha",
+            "model_version",
+            "backend",
+            "inputs_digest",
+            "requests",
+        ):
+            if key in provenance:
+                lines.append(f"  {key:<14} {provenance[key]}")
+        for device, digest in sorted(
+            (provenance.get("calibrations") or {}).items()
+        ):
+            lines.append(f"  calibration    {device}: {digest[:16]}")
+        lines.append("")
+
+    roots, children = build_tree(events)
+    if roots:
+        count = len(roots) + sum(len(kids) for kids in children.values())
+        total_ns = sum(s["duration_ns"] for s in roots)
+        lines.append(
+            f"span tree ({count} spans, {total_ns / 1e6:.2f} ms total):"
+        )
+        lines.append(f"  {'wall ms':>9} {'self ms':>9}  span")
+
+        def walk(spans: list[dict[str, Any]], depth: int) -> None:
+            for span in spans:
+                lines.append(
+                    f"  {span['duration_ns'] / 1e6:9.2f} "
+                    f"{_self_ns(span, children) / 1e6:9.2f}  "
+                    f"{'  ' * depth}{span['name']}"
+                    f"{_fmt_attrs(span.get('attrs') or {})}"
+                )
+                walk(children.get(span["id"], []), depth + 1)
+
+        walk(roots, 0)
+        lines.append("")
+
+    metrics = _event(events, "metrics") or {}
+    counters = metrics.get("counters") or {}
+    gauges = metrics.get("gauges") or {}
+    histograms = metrics.get("histograms") or {}
+    if counters or gauges or histograms:
+        lines.append("metrics:")
+    for name, value in sorted(counters.items()):
+        lines.append(f"  {name:<44} {value}")
+    for name, value in sorted(gauges.items()):
+        lines.append(f"  {name:<44} {value:.6g}")
+    for name, hist in sorted(histograms.items()):
+        lines.append(
+            f"  {name:<44} n={hist.get('count', 0)} "
+            f"mean={hist.get('mean', 0.0):.6g} "
+            f"min={hist.get('min', 0.0):.6g} "
+            f"max={hist.get('max', 0.0):.6g}"
+        )
+    return "\n".join(lines).rstrip()
 
 
 def span_profile(events: Iterable[dict[str, Any]]) -> list[SpanProfile]:
@@ -204,9 +285,7 @@ def render_report(events: Sequence[dict[str, Any]]) -> str:
     profiles = span_profile(events)
     roots, _ = build_tree(events)
     total_ns = sum(s["duration_ns"] for s in roots)
-    provenance = next(
-        (e for e in events if e.get("event") == "provenance"), None
-    )
+    provenance = _event(events, "provenance")
 
     lines: list[str] = []
     if provenance is not None:

@@ -6,11 +6,11 @@ samples against the matched-host baseline pooled from
 something a regression when **both** of two independent bars are
 cleared:
 
-* **significance** — a two-sided Mann-Whitney U test (exact
-  distribution for small tie-free samples, normal approximation with
-  tie correction otherwise) rejects "same distribution" at ``alpha``;
-  rank-based, so one garbage-collection outlier cannot manufacture or
-  mask a result the way a t-test's mean would;
+* **significance** — a two-sided Mann-Whitney U test (SciPy's exact
+  distribution for small tie-free samples, its normal approximation
+  with tie correction otherwise) rejects "same distribution" at
+  ``alpha``; rank-based, so one garbage-collection outlier cannot
+  manufacture or mask a result the way a t-test's mean would;
 * **effect size** — the median shift exceeds ``min_shift`` (default
   10%); a statistically detectable 0.3% drift is not worth failing a
   build over.
@@ -24,8 +24,8 @@ sentinel never compares timings across host fingerprints.
 
 from __future__ import annotations
 
-import functools
-import math
+import statistics
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -53,56 +53,6 @@ OUTCOMES = (
 )
 
 
-def _ranks(values: Sequence[float]) -> list[float]:
-    """Average ranks (1-based) with ties sharing their mean rank."""
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while (
-            j + 1 < len(order)
-            and values[order[j + 1]] == values[order[i]]
-        ):
-            j += 1
-        mean_rank = (i + j) / 2 + 1
-        for k in range(i, j + 1):
-            ranks[order[k]] = mean_rank
-        i = j + 1
-    return ranks
-
-
-@functools.lru_cache(maxsize=None)
-def _u_counts(n: int, m: int) -> tuple[int, ...]:
-    """Null distribution of U: counts[u] arrangements with U == u.
-
-    The Mann-Whitney counting recurrence
-    ``N(u; n, m) = N(u - m; n - 1, m) + N(u; n, m - 1)``: the largest
-    observation is either an x (contributing m pairs) or a y.
-    """
-    if n == 0 or m == 0:
-        return (1,)
-    left = _u_counts(n - 1, m)
-    right = _u_counts(n, m - 1)
-    return tuple(
-        (left[u - m] if 0 <= u - m < len(left) else 0)
-        + (right[u] if u < len(right) else 0)
-        for u in range(n * m + 1)
-    )
-
-
-def _exact_p(u: float, n: int, m: int) -> float:
-    """Two-sided exact ``P(U <= u) * 2`` for tie-free samples.
-
-    Feasible for the sample counts a bench history realistically
-    holds (``n*m <= 400``); ``u`` is the smaller one-sided statistic.
-    """
-    counts = _u_counts(n, m)
-    total = math.comb(n + m, n)
-    cdf = sum(counts[: int(math.floor(u)) + 1]) / total
-    return min(1.0, 2.0 * cdf)
-
-
 def mann_whitney_u(
     a: Sequence[float], b: Sequence[float]
 ) -> tuple[float, float]:
@@ -111,42 +61,23 @@ def mann_whitney_u(
     ``U`` is the smaller of the two one-sided statistics.  Tie-free
     samples with ``n*m <= 400`` get the exact null distribution;
     larger or tied samples get the normal approximation with tie
-    correction and continuity correction.
+    correction and continuity correction, which puts ``p`` at 1.0
+    when ``U`` is ``n*m/2``.  Both come from
+    :func:`scipy.stats.mannwhitneyu`, imported on the first call so
+    that no CLI import path loads SciPy.
     """
     n, m = len(a), len(b)
     if n == 0 or m == 0:
         raise ValueError("mann_whitney_u needs non-empty samples")
-    combined = list(a) + list(b)
-    ranks = _ranks(combined)
-    r_a = sum(ranks[:n])
-    u_a = r_a - n * (n + 1) / 2
-    u_b = n * m - u_a
-    u = min(u_a, u_b)
+    from scipy.stats import mannwhitneyu
 
-    has_ties = len(set(combined)) != len(combined)
-    if not has_ties and n * m <= 400:
-        return u, _exact_p(u, n, m)
-
-    mean = n * m / 2
-    nm = n + m
-    tie_term = 0.0
-    seen: dict[float, int] = {}
-    for v in combined:
-        seen[v] = seen.get(v, 0) + 1
-    for count in seen.values():
-        tie_term += count**3 - count
-    var = (n * m / 12) * ((nm + 1) - tie_term / (nm * (nm - 1)))
-    if var <= 0:  # every observation identical
-        return u, 1.0
-    z = (u - mean + 0.5) / math.sqrt(var)
-    p = math.erfc(abs(z) / math.sqrt(2))
-    return u, min(1.0, p)
-
-
-def _median(values: Sequence[float]) -> float:
-    s = sorted(values)
-    mid = len(s) // 2
-    return s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2
+    combined = [*a, *b]
+    exact = n * m <= 400 and len(set(combined)) == len(combined)
+    u_a, p = mannwhitneyu(
+        a, b, alternative="two-sided",
+        method="exact" if exact else "asymptotic",
+    )
+    return float(min(u_a, n * m - u_a)), float(p)
 
 
 @dataclass(frozen=True)
@@ -212,9 +143,7 @@ class CheckReport:
             lines.append(
                 f"  {v.outcome:<22} {v.case:<{width}}  {detail}"
             )
-        counts: dict[str, int] = {}
-        for v in self.verdicts:
-            counts[v.outcome] = counts.get(v.outcome, 0) + 1
+        counts = Counter(v.outcome for v in self.verdicts)
         lines.append(
             "summary: "
             + ", ".join(
@@ -286,6 +215,7 @@ def check_bench(
 
     for case, samples in sorted(case_samples(current).items()):
         base = baseline.get(case, [])
+        measured: dict[str, float] = {}
         if not history:
             outcome = "no-history"
         elif not host_matched:
@@ -296,8 +226,8 @@ def check_bench(
         elif len(base) < min_samples:
             outcome = "insufficient-history"
         else:
-            med_cur = _median(samples)
-            med_base = _median(base)
+            med_cur = statistics.median(samples)
+            med_base = statistics.median(base)
             shift = (med_cur - med_base) / med_base if med_base else 0.0
             _, p = mann_whitney_u(samples, base)
             if p < alpha and shift > min_shift:
@@ -306,20 +236,12 @@ def check_bench(
                 outcome = "improvement"
             else:
                 outcome = "neutral"
-            report.verdicts.append(
-                CaseVerdict(
-                    case=case,
-                    outcome=outcome,
-                    current_n=len(samples),
-                    baseline_n=len(base),
-                    baseline_runs=baseline_runs.get(case, 0),
-                    median_current=med_cur,
-                    median_baseline=med_base,
-                    shift=shift,
-                    p_value=p,
-                )
+            measured = dict(
+                median_current=med_cur,
+                median_baseline=med_base,
+                shift=shift,
+                p_value=p,
             )
-            continue
         report.verdicts.append(
             CaseVerdict(
                 case=case,
@@ -327,6 +249,7 @@ def check_bench(
                 current_n=len(samples),
                 baseline_n=len(base),
                 baseline_runs=baseline_runs.get(case, 0),
+                **measured,
             )
         )
     return report

@@ -228,30 +228,9 @@ class Telemetry:
         return self._spans
 
     # -- recording ----------------------------------------------------------
-
-    def span(self, name: str, **attrs: Any):
-        """Open a nested span; a context manager either way."""
-        if not self.enabled:
-            return _NOOP_SPAN
-        return _ActiveSpan(self, name, attrs)
-
-    def count(self, name: str, value: int = 1) -> None:
-        """Increment a monotonic counter."""
-        if self.enabled:
-            self.counters[name] = self.counters.get(name, 0) + value
-
-    def gauge(self, name: str, value: float) -> None:
-        """Set a last-write-wins gauge."""
-        if self.enabled:
-            self.gauges[name] = float(value)
-
-    def observe(self, name: str, value: float) -> None:
-        """Add one observation to a histogram summary."""
-        if self.enabled:
-            hist = self.histograms.get(name)
-            if hist is None:
-                hist = self.histograms[name] = HistogramSummary()
-            hist.add(float(value))
+    #
+    # Spans, counters, gauges and histograms are recorded by the
+    # module-level helpers below, which every instrumentation site calls.
 
     def set_manifest(self, manifest: dict[str, Any]) -> None:
         """Attach the run-provenance manifest (see ``repro.obs.provenance``)."""
@@ -389,7 +368,8 @@ def set_telemetry(tel: Telemetry) -> Telemetry:
 def configure(spec: str | None) -> Telemetry:
     """Parse a ``--telemetry`` spec and install the result.
 
-    Accepted forms: ``off`` (or None), ``summary``, ``jsonl:PATH``.
+    Accepted forms: ``off`` (or None), ``summary``, ``jsonl:PATH``,
+    ``prom:PATH``.
     """
     if spec is None or spec == "off":
         return set_telemetry(Telemetry("off"))
@@ -441,4 +421,7 @@ def observe(name: str, value: float) -> None:
     """Record a histogram observation (no-op when off)."""
     tel = _CURRENT
     if tel.enabled:
-        tel.observe(name, value)
+        hist = tel.histograms.get(name)
+        if hist is None:
+            hist = tel.histograms[name] = HistogramSummary()
+        hist.add(float(value))

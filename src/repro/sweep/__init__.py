@@ -22,10 +22,11 @@ evaluation path every sweep-driven experiment runs on:
   search and merge (:func:`~repro.sweep.keys.pack_configs`).
 * :func:`~repro.sweep.bench.run_benchmark` — times the scalar model,
   the vectorized batch model and the planner session against each
-  other (``repro bench``).
+  other and returns the ``BENCH_sweep.json`` document as a plain dict
+  (``repro bench``).
 """
 
-from repro.sweep.bench import BenchmarkCase, run_benchmark
+from repro.sweep.bench import run_benchmark
 from repro.sweep.keys import MODEL_VERSION, canonical_json, shard_digest
 from repro.sweep.plan import SweepRequest, resolve_device
 from repro.sweep.planner import (
@@ -35,7 +36,6 @@ from repro.sweep.planner import (
 )
 
 __all__ = [
-    "BenchmarkCase",
     "EvalPlanner",
     "MODEL_VERSION",
     "PlannerStats",

@@ -1,73 +1,28 @@
 """Backend benchmark for the sweep models (``repro bench``).
 
-Times the evaluation paths — the scalar model of record, the
-NumPy-vectorized batch model, and the cross-experiment planner over
-the columnar store — and records the results as ``BENCH_sweep.json``
-so the perf trajectory of the simulator is tracked in-repo.
+Writes ``BENCH_sweep.json`` (:data:`BENCH_VERSION`) with four sections:
 
-Methodology
------------
-Each backend evaluates the *same* configuration list (the full default
-sweep of :class:`repro.apps.matmul_gpu.MatmulGPUApp`) with no store
-attached, so the measurement is pure evaluation:
+* ``cases`` — per matrix size, one device's full default sweep
+  through the scalar model of record and the vectorized batch model,
+  with the maximum relative deviation between them;
+* ``incremental_front`` — the streaming Pareto front against the batch
+  kernel on a 50 000-point cloud, and whether the fronts are equal;
+* ``planner`` — a session over both devices, several sizes and
+  total-products variants with overlapping requests: a scalar loop per
+  request (the per-experiment baseline), then one planner over an
+  empty store (cold) and over the filled store (warm);
+* ``telemetry_overhead`` — the warm session with telemetry off and on.
 
-* ``scalar`` times a :meth:`repro.simgpu.device.GPUDevice.run_matmul`
-  loop over the configurations — the scalar model of record;
-* ``vectorized`` times :func:`repro.simgpu.batch.evaluate_configs_batch`.
+Each case keeps every repeat's wall time (``samples``) next to the
+minimum it reports, and each run appends a ``repro-bench-history/1``
+record (:mod:`repro.obs.history`) for ``repro perf check``.  Four
+regression gates fail the run (:func:`run_from_args`).
 
-The ``planner`` section benchmarks a whole *session* on an enlarged
-grid (both devices x sizes x total-products variants, with overlapping
-requests as real experiment sessions have):
-
-* ``per_experiment_s`` — a scalar ``run_matmul`` loop per request, no
-  store: the per-experiment baseline path (how ``repro experiment``
-  ran each figure before the planner existed);
-* ``planner_cold_s`` — one :class:`repro.sweep.planner.EvalPlanner`
-  over an empty columnar store: dedup + vectorized mega-batch fill +
-  store append + serving every request as a structured table;
-* ``planner_warm_s`` — a fresh planner over the now-filled store:
-  pure vectorized shard lookups, zero evaluation.
-
-Every backend case also records the maximum relative deviation of the
-vectorized results from the scalar reference, so the reported speedup
-is always tied to the parity it was achieved at.  Wall-clock is the
-*minimum* over ``repeats`` runs (the standard noise-robust estimator).
-
-The per-``(N, BS, G)`` memo caches (``matmul_kernel_resources`` /
-``matmul_traffic``) are cleared before every timed run of every
-backend: those caches are keyed by the sweep's inputs, so a production
-sweep of a *new* matrix size never hits them — timing warm repeats of
-the identical sweep would measure an artifact of the benchmark loop,
-not the fresh-sweep cost users pay.  Caches keyed by the block shape
-rather than N — ``avg_rows_per_warp`` (BS) and ``compute_occupancy``
-(threads and shared memory per block) — are legitimately shared across
-sweeps and stay warm.
-
-The ``telemetry_overhead`` section times the warm planner session with
-telemetry off and on (``repro.obs``); the run fails if the on-path
-overhead exceeds :data:`TELEMETRY_OVERHEAD_LIMIT` (5%), and the
-instrumented run's event stream lands next to ``--output`` as
-``BENCH_telemetry.jsonl`` (a ``repro trace`` input; CI uploads it as
-an artifact).
-
-Bench v4 added ``incremental_front``: it streams a synthetic point
-cloud through :class:`repro.core.incremental.IncrementalParetoFront`
-and diffs the result against the batch ``front_indices`` kernel — the
-incremental-vs-batch equivalence gate in bench form (any mismatch
-fails the run).
-
-``host.peak_rss_kb`` records the benchmark process's own high-water
-resident set (``getrusage``) in every document.
-
-Bench v5 (the performance observatory): every timed case retains its
-raw per-repeat wall samples (``samples`` per case,
-``planner.samples`` per session path) next to the min-summary, and
-the document carries ``git_sha`` plus the planner session's
-provenance ``inputs_digest``.  Unless ``--no-history`` is given, the
-run appends one ``repro-bench-history/1`` record (host fingerprint +
-samples, see :mod:`repro.obs.history`) to ``--history`` —
-``BENCH_sweep.json`` stays the latest-run view while the history
-JSONL accumulates the trajectory ``repro perf check`` tests against.
+The per-``(N, BS, G)`` memo caches are cleared before every timed run:
+a production sweep of a new matrix size never hits them, so warm
+repeats would time the benchmark loop, not the cost users pay.  Caches
+keyed by the block shape (``avg_rows_per_warp``,
+``compute_occupancy``) are shared across sweeps and stay warm.
 """
 
 from __future__ import annotations
@@ -80,35 +35,16 @@ import sys
 import tempfile
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from pathlib import Path
 
 __all__ = [
-    "BenchmarkCase",
     "run_benchmark",
     "format_results",
     "add_bench_flags",
     "run_from_args",
 ]
 
-#: Schema tag of the BENCH_sweep.json document.  ``/2`` added the
-#: session-level ``planner`` section; ``/3`` added
-#: ``telemetry_overhead`` (warm planner session with telemetry
-#: recording on vs off) and the telemetry JSONL artifact; ``/4`` added
-#: ``incremental_front`` (streaming-vs-batch equivalence gate),
-#: ``host.peak_rss_kb``, and the opt-in ``large`` section (a
-#: million-point memory-mapped shard and its peak-RSS gate); ``/5``
-#: retains the raw per-repeat wall samples (per-case ``samples`` and
-#: ``planner.samples``) plus ``git_sha`` and the planner session's
-#: provenance ``inputs_digest`` — the inputs of the bench history
-#: store and the Mann-Whitney regression sentinel
-#: (:mod:`repro.obs.history`, :mod:`repro.obs.sentinel`, ``repro perf
-#: check``); ``/6`` drops the process-pool ``parallel`` case, the
-#: ``parallel_crossover`` section and the per-case ``jobs``,
-#: ``auto_mode``, ``parallel_s`` and ``speedup_parallel`` fields, with
-#: the pool itself.  The ``large`` section went later, with the mapped
-#: shard read it measured; the tag stayed ``/6`` because only opt-in
-#: runs ever wrote that section.
+#: Schema tag of the BENCH_sweep.json document.
 BENCH_VERSION = "repro-bench/6"
 
 #: CI gate: telemetry-on may cost at most this fraction over
@@ -125,38 +61,6 @@ PLANNER_PRODUCTS = (24, 120)
 
 #: Devices the planner session covers.
 PLANNER_DEVICES = ("k40c", "p100")
-
-
-@dataclass(frozen=True)
-class BenchmarkCase:
-    """Timings of one ``(device, N)`` sweep across backends."""
-
-    device: str
-    n: int
-    configs: int
-    scalar_s: float
-    vectorized_s: float
-    max_rel_deviation: float
-    #: Raw per-repeat wall samples per backend (``scalar`` /
-    #: ``vectorized``) — the ``*_s`` summaries above are their minima;
-    #: the history store keeps the full arrays.
-    samples: dict[str, list[float]] = field(default_factory=dict)
-
-    @property
-    def speedup_vectorized(self) -> float:
-        return self.scalar_s / self.vectorized_s
-
-    def as_dict(self) -> dict:
-        return {
-            "device": self.device,
-            "n": self.n,
-            "configs": self.configs,
-            "scalar_s": self.scalar_s,
-            "vectorized_s": self.vectorized_s,
-            "speedup_vectorized": self.speedup_vectorized,
-            "max_rel_deviation": self.max_rel_deviation,
-            "samples": self.samples,
-        }
 
 
 def _clear_sweep_memo() -> None:
@@ -181,10 +85,6 @@ def _samples_of(fn, repeats: int) -> list[float]:
     return samples
 
 
-def _best_of(fn, repeats: int) -> float:
-    return min(_samples_of(fn, repeats))
-
-
 def _scalar_sweep(spec, cal, n: int, configs) -> list[tuple[float, float]]:
     """``(time_s, dynamic_energy_j)`` of each config by the scalar model."""
     from repro.simgpu.device import GPUDevice
@@ -197,7 +97,7 @@ def _scalar_sweep(spec, cal, n: int, configs) -> list[tuple[float, float]]:
     return out
 
 
-def _bench_case(device: str, n: int, *, repeats: int) -> BenchmarkCase:
+def _bench_case(device: str, n: int, *, repeats: int) -> dict:
     from repro.apps.matmul_gpu import MatmulGPUApp
     from repro.machines import get_machine
     from repro.simgpu.batch import evaluate_configs_batch
@@ -223,18 +123,21 @@ def _bench_case(device: str, n: int, *, repeats: int) -> BenchmarkCase:
     vectorized_samples = _samples_of(
         lambda: evaluate_configs_batch(spec, cal, n, configs), repeats
     )
-    return BenchmarkCase(
-        device=device,
-        n=n,
-        configs=len(configs),
-        scalar_s=min(scalar_samples),
-        vectorized_s=min(vectorized_samples),
-        max_rel_deviation=max_dev,
-        samples={
+    scalar_s = min(scalar_samples)
+    vectorized_s = min(vectorized_samples)
+    return {
+        "device": device,
+        "n": n,
+        "configs": len(configs),
+        "scalar_s": scalar_s,
+        "vectorized_s": vectorized_s,
+        "speedup_vectorized": scalar_s / vectorized_s,
+        "max_rel_deviation": max_dev,
+        "samples": {
             "scalar": scalar_samples,
             "vectorized": vectorized_samples,
         },
-    )
+    }
 
 
 def _planner_requests(sizes: Sequence[int]) -> list:
@@ -257,9 +160,19 @@ def _planner_requests(sizes: Sequence[int]) -> list:
     return base + overlap
 
 
-def _bench_planner(sizes: Sequence[int], *, repeats: int) -> dict:
+def _planner_session(requests: list, store_dir):
+    """One planner session: add every request, fill, serve each table."""
     from repro.sweep.planner import EvalPlanner
 
+    planner = EvalPlanner(store_dir=store_dir)
+    planner.add_all(requests)
+    planner.execute()
+    for request in requests:
+        planner.table(request)
+    return planner
+
+
+def _bench_planner(sizes: Sequence[int], *, repeats: int) -> dict:
     requests = _planner_requests(sizes)
 
     def per_experiment() -> None:
@@ -271,24 +184,19 @@ def _bench_planner(sizes: Sequence[int], *, repeats: int) -> dict:
                 request.configs(),
             )
 
-    def run_planner(store_dir) -> EvalPlanner:
-        planner = EvalPlanner(store_dir=store_dir)
-        planner.add_all(requests)
-        planner.execute()
-        for request in requests:
-            planner.table(request)
-        return planner
-
     def cold() -> None:
         with tempfile.TemporaryDirectory() as d:
-            run_planner(d)
+            _planner_session(requests, d)
 
     per_experiment_samples = _samples_of(per_experiment, repeats)
     cold_samples = _samples_of(cold, repeats)
 
     with tempfile.TemporaryDirectory() as d:
-        stats = run_planner(d).stats  # fill once (also: dedup stats)
-        warm_samples = _samples_of(lambda: run_planner(d), repeats)
+        # Fill once (also: dedup stats).
+        stats = _planner_session(requests, d).stats
+        warm_samples = _samples_of(
+            lambda: _planner_session(requests, d), repeats
+        )
 
     per_experiment_s = min(per_experiment_samples)
     planner_cold_s = min(cold_samples)
@@ -332,12 +240,11 @@ def _bench_telemetry(
     """
     from repro import obs
     from repro.obs.provenance import run_manifest
-    from repro.sweep.planner import EvalPlanner
 
     requests = _planner_requests(sizes)
     # The comparison is a ratio of two ~10 ms measurements; a single
     # noisy sample would dominate it, so floor the repeat count even
-    # under --quick, *interleave* the off/on runs pairwise so slow
+    # at --repeats 1, *interleave* the off/on runs pairwise so slow
     # drift (CPU frequency, a co-tenant waking up) hits both sides
     # equally, alternate which side runs first within each pair to
     # cancel ordering bias, and gate on the *interquartile mean of
@@ -349,36 +256,28 @@ def _bench_telemetry(
     # halve the deviation and kept every estimate under 3.7%.
     repeats = max(201, repeats)
 
-    def session(store_dir) -> None:
-        planner = EvalPlanner(store_dir=store_dir)
-        planner.add_all(requests)
-        planner.execute()
-        for request in requests:
-            planner.table(request)
-
     prev = obs.get_telemetry()
     try:
         with tempfile.TemporaryDirectory() as d:
-            session(d)  # fill the store once: both paths measure warm
+            # Fill the store once: both paths measure warm.
+            _planner_session(requests, d)
 
-            def timed_off() -> float:
-                obs.set_telemetry(obs.Telemetry("off"))
-                return _samples_of(lambda: session(d), 1)[0]
-
-            def timed_on() -> float:
-                # Fresh registry per on-run so recording cost, not
-                # list growth across runs, is what gets measured.
-                obs.set_telemetry(obs.Telemetry("summary"))
-                return _samples_of(lambda: session(d), 1)[0]
+            def timed(mode: str) -> float:
+                # Fresh registry per run so recording cost, not list
+                # growth across runs, is what gets measured.
+                obs.set_telemetry(obs.Telemetry(mode))
+                return _samples_of(
+                    lambda: _planner_session(requests, d), 1
+                )[0]
 
             offs, ons = [], []
             for i in range(repeats):
                 if i % 2 == 0:
-                    offs.append(timed_off())
-                    ons.append(timed_on())
+                    offs.append(timed("off"))
+                    ons.append(timed("summary"))
                 else:
-                    ons.append(timed_on())
-                    offs.append(timed_off())
+                    ons.append(timed("summary"))
+                    offs.append(timed("off"))
             obs.set_telemetry(obs.Telemetry("off"))
             deltas = sorted(on - off for on, off in zip(ons, offs))
             quarter = len(deltas) // 4
@@ -393,7 +292,7 @@ def _bench_telemetry(
                         "bench", backend="vectorized", requests=requests
                     )
                 )
-                session(d)
+                _planner_session(requests, d)
                 tel.write_jsonl()
     finally:
         obs.set_telemetry(prev)
@@ -423,14 +322,16 @@ def _bench_incremental(*, repeats: int, points: int = 50_000) -> dict:
     times = rng.uniform(0.1, 10.0, points)
     energies = rng.uniform(1.0, 1000.0, points)
 
-    batch_s = _best_of(lambda: front_indices(times, energies), repeats)
+    batch_s = min(
+        _samples_of(lambda: front_indices(times, energies), repeats)
+    )
 
     def stream() -> IncrementalParetoFront:
         inc = IncrementalParetoFront()
         inc.extend(zip(times.tolist(), energies.tolist()))
         return inc
 
-    incremental_s = _best_of(stream, repeats)
+    incremental_s = min(_samples_of(stream, repeats))
     inc_front = [(p.time_s, p.energy_j) for p in stream().points()]
     idx = front_indices(times, energies)
     batch_front = list(zip(times[idx].tolist(), energies[idx].tolist()))
@@ -448,7 +349,6 @@ def run_benchmark(
     device: str = "p100",
     sizes: Sequence[int] = DEFAULT_SIZES,
     repeats: int = 5,
-    planner: bool = True,
     telemetry_jsonl: str | Path | None = None,
 ) -> dict:
     """Run the backend benchmark; returns the BENCH_sweep.json document."""
@@ -458,7 +358,6 @@ def run_benchmark(
         raise ValueError("repeats must be at least 1")
     from repro.obs.provenance import git_revision, requests_digest
 
-    cases = [_bench_case(device, n, repeats=repeats) for n in sizes]
     doc = {
         "version": BENCH_VERSION,
         "host": {
@@ -472,14 +371,13 @@ def run_benchmark(
         # a timing shift can be tied to a code or an input change).
         "git_sha": git_revision(),
         "inputs_digest": requests_digest(_planner_requests(sizes)),
-        "cases": [c.as_dict() for c in cases],
-    }
-    doc["incremental_front"] = _bench_incremental(repeats=repeats)
-    if planner:
-        doc["planner"] = _bench_planner(sizes, repeats=repeats)
-        doc["telemetry_overhead"] = _bench_telemetry(
+        "cases": [_bench_case(device, n, repeats=repeats) for n in sizes],
+        "incremental_front": _bench_incremental(repeats=repeats),
+        "planner": _bench_planner(sizes, repeats=repeats),
+        "telemetry_overhead": _bench_telemetry(
             sizes, repeats=repeats, jsonl_path=telemetry_jsonl
-        )
+        ),
+    }
     doc["host"]["peak_rss_kb"] = resource.getrusage(
         resource.RUSAGE_SELF
     ).ru_maxrss
@@ -513,55 +411,83 @@ def format_results(doc: dict) -> str:
         ],
         rows,
     )
-    inc = doc.get("incremental_front")
-    if inc is not None:
-        out += (
-            f"\n\nincremental front: {inc['points']} points -> "
-            f"{inc['front_size']} front, batch "
-            f"{inc['batch_s'] * 1e3:.2f} ms, streaming "
-            f"{inc['incremental_s'] * 1e3:.2f} ms, equivalent: "
-            f"{'yes' if inc['equivalent'] else 'NO'}"
+    inc = doc["incremental_front"]
+    out += (
+        f"\n\nincremental front: {inc['points']} points -> "
+        f"{inc['front_size']} front, batch "
+        f"{inc['batch_s'] * 1e3:.2f} ms, streaming "
+        f"{inc['incremental_s'] * 1e3:.2f} ms, equivalent: "
+        f"{'yes' if inc['equivalent'] else 'NO'}"
+    )
+    p = doc["planner"]
+    out += (
+        f"\n\nplanner session: {p['requests']} requests, "
+        f"{p['requested_points']} points "
+        f"({p['unique_points']} unique, "
+        f"dedup {p['dedup_ratio']:.2f}x)\n"
+        + format_table(
+            ["path", "wall (ms)", "speedup"],
+            [
+                (
+                    "per-experiment (scalar)",
+                    f"{p['per_experiment_s'] * 1e3:.2f}",
+                    "1.0x",
+                ),
+                (
+                    "planner cold store",
+                    f"{p['planner_cold_s'] * 1e3:.2f}",
+                    f"{p['speedup_cold']:.1f}x",
+                ),
+                (
+                    "planner warm store",
+                    f"{p['planner_warm_s'] * 1e3:.2f}",
+                    f"{p['speedup_warm']:.1f}x",
+                ),
+            ],
         )
-    p = doc.get("planner")
-    if p is not None:
-        out += (
-            f"\n\nplanner session: {p['requests']} requests, "
-            f"{p['requested_points']} points "
-            f"({p['unique_points']} unique, "
-            f"dedup {p['dedup_ratio']:.2f}x)\n"
-            + format_table(
-                ["path", "wall (ms)", "speedup"],
-                [
-                    (
-                        "per-experiment (scalar)",
-                        f"{p['per_experiment_s'] * 1e3:.2f}",
-                        "1.0x",
-                    ),
-                    (
-                        "planner cold store",
-                        f"{p['planner_cold_s'] * 1e3:.2f}",
-                        f"{p['speedup_cold']:.1f}x",
-                    ),
-                    (
-                        "planner warm store",
-                        f"{p['planner_warm_s'] * 1e3:.2f}",
-                        f"{p['speedup_warm']:.1f}x",
-                    ),
-                ],
-            )
-        )
-    t = doc.get("telemetry_overhead")
-    if t is not None:
-        out += (
-            f"\n\ntelemetry overhead (warm planner session): "
-            f"off {t['planner_warm_off_s'] * 1e3:.2f} ms, "
-            f"on {t['planner_warm_on_s'] * 1e3:.2f} ms "
-            f"({t['overhead_frac'] * 100:+.1f}%, limit "
-            f"{t['limit_frac'] * 100:.0f}%)"
-        )
-        if t.get("jsonl"):
-            out += f"\ntelemetry event stream: {t['jsonl']}"
+    )
+    t = doc["telemetry_overhead"]
+    out += (
+        f"\n\ntelemetry overhead (warm planner session): "
+        f"off {t['planner_warm_off_s'] * 1e3:.2f} ms, "
+        f"on {t['planner_warm_on_s'] * 1e3:.2f} ms "
+        f"({t['overhead_frac'] * 100:+.1f}%, limit "
+        f"{t['limit_frac'] * 100:.0f}%)"
+    )
+    if t["jsonl"]:
+        out += f"\ntelemetry event stream: {t['jsonl']}"
     return out
+
+
+def _gate_failures(doc: dict) -> list[str]:
+    """The message of each regression gate that ``doc`` fails."""
+    worst = min(c["speedup_vectorized"] for c in doc["cases"])
+    warm = doc["planner"]["speedup_warm"]
+    overhead = doc["telemetry_overhead"]["overhead_frac"]
+    gates = (
+        (
+            worst < 1.0,
+            f"vectorized backend slower than scalar ({worst:.2f}x) — "
+            f"perf regression",
+        ),
+        (
+            warm < 1.0,
+            f"warm-store planner slower than the per-experiment "
+            f"baseline ({warm:.2f}x) — perf regression",
+        ),
+        (
+            overhead > TELEMETRY_OVERHEAD_LIMIT,
+            f"telemetry-on overhead {overhead * 100:.1f}% exceeds the "
+            f"{TELEMETRY_OVERHEAD_LIMIT * 100:.0f}% limit on the warm "
+            f"planner session — instrumentation regression",
+        ),
+        (
+            not doc["incremental_front"]["equivalent"],
+            "incremental Pareto front diverged from the batch kernel — "
+            "front maintenance regression",
+        ),
+    )
+    return [message for failed, message in gates if failed]
 
 
 def add_bench_flags(parser: argparse.ArgumentParser) -> None:
@@ -580,15 +506,6 @@ def add_bench_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--repeats", type=positive_int, default=5,
         help="timing repeats per backend; wall-clock is the minimum",
-    )
-    parser.add_argument(
-        "--no-planner", action="store_true",
-        help="skip the planner session case",
-    )
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="single repeat — the CI smoke settings (the planner case "
-             "stays on)",
     )
     parser.add_argument(
         "--output", default="BENCH_sweep.json", metavar="FILE",
@@ -623,10 +540,11 @@ def add_bench_flags(parser: argparse.ArgumentParser) -> None:
 def run_from_args(args: argparse.Namespace) -> int:
     """Run the benchmark from parsed flags; returns the exit code.
 
-    Non-zero if the vectorized backend is slower than the serial scalar
-    path on any case, or if the warm-store planner session is slower
-    than the per-experiment baseline — the benchmark doubles as a perf
-    regression gate (CI runs it with ``--quick``).
+    Non-zero if any regression gate fails: the vectorized backend
+    slower than the scalar model on any case, the warm-store planner
+    session slower than the per-experiment baseline, telemetry-on
+    overhead above :data:`TELEMETRY_OVERHEAD_LIMIT`, or the incremental
+    Pareto front diverging from the batch kernel.
     """
     telemetry_jsonl = args.telemetry_output
     if telemetry_jsonl is None:
@@ -642,8 +560,7 @@ def run_from_args(args: argparse.Namespace) -> int:
     doc = run_benchmark(
         device=args.device,
         sizes=args.sizes,
-        repeats=1 if args.quick else args.repeats,
-        planner=not args.no_planner,
+        repeats=args.repeats,
         telemetry_jsonl=telemetry_jsonl,
     )
     Path(args.output).write_text(json.dumps(doc, indent=2) + "\n")
@@ -655,47 +572,7 @@ def run_from_args(args: argparse.Namespace) -> int:
         target = append_record(args.history, history_record(doc))
         print(f"appended history record to {target}")
 
-    failed = False
-    slow = [
-        c for c in doc["cases"] if c["speedup_vectorized"] < 1.0
-    ]
-    if slow:
-        worst = min(c["speedup_vectorized"] for c in slow)
-        print(
-            f"FAIL: vectorized backend slower than scalar "
-            f"({worst:.2f}x) — perf regression",
-            file=sys.stderr,
-        )
-        failed = True
-    planner = doc.get("planner")
-    if planner is not None and planner["speedup_warm"] < 1.0:
-        print(
-            f"FAIL: warm-store planner slower than the per-experiment "
-            f"baseline ({planner['speedup_warm']:.2f}x) — perf "
-            f"regression",
-            file=sys.stderr,
-        )
-        failed = True
-    telemetry = doc.get("telemetry_overhead")
-    if (
-        telemetry is not None
-        and telemetry["overhead_frac"] > TELEMETRY_OVERHEAD_LIMIT
-    ):
-        print(
-            f"FAIL: telemetry-on overhead "
-            f"{telemetry['overhead_frac'] * 100:.1f}% exceeds the "
-            f"{TELEMETRY_OVERHEAD_LIMIT * 100:.0f}% limit on the warm "
-            f"planner session — instrumentation regression",
-            file=sys.stderr,
-        )
-        failed = True
-    incremental = doc.get("incremental_front")
-    if incremental is not None and not incremental["equivalent"]:
-        print(
-            "FAIL: incremental Pareto front diverged from the batch "
-            "kernel — front maintenance regression",
-            file=sys.stderr,
-        )
-        failed = True
-    return 1 if failed else 0
-
+    failures = _gate_failures(doc)
+    for message in failures:
+        print(f"FAIL: {message}", file=sys.stderr)
+    return 1 if failures else 0

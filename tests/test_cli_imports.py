@@ -1,8 +1,9 @@
 """Import-path guard: the CLI's common commands never load SciPy.
 
 Importing SciPy would cost most of a command's start-up, and neither
-``repro all`` nor ``repro report`` calls it.  Nor does building the
-parser load a process pool: every sweep is evaluated in-process.
+``repro all`` nor ``repro report`` calls it; only the sentinel's
+Mann-Whitney test does.  Nor does building the parser load a process
+pool: every sweep is evaluated in-process.
 ``repro all``, with or without a store, loads neither ``numpy.ma``
 (``np.unique`` and ``np.union1d`` import it, about 12 ms) nor a thread
 pool (shards are read one after another).  The guard starts a fresh
@@ -44,6 +45,8 @@ import repro.cli
 repro.cli.build_parser()
 stages["import"] = scipy_modules()
 stages["pool"] = loaded("multiprocessing", "concurrent.futures.process")
+import repro.obs.sentinel
+stages["sentinel"] = scipy_modules()
 with contextlib.redirect_stdout(io.StringIO()):
     repro.cli.main(["all"])
 stages["all"] = scipy_modules()
@@ -57,6 +60,8 @@ report = os.path.join(sys.argv[1], "report.md")
 with contextlib.redirect_stdout(io.StringIO()):
     repro.cli.main(["report", "--output", report])
 stages["report"] = scipy_modules()
+repro.obs.sentinel.mann_whitney_u([1.0, 2.0], [3.0, 4.0])
+stages["mann_whitney_u"] = scipy_modules()
 print(json.dumps(stages))
 """
 
@@ -77,9 +82,13 @@ def loaded_modules(tmp_path_factory) -> dict[str, list[str]]:
     return json.loads(proc.stdout)
 
 
-@pytest.mark.parametrize("stage", ["import", "all", "report"])
+@pytest.mark.parametrize("stage", ["import", "sentinel", "all", "report"])
 def test_no_scipy_module_loaded(loaded_modules, stage):
     assert loaded_modules[stage] == []
+
+
+def test_mann_whitney_u_loads_scipy(loaded_modules):
+    assert "scipy.stats" in loaded_modules["mann_whitney_u"]
 
 
 def test_parser_loads_no_process_pool(loaded_modules):

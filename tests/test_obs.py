@@ -17,9 +17,11 @@ import time
 import pytest
 
 from repro import obs
-from repro.cli import main
+from repro.cli import _run_trace, main
 from repro.machines.specs import K40C, P100
-from repro.obs import provenance, trace
+from repro.obs import provenance
+from repro.obs.ingest import load_stream
+from repro.obs.perf import render_trace
 from repro.obs.telemetry import _NOOP_SPAN
 from repro.simgpu.calibration import K40C_CAL, P100_CAL
 from repro.store import ColumnarStore, shard_key
@@ -166,7 +168,7 @@ class TestJsonlAndTrace:
 
     def test_stream_has_header_provenance_spans_metrics(self, tmp_path):
         self._sample(tmp_path)
-        events = trace.load_events(tmp_path / "run.jsonl")
+        events = load_stream(tmp_path / "run.jsonl").events
         kinds = [e["event"] for e in events]
         assert kinds == ["header", "provenance", "span", "span", "metrics"]
         assert events[0]["format"] == obs.TELEMETRY_FORMAT
@@ -174,7 +176,7 @@ class TestJsonlAndTrace:
 
     def test_render_covers_tree_metrics_and_provenance(self, tmp_path):
         self._sample(tmp_path)
-        out = trace.main(tmp_path / "run.jsonl")
+        out = _run_trace(tmp_path / "run.jsonl")
         assert "provenance:" in out
         assert "model_version" in out
         assert "span tree (2 spans" in out
@@ -187,7 +189,7 @@ class TestJsonlAndTrace:
         with obs.span("parent"):
             with obs.span("child"):
                 time.sleep(0.002)
-        out = trace.render_trace(tel.events())
+        out = render_trace(tel.events())
         rows = [
             line.split() for line in out.splitlines() if "ms" not in line
         ]
@@ -199,15 +201,33 @@ class TestJsonlAndTrace:
         bad = tmp_path / "bad.jsonl"
         bad.write_text("not json\n")
         with pytest.raises(ValueError, match="not a JSON event line"):
-            trace.load_events(bad)
+            load_stream(bad)
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
         with pytest.raises(ValueError, match="empty telemetry stream"):
-            trace.load_events(empty)
+            load_stream(empty)
 
     def test_main_reports_missing_file(self, tmp_path):
         with pytest.raises(SystemExit, match="no such file"):
-            trace.main(tmp_path / "nope.jsonl")
+            _run_trace(tmp_path / "nope.jsonl")
+
+    def test_orphan_spans_are_rendered_as_roots(self, tmp_path, capsys):
+        """A span whose parent never appears keeps its row and its
+        time, as in ``repro perf report``."""
+        events = [{"event": "header", "format": obs.TELEMETRY_FORMAT}] + [
+            {"event": "span", "id": i, "parent": parent, "name": name,
+             "depth": 0, "start_ns": 0, "duration_ns": ns, "attrs": {}}
+            for i, parent, name, ns in [
+                (1, None, "root", 100_000_000),
+                (3, 2, "orphan", 40_000_000),  # span 2 is not in the stream
+            ]
+        ]
+        path = tmp_path / "orphan.jsonl"
+        path.write_text("".join(json.dumps(e) + "\n" for e in events))
+        assert main(["trace", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "span tree (2 spans, 140.00 ms total):" in lines
+        assert "      40.00     40.00  orphan" in lines
 
 
 class TestProvenance:

@@ -15,8 +15,7 @@ import json
 import pytest
 
 import repro.obs as obs
-from repro.cli import main
-from repro.obs import trace
+from repro.cli import _run_trace, main
 from repro.obs.history import (
     HISTORY_FORMAT,
     append_record,
@@ -26,12 +25,7 @@ from repro.obs.history import (
     host_fingerprint,
     load_history,
 )
-from repro.obs.ingest import (
-    TelemetryStreamError,
-    load_runs,
-    load_single_run,
-    load_stream,
-)
+from repro.obs.ingest import TelemetryStreamError, load_stream
 from repro.obs.openmetrics import (
     escape_label_value,
     metric_name,
@@ -243,11 +237,9 @@ class TestIngest:
                 json.dumps(_span(1, "y", 6)),
             ],
         )
-        runs = load_runs(path)
+        runs = load_stream(path).runs
         assert len(runs) == 2
         assert runs[0][1]["name"] == "x" and runs[1][1]["name"] == "y"
-        with pytest.raises(TelemetryStreamError, match="2 concatenated"):
-            load_single_run(path)
 
     def test_headerless_prefix_warns(self, tmp_path):
         path = self._write(tmp_path, [json.dumps(_span(1, "x", 5))])
@@ -265,7 +257,7 @@ class TestIngest:
                 json.dumps(_span(1, "y", 6)),
             ],
         )
-        out = trace.main(path)
+        out = _run_trace(path)
         assert "== run 1/2 ==" in out and "== run 2/2 ==" in out
 
 
@@ -328,7 +320,26 @@ class TestHistoryStore:
         append_record(path, history_record(self.DOC))
         with path.open("a") as fh:
             fh.write('{"format": "repro-bench-hist')  # killed mid-append
-        assert len(load_history(path)) == 1
+        with pytest.warns(UserWarning, match=":2: dropped truncated final"):
+            assert len(load_history(path)) == 1
+        bench = tmp_path / "BENCH_sweep.json"
+        bench.write_text(json.dumps(self.DOC))
+        with pytest.warns(UserWarning, match=":2: dropped truncated final"):
+            assert main(
+                ["perf", "check", "--bench", str(bench),
+                 "--history", str(path)]
+            ) == 0
+
+    def test_garbage_only_file_is_an_error(self, tmp_path):
+        path = tmp_path / "h.jsonl"
+        path.write_text("this is not json\n")
+        with pytest.raises(ValueError, match=r":1: not a history record"):
+            load_history(path)
+        bench = tmp_path / "BENCH_sweep.json"
+        bench.write_text(json.dumps(self.DOC))
+        with pytest.raises(SystemExit, match=r":1: not a history record"):
+            main(["perf", "check", "--bench", str(bench),
+                  "--history", str(path)])
 
     def test_garbage_mid_file_is_an_error(self, tmp_path):
         path = tmp_path / "h.jsonl"
@@ -370,6 +381,8 @@ class TestMannWhitney:
         a = [1.0, 2.0, 3.0, 4.0]
         _, p = mann_whitney_u(a, a)  # all tied -> normal approximation
         assert p > 0.5
+        # U == n*m/2: no continuity correction past the centre.
+        assert mann_whitney_u(a, a) == (8.0, 1.0)
 
     def test_symmetry(self):
         a, b = [1.0, 3.0, 5.0], [2.0, 4.0, 6.0]
@@ -581,7 +594,7 @@ class TestPerfCli:
         assert "span profile" in out
         assert "critical path" in out
         # The invariant, checked on the real stream, not the render:
-        events = load_single_run(path)
+        (events,) = load_stream(path).runs
         roots = [e for e in events if e.get("event") == "span"
                  and e.get("parent") is None]
         root_wall = sum(s["duration_ns"] for s in roots)
@@ -598,7 +611,7 @@ class TestPerfCli:
         stacks = parse_folded(out_file.read_text())
         assert stacks  # non-empty, every line parsed
         assert all(stack.startswith("cli.sweep") for stack in stacks)
-        events = load_single_run(path)
+        (events,) = load_stream(path).runs
         assert stacks == folded_stacks(events)
 
     def test_diff_of_two_runs(self, tmp_path, capsys):
