@@ -49,6 +49,7 @@ output.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from collections.abc import Sequence
 
@@ -92,6 +93,20 @@ def positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(
             f"must be at least 1 (got {value})"
+        )
+    return value
+
+
+def nonnegative_float(text: str) -> float:
+    """Argparse type for flags that must be finite and >= 0
+    (``--noise``); NaN and infinity are usage errors, not data."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0 (got {text})"
         )
     return value
 
@@ -265,24 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     perf_check.add_argument(
-        "--min-samples", type=positive_int, default=3, metavar="N",
-        help=(
-            "minimum pooled baseline samples per case before the "
-            "sentinel will judge it (fewer: 'insufficient-history')"
-        ),
-    )
-    perf_check.add_argument(
-        "--alpha", type=float, default=0.05,
-        help="Mann-Whitney significance level (default 0.05)",
-    )
-    perf_check.add_argument(
-        "--min-shift", type=float, default=0.10, metavar="FRAC",
-        help=(
-            "minimum median shift to call a confirmed change "
-            "(default 0.10 = 10%%)"
-        ),
-    )
-    perf_check.add_argument(
         "--report-only", action="store_true",
         help="print verdicts but always exit 0 (PR-lane mode)",
     )
@@ -307,21 +304,17 @@ def build_parser() -> argparse.ArgumentParser:
     dev_validate = dev_sub.add_parser(
         "validate",
         help=(
-            "schema-check device files; --all also verifies the bundled "
-            "K40c/P100/Haswell files reproduce the in-code constants "
-            "bit-for-bit"
+            "schema-check device files; --all also loads the whole "
+            "registry"
         ),
     )
     dev_validate.add_argument(
         "files", nargs="*", metavar="FILE",
-        help="device files to validate (.json/.toml)",
+        help="device files to validate (.json)",
     )
     dev_validate.add_argument(
         "--all", action="store_true",
-        help=(
-            "validate the whole registry (bundled + $REPRO_DEVICE_DIR) "
-            "and the bundled-constants parity"
-        ),
+        help="validate the whole registry (bundled + $REPRO_DEVICE_DIR)",
     )
 
     dev_synth = dev_sub.add_parser(
@@ -340,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="samples file to write (repro-fit-samples/1 JSON)",
     )
     dev_synth.add_argument(
-        "--noise", type=float, default=0.0, metavar="SIGMA",
+        "--noise", type=nonnegative_float, default=0.0, metavar="SIGMA",
         help="relative 1-sigma energy jitter (default 0: noiseless)",
     )
     dev_synth.add_argument(
@@ -517,20 +510,15 @@ def _run_all(store_dir: str | None) -> str:
     return "\n".join(out)
 
 
-def _get_gpu(name: str):
-    from repro.machines import get_machine
-
-    return get_machine(name)
-
-
 def _run_sweep(
     device: str, n: int, products: int, all_points: bool,
     save: str | None = None, engine=None,
 ) -> str:
     from repro.apps.matmul_gpu import MatmulGPUApp
     from repro.core import pareto_front, tradeoff_table
+    from repro.machines import get_machine
 
-    app = MatmulGPUApp(_get_gpu(device), total_products=products)
+    app = MatmulGPUApp(get_machine(device), total_products=products)
     points = app.sweep_points(n, engine=engine)
     out = [f"{len(points)} configurations, N={n}, T={products}\n"]
     if save is not None:
@@ -575,14 +563,13 @@ def _run_sweep(
 
 
 def _run_tradeoff(device: str, n: int, budget_pct: float) -> str:
-    import math
-
     from repro.apps.matmul_gpu import MatmulGPUApp
     from repro.core import saving_at_degradation
+    from repro.machines import get_machine
 
     if math.isnan(budget_pct) or budget_pct < 0:
         raise SystemExit("budget must be non-negative")
-    app = MatmulGPUApp(_get_gpu(device))
+    app = MatmulGPUApp(get_machine(device))
     points = app.sweep_points(n)
     entry = saving_at_degradation(points, budget_pct / 100.0)
     return (
@@ -648,30 +635,11 @@ def _run_machines() -> str:
     return format_table(["key", "name", "summary"], rows)
 
 
-def _device_source_label(source: str) -> str:
-    """Compact provenance label: bundled files print as 'bundled'."""
-    from pathlib import Path
-
-    from repro.devices.registry import bundled_dir
-
-    try:
-        if Path(source).resolve().parent == bundled_dir():
-            return "bundled"
-    except (OSError, ValueError):
-        pass
-    return source
-
-
 def _run_devices_list() -> str:
     from repro.devices.registry import default_registry
 
     rows = [
-        (
-            entry.key,
-            entry.kind,
-            entry.spec.name,
-            _device_source_label(entry.source),
-        )
+        (entry.key, entry.kind, entry.spec.name, entry.source)
         for entry in default_registry().entries()
     ]
     return format_table(["key", "kind", "name", "source"], rows)
@@ -690,9 +658,7 @@ def _run_devices_show(name: str) -> str:
     )
     # Provenance to stderr so `devices show X > new.json` emits a
     # valid document (the documented start-from-a-bundled-part flow).
-    print(
-        f"# source: {_device_source_label(entry.source)}", file=sys.stderr
-    )
+    print(f"# source: {entry.source}", file=sys.stderr)
     return json.dumps(doc, indent=2)
 
 
@@ -700,7 +666,6 @@ def _run_devices_validate(files: list[str], validate_all: bool) -> int:
     from repro.devices.registry import (
         default_registry,
         refresh_default_registry,
-        validate_bundled,
     )
     from repro.devices.schema import DeviceError, load_device_file
 
@@ -731,14 +696,6 @@ def _run_devices_validate(files: list[str], validate_all: bool) -> int:
             print(
                 f"ok   registry: {len(registry)} device(s) "
                 f"({', '.join(registry.keys())})"
-            )
-        for problem in validate_bundled():
-            print(f"FAIL bundled parity: {problem}")
-            failures += 1
-        if failures == 0:
-            print(
-                "ok   bundled parity: k40c/p100/haswell reproduce the "
-                "in-code constants bit-for-bit"
             )
     return 1 if failures else 0
 
@@ -910,13 +867,7 @@ def _run_perf_check(args: argparse.Namespace) -> int:
         history = load_history(args.history)
     except ValueError as exc:
         raise SystemExit(f"repro perf check: {exc}") from None
-    report = check_bench(
-        doc,
-        history,
-        alpha=args.alpha,
-        min_shift=args.min_shift,
-        min_samples=args.min_samples,
-    )
+    report = check_bench(doc, history)
     print(report.render())
     if report.exit_code and args.report_only:
         print(

@@ -2,12 +2,12 @@
 
 Three layers:
 
-* :mod:`repro.devices.schema` — the ``repro-device/1`` document format
-  (TOML/JSON) and its validator, derived from the frozen spec and
+* :mod:`repro.devices.schema` — the ``repro-device/1`` JSON document
+  format and its validator, derived from the frozen spec and
   calibration dataclasses so it cannot drift from the code;
-* :mod:`repro.devices.registry` — name-keyed lookup over the bundled
-  definitions (K40c, P100, Haswell — bit-identical to the legacy
-  in-code constants) plus ``$REPRO_DEVICE_DIR``;
+* :mod:`repro.devices.registry` — name-keyed lookup over the built-in
+  entries (K40c, P100, Haswell — the in-code constants themselves)
+  plus the JSON files in ``$REPRO_DEVICE_DIR``;
 * :mod:`repro.devices.fit` — recovery of power-model calibration
   constants from (time, energy) scatter samples by least squares with
   cross-validated model selection.
@@ -21,15 +21,12 @@ from __future__ import annotations
 
 from repro.devices.registry import (
     DeviceRegistry,
-    bundled_dir,
-    bundled_registry,
     default_registry,
     device_calibration,
     device_spec,
     get_device,
     gpu_device_choices,
     refresh_default_registry,
-    validate_bundled,
 )
 from repro.devices.schema import (
     DEVICE_FORMAT,
@@ -50,8 +47,6 @@ __all__ = [
     "DeviceRegistry",
     "DeviceSchemaError",
     "UnknownDeviceError",
-    "bundled_dir",
-    "bundled_registry",
     "default_registry",
     "device_calibration",
     "device_spec",
@@ -62,7 +57,6 @@ __all__ = [
     "load_device_file",
     "parse_device_document",
     "refresh_default_registry",
-    "validate_bundled",
     # lazy (repro.devices.fit):
     "FitError",
     "FitResult",

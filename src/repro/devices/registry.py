@@ -1,24 +1,24 @@
-"""Name-keyed device registry over ``repro-device/1`` files.
+"""Name-keyed device registry over ``repro-device/1`` definitions.
 
 The registry is the single source of device truth for every layer that
 resolves a device *name*: ``repro.machines.get_machine`` falls through
 to it, ``repro.simgpu.calibration.calibration_for`` resolves non-core
-specs through it, the CLI derives its ``--device`` choices from it,
-and the store names it in unknown-device diagnostics.  A V100- or
-A100-class part becomes sweepable by dropping one JSON/TOML file into
-``$REPRO_DEVICE_DIR`` — no new Python module.
+specs through it, and the CLI derives its ``--device`` choices from
+it.  A V100- or A100-class part becomes sweepable by dropping one JSON
+file into ``$REPRO_DEVICE_DIR`` — no new Python module.
 
 Resolution sources, in order:
 
-1. the bundled definitions under ``repro/devices/data/`` (K40c, P100,
-   Haswell — validated bit-identical to the legacy in-code constants
-   by :func:`validate_bundled` and the CI ``repro devices validate
-   --all`` gate);
-2. every ``*.json`` / ``*.toml`` file in ``$REPRO_DEVICE_DIR``
+1. the built-in entries: the paper's Table I parts (K40c, P100,
+   Haswell), built straight from the in-code constants of
+   :data:`repro.machines.specs.MACHINES` and
+   :func:`repro.simgpu.calibration.calibration_for` — the same
+   objects, so content digests cannot drift from the code;
+2. every ``*.json`` file in ``$REPRO_DEVICE_DIR``
    (``os.pathsep``-separated list of directories).
 
 A duplicate key or spec name across sources is a hard
-:class:`~repro.devices.schema.DeviceSchemaError` naming both files —
+:class:`~repro.devices.schema.DeviceSchemaError` naming both sources —
 silent shadowing could pair a spec with the wrong calibration, which
 the content-addressed store would faithfully persist.
 """
@@ -36,20 +36,17 @@ from repro.devices.schema import (
     parse_device_document,
     read_device_document,
 )
-from repro.machines.specs import CPUSpec, GPUSpec
-from repro.simgpu.calibration import GPUCalibration
+from repro.machines.specs import MACHINES, CPUSpec, GPUSpec
+from repro.simgpu.calibration import GPUCalibration, calibration_for
 
 __all__ = [
     "DeviceRegistry",
-    "bundled_dir",
-    "bundled_registry",
     "default_registry",
     "refresh_default_registry",
     "get_device",
     "device_spec",
     "device_calibration",
     "gpu_device_choices",
-    "validate_bundled",
 ]
 
 
@@ -148,14 +145,19 @@ class DeviceRegistry:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def load_dirs(cls, dirs: list[Path]) -> "DeviceRegistry":
-        """Build a registry from every device file under ``dirs``.
+    def load_dirs(
+        cls,
+        dirs: list[Path],
+        definitions: list[DeviceDefinition] | None = None,
+    ) -> "DeviceRegistry":
+        """Build a registry from ``definitions`` plus every device file
+        under ``dirs``.
 
         Files are loaded in sorted order per directory; any schema
-        violation (including cross-file duplicates) propagates as a
-        :class:`DeviceSchemaError` naming the file.
+        violation (including duplicates across files and definitions)
+        propagates as a :class:`DeviceSchemaError` naming the source.
         """
-        registry = cls()
+        registry = cls(definitions)
         for directory in dirs:
             directory = Path(directory)
             if not directory.is_dir():
@@ -165,7 +167,7 @@ class DeviceRegistry:
             paths = sorted(
                 p
                 for p in directory.iterdir()
-                if p.suffix in (".json", ".toml") and p.is_file()
+                if p.suffix == ".json" and p.is_file()
             )
             for path in paths:
                 doc = read_device_document(path)
@@ -183,15 +185,38 @@ class DeviceRegistry:
         return registry
 
 
-def bundled_dir() -> Path:
-    """Directory of the bundled device definitions."""
-    return Path(__file__).resolve().parent / "data"
+#: ``repro devices show`` text of the built-in parts.
+_DESCRIPTIONS = {
+    "k40c": (
+        "Nvidia K40c (Kepler GK110B): 15 SMX x 192 cores @ 745 MHz, "
+        "12 GB GDDR5, no autoboost (Table I)."
+    ),
+    "p100": (
+        "Nvidia P100 PCIe (Pascal GP100): 56 SM x 64 cores @ 1328 MHz, "
+        "12 GB HBM2, autoboost to 1480 MHz under a 250 W cap (Table I)."
+    ),
+    "haswell": (
+        "Dual-socket Intel Haswell E5-2670 v3: 2 x 12 cores, SMT2, "
+        "64 GB DDR4 (Table I)."
+    ),
+}
 
 
-@lru_cache(maxsize=1)
-def bundled_registry() -> DeviceRegistry:
-    """Registry of the bundled definitions only (no user directories)."""
-    return DeviceRegistry.load_dirs([bundled_dir()])
+def _builtin_definitions() -> list[DeviceDefinition]:
+    """The paper's Table I parts, straight from the in-code constants."""
+    return [
+        DeviceDefinition(
+            key=key,
+            kind="gpu" if isinstance(spec, GPUSpec) else "cpu",
+            spec=spec,
+            calibration=(
+                calibration_for(spec) if isinstance(spec, GPUSpec) else None
+            ),
+            description=_DESCRIPTIONS[key],
+            source="bundled",
+        )
+        for key, spec in MACHINES.items()
+    ]
 
 
 def _user_dirs() -> list[Path]:
@@ -201,19 +226,18 @@ def _user_dirs() -> list[Path]:
 
 @lru_cache(maxsize=1)
 def default_registry() -> DeviceRegistry:
-    """The process-wide registry: bundled files + ``$REPRO_DEVICE_DIR``.
+    """The process-wide registry: built-ins + ``$REPRO_DEVICE_DIR``.
 
     Cached per process (device files are immutable inputs of a run);
     :func:`refresh_default_registry` drops the cache after the
     environment changes (tests, long-lived sessions).
     """
-    return DeviceRegistry.load_dirs([bundled_dir()] + _user_dirs())
+    return DeviceRegistry.load_dirs(_user_dirs(), _builtin_definitions())
 
 
 def refresh_default_registry() -> None:
-    """Forget the cached default registry (and bundled cache)."""
+    """Forget the cached default registry."""
     default_registry.cache_clear()
-    bundled_registry.cache_clear()
 
 
 # -- convenience lookups ----------------------------------------------------
@@ -249,7 +273,7 @@ def device_calibration(name: str) -> GPUCalibration:
 def gpu_device_choices() -> tuple[str, ...]:
     """GPU registry keys for CLI ``--device`` flags.
 
-    Falls back to the bundled registry when ``$REPRO_DEVICE_DIR``
+    Falls back to the built-in keys when ``$REPRO_DEVICE_DIR``
     contains a broken file, so parser construction (and ``repro
     devices validate``, the command that diagnoses the breakage) never
     dies while building argument choices; the underlying error still
@@ -259,55 +283,4 @@ def gpu_device_choices() -> tuple[str, ...]:
     try:
         return default_registry().gpu_keys()
     except DeviceSchemaError:
-        return bundled_registry().gpu_keys()
-
-
-# -- bundled-parity validation ----------------------------------------------
-
-def validate_bundled() -> list[str]:
-    """Check the bundled files reproduce the legacy in-code constants.
-
-    Returns a list of human-readable problems (empty = sound).  This
-    is the ``repro devices validate --all`` CI gate: the bundled K40c,
-    P100 and Haswell definitions must stay *bit-identical* to
-    ``repro.machines.specs`` / ``repro.simgpu.calibration`` — content
-    digests (cache keys, store shard identities, provenance) hang off
-    those values.
-    """
-    import dataclasses
-
-    from repro.machines.specs import HASWELL, K40C, P100
-    from repro.simgpu.calibration import K40C_CAL, P100_CAL
-
-    legacy: dict[str, tuple[object, object | None]] = {
-        "k40c": (K40C, K40C_CAL),
-        "p100": (P100, P100_CAL),
-        "haswell": (HASWELL, None),
-    }
-    problems: list[str] = []
-    try:
-        registry = bundled_registry()
-    except DeviceSchemaError as exc:
-        return [str(exc)]
-    for key, (spec, cal) in legacy.items():
-        entry = registry.find(key)
-        if entry is None:
-            problems.append(
-                f"bundled registry is missing the {key!r} definition"
-            )
-            continue
-        if dataclasses.asdict(entry.spec) != dataclasses.asdict(spec):
-            problems.append(
-                f"{entry.source}: [spec] does not reproduce the "
-                f"in-code {key} constants bit-for-bit"
-            )
-        if cal is not None:
-            if entry.calibration is None or (
-                dataclasses.asdict(entry.calibration)
-                != dataclasses.asdict(cal)
-            ):
-                problems.append(
-                    f"{entry.source}: [calibration] does not reproduce "
-                    f"the in-code {key} calibration bit-for-bit"
-                )
-    return problems
+        return DeviceRegistry(_builtin_definitions()).gpu_keys()

@@ -1,6 +1,6 @@
 """The ``repro-device/1`` declarative device schema.
 
-A GPU or CPU is a *data file*, not a module: one TOML or JSON document
+A GPU or CPU is a *data file*, not a module: one JSON document
 carrying the Table-I specification block and (for GPUs) the
 calibration block of :class:`repro.simgpu.calibration.GPUCalibration`.
 The field set is derived directly from the frozen dataclasses the
@@ -11,32 +11,31 @@ from the code: a constant added to a dataclass is immediately required
 
 Document layout::
 
-    format = "repro-device/1"
-    key = "k40c"            # registry key (lowercase slug)
-    kind = "gpu"            # "gpu" or "cpu"
-    description = "..."     # optional free text
+    {
+      "format": "repro-device/1",
+      "key": "k40c",          # registry key (lowercase slug)
+      "kind": "gpu",          # "gpu" or "cpu"
+      "description": "...",   # optional free text
+      "spec": {               # every field of GPUSpec / CPUSpec
+        "name": "Nvidia K40c",
+        "cuda_cores": 2880,
+        ...
+      },
+      "calibration": {        # every field of GPUCalibration (gpu only)
+        "lsu_lanes": 32,
+        ...
+      }
+    }
 
-    [spec]                  # every field of GPUSpec / CPUSpec
-    name = "Nvidia K40c"
-    cuda_cores = 2880
-    ...
-
-    [calibration]           # every field of GPUCalibration (gpu only)
-    lsu_lanes = 32
-    ...
-
-CPU documents nest the three cache levels as sub-tables
-(``[spec.l1d]`` etc. with ``capacity_bytes`` / ``line_bytes`` /
-``shared_by``) and carry no ``[calibration]`` block — the CPU power
+CPU documents nest the three cache levels as sub-objects
+(``spec.l1d`` etc. with ``capacity_bytes`` / ``line_bytes`` /
+``shared_by``) and carry no ``calibration`` block — the CPU power
 model's constants are library-level (:mod:`repro.simcpu.calibration`)
 rather than per-part.
 
 Every validation failure raises :class:`DeviceSchemaError` with the
 offending file and field named — an actionable error, never a
-traceback from deep inside a dataclass constructor.  JSON files load
-on every supported interpreter; ``.toml`` files need Python 3.11+
-(:mod:`tomllib`) and fail with a clear message on older versions,
-which is why the bundled definitions ship as JSON.
+traceback from deep inside a dataclass constructor.
 """
 
 from __future__ import annotations
@@ -103,8 +102,8 @@ class DeviceDefinition:
     spec: GPUSpec | CPUSpec
     calibration: GPUCalibration | None
     description: str = ""
-    #: Where the definition came from (file path, or a label such as
-    #: ``"<builtin>"`` for programmatic definitions).
+    #: Where the definition came from: a file path, or ``"bundled"``
+    #: for the registry's built-in entries.
     source: str = "<memory>"
 
 
@@ -149,7 +148,7 @@ def _check_scalar(
                 f"{label} must be an integer (got {value!r})"
             )
         return value
-    # float fields accept ints (TOML writers drop trailing ".0").
+    # float fields accept ints (hand-written JSON drops trailing ".0").
     value = float(value)
     if not math.isfinite(value):
         raise DeviceSchemaError(
@@ -294,7 +293,7 @@ def parse_device_document(
 
 
 def read_device_document(path: str | Path) -> Any:
-    """Parse one ``.json``/``.toml`` file into a raw document (no schema).
+    """Parse one ``.json`` file into a raw document (no schema).
 
     The syntax half of :func:`load_device_file`, split out so the
     registry can inspect a document's ``format`` tag before committing
@@ -302,37 +301,21 @@ def read_device_document(path: str | Path) -> Any:
     sweep saves — may share a ``$REPRO_DEVICE_DIR`` directory).
     """
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise DeviceSchemaError(f"{path}: unreadable device file: {exc}")
-    if path.suffix == ".toml":
-        try:
-            import tomllib
-        except ModuleNotFoundError:
-            raise DeviceSchemaError(
-                f"{path}: TOML device files need Python 3.11+ "
-                f"(tomllib); convert to JSON for older interpreters"
-            ) from None
-        try:
-            doc = tomllib.loads(text)
-        except tomllib.TOMLDecodeError as exc:
-            raise DeviceSchemaError(f"{path}: invalid TOML: {exc}")
-    elif path.suffix == ".json":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DeviceSchemaError(f"{path}: invalid JSON: {exc}")
-    else:
+    if path.suffix != ".json":
         raise DeviceSchemaError(
             f"{path}: unsupported device-file suffix {path.suffix!r} "
-            f"(expected .json or .toml)"
+            f"(expected .json)"
         )
-    return doc
+    try:
+        return json.loads(path.read_text())
+    except OSError as exc:
+        raise DeviceSchemaError(f"{path}: unreadable device file: {exc}")
+    except json.JSONDecodeError as exc:
+        raise DeviceSchemaError(f"{path}: invalid JSON: {exc}")
 
 
 def load_device_file(path: str | Path) -> DeviceDefinition:
-    """Load and validate one device file (``.json`` or ``.toml``)."""
+    """Load and validate one ``.json`` device file."""
     return parse_device_document(
         read_device_document(path), source=str(Path(path))
     )
@@ -351,9 +334,8 @@ def device_to_document(
 
     Inverse of :func:`parse_device_document`: floats survive the JSON
     round trip bit-for-bit (shortest-``repr`` encoding), which is what
-    lets the bundled files reproduce the legacy in-code constants
-    exactly — and what the export tool (``tools/export_devices.py``)
-    and ``repro devices fit --output`` rely on.
+    ``repro devices show KEY > new.json`` and ``repro devices fit
+    --output`` rely on.
     """
     kind = "gpu" if isinstance(spec, GPUSpec) else "cpu"
     doc: dict[str, Any] = {

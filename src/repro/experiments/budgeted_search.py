@@ -22,12 +22,8 @@ from repro.analysis.report import format_table
 from repro.apps.matmul_gpu import MatmulGPUApp
 from repro.core.biobjective import greedy_front_search
 from repro.core.pareto import ParetoPoint, pareto_front
-from repro.machines import get_machine
+from repro.machines import P100
 from repro.machines.specs import GPUSpec
-
-# Registry-backed name resolution (identity-preserving for the
-# in-code P100, so goldens and shard digests are unchanged).
-P100 = get_machine("p100")
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sweep.planner import EvalPlanner

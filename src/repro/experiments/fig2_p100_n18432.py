@@ -21,11 +21,7 @@ from repro.analysis.report import format_pct, format_table
 from repro.apps.matmul_gpu import MatmulGPUApp
 from repro.core.pareto import ParetoPoint, front_indices
 from repro.core.tradeoff import TradeoffEntry, max_energy_saving
-from repro.machines import get_machine
-
-# Registry-backed name resolution (identity-preserving for the
-# in-code P100, so goldens and shard digests are unchanged).
-P100 = get_machine("p100")
+from repro.machines import P100
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sweep.planner import EvalPlanner

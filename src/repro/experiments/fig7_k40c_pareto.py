@@ -23,11 +23,7 @@ from typing import TYPE_CHECKING
 from repro.analysis.ep_analysis import WeakEPStudy, weak_ep_study_table
 from repro.analysis.report import format_pct, format_table
 from repro.apps.matmul_gpu import MatmulGPUApp
-from repro.machines import get_machine
-
-# Registry-backed name resolution (identity-preserving for the
-# in-code K40c, so goldens and shard digests are unchanged).
-K40C = get_machine("k40c")
+from repro.machines import K40C
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sweep.planner import EvalPlanner

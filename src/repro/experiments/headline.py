@@ -27,13 +27,8 @@ from repro.analysis.report import format_pct, format_table
 from repro.apps.matmul_gpu import MatmulGPUApp
 from repro.core.pareto import front_indices
 from repro.core.tradeoff import max_energy_saving
-from repro.machines import get_machine
+from repro.machines import K40C, P100
 from repro.machines.specs import GPUSpec
-
-# Registry-backed name resolution (identity-preserving for the
-# in-code parts, so goldens and shard digests are unchanged).
-K40C = get_machine("k40c")
-P100 = get_machine("p100")
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sweep.planner import EvalPlanner

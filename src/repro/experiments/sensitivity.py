@@ -24,15 +24,10 @@ from typing import TYPE_CHECKING
 from repro.analysis.report import format_table
 from repro.apps.matmul_gpu import MatmulGPUApp
 from repro.core.pareto import front_indices
-from repro.machines import get_machine
+from repro.machines import K40C, P100
 from repro.simcpu.calibration import HASWELL_CAL  # noqa: F401 (doc link)
 from repro.simgpu.calibration import calibration_for
 
-# Device resolution by name through the registry-backed lookup (the
-# in-code constants resolve identity-preserving; data-file devices
-# would resolve the same way).
-K40C = get_machine("k40c")
-P100 = get_machine("p100")
 K40C_CAL = calibration_for(K40C)
 P100_CAL = calibration_for(P100)
 

@@ -9,17 +9,18 @@ cleared:
 * **significance** — a two-sided Mann-Whitney U test (SciPy's exact
   distribution for small tie-free samples, its normal approximation
   with tie correction otherwise) rejects "same distribution" at
-  ``alpha``; rank-based, so one garbage-collection outlier cannot
+  :data:`ALPHA`; rank-based, so one garbage-collection outlier cannot
   manufacture or mask a result the way a t-test's mean would;
-* **effect size** — the median shift exceeds ``min_shift`` (default
-  10%); a statistically detectable 0.3% drift is not worth failing a
-  build over.
+* **effect size** — the median shift exceeds :data:`MIN_SHIFT` (10%);
+  a statistically detectable 0.3% drift is not worth failing a build
+  over.
 
 Everything that would otherwise be false confidence is an explicit
-outcome instead: ``insufficient-history`` (fewer than ``min_samples``
-baseline samples for the case), ``host-mismatch`` (history exists but
-none of it was recorded on a comparable host), ``no-history``.  The
-sentinel never compares timings across host fingerprints.
+outcome instead: ``insufficient-history`` (fewer than
+:data:`MIN_SAMPLES` baseline samples for the case), ``host-mismatch``
+(history exists but none of it was recorded on a comparable host),
+``no-history``.  The sentinel never compares timings across host
+fingerprints.
 """
 
 from __future__ import annotations
@@ -41,6 +42,13 @@ __all__ = [
     "CheckReport",
     "check_bench",
 ]
+
+#: Mann-Whitney significance level.
+ALPHA = 0.05
+#: Smallest relative median shift called a confirmed change.
+MIN_SHIFT = 0.10
+#: Fewest pooled baseline samples per case the sentinel will judge.
+MIN_SAMPLES = 3
 
 #: Outcome vocabulary, in severity order.
 OUTCOMES = (
@@ -103,9 +111,6 @@ class CheckReport:
     fingerprint: dict[str, Any] = field(default_factory=dict)
     history_runs: int = 0
     matched_runs: int = 0
-    alpha: float = 0.05
-    min_shift: float = 0.10
-    min_samples: int = 3
 
     @property
     def regressions(self) -> list[CaseVerdict]:
@@ -120,8 +125,8 @@ class CheckReport:
             f"perf check: {len(self.verdicts)} case(s) vs "
             f"{self.matched_runs}/{self.history_runs} matched-host "
             f"history run(s) "
-            f"(alpha={self.alpha:g}, min shift={self.min_shift:.0%}, "
-            f"min samples={self.min_samples})",
+            f"(alpha={ALPHA:g}, min shift={MIN_SHIFT:.0%}, "
+            f"min samples={MIN_SAMPLES})",
         ]
         width = max((len(v.case) for v in self.verdicts), default=4)
         for v in sorted(
@@ -175,9 +180,6 @@ def check_bench(
     history: Sequence[dict[str, Any]],
     *,
     fingerprint: dict[str, Any] | None = None,
-    alpha: float = 0.05,
-    min_shift: float = 0.10,
-    min_samples: int = 3,
 ) -> CheckReport:
     """Compare one bench document against the history baseline.
 
@@ -185,16 +187,8 @@ def check_bench(
     ``samples`` arrays are the test's subject); ``history`` the parsed
     record list from :func:`repro.obs.history.load_history`.
     """
-    if min_samples < 1:
-        raise ValueError("min_samples must be at least 1")
     fp = fingerprint if fingerprint is not None else host_fingerprint()
-    report = CheckReport(
-        fingerprint=fp,
-        history_runs=len(history),
-        alpha=alpha,
-        min_shift=min_shift,
-        min_samples=min_samples,
-    )
+    report = CheckReport(fingerprint=fp, history_runs=len(history))
     host_matched = [
         r for r in history if fingerprints_match(r.get("host") or {}, fp)
     ]
@@ -223,16 +217,16 @@ def check_bench(
             # run is *thin*, not incomparable — that falls through to
             # insufficient-history below.
             outcome = "host-mismatch"
-        elif len(base) < min_samples:
+        elif len(base) < MIN_SAMPLES:
             outcome = "insufficient-history"
         else:
             med_cur = statistics.median(samples)
             med_base = statistics.median(base)
             shift = (med_cur - med_base) / med_base if med_base else 0.0
             _, p = mann_whitney_u(samples, base)
-            if p < alpha and shift > min_shift:
+            if p < ALPHA and shift > MIN_SHIFT:
                 outcome = "regression"
-            elif p < alpha and shift < -min_shift:
+            elif p < ALPHA and shift < -MIN_SHIFT:
                 outcome = "improvement"
             else:
                 outcome = "neutral"

@@ -9,8 +9,9 @@
   when it is loaded; lookups then partition an entire request into
   hits and misses in one vectorized pass, and float64 columns
   round-trip bit-exactly.
-* atomic temp-file + ``os.replace`` writes; corrupted or truncated
-  shards, and shards holding non-finite or negative objectives, warn
+* atomic temp-file + ``os.replace`` writes; corrupt shards
+  (truncated, or holding non-finite or negative objectives) and stale
+  ones (sound, but at another identity's address) warn
   (:class:`~repro.store.columnar.StoreIntegrityWarning`), read as
   misses and are recomputed.
 """

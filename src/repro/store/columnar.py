@@ -19,7 +19,10 @@ for a partial or deferred read to pay.
 
 The identity/row-count metadata lives in a JSON sidecar.  A shard
 whose sidecar is missing, unreadable, or disagrees with the array's
-row count is treated as a torn pair and recomputed.
+row count is treated as a torn pair and recomputed.  An untrusted
+shard is either *corrupt* (structurally broken) or *stale* (sound,
+but its sidecar identity disagrees with its address, whatever device
+it names); both warn and recompute.
 
 Durability contract: every write goes through a temp file +
 ``os.replace``, so an interrupted run never leaves a half-written
@@ -249,51 +252,10 @@ class ColumnarStore:
             return _EMPTY
         shard = _Shard(block=block)
         reason = self._shard_rejection(key, meta, shard)
-        if reason == "unknown-device":
-            self._raise_unknown_device(path, meta)
         if reason is not None:
             self._recompute_fallback(path, reason)
             return _EMPTY
         return shard
-
-    @staticmethod
-    def _device_known(name: Any) -> bool:
-        """Whether a sidecar's device name resolves against the registry.
-
-        A registry that itself fails to load counts as "known": a
-        broken ``$REPRO_DEVICE_DIR`` must degrade to the quiet stale
-        path, not turn every mismatched shard into a hard error.
-        """
-        if not isinstance(name, str) or not name:
-            return False
-        from repro.devices.registry import default_registry
-        from repro.devices.schema import DeviceError
-        from repro.machines.specs import MACHINES
-
-        if any(spec.name == name for spec in MACHINES.values()):
-            return True
-        try:
-            return default_registry().find(name) is not None
-        except DeviceError:
-            return True
-
-    def _raise_unknown_device(self, path: Path, meta: dict[str, Any]) -> None:
-        """Refuse to serve a shard written for an unregistered device."""
-        from repro.devices.registry import default_registry
-        from repro.devices.schema import UnknownDeviceError
-
-        obs.count("store.shard.unknown_device")
-        try:
-            available = default_registry().describe()
-        except Exception:  # registry broken: still name the shard
-            available = "(registry unavailable)"
-        raise UnknownDeviceError(
-            f"sweep store shard {path.name} was written for device "
-            f"{meta.get('device')!r}, which is not in the device "
-            f"registry (registered devices: {available}); restore its "
-            f"repro-device/1 file to $REPRO_DEVICE_DIR, or delete the "
-            f"shard if the device is gone for good"
-        )
 
     @staticmethod
     def _shard_rejection(
@@ -304,13 +266,8 @@ class ColumnarStore:
         ``"stale"`` — the file is readable and well-formed but its
         identity metadata does not match the address (renamed/copied
         file, or a shard written by a different model version: its
-        digest differs, so stale results never leak).
-        ``"unknown-device"`` — identity mismatch *and* the sidecar
-        names a device no longer known to the device registry: the
-        shard is probably fine and the *environment* is wrong (a
-        ``$REPRO_DEVICE_DIR`` file was removed or renamed), so silent
-        recomputation would both fail later and hide the real problem
-        — the readers raise instead.  ``"corrupt"`` — anything
+        digest differs, so stale results never leak), whatever device
+        the sidecar names.  ``"corrupt"`` — anything
         structurally broken: wrong format tag, wrong block shape, a
         sidecar row count disagreeing with the array (torn pair),
         unsorted keys, or an objective value that is not a finite,
@@ -327,8 +284,6 @@ class ColumnarStore:
             or meta.get("device") != key.device
             or meta.get("n") != key.n
         ):
-            if not ColumnarStore._device_known(meta.get("device")):
-                return "unknown-device"
             return "stale"
         block = shard.block
         if block.ndim != 2 or block.shape[0] != 6 or block.dtype != np.int64:

@@ -78,14 +78,19 @@ class TestPlannerCommands:
             ["bench", "--" + "quick"],
             ["bench", "--" + "no-planner"],
             ["cache", "migrate"],
+            # The sentinel's thresholds, constants of repro.obs.sentinel.
+            ["perf", "check", "--" + "alpha", "0.05"],
+            ["perf", "check", "--" + "min-shift", "0.10"],
+            ["perf", "check", "--" + "min-samples", "3"],
         ],
         ids=" ".join,
     )
     def test_removed_options_are_usage_errors(self, argv, capsys):
         """The backend choice, the process pool, the million-point
         mapped-shard benchmark, the bench's single-repeat alias and
-        planner skip, and the JSON-cache migration are gone: asking
-        for one is a usage error, not a silently different run."""
+        planner skip, the JSON-cache migration and the sentinel's
+        threshold flags are gone: asking for one is a usage error, not
+        a silently different run."""
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
         assert exc.value.code == 2

@@ -1,7 +1,7 @@
 """Tests for :mod:`repro.devices.fit` — the calibration round trip.
 
 The headline acceptance test synthesizes pinned-clock samples from the
-bundled calibrations and checks :func:`fit_calibration` recovers every
+built-in calibrations and checks :func:`fit_calibration` recovers every
 power constant, with cross-validation selecting the true ``(occ_exp,
 leak_quad)`` pair.  Plus: noise tolerance, ill-posed inputs, the
 aux-unidentifiable fallback, samples-file I/O, and the CLI loop.
@@ -48,7 +48,7 @@ def _rel_err(fitted, true):
 
 
 class TestRoundTrip:
-    """ISSUE acceptance: recover bundled constants from synthetic samples."""
+    """ISSUE acceptance: recover built-in constants from synthetic samples."""
 
     @pytest.mark.parametrize(
         "spec, cal, template",
@@ -268,6 +268,24 @@ class TestCLILoop:
             assert refit.spec == spec
         finally:
             refresh_default_registry()
+
+    @pytest.mark.parametrize("noise", ["-0.5", "nan", "inf"])
+    def test_synth_rejects_bad_noise(self, noise, tmp_path, capsys):
+        """Negative or NaN noise used to write noiseless samples without
+        a word; infinite noise wrote `Infinity`, which is not JSON."""
+        from repro.cli import main
+
+        samples_path = tmp_path / "s.json"
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "devices", "synth", "--device", "k40c",
+                    "--output", str(samples_path), "--noise", noise,
+                ]
+            )
+        assert exc.value.code == 2
+        assert "must be a finite number >= 0" in capsys.readouterr().err
+        assert not samples_path.exists()
 
     def test_fit_rejects_cpu_device(self, tmp_path):
         from repro.cli import main

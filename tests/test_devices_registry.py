@@ -1,11 +1,12 @@
 """Tests for :mod:`repro.devices` — schema, registry, and its wiring.
 
-Bundled-file parity with the legacy in-code constants (including
-content-digest identity), the name-keyed ``calibration_for`` dispatch
-regression (pickled specs), ``get_machine`` registry fall-through,
-data-file devices running a sweep end to end, and the schema's
-edge-case diagnostics (missing field, unknown version, duplicates,
-non-finite constants, bad types, invalid syntax).
+Built-in entries that are the in-code constants themselves, the
+``repro devices show`` round trip (including content-digest identity),
+the name-keyed ``calibration_for`` dispatch regression (pickled
+specs), ``get_machine`` registry fall-through, data-file devices
+running a sweep end to end, and the schema's edge-case diagnostics
+(missing field, unknown version, duplicates, non-finite constants,
+bad types, invalid syntax).
 """
 
 from __future__ import annotations
@@ -18,14 +19,11 @@ import pytest
 
 from repro.devices.registry import (
     DeviceRegistry,
-    bundled_dir,
-    bundled_registry,
     default_registry,
     device_calibration,
     device_spec,
     gpu_device_choices,
     refresh_default_registry,
-    validate_bundled,
 )
 from repro.devices.schema import (
     DEVICE_FORMAT,
@@ -36,7 +34,7 @@ from repro.devices.schema import (
     load_device_file,
     parse_device_document,
 )
-from repro.machines.specs import HASWELL, K40C, P100, get_machine
+from repro.machines.specs import HASWELL, K40C, MACHINES, P100, get_machine
 from repro.simgpu.calibration import K40C_CAL, P100_CAL, calibration_for
 
 
@@ -67,35 +65,32 @@ def _write_device(path, key, spec, cal=None, **overrides):
 _DELETE = object()
 
 
-class TestBundledParity:
-    def test_bundled_files_reproduce_constants_bit_for_bit(self):
-        registry = bundled_registry()
-        assert registry.get("k40c").spec == K40C
-        assert registry.get("k40c").calibration == K40C_CAL
-        assert registry.get("p100").spec == P100
-        assert registry.get("p100").calibration == P100_CAL
-        assert registry.get("haswell").spec == HASWELL
-        assert validate_bundled() == []
-
-    def test_bundled_spec_has_identical_shard_digest(self):
-        """Value-equal specs must address the same store shards."""
-        from repro.sweep.keys import shard_digest
-
-        entry = bundled_registry().get("p100")
-        assert shard_digest(entry.spec, entry.calibration, 10240) == \
-            shard_digest(P100, P100_CAL, 10240)
+class TestBuiltins:
+    def test_builtin_entries_are_the_in_code_constants(self):
+        registry = default_registry()
+        assert registry.get("k40c").spec is K40C
+        assert registry.get("k40c").calibration is K40C_CAL
+        assert registry.get("p100").spec is P100
+        assert registry.get("p100").calibration is P100_CAL
+        assert registry.get("haswell").spec is HASWELL
+        assert registry.get("haswell").calibration is None
+        assert {e.source for e in registry.entries()} == {"bundled"}
 
     def test_lookup_by_full_spec_name_and_case(self):
-        registry = bundled_registry()
+        registry = default_registry()
         assert registry.get("Nvidia K40c").key == "k40c"
         assert registry.get("NVIDIA P100 PCIE").key == "p100"
         assert "k40c" in registry and "nope" not in registry
 
-    def test_validate_bundled_catches_drift(self, monkeypatch):
-        drifted = dataclasses.replace(K40C, tdp_w=999.0)
-        monkeypatch.setattr("repro.machines.specs.K40C", drifted)
-        problems = validate_bundled()
-        assert len(problems) == 1 and "k40c" in problems[0]
+    def test_device_file_cannot_shadow_a_builtin(self, tmp_path, monkeypatch):
+        _write_device(tmp_path / "k.json", "k40c", K40C, K40C_CAL)
+        monkeypatch.setenv("REPRO_DEVICE_DIR", str(tmp_path))
+        refresh_default_registry()
+        with pytest.raises(
+            DeviceSchemaError,
+            match=r"duplicate device key 'k40c'.*bundled.*k\.json",
+        ):
+            default_registry()
 
 
 class TestCalibrationDispatch:
@@ -286,14 +281,17 @@ class TestSchemaEdgeCases:
             load_device_file(path)
 
     def test_unsupported_suffix(self, tmp_path):
-        path = tmp_path / "dev.yaml"
-        path.write_text("key: x")
-        with pytest.raises(DeviceSchemaError, match="unsupported"):
-            load_device_file(path)
+        for name in ("dev.yaml", "dev.toml"):
+            path = tmp_path / name
+            path.write_text('key = "x"')
+            with pytest.raises(
+                DeviceSchemaError, match="unsupported device-file suffix"
+            ):
+                load_device_file(path)
 
     def test_float_field_accepts_int(self):
         doc = self._gpu_doc()
-        doc["spec"]["tdp_w"] = 235  # TOML writers drop trailing .0
+        doc["spec"]["tdp_w"] = 235  # hand-written JSON drops the .0
         parsed = parse_device_document(doc)
         assert parsed.spec.tdp_w == 235.0
 
@@ -302,38 +300,6 @@ class TestSchemaEdgeCases:
         doc["spec"]["warp_size"] = True
         with pytest.raises(DeviceSchemaError, match="must be a number"):
             parse_device_document(doc)
-
-    def test_toml_round_trip_or_actionable_gate(self, tmp_path):
-        """TOML loads on 3.11+; older interpreters get a clear error."""
-        doc = self._gpu_doc()
-
-        def to_toml(table, prefix=""):
-            scalars, subs = [], []
-            for name, value in table.items():
-                if isinstance(value, dict):
-                    subs.append((f"{prefix}{name}", value))
-                elif isinstance(value, bool):
-                    scalars.append(f"{name} = {str(value).lower()}")
-                elif isinstance(value, str):
-                    scalars.append(f"{name} = {json.dumps(value)}")
-                else:
-                    scalars.append(f"{name} = {value!r}")
-            out = "\n".join(scalars) + "\n"
-            for full, sub in subs:
-                out += f"\n[{full}]\n" + to_toml(sub, f"{full}.")
-            return out
-
-        path = tmp_path / "dev.toml"
-        path.write_text(to_toml(doc))
-        try:
-            import tomllib  # noqa: F401  (3.11+)
-        except ModuleNotFoundError:
-            with pytest.raises(DeviceSchemaError, match="Python 3.11"):
-                load_device_file(path)
-        else:
-            parsed = load_device_file(path)
-            assert parsed.spec == K40C
-            assert parsed.calibration == K40C_CAL
 
     def test_missing_device_dir_is_a_schema_error(self, tmp_path):
         with pytest.raises(DeviceSchemaError, match="does not exist"):
@@ -357,14 +323,10 @@ class TestChoicesFallback:
         (tmp_path / "broken.json").write_text("{not json")
         monkeypatch.setenv("REPRO_DEVICE_DIR", str(tmp_path))
         refresh_default_registry()
-        assert gpu_device_choices() == bundled_registry().gpu_keys()
+        assert gpu_device_choices() == ("k40c", "p100")
         # ...but strict resolution still surfaces the breakage.
         with pytest.raises(DeviceSchemaError, match="invalid JSON"):
             default_registry()
-
-    def test_bundled_dir_exists_and_is_json_only(self):
-        files = sorted(p.name for p in bundled_dir().iterdir())
-        assert files == ["haswell.json", "k40c.json", "p100.json"]
 
     def test_unknown_device_error_lists_entries(self):
         with pytest.raises(
@@ -415,6 +377,26 @@ class TestDeviceChoicesConsistency:
 
 
 class TestDocumentRoundTrip:
+    @pytest.mark.parametrize("key", sorted(MACHINES))
+    def test_show_then_load_reproduces_builtin(self, key, tmp_path, capsys):
+        """The documented flow: `repro devices show KEY > f.json`."""
+        from repro.cli import main
+        from repro.sweep.keys import shard_digest
+
+        assert main(["devices", "show", key]) == 0
+        path = tmp_path / f"{key}.json"
+        path.write_text(capsys.readouterr().out)
+        parsed = load_device_file(path)
+        entry = default_registry().get(key)
+        assert parsed.key == key
+        assert parsed.spec == entry.spec
+        assert parsed.calibration == entry.calibration
+        assert parsed.description == entry.description
+        if entry.calibration is not None:
+            # Value-equal specs must address the same store shards.
+            assert shard_digest(parsed.spec, parsed.calibration, 10240) == \
+                shard_digest(entry.spec, entry.calibration, 10240)
+
     def test_dump_load_round_trip_bit_exact(self, tmp_path):
         path = tmp_path / "k40c.json"
         dump_device_json(path, "k40c-copy", K40C, K40C_CAL, description="d")
