@@ -15,7 +15,7 @@ custom workload, without writing code:
 * ``all`` — run the whole sweep-driven figure set through one
   cross-experiment planner: every request is collected up front,
   deduplicated, partitioned against the columnar store, and the
-  misses filled in vectorized mega-batches (see
+  misses filled in one vectorized batch call per GPU (see
   :mod:`repro.sweep.planner`);
 * ``machines`` — list the platform registry;
 * ``devices`` — manage the declarative device registry
@@ -40,7 +40,8 @@ custom workload, without writing code:
 The sweep-driven commands (``experiment``, ``sweep``, ``all``) all
 evaluate through one :class:`repro.sweep.planner.EvalPlanner`, backed
 by the columnar store at ``--store-dir``, else ``$REPRO_STORE_DIR``,
-else held in memory for the run.  They, plus ``bench``, accept
+else held in memory for the run; ``experiment`` and ``all`` fill their
+requests in it before the experiments run.  They, plus ``bench``, accept
 ``--telemetry off|summary|jsonl:PATH|prom:PATH`` (:mod:`repro.obs`):
 ``off`` is the default and byte-identical to the uninstrumented
 output.
@@ -79,6 +80,18 @@ _EXPERIMENTS = (
 )
 
 
+def _int_at_least(text: str, floor: int) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    if value < floor:
+        raise argparse.ArgumentTypeError(
+            f"must be at least {floor} (got {value})"
+        )
+    return value
+
+
 def positive_int(text: str) -> int:
     """Argparse type for flags that must be >= 1 (``--n``, ``--repeats``).
 
@@ -86,15 +99,13 @@ def positive_int(text: str) -> int:
     clean usage error instead of a traceback from deep inside the
     model.
     """
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be at least 1 (got {value})"
-        )
-    return value
+    return _int_at_least(text, 1)
+
+
+def nonnegative_int(text: str) -> int:
+    """Argparse type for flags that must be >= 0 (``--seed``, which
+    NumPy's generator rejects when negative)."""
+    return _int_at_least(text, 0)
 
 
 def nonnegative_float(text: str) -> float:
@@ -337,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="relative 1-sigma energy jitter (default 0: noiseless)",
     )
     dev_synth.add_argument(
-        "--seed", type=int, default=0, help="jitter RNG seed",
+        "--seed", type=nonnegative_int, default=0, help="jitter RNG seed",
     )
 
     dev_fit = dev_sub.add_parser(
@@ -399,11 +410,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_planner(store_dir: str | None):
+def _build_planner(store_dir: str | None, requests=None):
     """The planner every sweep-driven command evaluates through.
 
     Backed by the columnar store at ``store_dir``, else at
     ``$REPRO_STORE_DIR``, else held in memory for this run only.
+    ``requests`` are registered and filled before it is returned, so
+    the experiments that follow are served from it and each device's
+    misses are filled in one batch call.
     """
     import os
 
@@ -411,7 +425,11 @@ def _build_planner(store_dir: str | None):
 
     if store_dir is None:
         store_dir = os.environ.get("REPRO_STORE_DIR")
-    return EvalPlanner(store_dir=store_dir)
+    planner = EvalPlanner(store_dir=store_dir)
+    if requests:
+        planner.add_all(requests)
+        planner.execute()
+    return planner
 
 
 def _run_experiment(exp_id: str, engine=None) -> str:
@@ -491,10 +509,7 @@ def _run_all(store_dir: str | None) -> str:
         collect_session_requests,
     )
 
-    planner = _build_planner(store_dir)
-    planner.add_all(collect_session_requests())
-    planner.execute()
-
+    planner = _build_planner(store_dir, collect_session_requests())
     out = []
     for exp_id in SESSION_EXPERIMENTS:
         out.append(f"== {exp_id} ==")
@@ -664,6 +679,7 @@ def _run_devices_show(name: str) -> str:
 
 def _run_devices_validate(files: list[str], validate_all: bool) -> int:
     from repro.devices.registry import (
+        check_against_registry,
         default_registry,
         refresh_default_registry,
     )
@@ -673,20 +689,20 @@ def _run_devices_validate(files: list[str], validate_all: bool) -> int:
         raise SystemExit(
             "repro devices validate: give device FILEs and/or --all"
         )
+    # Re-read the directories: validate must see the files as they are
+    # *now*, not as a previous command in this process cached them.
+    refresh_default_registry()
     failures = 0
     for path in files:
         try:
             entry = load_device_file(path)
+            check_against_registry(entry)
         except DeviceError as exc:
             print(f"FAIL {path}: {exc}")
             failures += 1
         else:
             print(f"ok   {path}: {entry.key} ({entry.kind}, {entry.spec.name})")
     if validate_all:
-        # Re-read the directories: validate must see the files as they
-        # are *now*, not as a previous command in this process cached
-        # them.
-        refresh_default_registry()
         try:
             registry = default_registry()
         except DeviceError as exc:
@@ -910,7 +926,9 @@ def _run_perf(args: argparse.Namespace) -> int:
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "experiment":
-        planner = _build_planner(args.store_dir)
+        planner = _build_planner(
+            args.store_dir, _experiment_requests(args.id)
+        )
         print(_run_experiment(args.id, engine=planner))
     elif args.command == "sweep":
         print(

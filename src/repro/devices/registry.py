@@ -47,6 +47,7 @@ __all__ = [
     "device_spec",
     "device_calibration",
     "gpu_device_choices",
+    "check_against_registry",
 ]
 
 
@@ -202,6 +203,10 @@ _DESCRIPTIONS = {
 }
 
 
+#: ``source`` of the built-in entries; a device file's is its path.
+_BUILTIN_SOURCE = "bundled"
+
+
 def _builtin_definitions() -> list[DeviceDefinition]:
     """The paper's Table I parts, straight from the in-code constants."""
     return [
@@ -213,7 +218,7 @@ def _builtin_definitions() -> list[DeviceDefinition]:
                 calibration_for(spec) if isinstance(spec, GPUSpec) else None
             ),
             description=_DESCRIPTIONS[key],
-            source="bundled",
+            source=_BUILTIN_SOURCE,
         )
         for key, spec in MACHINES.items()
     ]
@@ -284,3 +289,33 @@ def gpu_device_choices() -> tuple[str, ...]:
         return default_registry().gpu_keys()
     except DeviceSchemaError:
         return DeviceRegistry(_builtin_definitions()).gpu_keys()
+
+
+def check_against_registry(definition: DeviceDefinition) -> None:
+    """Raise the registry's duplicate error if a source other than
+    ``definition``'s own file defines its key or spec name.
+
+    This is the check :func:`default_registry` makes when it loads the
+    file from ``$REPRO_DEVICE_DIR``.  An entry the registry loaded from
+    the same path is that file, not a clash.  When the device
+    directories do not load, the file is checked against the built-in
+    entries alone.
+
+    Raises
+    ------
+    DeviceSchemaError
+        Naming both sources, as a duplicate in the directories would.
+    """
+    try:
+        entries = default_registry().entries()
+    except DeviceSchemaError:
+        entries = _builtin_definitions()
+    path = Path(definition.source).resolve()
+    DeviceRegistry(
+        [
+            entry
+            for entry in entries
+            if entry.source == _BUILTIN_SOURCE
+            or Path(entry.source).resolve() != path
+        ]
+    ).add(definition)

@@ -18,7 +18,9 @@ This module evaluates an *array* of configurations in one pass:
 * the DVFS power-cap bisection (:mod:`repro.simgpu.dvfs`) runs as a
   *masked lockstep* bisection: every lane follows exactly the scalar
   solver's schedule — same initial bracket, same midpoint updates,
-  same early-exit tolerance test — and freezes once converged.
+  same early-exit tolerance test — and freezes once converged;
+* the calibration may vary per lane, so one call serves several
+  calibrations of a device (see below).
 
 **Parity contract.**  Every arithmetic expression mirrors the scalar
 path's operation order, so intermediate values agree to the last few
@@ -33,6 +35,21 @@ Quantities that must be *exact* — warp-row counts, the auxiliary
 decay — are computed per unique input value with the scalar functions
 and broadcast, not re-derived in floating point.
 
+Calibration columns change no lane's bits.  IEEE ``+ − × ÷`` round
+correctly, so ``c * a[i]`` with a scalar ``c`` and ``col[i] * a[i]``
+with ``col[i] == c`` are the same double; every expression keeps its
+operation order whether a constant is a scalar or a column, so a lane
+of a several-calibration call equals the same lane of its own
+one-calibration call bit for bit.  A constant all lanes share stays a
+Python float, so a one-calibration call runs exactly the arithmetic it
+always did.  ``pow`` is the exception: a scalar clock's ``x ** e`` is
+a libm call, while an exponent column would send it to NumPy's SIMD
+array ``pow``, which differs from libm in the last bit on some inputs;
+an array base with a scalar exponent also takes NumPy's fast paths
+(``a ** 2.0`` is a square) that an exponent column would bypass.
+Hence a call whose lanes disagree on an exponent is rejected, and
+callers group lanes by their exponents.
+
 The scalar path remains the model of record: the golden snapshots and
 the parity tests compare this batch against it.
 """
@@ -41,7 +58,9 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -75,21 +94,40 @@ class BatchRunResult:
         return len(self.time_s)
 
 
+#: Calibration constants that enter the model only through IEEE
+#: ``+ − × ÷`` and comparisons: a call may give each lane its own value.
+_COLUMN_FIELDS = (
+    "lsu_lanes", "cpi", "replay_slope", "mem_latency_cycles",
+    "l2_hit_cap", "warps_to_saturate_bw", "launch_overhead_s",
+    "icache_penalty", "e_lane_j", "e_dram_j_per_byte", "p_act0_w",
+    "p_act1_w", "leak_quad", "aux_power_w", "power_cap_w",
+    "thermal_tau_s",
+)
+#: ``pow`` exponents: one value per call (module docstring).
+_EXPONENT_FIELDS = ("volt_exp", "occ_exp")
+
+
 class _LaneConstants:
     """Clock-independent per-configuration arrays.
 
     Everything the clock-dependent timing/power evaluation needs, with
     exact-integer quantities (tile counts, warp counts, residency)
     pre-multiplied in the scalar path's association order so the
-    float64 products are bit-equal to the scalar path's.
+    float64 products are bit-equal to the scalar path's.  The
+    calibration constants of that evaluation ride along: each is a
+    per-lane column, or a Python float when every lane shares it
+    (always so for ``volt_exp``).
     """
 
     __slots__ = (
         "g", "r", "compute_cycles", "tile_fetch", "t_dram", "bsk",
         "blocks", "lanes_issued", "total_dram", "act_base", "kaux",
+        "mem_latency_cycles", "launch_overhead_s", "e_lane_j",
+        "e_dram_j_per_byte", "leak_quad", "power_cap_w", "thermal_tau_s",
+        "volt_exp",
     )
 
-    def __init__(self, **kw: np.ndarray) -> None:
+    def __init__(self, **kw: np.ndarray | float) -> None:
         for name in self.__slots__:
             setattr(self, name, kw[name])
 
@@ -161,9 +199,52 @@ def _validate(
         )
 
 
+def _calibration_columns(
+    runs: Sequence[tuple[GPUCalibration, int]], lanes: int
+) -> GPUCalibration | SimpleNamespace:
+    """One calibration view of ``(calibration, lane count)`` runs.
+
+    The runs cover the lanes in order.  When they all share one
+    calibration, that calibration is the view.  Otherwise each
+    :data:`_COLUMN_FIELDS` constant the runs share stays a Python
+    float and each one they disagree on becomes a float64 column of
+    per-lane values.
+
+    Raises
+    ------
+    ValueError
+        If the runs do not cover ``lanes`` lanes, or disagree on an
+        exponent (:data:`_EXPONENT_FIELDS`).
+    """
+    cals = [cal for cal, _ in runs]
+    counts = [count for _, count in runs]
+    if sum(counts) != lanes:
+        raise ValueError(
+            f"calibration runs cover {sum(counts)} lanes, the batch has "
+            f"{lanes}"
+        )
+    first = cals[0]
+    if all(cal == first for cal in cals):
+        return first
+    for name in _EXPONENT_FIELDS:
+        if any(getattr(cal, name) != getattr(first, name) for cal in cals):
+            raise ValueError(
+                f"lanes disagree on {name}, a pow exponent: evaluate "
+                f"each value in its own batch_run_matmul call"
+            )
+    view = {name: getattr(first, name) for name in _EXPONENT_FIELDS}
+    for name in _COLUMN_FIELDS:
+        values = [getattr(cal, name) for cal in cals]
+        if values.count(values[0]) == len(values):
+            view[name] = values[0]
+        else:
+            view[name] = np.repeat(np.array(values, dtype=np.float64), counts)
+    return SimpleNamespace(**view)
+
+
 def _lane_constants(
     spec: GPUSpec,
-    cal: GPUCalibration,
+    cal: GPUCalibration | SimpleNamespace,
     n: np.ndarray,
     bs: np.ndarray,
     g: np.ndarray,
@@ -174,7 +255,9 @@ def _lane_constants(
     Mirrors ``matmul_kernel_resources``, ``matmul_traffic`` and
     ``compute_occupancy`` expression by expression (same operation
     order, so products of exactly-representable integers are
-    bit-identical to the scalar path).
+    bit-identical to the scalar path).  ``cal`` is a calibration or a
+    :func:`_calibration_columns` view; each constant enters the same
+    expression whether it is a Python float or a per-lane column.
     """
     ws = spec.warp_size
     n_f = n.astype(np.float64)
@@ -250,11 +333,19 @@ def _lane_constants(
         total_dram=total_dram,
         act_base=act_base,
         kaux=kaux,
+        mem_latency_cycles=cal.mem_latency_cycles,
+        launch_overhead_s=cal.launch_overhead_s,
+        e_lane_j=cal.e_lane_j,
+        e_dram_j_per_byte=cal.e_dram_j_per_byte,
+        leak_quad=cal.leak_quad,
+        power_cap_w=cal.power_cap_w,
+        thermal_tau_s=cal.thermal_tau_s,
+        volt_exp=cal.volt_exp,
     )
 
 
 def _dynamic_power(
-    spec: GPUSpec, cal: GPUCalibration, k: _LaneConstants, clock_hz: np.ndarray
+    spec: GPUSpec, k: _LaneConstants, clock_hz: np.ndarray | float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(dynamic_w, product_time_s, launch_time_s)`` at a clock array.
 
@@ -268,7 +359,7 @@ def _dynamic_power(
     # midpoints, blended operating clocks); scalar clocks keep the
     # clock-only subexpressions out of the array pipeline entirely.
     bw_per_sm = spec.mem_bandwidth_bps / (clock_hz * spec.sm_count)
-    mem_cycles = cal.mem_latency_cycles + k.tile_fetch / bw_per_sm
+    mem_cycles = k.mem_latency_cycles + k.tile_fetch / bw_per_sm
     per_block = np.maximum(
         k.compute_cycles, (k.compute_cycles + mem_cycles) / k.blocks
     )
@@ -277,24 +368,23 @@ def _dynamic_power(
     # The scalar path's launch-time g·t and power-rate g·t are the same
     # product bit for bit, so one multiply serves both.
     g_t = k.g * t_product
-    t_launch = cal.launch_overhead_s + g_t
+    t_launch = k.launch_overhead_s + g_t
 
     x = clock_hz / spec.base_clock_hz
-    scale = x ** (cal.volt_exp - 1.0)
-    act_scale = x**cal.volt_exp
-    compute = cal.e_lane_j * scale * (k.lanes_issued / g_t)
-    dram = cal.e_dram_j_per_byte * (k.total_dram / g_t)
+    scale = x ** (k.volt_exp - 1.0)
+    act_scale = x**k.volt_exp
+    compute = k.e_lane_j * scale * (k.lanes_issued / g_t)
+    dram = k.e_dram_j_per_byte * (k.total_dram / g_t)
     activity = k.act_base * act_scale
     aux = k.kaux * t_product / t_launch
     electrical = compute + dram + activity + aux
-    leakage = cal.leak_quad * electrical * electrical / 100.0
+    leakage = k.leak_quad * electrical * electrical / 100.0
     dynamic = compute + dram + activity + aux + leakage
     return dynamic, t_product, t_launch
 
 
 def _evaluate_lanes(
     spec: GPUSpec,
-    cal: GPUCalibration,
     k: _LaneConstants,
     *,
     tol_w: float = 0.25,
@@ -317,25 +407,25 @@ def _evaluate_lanes(
     m = len(k.g)
     if not spec.has_autoboost:
         base = spec.base_clock_hz
-        dyn, _, tl = _dynamic_power(spec, cal, k, base)
+        dyn, _, tl = _dynamic_power(spec, k, base)
         return dyn, tl, np.full(m, base), np.zeros(m, dtype=bool)
 
     boost = spec.boost_clock_hz
-    dyn, _, tl = _dynamic_power(spec, cal, k, boost)
+    dyn, _, tl = _dynamic_power(spec, k, boost)
     p_boost = spec.idle_power_w + dyn
     clock = np.full(m, boost)
     throttled = np.zeros(m, dtype=bool)
 
-    over = p_boost > cal.power_cap_w
+    over = p_boost > k.power_cap_w
     if over.any():
         idx = np.flatnonzero(over)
         sub = _gather(k, idx)
         lo0 = MIN_CLOCK_FRACTION * spec.base_clock_hz
-        dyn_lo, _, _ = _dynamic_power(spec, cal, sub, lo0)
+        dyn_lo, _, _ = _dynamic_power(spec, sub, lo0)
         p_lo = spec.idle_power_w + dyn_lo
 
         cap_clock = np.full(len(idx), lo0)  # floor lanes keep lo0
-        bisect = p_lo < cal.power_cap_w
+        bisect = p_lo < sub.power_cap_w
         if bisect.any():
             bidx = np.flatnonzero(bisect)
             kb = _gather(sub, bidx)
@@ -346,8 +436,8 @@ def _evaluate_lanes(
             done = np.zeros(m_b, dtype=bool)
             for _ in range(max_iter):
                 mid = 0.5 * (lo + hi)
-                dyn_mid, _, _ = _dynamic_power(spec, cal, kb, mid)
-                gap = (spec.idle_power_w + dyn_mid) - cal.power_cap_w
+                dyn_mid, _, _ = _dynamic_power(spec, kb, mid)
+                gap = (spec.idle_power_w + dyn_mid) - kb.power_cap_w
                 hit = ~done & (np.abs(gap) <= tol_w)
                 np.copyto(out, mid, where=hit)
                 done |= hit
@@ -364,25 +454,29 @@ def _evaluate_lanes(
         # Thermal inertia: blend the capped clock toward boost by the
         # heat-soak fraction of the R-launch sequence (run_matmul).
         total_boost_s = sub.r * tl[idx]
-        soak = 1.0 - np.exp(-total_boost_s / cal.thermal_tau_s)
+        soak = 1.0 - np.exp(-total_boost_s / sub.thermal_tau_s)
         sub_clock = boost * (1.0 - soak) + cap_clock * soak
         clock[idx] = sub_clock
         throttled[idx] = soak > 0.5
-        dyn_sub, _, tl_sub = _dynamic_power(spec, cal, sub, sub_clock)
+        dyn_sub, _, tl_sub = _dynamic_power(spec, sub, sub_clock)
         dyn[idx] = dyn_sub
         tl[idx] = tl_sub
     return dyn, tl, clock, throttled
 
 
 def _gather(k: _LaneConstants, idx: np.ndarray) -> _LaneConstants:
-    return _LaneConstants(
-        **{name: getattr(k, name)[idx] for name in _LaneConstants.__slots__}
-    )
+    """Lanes ``idx`` of ``k``; a constant every lane shares passes
+    through as the same Python float."""
+    kw = {}
+    for name in _LaneConstants.__slots__:
+        value = getattr(k, name)
+        kw[name] = value[idx] if isinstance(value, np.ndarray) else value
+    return _LaneConstants(**kw)
 
 
 def batch_run_matmul(
     spec: GPUSpec,
-    cal: GPUCalibration | None,
+    cal: GPUCalibration | Sequence[tuple[GPUCalibration, int]] | None,
     n,
     bs,
     g,
@@ -391,14 +485,21 @@ def batch_run_matmul(
     """Model a batch of ``(N, BS, G, R)`` kernel-run configurations.
 
     ``n``/``bs``/``g``/``r`` are broadcastable integer array-likes;
-    the result arrays follow the flattened broadcast shape.  Matches
-    the deterministic scalar path (``run_matmul`` with no noise RNG,
-    no pinned clock) to ≤ 1e-9 relative error per lane.
+    the result arrays follow the flattened broadcast shape.  ``cal`` is
+    the calibration of every lane (None: the spec's default), or a
+    sequence of ``(calibration, lane count)`` runs that cover the lanes
+    in order, so that one call evaluates several calibrations of a
+    device; each lane is then bit-identical to the same lane evaluated
+    under its own calibration alone.  Matches the deterministic scalar
+    path (``run_matmul`` with no noise RNG, no pinned clock) to ≤ 1e-9
+    relative error per lane.  An empty batch gives an empty result.
 
     Raises
     ------
     ValueError
-        If any lane is a configuration the scalar path would reject.
+        If any lane is a configuration the scalar path would reject,
+        the runs do not cover the lanes, or the runs disagree on
+        ``volt_exp`` or ``occ_exp``.
     """
     if cal is None:
         cal = calibration_for(spec)
@@ -412,10 +513,20 @@ def batch_run_matmul(
         n, bs, g, r = (np.ravel(a) for a in (n, bs, g, r))
     _validate(spec, n, bs, g, r)
     lanes = int(n.size)
+    if not lanes:
+        return BatchRunResult(
+            time_s=np.empty(0),
+            dynamic_energy_j=np.empty(0),
+            dynamic_power_w=np.empty(0),
+            clock_hz=np.empty(0),
+            throttled=np.empty(0, dtype=bool),
+        )
+    if not isinstance(cal, GPUCalibration):
+        cal = _calibration_columns(cal, lanes)
     t0 = time.perf_counter()
     with obs.span("batch.run_matmul", device=spec.name, lanes=lanes):
         k = _lane_constants(spec, cal, n, bs, g, r)
-        dynamic_w, t_launch, clock, throttled = _evaluate_lanes(spec, cal, k)
+        dynamic_w, t_launch, clock, throttled = _evaluate_lanes(spec, k)
         time_s = k.r * t_launch
         energy_j = dynamic_w * time_s
     elapsed = time.perf_counter() - t0
@@ -432,30 +543,6 @@ def batch_run_matmul(
     )
 
 
-def evaluate_configs_batch_arrays(
-    spec: GPUSpec,
-    cal: GPUCalibration | None,
-    n: int,
-    configs,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Columnar variant of :func:`evaluate_configs_batch`.
-
-    Returns the index-aligned ``(time_s, dynamic_energy_j)`` float64
-    columns directly, without materializing per-point tuples.
-    """
-    count = len(configs)
-    if not count:
-        empty = np.empty(0, dtype=np.float64)
-        return empty, empty.copy()
-    bs = np.fromiter((c.bs for c in configs), dtype=np.int64, count=count)
-    g = np.fromiter((c.g for c in configs), dtype=np.int64, count=count)
-    r = np.fromiter((c.r for c in configs), dtype=np.int64, count=count)
-    out = batch_run_matmul(
-        spec, cal, np.full(count, n, dtype=np.int64), bs, g, r
-    )
-    return out.time_s, out.dynamic_energy_j
-
-
 def evaluate_configs_batch(
     spec: GPUSpec,
     cal: GPUCalibration | None,
@@ -468,5 +555,11 @@ def evaluate_configs_batch(
     attributes (e.g. :class:`repro.apps.matmul_gpu.MatmulConfig`);
     returns index-aligned ``(time_s, dynamic_energy_j)`` pairs.
     """
-    times, energies = evaluate_configs_batch_arrays(spec, cal, n, configs)
-    return list(zip(times.tolist(), energies.tolist()))
+    count = len(configs)
+    bs = np.fromiter((c.bs for c in configs), dtype=np.int64, count=count)
+    g = np.fromiter((c.g for c in configs), dtype=np.int64, count=count)
+    r = np.fromiter((c.r for c in configs), dtype=np.int64, count=count)
+    out = batch_run_matmul(
+        spec, cal, np.full(count, n, dtype=np.int64), bs, g, r
+    )
+    return list(zip(out.time_s.tolist(), out.dynamic_energy_j.tolist()))

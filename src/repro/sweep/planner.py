@@ -18,11 +18,15 @@ the session inside out:
 3. **Partition** — with a store attached, one vectorized pass per
    group against its shard in the columnar store (:mod:`repro.store`)
    splits the unique points into hits and misses.
-4. **Fill** — all misses sharing a ``(spec, calibration)`` are
-   evaluated as ONE mega-batch through :func:`repro.simgpu.batch.
-   batch_run_matmul` (mixed matrix sizes per batch; per-lane results
-   are bit-identical to per-sweep batches), then appended to the store
-   shard-at-a-time.
+4. **Fill** — all misses of one device are evaluated in ONE call of
+   :func:`repro.simgpu.batch.batch_run_matmul`, across matrix sizes
+   and calibrations: each group's calibration reaches the batch as a
+   ``(calibration, lane count)`` run, and only the two ``pow``
+   exponents (``volt_exp``, ``occ_exp``) split a device into more
+   calls.  Per-lane results are bit-identical to a per-sweep,
+   per-calibration batch.  Results are scattered back per group and
+   appended to the store shard-at-a-time, one shard per
+   ``(spec, calibration, N)``.
 
 The hot path is columnar end to end — packed int64 keys, float64
 objective columns, structured arrays — with zero per-point dict
@@ -98,8 +102,9 @@ class PlannerStats:
     store_hits: int = 0
     #: Unique points actually evaluated.
     computed: int = 0
-    #: Mega-batches the misses were filled in (one per distinct
-    #: (spec, calibration) among the missing points).
+    #: ``batch_run_matmul`` calls the misses were filled in: one per
+    #: distinct ``(spec, volt_exp, occ_exp)`` among the missing points,
+    #: so one per device unless calibrations differ in an exponent.
     batches: int = 0
     #: Points handed to experiments (duplicates across experiments
     #: count every time — this is the work the planner absorbed).
@@ -178,8 +183,9 @@ class EvalPlanner:
         still deduplicates and mega-batches, but nothing persists.
 
     Misses are computed by the vectorized batch model, one
-    :func:`~repro.simgpu.batch.batch_run_matmul` mega-batch per
-    distinct spec/calibration.
+    :func:`~repro.simgpu.batch.batch_run_matmul` call per device and
+    exponent pair, whatever the calibrations and matrix sizes of its
+    groups.
     """
 
     def __init__(
@@ -239,8 +245,11 @@ class EvalPlanner:
         points is free.  Returns :attr:`stats`.
         """
         with obs.span("planner.execute"):
+            # Keyed by what one batch call must share: the device and
+            # the calibration's pow exponents (repro.simgpu.batch).
             fills: dict[
-                tuple[GPUSpec, GPUCalibration], list[tuple[_GroupState, np.ndarray]]
+                tuple[GPUSpec, float, float],
+                list[tuple[_GroupState, np.ndarray]],
             ] = {}
             with obs.span("planner.partition", groups=len(self._groups)):
                 pending_groups = [
@@ -263,11 +272,12 @@ class EvalPlanner:
                             obs.count("planner.store_hits", hits)
                         packed = packed[~hit]
                     if packed.size:
-                        fills.setdefault((group.spec, group.cal), []).append(
-                            (group, packed)
+                        fill_key = (
+                            group.spec, group.cal.volt_exp, group.cal.occ_exp
                         )
-            for (spec, cal), entries in fills.items():
-                self._fill(spec, cal, entries)
+                        fills.setdefault(fill_key, []).append((group, packed))
+            for (spec, _, _), entries in fills.items():
+                self._fill(spec, entries)
             self.stats.unique_points = sum(
                 len(g.packed) for g in self._groups.values()
             )
@@ -278,11 +288,10 @@ class EvalPlanner:
     def _fill(
         self,
         spec: GPUSpec,
-        cal: GPUCalibration,
         entries: list[tuple[_GroupState, np.ndarray]],
     ) -> None:
-        """Evaluate all missing points of one (spec, cal) as one batch
-        and scatter the results back per shard."""
+        """Evaluate the missing points of groups that share a device and
+        exponents in one batch, and scatter the results back per group."""
         from repro.simgpu.batch import batch_run_matmul
 
         ns = np.concatenate(
@@ -290,13 +299,14 @@ class EvalPlanner:
         )
         packed = np.concatenate([p for _, p in entries])
         bs, g, r = unpack_keys(packed)
+        cal_runs = [(grp.cal, len(p)) for grp, p in entries]
         with obs.span(
             "planner.fill_misses",
             device=spec.name,
             points=int(len(packed)),
             shards=len(entries),
         ):
-            out = batch_run_matmul(spec, cal, ns, bs, g, r)
+            out = batch_run_matmul(spec, cal_runs, ns, bs, g, r)
             self.stats.batches += 1
             self.stats.computed += len(packed)
             obs.count("planner.batches")

@@ -6,11 +6,14 @@ evaluation agrees with the scalar reference path
 the *full* K40c and P100 configuration spaces, over randomized config
 spaces (property-based, seeded), and through the planner
 (:class:`repro.sweep.planner.EvalPlanner`), which serves every
-sweep-driven command from this batch.  The scalar path stays the model
-of record.
+sweep-driven command from this batch.  A call over several
+calibrations of a device must give every lane the bits of its own
+one-calibration call.  The scalar path stays the model of record.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ import pytest
 from repro.apps.matmul_gpu import MatmulConfig, MatmulGPUApp
 from repro.machines.specs import K40C, P100
 from repro.simgpu.batch import (
+    _COLUMN_FIELDS,
     BatchRunResult,
     batch_run_matmul,
     evaluate_configs_batch,
@@ -135,6 +139,13 @@ class TestBatchInputHandling:
     def test_empty_config_list(self):
         assert evaluate_configs_batch(P100, None, 1024, []) == []
 
+    def test_empty_batch_gives_empty_result(self):
+        out = batch_run_matmul(P100, None, [], [], [], [])
+        assert len(out) == 0
+        for field in dataclasses.fields(out):
+            assert getattr(out, field.name).shape == (0,)
+        assert out.throttled.dtype == bool
+
     @pytest.mark.parametrize(
         "n,bs,g,r,match",
         [
@@ -151,6 +162,61 @@ class TestBatchInputHandling:
         with pytest.raises(ValueError, match=match):
             batch_run_matmul(
                 P100, None, [1024, n], [32, bs], [1, g], [24, r]
+            )
+
+
+def _scaled(cal, name, factor):
+    """``cal`` with one constant scaled (an int constant stays int)."""
+    value = getattr(cal, name)
+    return dataclasses.replace(cal, **{name: type(value)(value * factor)})
+
+
+class TestCalibrationRuns:
+    """One call over ``(calibration, lane count)`` runs, as the planner
+    fills a device: every lane keeps the bits of its own
+    one-calibration call."""
+
+    @pytest.mark.parametrize("spec", [P100, K40C], ids=["p100", "k40c"])
+    def test_lanes_match_their_own_calibration_bit_for_bit(self, spec):
+        base = calibration_for(spec)
+        cals = [base] + [
+            _scaled(base, name, factor)
+            for name in _COLUMN_FIELDS
+            for factor in (0.8, 1.2)
+        ]
+        configs = MatmulGPUApp(spec).sweep_configs()
+        n = np.repeat([4096, 10240], len(configs))
+        bs = np.tile([c.bs for c in configs], 2)
+        g = np.tile([c.g for c in configs], 2)
+        r = np.tile([c.r for c in configs], 2)
+        lanes = len(n)
+        out = batch_run_matmul(
+            spec, [(cal, lanes) for cal in cals],
+            np.tile(n, len(cals)), np.tile(bs, len(cals)),
+            np.tile(g, len(cals)), np.tile(r, len(cals)),
+        )
+        for i, cal in enumerate(cals):
+            ref = batch_run_matmul(spec, cal, n, bs, g, r)
+            for field in dataclasses.fields(ref):
+                got = getattr(out, field.name)[i * lanes:(i + 1) * lanes]
+                want = getattr(ref, field.name)
+                if want.dtype == np.float64:
+                    got, want = got.view(np.int64), want.view(np.int64)
+                np.testing.assert_array_equal(got, want, err_msg=field.name)
+
+    @pytest.mark.parametrize("name", ["volt_exp", "occ_exp"])
+    def test_lanes_with_mixed_exponents_are_rejected(self, name):
+        base = calibration_for(P100)
+        other = dataclasses.replace(base, **{name: getattr(base, name) + 0.5})
+        with pytest.raises(ValueError, match=f"lanes disagree on {name}"):
+            batch_run_matmul(
+                P100, [(base, 1), (other, 1)], 1024, 32, 1, [24, 24]
+            )
+
+    def test_runs_must_cover_the_lanes(self):
+        with pytest.raises(ValueError, match="cover 3 lanes, the batch has 2"):
+            batch_run_matmul(
+                P100, [(calibration_for(P100), 3)], 1024, 32, 1, [24, 24]
             )
 
 

@@ -177,6 +177,40 @@ class TestPlannerCommands:
             _scalar_render(exp_id)
         )
 
+    @pytest.mark.parametrize(
+        "exp_id,calls",
+        [
+            ("fig2", 1),
+            ("fig7", 1),
+            ("fig8", 1),
+            ("headline", 2),
+            ("sensitivity", 2),
+            ("budgeted-search", 1),
+        ],
+    )
+    def test_experiment_fills_each_device_in_one_batch_call(
+        self, exp_id, calls, monkeypatch, capsys
+    ):
+        """`repro experiment` fills its requests before it runs, so the
+        misses of each device, across calibrations and matrix sizes,
+        take one batch-model call; the output stays the scalar
+        model's."""
+        from repro.simgpu import batch
+
+        monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
+        real = batch.batch_run_matmul
+        lanes = []
+
+        def counted(*args):
+            out = real(*args)
+            lanes.append(len(out))
+            return out
+
+        monkeypatch.setattr(batch, "batch_run_matmul", counted)
+        assert main(["experiment", exp_id]) == 0
+        assert len(lanes) == calls
+        assert capsys.readouterr().out == _scalar_render(exp_id) + "\n"
+
     @pytest.mark.parametrize("exp_id", SESSION_EXPERIMENTS)
     def test_store_served_experiment_matches_scalar_model(
         self, exp_id, tmp_path
@@ -290,6 +324,18 @@ class TestAllCommand:
     def test_all_without_store_runs_in_memory(self, capsys):
         assert main(["all"]) == 0
         assert "planner session:" in capsys.readouterr().out
+
+    def test_all_fills_each_device_in_one_batch_call(
+        self, monkeypatch, capsys
+    ):
+        """The session's 30 (device, calibration) pairs, 28 of them
+        sensitivity's perturbations, fill in one batch-model call per
+        GPU."""
+        monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
+        assert main(["all"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].endswith(
+            "0 store hits, 6150 computed in 2 batches"
+        )
 
     def test_all_enumerates_each_sweep_space_once(self, capsys):
         """The session's 48 requests span 3 configuration spaces (K40c

@@ -287,6 +287,24 @@ class TestCLILoop:
         assert "must be a finite number >= 0" in capsys.readouterr().err
         assert not samples_path.exists()
 
+    def test_synth_rejects_negative_seed(self, tmp_path, capsys):
+        """A negative seed used to die in NumPy's generator with a
+        traceback; it is a usage error that names the flag."""
+        from repro.cli import main
+
+        samples_path = tmp_path / "s.json"
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "devices", "synth", "--device", "k40c",
+                    "--output", str(samples_path), "--seed", "-1",
+                ]
+            )
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --seed: must be at least 0 (got -1)" in err
+        assert not samples_path.exists()
+
     def test_fit_rejects_cpu_device(self, tmp_path):
         from repro.cli import main
 

@@ -93,6 +93,80 @@ class TestBuiltins:
             default_registry()
 
 
+class TestValidateCommand:
+    """`repro devices validate FILE` makes the registry's duplicate
+    check, as `$REPRO_DEVICE_DIR` would load the file."""
+
+    def test_unedited_show_output_clashes_until_edited(self, tmp_path, capsys):
+        from repro.cli import main
+
+        assert main(["devices", "show", "p100"]) == 0
+        path = tmp_path / "p100.json"
+        path.write_text(capsys.readouterr().out)
+        assert main(["devices", "validate", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            f"FAIL {path}: duplicate device key 'p100': defined by both "
+            f"bundled and {path}\n"
+        )
+        # The README flow: a new key and spec name make the copy valid.
+        doc = json.loads(path.read_text())
+        doc["key"], doc["spec"]["name"] = "v100", "Nvidia V100"
+        path.write_text(json.dumps(doc))
+        assert main(["devices", "validate", str(path)]) == 0
+        assert capsys.readouterr().out.startswith(f"ok   {path}: v100 ")
+
+    def test_spec_name_clash_is_case_insensitive(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = _write_device(
+            tmp_path / "p.json", "p100-copy", P100, P100_CAL,
+            **{"spec.name": P100.name.upper()},
+        )
+        assert main(["devices", "validate", str(path)]) == 1
+        assert (
+            f"duplicate device name {P100.name.upper()!r}: defined by both "
+            f"bundled (key 'p100') and {path} (key 'p100-copy')"
+        ) in capsys.readouterr().out
+
+    def test_registered_file_does_not_clash_with_itself(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.cli import main
+
+        device_dir = tmp_path / "devices"
+        device_dir.mkdir()
+        path = _write_device(
+            device_dir / "v100.json", "v100", P100, P100_CAL,
+            **{"spec.name": "Nvidia V100"},
+        )
+        monkeypatch.setenv("REPRO_DEVICE_DIR", str(device_dir))
+        alias = device_dir / ".." / "devices" / "v100.json"
+        assert main(["devices", "validate", str(path), str(alias)]) == 0
+        capsys.readouterr()
+        # A copy at another path is a second definition of v100.
+        copy = tmp_path / "v100.json"
+        copy.write_text(path.read_text())
+        assert main(["devices", "validate", str(copy)]) == 1
+        assert (
+            f"duplicate device key 'v100': defined by both {path} and {copy}"
+        ) in capsys.readouterr().out
+
+    def test_clash_inside_the_device_dir_is_reported(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """The directory then fails to load, so the file is checked
+        against the built-in entries."""
+        from repro.cli import main
+
+        path = _write_device(tmp_path / "p100.json", "p100", P100, P100_CAL)
+        monkeypatch.setenv("REPRO_DEVICE_DIR", str(tmp_path))
+        assert main(["devices", "validate", str(path)]) == 1
+        assert (
+            f"FAIL {path}: duplicate device key 'p100': defined by both "
+            f"bundled and {path}"
+        ) in capsys.readouterr().out
+
+
 class TestCalibrationDispatch:
     def test_pickled_spec_resolves_regression(self):
         """The id()-keyed dispatch bug: equal-but-distinct specs."""

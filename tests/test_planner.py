@@ -4,9 +4,10 @@ Request resolution, bit-exact parity with per-sweep batch evaluation,
 agreement of every serving path (in memory, cold store, warm store,
 through the app) with the scalar model of record, cross-experiment
 dedup accounting, warm-store zero-compute reruns,
-mixed-size mega-batch exactness, calibration-separated shards, the
-noise bypass, and golden-snapshot identity of the planner-served
-figure set.
+mixed-size mega-batch exactness, one batch call per device across
+calibrations (bit-identical to per-calibration calls),
+calibration-separated shards, the noise bypass, and golden-snapshot
+identity of the planner-served figure set.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import pytest
 from repro.apps.matmul_gpu import MatmulConfig, MatmulGPUApp
 from repro.core.pareto import ParetoPoint, pareto_front
 from repro.machines.specs import K40C, P100
-from repro.simgpu.batch import evaluate_configs_batch
+from repro.simgpu.batch import batch_run_matmul, evaluate_configs_batch
 from repro.simgpu.calibration import P100_CAL, calibration_for
 from repro.sweep import EvalPlanner, SweepRequest, resolve_device
 from repro.sweep.planner import POINT_DTYPE, collect_session_requests
@@ -73,7 +74,7 @@ class TestPlannerParity:
         ]
         planner.add_all(reqs)
         planner.execute()
-        assert planner.stats.batches == 1  # one (spec, cal) mega-batch
+        assert planner.stats.batches == 1  # one batch call per device
         for req in reqs:
             assert planner.evaluate_configs(req, req.configs()) == (
                 batch_points(req, req.configs())
@@ -148,8 +149,8 @@ class TestServingPathParity:
 
 class TestPlannerAccounting:
     def test_two_devices_fill_in_two_batches(self):
-        """One mega-batch per (spec, calibration); each request is
-        served its own rows, in request order."""
+        """One batch call per device; each request is served its own
+        rows, in request order."""
         reqs = [
             SweepRequest(device="p100", n=4096),
             SweepRequest(device="k40c", n=2048),
@@ -257,6 +258,82 @@ class TestPlannerAccounting:
         assert planner.stats.requested == 0
         assert not any(tmp_path.iterdir())
         assert len(noisy) == len(app.sweep_configs())
+
+
+def _three_calibrations() -> list[SweepRequest]:
+    """P100 sweeps under the default calibration, a perturbed
+    ``e_lane_j`` and a replaced ``occ_exp``: the last is a pow exponent
+    and needs its own batch call."""
+    lane = dataclasses.replace(P100_CAL, e_lane_j=P100_CAL.e_lane_j * 1.2)
+    occ = dataclasses.replace(P100_CAL, occ_exp=2.0)
+    return [
+        SweepRequest(device="p100", n=4096),
+        SweepRequest(device="p100", n=8192),
+        SweepRequest(device="p100", n=4096, cal=lane),
+        SweepRequest(device="p100", n=8192, cal=lane),
+        SweepRequest(device="p100", n=4096, cal=occ),
+    ]
+
+
+class TestCalibrationColumns:
+    """Misses of one device fill in one call across calibrations, and
+    each lane keeps the bits of its own per-calibration call."""
+
+    def test_session_lanes_match_per_calibration_calls(self):
+        reqs = collect_session_requests()
+        planner = EvalPlanner()
+        planner.add_all(reqs)
+        assert planner.execute().batches == 2
+        by_cal: dict = {}
+        for req in reqs:
+            by_cal.setdefault((req.spec, req.calibration), []).append(req)
+        assert len(by_cal) == 30
+        for (spec, cal), group in by_cal.items():
+            ns, bs, g, r = [], [], [], []
+            for req in group:
+                for c in req.configs():
+                    ns.append(req.n)
+                    bs.append(c.bs)
+                    g.append(c.g)
+                    r.append(c.r)
+            ref = batch_run_matmul(spec, cal, ns, bs, g, r)
+            served = np.concatenate([planner.table(req) for req in group])
+            for got, want in (
+                (served["time_s"], ref.time_s),
+                (served["energy_j"], ref.dynamic_energy_j),
+            ):
+                np.testing.assert_array_equal(
+                    got.view(np.int64), want.view(np.int64)
+                )
+
+    def test_mixed_calibrations_fill_in_one_call_per_exponent_pair(self):
+        reqs = _three_calibrations()
+        planner = EvalPlanner()
+        planner.add_all(reqs)
+        stats = planner.execute()
+        assert stats.batches == 2
+        assert stats.computed == sum(len(req.configs()) for req in reqs)
+        for req in reqs:
+            assert planner.evaluate_configs(req, req.configs()) == (
+                batch_points(req, req.configs())
+            )
+
+    def test_mixed_fill_keeps_one_shard_per_calibration_and_size(
+        self, tmp_path
+    ):
+        reqs = _three_calibrations()
+        cold = EvalPlanner(store_dir=tmp_path)
+        cold.add_all(reqs)
+        assert cold.execute().batches == 2
+        assert len(list(tmp_path.glob("*.npy"))) == len(reqs)
+        warm = EvalPlanner(store_dir=tmp_path)
+        warm.add_all(reqs)
+        stats = warm.execute()
+        assert stats.computed == 0 and stats.batches == 0
+        for req in reqs:
+            assert warm.evaluate_configs(req, req.configs()) == (
+                batch_points(req, req.configs())
+            )
 
 
 class TestStructuredServing:
