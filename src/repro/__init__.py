@@ -37,4 +37,33 @@ Quickstart::
           f"{best.perf_degradation:.0%} slowdown")
 """
 
+import importlib
+
 __version__ = "1.0.0"
+
+
+def _lazy_exports(namespace: dict, exports: dict[str, str]):
+    """PEP 562 ``__getattr__`` and ``__dir__`` of a package whose
+    exports load on first access.
+
+    ``namespace`` is the package's ``globals()``; ``exports`` maps each
+    exported name to the submodule that defines it.  The first access
+    to a name imports that submodule only and caches the value in the
+    package, so later lookups never reach ``__getattr__``.
+    """
+    package = namespace["__name__"]
+
+    def __getattr__(name: str):
+        submodule = exports.get(name)
+        if submodule is None:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            )
+        module = importlib.import_module(f"{package}.{submodule}")
+        value = namespace[name] = getattr(module, name)
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(set(namespace) | set(exports))
+
+    return __getattr__, __dir__

@@ -7,7 +7,7 @@ whole package, so a command loads only the analysis modules it uses.
 
 from __future__ import annotations
 
-import importlib
+from repro import _lazy_exports
 
 #: Exported name -> defining submodule.
 _EXPORTS = {
@@ -37,16 +37,4 @@ _EXPORTS = {
 
 __all__ = list(_EXPORTS)
 
-
-def __getattr__(name: str):
-    submodule = _EXPORTS.get(name)
-    if submodule is not None:
-        module = importlib.import_module(f"{__name__}.{submodule}")
-        value = getattr(module, name)
-        globals()[name] = value  # cache: subsequent access skips here
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -5,9 +5,7 @@ entry points so a user can regenerate any paper artifact, or analyze a
 custom workload, without writing code:
 
 * ``experiment <id>`` — regenerate one paper artifact or extension
-  study (``table1 fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 headline
-  ablation ep-metrics methods sensitivity dvfs dvfs-gpu
-  budgeted-search``);
+  study (the ids are :data:`repro.experiments.EXPERIMENTS`);
 * ``sweep`` — evaluate a GPU matmul configuration sweep and print the
   point cloud, the Pareto front, and the trade-off table;
 * ``tradeoff`` — answer "how much energy can I save within an X%
@@ -55,29 +53,9 @@ import sys
 from collections.abc import Sequence
 
 from repro.analysis.report import format_pct, format_table
+from repro.experiments import EXPERIMENTS
 
 __all__ = ["main", "build_parser"]
-
-_EXPERIMENTS = (
-    "table1",
-    "fig1",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "headline",
-    "ablation",
-    "ep-metrics",
-    "methods",
-    "sensitivity",
-    "dvfs",
-    "dvfs-gpu",
-    "budgeted-search",
-    "energy-model",
-)
 
 
 def _int_at_least(text: str, floor: int) -> int:
@@ -170,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp = sub.add_parser(
         "experiment", help="regenerate one paper artifact"
     )
-    exp.add_argument("id", choices=_EXPERIMENTS)
+    exp.add_argument("id", choices=tuple(EXPERIMENTS))
     add_planner_flags(exp)
 
     sweep = sub.add_parser(
@@ -433,68 +411,7 @@ def _build_planner(store_dir: str | None, requests=None):
 
 
 def _run_experiment(exp_id: str, engine=None) -> str:
-    from repro.experiments import (
-        ablation,
-        dvfs_comparison,
-        ep_metrics_study,
-        fig1_strong_ep,
-        fig2_p100_n18432,
-        fig3_decomposition,
-        fig4_cpu_utilization,
-        fig5_source,
-        fig6_additivity,
-        fig7_k40c_pareto,
-        fig8_p100_pareto,
-        gpu_energy_model,
-        headline,
-        measurement_methods,
-        sensitivity,
-        table1_specs,
-    )
-    from repro.machines import K40C, P100
-
-    if exp_id == "table1":
-        return table1_specs.run().render()
-    if exp_id == "fig1":
-        return fig1_strong_ep.run().render()
-    if exp_id == "fig2":
-        return fig2_p100_n18432.run(engine=engine).render()
-    if exp_id == "fig3":
-        return fig3_decomposition.run().render()
-    if exp_id == "fig4":
-        return fig4_cpu_utilization.run().render()
-    if exp_id == "fig5":
-        return fig5_source.run().render()
-    if exp_id == "fig6":
-        return (
-            "P100:\n" + fig6_additivity.run(P100).render()
-            + "\n\nK40c:\n" + fig6_additivity.run(K40C).render()
-        )
-    if exp_id == "fig7":
-        return fig7_k40c_pareto.run(engine=engine).render()
-    if exp_id == "fig8":
-        return fig8_p100_pareto.run(engine=engine).render()
-    if exp_id == "headline":
-        return headline.run(engine=engine).render()
-    if exp_id == "ablation":
-        return ablation.run().render()
-    if exp_id == "ep-metrics":
-        return ep_metrics_study.run().render()
-    if exp_id == "methods":
-        return measurement_methods.run().render()
-    if exp_id == "sensitivity":
-        return sensitivity.run(engine=engine).render()
-    if exp_id == "dvfs":
-        return dvfs_comparison.run().render()
-    if exp_id == "dvfs-gpu":
-        return dvfs_comparison.run_gpu().render()
-    if exp_id == "budgeted-search":
-        from repro.experiments import budgeted_search
-
-        return budgeted_search.run(engine=engine).render()
-    if exp_id == "energy-model":
-        return gpu_energy_model.run().render()
-    raise AssertionError(f"unhandled experiment {exp_id!r}")
+    return EXPERIMENTS[exp_id].render(engine=engine)
 
 
 def _run_all(store_dir: str | None) -> str:
@@ -599,7 +516,10 @@ def _run_front(path: str) -> str:
     from repro.core import pareto_front, tradeoff_table
     from repro.io import load_sweep
 
-    doc = load_sweep(path)
+    try:
+        doc = load_sweep(path)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"repro front: {path}: {exc}") from None
     front = pareto_front(doc.points)
     out = [
         f"{doc.device}, N={doc.workload}: {len(doc.points)} points, "
@@ -768,25 +688,8 @@ def _experiment_requests(exp_id: str):
     protocol; the rest have no sweep inputs to hash into a
     provenance manifest.
     """
-    from repro.experiments import (
-        budgeted_search,
-        fig2_p100_n18432,
-        fig7_k40c_pareto,
-        fig8_p100_pareto,
-        headline,
-        sensitivity,
-    )
-
-    table = {
-        "fig2": fig2_p100_n18432.requests,
-        "fig7": fig7_k40c_pareto.requests,
-        "fig8": fig8_p100_pareto.requests,
-        "headline": headline.requests,
-        "sensitivity": sensitivity.requests,
-        "budgeted-search": budgeted_search.requests,
-    }
-    fn = table.get(exp_id)
-    return tuple(fn()) if fn is not None else None
+    exp = EXPERIMENTS[exp_id]
+    return tuple(exp.load().requests()) if exp.sweep else None
 
 
 def _provenance_for(args: argparse.Namespace) -> dict:
@@ -987,8 +890,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         tel = obs.configure(getattr(args, "telemetry", None))
     except ValueError as exc:
         raise SystemExit(f"repro: {exc}")
-    if tel.enabled:
-        tel.set_manifest(_provenance_for(args))
     from repro.devices.schema import DeviceError
 
     try:
@@ -1003,6 +904,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         # away; exit quietly like any well-behaved filter.
         sys.stderr.close()
         return 0
+    if tel.enabled:
+        # Built after the run, so that the imports the run makes are
+        # timed inside the command's span.
+        tel.set_manifest(_provenance_for(args))
     summary = tel.flush()
     if summary is not None:
         print(summary)

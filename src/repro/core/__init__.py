@@ -4,112 +4,62 @@ Formal strong/weak energy-proportionality definitions and checks,
 Pareto-front machinery for bi-objective (time, energy) analysis,
 trade-off quantification, literature EP metrics, and the Section III
 core-imbalance theory.
+
+Exports resolve lazily (PEP 562): ``from repro.core import
+pareto_front`` imports :mod:`repro.core.pareto` and what it needs, not
+the whole package, so a command loads only the submodules it uses.
 """
 
-from repro.core.biobjective import (
-    ConfigurationSpace,
-    EvaluatedConfig,
-    exhaustive_front,
-    greedy_front_search,
-)
-from repro.core.definitions import (
-    PAPER_PRECISION,
-    StrongEPResult,
-    WeakEPResult,
-    check_strong_ep,
-    check_weak_ep,
-)
-from repro.core.metrics import (
-    hsu_poole_ep,
-    idle_to_peak_ratio,
-    ryckbosch_ep,
-    sen_wood_gap,
-    wong_annavaram_ld,
-    wong_annavaram_pr,
-)
-from repro.core.incremental import IncrementalParetoFront
-from repro.core.pareto import (
-    ParetoPoint,
-    dominates,
-    epsilon_pareto_front,
-    front_indices,
-    front_mask,
-    front_spread,
-    hypervolume_2d,
-    local_pareto_front,
-    nondominated_sort,
-    pareto_front,
-)
-from repro.core.scalarization import (
-    epsilon_constraint_front,
-    min_energy_under_time_constraint,
-    min_time_under_energy_budget,
-    weighted_sum_front,
-    weighted_sum_point,
-)
-from repro.core.theory import NCoreModel, SimpleEPCore, TwoCoreModel
-from repro.core.workload_distribution import (
-    Distribution,
-    ProcessorProfile,
-    pareto_workload_distributions,
-)
-from repro.core.tradeoff import (
-    TradeoffEntry,
-    knee_point,
-    max_energy_saving,
-    saving_at_degradation,
-    tradeoff_table,
-)
+from __future__ import annotations
 
-__all__ = [
-    # pareto
-    "ParetoPoint",
-    "dominates",
-    "pareto_front",
-    "local_pareto_front",
-    "epsilon_pareto_front",
-    "nondominated_sort",
-    "hypervolume_2d",
-    "front_spread",
-    "front_indices",
-    "front_mask",
-    "IncrementalParetoFront",
-    # tradeoff
-    "TradeoffEntry",
-    "tradeoff_table",
-    "max_energy_saving",
-    "saving_at_degradation",
-    "knee_point",
-    # definitions
-    "PAPER_PRECISION",
-    "StrongEPResult",
-    "WeakEPResult",
-    "check_strong_ep",
-    "check_weak_ep",
-    # metrics
-    "ryckbosch_ep",
-    "wong_annavaram_ld",
-    "wong_annavaram_pr",
-    "hsu_poole_ep",
-    "idle_to_peak_ratio",
-    "sen_wood_gap",
-    # theory
-    "SimpleEPCore",
-    "TwoCoreModel",
-    "NCoreModel",
-    # biobjective
-    "ConfigurationSpace",
-    "EvaluatedConfig",
-    "exhaustive_front",
-    "greedy_front_search",
-    # scalarization
-    "min_time_under_energy_budget",
-    "min_energy_under_time_constraint",
-    "epsilon_constraint_front",
-    "weighted_sum_point",
-    "weighted_sum_front",
-    # workload distribution
-    "ProcessorProfile",
-    "Distribution",
-    "pareto_workload_distributions",
-]
+from repro import _lazy_exports
+
+#: Exported name -> defining submodule.
+_EXPORTS = {
+    "ParetoPoint": "pareto",
+    "dominates": "pareto",
+    "pareto_front": "pareto",
+    "local_pareto_front": "pareto",
+    "epsilon_pareto_front": "pareto",
+    "nondominated_sort": "pareto",
+    "hypervolume_2d": "pareto",
+    "front_spread": "pareto",
+    "front_indices": "pareto",
+    "front_mask": "pareto",
+    "IncrementalParetoFront": "incremental",
+    "TradeoffEntry": "tradeoff",
+    "tradeoff_table": "tradeoff",
+    "max_energy_saving": "tradeoff",
+    "saving_at_degradation": "tradeoff",
+    "knee_point": "tradeoff",
+    "PAPER_PRECISION": "definitions",
+    "StrongEPResult": "definitions",
+    "WeakEPResult": "definitions",
+    "check_strong_ep": "definitions",
+    "check_weak_ep": "definitions",
+    "ryckbosch_ep": "metrics",
+    "wong_annavaram_ld": "metrics",
+    "wong_annavaram_pr": "metrics",
+    "hsu_poole_ep": "metrics",
+    "idle_to_peak_ratio": "metrics",
+    "sen_wood_gap": "metrics",
+    "SimpleEPCore": "theory",
+    "TwoCoreModel": "theory",
+    "NCoreModel": "theory",
+    "ConfigurationSpace": "biobjective",
+    "EvaluatedConfig": "biobjective",
+    "exhaustive_front": "biobjective",
+    "greedy_front_search": "biobjective",
+    "min_time_under_energy_budget": "scalarization",
+    "min_energy_under_time_constraint": "scalarization",
+    "epsilon_constraint_front": "scalarization",
+    "weighted_sum_point": "scalarization",
+    "weighted_sum_front": "scalarization",
+    "ProcessorProfile": "workload_distribution",
+    "Distribution": "workload_distribution",
+    "pareto_workload_distributions": "workload_distribution",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -1,36 +1,33 @@
 """Theory of energy predictive models [33]: application profiles,
-additivity testing, constrained linear models, and variable selection."""
+additivity testing, constrained linear models, and variable selection.
 
-from repro.energymodel.additivity import (
-    AdditivityResult,
-    additivity_error,
-    additivity_report,
-)
-from repro.energymodel.events import ApplicationProfile, compose_serial
-from repro.energymodel.linear import LinearEnergyModel, fit_energy_model
-from repro.energymodel.selection import (
-    EventScore,
-    energy_correlations,
-    select_events,
-)
-from repro.energymodel.validation import (
-    ValidationResult,
-    kfold_validation,
-    loocv,
-)
+Exports resolve lazily (PEP 562): ``from repro.energymodel import
+additivity_error`` imports :mod:`repro.energymodel.additivity` and
+what it needs, not the whole package, so a command loads only the
+submodules it uses.
+"""
 
-__all__ = [
-    "ApplicationProfile",
-    "compose_serial",
-    "AdditivityResult",
-    "additivity_error",
-    "additivity_report",
-    "LinearEnergyModel",
-    "fit_energy_model",
-    "EventScore",
-    "energy_correlations",
-    "select_events",
-    "ValidationResult",
-    "loocv",
-    "kfold_validation",
-]
+from __future__ import annotations
+
+from repro import _lazy_exports
+
+#: Exported name -> defining submodule.
+_EXPORTS = {
+    "ApplicationProfile": "events",
+    "compose_serial": "events",
+    "AdditivityResult": "additivity",
+    "additivity_error": "additivity",
+    "additivity_report": "additivity",
+    "LinearEnergyModel": "linear",
+    "fit_energy_model": "linear",
+    "EventScore": "selection",
+    "energy_correlations": "selection",
+    "select_events": "selection",
+    "ValidationResult": "validation",
+    "loocv": "validation",
+    "kfold_validation": "validation",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -12,7 +12,9 @@ structural verdicts:
   bi-objective trade-off exists).
 
 The report lists, per constant, how many of the perturbed settings
-preserve each verdict.
+preserve each verdict.  Only the GPU calibrations are perturbed; the
+CPU side's constants (:data:`repro.simcpu.calibration.HASWELL_CAL`)
+do not enter these verdicts.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from repro.analysis.report import format_table
 from repro.apps.matmul_gpu import MatmulGPUApp
 from repro.core.pareto import front_indices
 from repro.machines import K40C, P100
-from repro.simcpu.calibration import HASWELL_CAL  # noqa: F401 (doc link)
 from repro.simgpu.calibration import calibration_for
 
 K40C_CAL = calibration_for(K40C)

@@ -68,14 +68,20 @@ class SweepDocument:
         for key in ("device", "workload", "points"):
             if key not in doc:
                 raise ValueError(f"missing key {key!r}")
-        points = tuple(
-            ParetoPoint(
-                time_s=float(p["time_s"]),
-                energy_j=float(p["energy_j"]),
-                config=p.get("config"),
+        try:
+            points = tuple(
+                ParetoPoint(
+                    time_s=float(p["time_s"]),
+                    energy_j=float(p["energy_j"]),
+                    config=p.get("config"),
+                )
+                for p in doc["points"]
             )
-            for p in doc["points"]
-        )
+        except (KeyError, TypeError) as exc:
+            raise ValueError(
+                f"each point needs numeric 'time_s' and 'energy_j' "
+                f"({type(exc).__name__}: {exc})"
+            ) from None
         return cls(
             device=str(doc["device"]),
             workload=int(doc["workload"]),

@@ -1,39 +1,36 @@
 """Measurement substrate: WattsUp Pro simulation, HCLWattsUp energy
-extraction, and the paper's Student-t repetition protocol."""
+extraction, and the paper's Student-t repetition protocol.
 
-from repro.measurement.hclwattsup import EnergyReading, HCLWattsUp
-from repro.measurement.powermeter import (
-    PowerMeter,
-    PowerPhase,
-    PowerSample,
-    PowerTrace,
-)
-from repro.measurement.runner import DataPoint, ExperimentRunner
-from repro.measurement.session import MeasurementSession, SessionRecord
-from repro.measurement.stats import (
-    MeasurementResult,
-    NormalityCheck,
-    confidence_halfwidth,
-    pearson_normality_check,
-    required_runs_estimate,
-    run_until_confident,
-)
+Exports resolve lazily (PEP 562): ``from repro.measurement import
+PowerTrace`` imports :mod:`repro.measurement.powermeter` and what it
+needs, not the whole package, so a command loads only the submodules
+it uses.
+"""
 
-__all__ = [
-    "PowerPhase",
-    "PowerTrace",
-    "PowerSample",
-    "PowerMeter",
-    "EnergyReading",
-    "HCLWattsUp",
-    "DataPoint",
-    "ExperimentRunner",
-    "MeasurementSession",
-    "SessionRecord",
-    "MeasurementResult",
-    "NormalityCheck",
-    "confidence_halfwidth",
-    "run_until_confident",
-    "required_runs_estimate",
-    "pearson_normality_check",
-]
+from __future__ import annotations
+
+from repro import _lazy_exports
+
+#: Exported name -> defining submodule.
+_EXPORTS = {
+    "PowerPhase": "powermeter",
+    "PowerTrace": "powermeter",
+    "PowerSample": "powermeter",
+    "PowerMeter": "powermeter",
+    "EnergyReading": "hclwattsup",
+    "HCLWattsUp": "hclwattsup",
+    "DataPoint": "runner",
+    "ExperimentRunner": "runner",
+    "MeasurementSession": "session",
+    "SessionRecord": "session",
+    "MeasurementResult": "stats",
+    "NormalityCheck": "stats",
+    "confidence_halfwidth": "stats",
+    "run_until_confident": "stats",
+    "required_runs_estimate": "stats",
+    "pearson_normality_check": "stats",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

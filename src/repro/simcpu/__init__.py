@@ -1,61 +1,45 @@
 """Multicore CPU simulator substrate: topology, utilization accounting
 with contention imbalance, component power (incl. dTLB walks), and
-/proc/stat emulation."""
+/proc/stat emulation.
 
-from repro.simcpu.calibration import (
-    CPUCalibration,
-    HASWELL_CAL,
-    LIBRARIES,
-    LibraryProfile,
-)
-from repro.simcpu.power import CPUPowerBreakdown, cpu_power, page_walk_rate
-from repro.simcpu.processor import (
-    CPURunResult,
-    DGEMMConfig,
-    MulticoreCPU,
-    PARTITIONS,
-)
-from repro.simcpu.procstat import (
-    ProcStatSnapshot,
-    parse_proc_stat,
-    render_proc_stat,
-    utilizations_between,
-)
-from repro.simcpu.rapl import (
-    RAPLCounters,
-    RAPLReading,
-    rapl_energy_j,
-)
-from repro.simcpu.topology import LogicalCPU, Placement, place_threads
-from repro.simcpu.utilization import (
-    UtilizationVector,
-    contention_jitter,
-    utilization_vector,
-)
+Exports resolve lazily (PEP 562): ``from repro.simcpu import
+HASWELL_CAL`` imports :mod:`repro.simcpu.calibration` and what it
+needs, not the whole package, so a command loads only the submodules
+it uses.
+"""
 
-__all__ = [
-    "CPUCalibration",
-    "HASWELL_CAL",
-    "LibraryProfile",
-    "LIBRARIES",
-    "CPUPowerBreakdown",
-    "cpu_power",
-    "page_walk_rate",
-    "CPURunResult",
-    "DGEMMConfig",
-    "MulticoreCPU",
-    "PARTITIONS",
-    "ProcStatSnapshot",
-    "parse_proc_stat",
-    "render_proc_stat",
-    "utilizations_between",
-    "RAPLCounters",
-    "RAPLReading",
-    "rapl_energy_j",
-    "LogicalCPU",
-    "Placement",
-    "place_threads",
-    "UtilizationVector",
-    "contention_jitter",
-    "utilization_vector",
-]
+from __future__ import annotations
+
+from repro import _lazy_exports
+
+#: Exported name -> defining submodule.
+_EXPORTS = {
+    "CPUCalibration": "calibration",
+    "HASWELL_CAL": "calibration",
+    "LibraryProfile": "calibration",
+    "LIBRARIES": "calibration",
+    "CPUPowerBreakdown": "power",
+    "cpu_power": "power",
+    "page_walk_rate": "power",
+    "CPURunResult": "processor",
+    "DGEMMConfig": "processor",
+    "MulticoreCPU": "processor",
+    "PARTITIONS": "processor",
+    "ProcStatSnapshot": "procstat",
+    "parse_proc_stat": "procstat",
+    "render_proc_stat": "procstat",
+    "utilizations_between": "procstat",
+    "RAPLCounters": "rapl",
+    "RAPLReading": "rapl",
+    "rapl_energy_j": "rapl",
+    "LogicalCPU": "topology",
+    "Placement": "topology",
+    "place_threads": "topology",
+    "UtilizationVector": "utilization",
+    "contention_jitter": "utilization",
+    "utilization_vector": "utilization",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -1,70 +1,55 @@
 """GPU simulator substrate: occupancy, warp efficiency, memory
-hierarchy, kernel pipeline timing, component power, DVFS, CUPTI."""
+hierarchy, kernel pipeline timing, component power, DVFS, CUPTI.
 
-from repro.simgpu.batch import (
-    BatchRunResult,
-    batch_run_matmul,
-    evaluate_configs_batch,
-)
-from repro.simgpu.calibration import (
-    GPUCalibration,
-    K40C_CAL,
-    P100_CAL,
-    calibration_for,
-)
-from repro.simgpu.cupti import EVENT_NAMES, CuptiProfiler, EventReading
-from repro.simgpu.device import GPUDevice, KernelRunResult
-from repro.simgpu.dvfs import OperatingPoint, solve_operating_clock
-from repro.simgpu.kernel import (
-    KernelResources,
-    avg_rows_per_warp,
-    matmul_kernel_resources,
-    max_group_size,
-    shared_mem_per_block,
-)
-from repro.simgpu.memhier import TrafficModel, coalescing_efficiency, matmul_traffic
-from repro.simgpu.nvml import NVMLSample, NVMLSensor
-from repro.simgpu.occupancy import Occupancy, compute_occupancy
-from repro.simgpu.power import PowerBreakdown, aux_decay, kernel_power
-from repro.simgpu.roofline import RooflinePlacement, classify_matmul
-from repro.simgpu.warps import lane_efficiency, smem_replay_factor, warps_per_block
-from repro.simgpu.waves import WaveAnalysis, analyze_waves
+Exports resolve lazily (PEP 562): ``from repro.simgpu import
+GPUDevice`` imports :mod:`repro.simgpu.device` and what it needs, not
+the whole package, so a command loads only the submodules it uses.
+"""
 
-__all__ = [
-    "BatchRunResult",
-    "batch_run_matmul",
-    "evaluate_configs_batch",
-    "GPUCalibration",
-    "K40C_CAL",
-    "P100_CAL",
-    "calibration_for",
-    "CuptiProfiler",
-    "EventReading",
-    "EVENT_NAMES",
-    "GPUDevice",
-    "KernelRunResult",
-    "OperatingPoint",
-    "solve_operating_clock",
-    "KernelResources",
-    "avg_rows_per_warp",
-    "matmul_kernel_resources",
-    "max_group_size",
-    "shared_mem_per_block",
-    "TrafficModel",
-    "coalescing_efficiency",
-    "matmul_traffic",
-    "NVMLSample",
-    "NVMLSensor",
-    "Occupancy",
-    "compute_occupancy",
-    "RooflinePlacement",
-    "classify_matmul",
-    "PowerBreakdown",
-    "aux_decay",
-    "kernel_power",
-    "lane_efficiency",
-    "smem_replay_factor",
-    "warps_per_block",
-    "WaveAnalysis",
-    "analyze_waves",
-]
+from __future__ import annotations
+
+from repro import _lazy_exports
+
+#: Exported name -> defining submodule.
+_EXPORTS = {
+    "BatchRunResult": "batch",
+    "batch_run_matmul": "batch",
+    "evaluate_configs_batch": "batch",
+    "GPUCalibration": "calibration",
+    "K40C_CAL": "calibration",
+    "P100_CAL": "calibration",
+    "calibration_for": "calibration",
+    "CuptiProfiler": "cupti",
+    "EventReading": "cupti",
+    "EVENT_NAMES": "cupti",
+    "GPUDevice": "device",
+    "KernelRunResult": "device",
+    "OperatingPoint": "dvfs",
+    "solve_operating_clock": "dvfs",
+    "KernelResources": "kernel",
+    "avg_rows_per_warp": "kernel",
+    "matmul_kernel_resources": "kernel",
+    "max_group_size": "kernel",
+    "shared_mem_per_block": "kernel",
+    "TrafficModel": "memhier",
+    "coalescing_efficiency": "memhier",
+    "matmul_traffic": "memhier",
+    "NVMLSample": "nvml",
+    "NVMLSensor": "nvml",
+    "Occupancy": "occupancy",
+    "compute_occupancy": "occupancy",
+    "RooflinePlacement": "roofline",
+    "classify_matmul": "roofline",
+    "PowerBreakdown": "power",
+    "aux_decay": "power",
+    "kernel_power": "power",
+    "lane_efficiency": "warps",
+    "smem_replay_factor": "warps",
+    "warps_per_block": "warps",
+    "WaveAnalysis": "waves",
+    "analyze_waves": "waves",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -1,8 +1,8 @@
 """Cross-experiment evaluation planner (``repro all``).
 
-Every sweep-driven experiment — fig2, fig7, fig8, headline,
-sensitivity, budgeted-search — ultimately asks for the same kind of
-thing: the ``(time, energy)`` objectives of a set of
+Every sweep-driven experiment (:data:`SESSION_EXPERIMENTS`, read from
+the table :data:`repro.experiments.EXPERIMENTS`) ultimately asks for
+the same kind of thing: the ``(time, energy)`` objectives of a set of
 ``(device, N, BS, G, R)`` points.  Run per-experiment, those requests
 overlap heavily (fig2's P100 N=18432 sweep is also one of headline's
 eight P100 sweeps; fig7's K40c sizes appear in headline's K40c range)
@@ -52,6 +52,7 @@ import numpy as np
 from repro import obs
 from repro.apps.matmul_gpu import ConfigEnumeration, MatmulConfig
 from repro.core.pareto import ParetoPoint
+from repro.experiments import EXPERIMENTS
 from repro.machines.specs import GPUSpec
 from repro.simgpu.calibration import GPUCalibration
 from repro.sweep.keys import pack_configs, unique_keys, unpack_keys
@@ -80,15 +81,10 @@ POINT_DTYPE = np.dtype(
     ]
 )
 
-#: The sweep-driven experiments ``repro all`` runs through one planner.
-SESSION_EXPERIMENTS = (
-    "fig2",
-    "fig7",
-    "fig8",
-    "headline",
-    "sensitivity",
-    "budgeted-search",
-)
+#: The sweep-driven experiments ``repro all`` runs through one planner,
+#: in table order.
+SESSION_EXPERIMENTS = tuple(e.id for e in EXPERIMENTS.values() if e.sweep)
+
 
 @dataclass
 class PlannerStats:
@@ -436,25 +432,12 @@ def _columns(
 def collect_session_requests() -> tuple[SweepRequest, ...]:
     """Every sweep request of the full figure set, in experiment order.
 
-    The union of what fig2, fig7, fig8, headline, sensitivity and
-    budgeted-search will ask for — the input of a ``repro all``
-    session.  Duplicates across experiments are intentional (the
-    planner's dedup pass is what collapses them).
+    The union of what the :data:`SESSION_EXPERIMENTS` will ask for —
+    the input of a ``repro all`` session.  Duplicates across
+    experiments are intentional (the planner's dedup pass is what
+    collapses them).
     """
-    from repro.experiments import (
-        budgeted_search,
-        fig2_p100_n18432,
-        fig7_k40c_pareto,
-        fig8_p100_pareto,
-        headline,
-        sensitivity,
-    )
-
     requests: list[SweepRequest] = []
-    requests.extend(fig2_p100_n18432.requests())
-    requests.extend(fig7_k40c_pareto.requests())
-    requests.extend(fig8_p100_pareto.requests())
-    requests.extend(headline.requests())
-    requests.extend(sensitivity.requests())
-    requests.extend(budgeted_search.requests())
+    for exp_id in SESSION_EXPERIMENTS:
+        requests.extend(EXPERIMENTS[exp_id].load().requests())
     return tuple(requests)

@@ -139,8 +139,44 @@ class TestSweepSaveAndFront:
     def test_front_rejects_garbage(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
-        with pytest.raises(ValueError):
+        with pytest.raises(SystemExit) as info:
             main(["front", str(bad)])
+        assert str(info.value) == (
+            f"repro front: {bad}: unsupported document format None; "
+            f"expected 'repro-sweep/1'"
+        )
+
+    @pytest.mark.parametrize(
+        "text,reason",
+        [
+            (None, "No such file or directory"),
+            ("time,energy\n1,2\n", "Expecting value"),
+            ('{"format": "repro-sweep/1", "device": "p100", "workload": 8}',
+             "missing key 'points'"),
+            ('{"format": "repro-sweep/1", "device": "p100", "workload": 8,'
+             ' "points": [{"energy_j": 1.0}]}',
+             "each point needs numeric 'time_s' and 'energy_j' "
+             "(KeyError: 'time_s')"),
+            ('{"format": "repro-sweep/1", "device": "p100", "workload": 8,'
+             ' "points": [{"time_s": NaN, "energy_j": 1.0}]}',
+             "objectives must be finite"),
+            ('{"format": "repro-sweep/1", "device": "p100", "workload": 8,'
+             ' "points": [{"time_s": 1.0, "energy_j": -3.0}]}',
+             "objectives must be non-negative"),
+        ],
+        ids=["missing-file", "not-json", "missing-key", "point-missing-key",
+             "nan-time", "negative-energy"],
+    )
+    def test_front_bad_file_is_a_one_line_error(self, tmp_path, text, reason):
+        path = tmp_path / "sweep.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(SystemExit) as info:
+            main(["front", str(path)])
+        message = str(info.value)
+        assert message.startswith(f"repro front: {path}: ")
+        assert reason in message
+        assert "\n" not in message
 
     def test_energy_model_id(self, capsys):
         assert main(["experiment", "energy-model"]) == 0

@@ -6,9 +6,13 @@ Mann-Whitney test does.  Nor does building the parser load a process
 pool: every sweep is evaluated in-process.
 ``repro all``, with or without a store, loads neither ``numpy.ma``
 (``np.unique`` and ``np.union1d`` import it, about 12 ms) nor a thread
-pool (shards are read one after another).  The guard starts a fresh
-interpreter and checks which modules are loaded, so unlike a timing
-gate it cannot flake on a slow host.
+pool (shards are read one after another).  A command imports only what
+it runs: building the parser loads no experiment module and nothing of
+the CPU side (``repro.simcpu``, ``repro.measurement``,
+``repro.energymodel``) or of the store, and ``repro all`` loads the six
+session experiments and still nothing of the CPU side.  The guard
+starts a fresh interpreter and checks which modules are loaded, so
+unlike a timing gate it cannot flake on a slow host.
 """
 
 from __future__ import annotations
@@ -21,36 +25,51 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
+from repro.experiments import EXPERIMENTS
+from repro.sweep.planner import SESSION_EXPERIMENTS
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: Runs in the child: records the scipy modules loaded after each stage,
 #: the pool modules loaded once the parser is built, and the masked-array
 #: and thread-pool modules loaded by ``repro all`` (``all:unneeded``),
 #: then by two more runs, cold and warm, on a store
-#: (``all --store-dir:unneeded``).
+#: (``all --store-dir:unneeded``).  ``:experiments`` and ``:cpu-side``
+#: record the experiment modules and the CPU-side and store modules
+#: loaded once the parser is built and after the first ``repro all``.
 CHILD = """
 import contextlib, io, json, os, sys
 
 def scipy_modules():
+    return under("scipy")
+
+def under(*packages):
+    prefixes = tuple(p + "." for p in packages)
     return sorted(
-        m for m in sys.modules if m == "scipy" or m.startswith("scipy.")
+        m for m in sys.modules if m in packages or m.startswith(prefixes)
     )
 
 def loaded(*names):
     return sorted(m for m in names if m in sys.modules)
 
 UNNEEDED = ("numpy.ma", "concurrent.futures.thread")
+CPU_SIDE = ("repro.simcpu", "repro.measurement", "repro.energymodel")
 stages = {}
 import repro.cli
 repro.cli.build_parser()
 stages["import"] = scipy_modules()
 stages["pool"] = loaded("multiprocessing", "concurrent.futures.process")
+stages["import:experiments"] = under("repro.experiments")
+stages["import:cpu-side"] = under(*CPU_SIDE, "repro.store")
 import repro.obs.sentinel
 stages["sentinel"] = scipy_modules()
 with contextlib.redirect_stdout(io.StringIO()):
     repro.cli.main(["all"])
 stages["all"] = scipy_modules()
 stages["all:unneeded"] = loaded(*UNNEEDED)
+stages["all:experiments"] = under("repro.experiments")
+stages["all:cpu-side"] = under(*CPU_SIDE)
 store = os.path.join(sys.argv[1], "store")
 for _ in range(2):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -66,18 +85,22 @@ print(json.dumps(stages))
 """
 
 
-@pytest.fixture(scope="module")
-def loaded_modules(tmp_path_factory) -> dict[str, list[str]]:
+def _child_env() -> dict[str, str]:
     env = {
         k: v
         for k, v in os.environ.items()
         if k not in ("REPRO_STORE_DIR", "REPRO_DEVICE_DIR")
     }
     env["PYTHONPATH"] = str(SRC)
+    return env
+
+
+@pytest.fixture(scope="module")
+def loaded_modules(tmp_path_factory) -> dict[str, list[str]]:
     out = tmp_path_factory.mktemp("cli-imports")
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, str(out)],
-        env=env, capture_output=True, text=True, check=True,
+        env=_child_env(), capture_output=True, text=True, check=True,
     )
     return json.loads(proc.stdout)
 
@@ -98,3 +121,40 @@ def test_parser_loads_no_process_pool(loaded_modules):
 @pytest.mark.parametrize("stage", ["all", "all --store-dir"])
 def test_all_loads_no_masked_arrays_or_thread_pool(loaded_modules, stage):
     assert loaded_modules[f"{stage}:unneeded"] == []
+
+
+def test_parser_loads_no_experiment_and_no_cpu_side(loaded_modules):
+    assert loaded_modules["import:experiments"] == ["repro.experiments"]
+    assert loaded_modules["import:cpu-side"] == []
+
+
+def test_all_loads_the_session_experiments_and_no_cpu_side(loaded_modules):
+    session = sorted(
+        f"repro.experiments.{EXPERIMENTS[exp_id].module}"
+        for exp_id in SESSION_EXPERIMENTS
+    )
+    assert loaded_modules["all:experiments"] == ["repro.experiments", *session]
+    assert loaded_modules["all:cpu-side"] == []
+
+
+def test_experiment_import_is_timed_under_its_command(tmp_path, capsys):
+    path = tmp_path / "run.jsonl"
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "experiment", "fig7",
+         "--telemetry", f"jsonl:{path}"],
+        env=_child_env(), capture_output=True, text=True, check=True,
+    )
+    spans = [
+        event
+        for event in map(json.loads, path.read_text().splitlines())
+        if event["event"] == "span"
+    ]
+    (command,) = [s for s in spans if s["name"] == "cli.experiment"]
+    imports = [
+        (s["parent"], s["attrs"])
+        for s in spans
+        if s["name"] == "experiments.import"
+    ]
+    assert imports == [(command["id"], {"module": "fig7_k40c_pareto"})]
+    assert main(["experiment", "fig7"]) == 0
+    assert proc.stdout == capsys.readouterr().out
