@@ -4,6 +4,10 @@
 rendered outputs into a single markdown document — the "reproduce the
 whole paper" entry point used by ``python -m repro report``.  The
 extras (sensitivity, ablations, strategy studies) are optional.
+
+The sweep-driven sections run through one planner session per report,
+filled by the scalar model of record (``EvalPlanner(scalar=True)``),
+so a configuration that several sections sweep is evaluated once.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments import EXPERIMENTS, Experiment
+from repro.sweep.planner import EvalPlanner, session_planner
 
 __all__ = ["ReportSection", "generate_report"]
 
@@ -21,8 +26,8 @@ class ReportSection:
     body: str
 
 
-def _section(exp: Experiment) -> ReportSection:
-    body = exp.render()
+def _section(exp: Experiment, session: EvalPlanner) -> ReportSection:
+    body = exp.render(engine=session)
     if exp.report_cut is not None:
         body = body.split(exp.report_cut)[0].rstrip()
     return ReportSection(exp.title, body)
@@ -35,13 +40,19 @@ def generate_report(*, include_extras: bool = False) -> str:
     sensitivity, metric battery, method comparison, budgeted search,
     strategy comparisons); ``repro report --extras`` takes about a
     second.
+
+    Every call builds a new session, so a repeated report evaluates
+    each distinct configuration again (docs/MODEL.md §1.9: no result
+    memo across reports).
     """
     included = ("core", "extras") if include_extras else ("core",)
-    sections = [
-        _section(exp)
-        for exp in EXPERIMENTS.values()
-        if exp.section in included
+    experiments = [
+        exp for exp in EXPERIMENTS.values() if exp.section in included
     ]
+    session = session_planner(
+        tuple(exp.id for exp in experiments if exp.sweep), scalar=True
+    )
+    sections = [_section(exp, session) for exp in experiments]
     parts = [
         "# Reproduction report — On Energy Nonproportionality of "
         "CPUs and GPUs",

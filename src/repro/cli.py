@@ -33,13 +33,17 @@ custom workload, without writing code:
   and ``perf check`` (Mann-Whitney regression sentinel comparing a
   bench run's samples against the matched-host history baseline,
   nonzero exit on confirmed regressions);
-* ``report`` — run everything and write a single markdown report.
+* ``report`` — run everything and write a single markdown report; its
+  sweep figures run through one in-memory planner session filled by
+  the scalar model of record (:func:`repro.analysis.summary.
+  generate_report`).
 
 The sweep-driven commands (``experiment``, ``sweep``, ``all``) all
 evaluate through one :class:`repro.sweep.planner.EvalPlanner`, backed
 by the columnar store at ``--store-dir``, else ``$REPRO_STORE_DIR``,
 else held in memory for the run; ``experiment`` and ``all`` fill their
-requests in it before the experiments run.  They, plus ``bench``, accept
+requests in it before the experiments run
+(:func:`repro.sweep.planner.session_planner`).  They, plus ``bench``, accept
 ``--telemetry off|summary|jsonl:PATH|prom:PATH`` (:mod:`repro.obs`):
 ``off`` is the default and byte-identical to the uninstrumented
 output.
@@ -388,26 +392,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_planner(store_dir: str | None, requests=None):
+def _build_planner(store_dir: str | None, ids=()):
     """The planner every sweep-driven command evaluates through.
 
     Backed by the columnar store at ``store_dir``, else at
-    ``$REPRO_STORE_DIR``, else held in memory for this run only.
-    ``requests`` are registered and filled before it is returned, so
-    the experiments that follow are served from it and each device's
+    ``$REPRO_STORE_DIR``, else held in memory for this run only.  The
+    requests of the experiments ``ids`` are registered and filled
+    before it is returned (:func:`repro.sweep.planner.session_planner`),
+    so the experiments that follow are served from it and each device's
     misses are filled in one batch call.
     """
     import os
 
-    from repro.sweep.planner import EvalPlanner
+    from repro.sweep.planner import session_planner
 
     if store_dir is None:
         store_dir = os.environ.get("REPRO_STORE_DIR")
-    planner = EvalPlanner(store_dir=store_dir)
-    if requests:
-        planner.add_all(requests)
-        planner.execute()
-    return planner
+    return session_planner(ids, store_dir=store_dir)
 
 
 def _run_experiment(exp_id: str, engine=None) -> str:
@@ -421,12 +422,9 @@ def _run_all(store_dir: str | None) -> str:
     runs, so each experiment's sweeps are pure store lookups; the
     planner stats at the end show the dedup the session bought.
     """
-    from repro.sweep.planner import (
-        SESSION_EXPERIMENTS,
-        collect_session_requests,
-    )
+    from repro.sweep.planner import SESSION_EXPERIMENTS
 
-    planner = _build_planner(store_dir, collect_session_requests())
+    planner = _build_planner(store_dir, SESSION_EXPERIMENTS)
     out = []
     for exp_id in SESSION_EXPERIMENTS:
         out.append(f"== {exp_id} ==")
@@ -456,7 +454,10 @@ def _run_sweep(
     if save is not None:
         from repro.io import SweepDocument, save_sweep
 
-        save_sweep(save, SweepDocument(device, n, tuple(points)))
+        try:
+            save_sweep(save, SweepDocument(device, n, tuple(points)))
+        except OSError as exc:
+            raise SystemExit(f"repro sweep: {save}: {exc}") from None
         out.append(f"saved sweep to {save}\n")
     if all_points:
         rows = [
@@ -681,15 +682,14 @@ def _run_devices_fit(args: argparse.Namespace) -> str:
     return "\n".join(out)
 
 
-def _experiment_requests(exp_id: str):
-    """The sweep requests one experiment will make, or None.
+def _sweep_ids(exp_id: str) -> tuple[str, ...]:
+    """``(exp_id,)`` for a sweep-driven experiment, else ``()``.
 
     Only the sweep-driven experiments publish a ``requests()``
-    protocol; the rest have no sweep inputs to hash into a
+    protocol; the rest have no sweep inputs to plan or to hash into a
     provenance manifest.
     """
-    exp = EXPERIMENTS[exp_id]
-    return tuple(exp.load().requests()) if exp.sweep else None
+    return (exp_id,) if EXPERIMENTS[exp_id].sweep else ()
 
 
 def _provenance_for(args: argparse.Namespace) -> dict:
@@ -700,10 +700,13 @@ def _provenance_for(args: argparse.Namespace) -> dict:
     # The planner's evaluator: the one backend of the sweep commands.
     backend = SHARD_BACKEND
     if args.command == "experiment":
+        from repro.sweep.planner import collect_session_requests
+
+        ids = _sweep_ids(args.id)
         return run_manifest(
             f"experiment {args.id}",
             backend=backend,
-            requests=_experiment_requests(args.id),
+            requests=collect_session_requests(ids) if ids else None,
         )
     if args.command == "sweep":
         from repro.sweep.plan import SweepRequest
@@ -829,9 +832,7 @@ def _run_perf(args: argparse.Namespace) -> int:
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "experiment":
-        planner = _build_planner(
-            args.store_dir, _experiment_requests(args.id)
-        )
+        planner = _build_planner(args.store_dir, _sweep_ids(args.id))
         print(_run_experiment(args.id, engine=planner))
     elif args.command == "sweep":
         print(
@@ -875,7 +876,10 @@ def _dispatch(args: argparse.Namespace) -> int:
         from repro.analysis.summary import generate_report
 
         text = generate_report(include_extras=args.extras)
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:
+            raise SystemExit(f"repro report: {args.output}: {exc}") from None
         print(f"wrote {args.output} ({len(text.splitlines())} lines)")
     else:  # pragma: no cover - argparse enforces choices
         raise AssertionError(args.command)
@@ -895,6 +899,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         with obs.span(f"cli.{args.command}"):
             code = _dispatch(args)
+            if tel.enabled:
+                # Built last, inside the command's span, so that its
+                # time is attributed and the run's own imports are
+                # already made (and timed) by then.
+                with obs.span("cli.provenance"):
+                    tel.set_manifest(_provenance_for(args))
     except DeviceError as exc:
         # Schema violations and unknown-device lookups are usage
         # errors with actionable messages, not tracebacks.
@@ -904,10 +914,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         # away; exit quietly like any well-behaved filter.
         sys.stderr.close()
         return 0
-    if tel.enabled:
-        # Built after the run, so that the imports the run makes are
-        # timed inside the command's span.
-        tel.set_manifest(_provenance_for(args))
     summary = tel.flush()
     if summary is not None:
         print(summary)

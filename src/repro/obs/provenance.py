@@ -79,7 +79,22 @@ def calibration_digest(spec, cal) -> str:
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 
 
-def requests_digest(requests: Sequence[Any]) -> str:
+def _pair_digests(requests: Sequence[Any]) -> dict[tuple[Any, Any], str]:
+    """:func:`calibration_digest` of each distinct ``(spec,
+    calibration)`` pair of ``requests``, each computed once."""
+    digests: dict[tuple[Any, Any], str] = {}
+    for request in requests:
+        pair = (request.spec, request.calibration)
+        if pair not in digests:
+            digests[pair] = calibration_digest(*pair)
+    return digests
+
+
+def requests_digest(
+    requests: Sequence[Any],
+    *,
+    pair_digests: dict[tuple[Any, Any], str] | None = None,
+) -> str:
     """RNG-free determinism hash of a session's sweep requests.
 
     Canonical JSON over each request's full identity — device spec,
@@ -87,16 +102,18 @@ def requests_digest(requests: Sequence[Any]) -> str:
     in registration order.  Any change that could change a computed
     number changes the digest; reordering requests changes it too
     (output order is part of what a session produces).
+    ``pair_digests`` are the requests' calibration digests when the
+    caller has them already (:func:`run_manifest`).
     """
     from repro.sweep.keys import canonical_json
 
+    if pair_digests is None:
+        pair_digests = _pair_digests(requests)
     entries = []
     for request in requests:
         entries.append(
             {
-                "identity": calibration_digest(
-                    request.spec, request.calibration
-                ),
+                "identity": pair_digests[request.spec, request.calibration],
                 "device": request.spec.name,
                 "n": int(request.n),
                 "configs": [
@@ -135,14 +152,14 @@ def run_manifest(
     if backend is not None:
         manifest["backend"] = backend
     if requests is not None:
-        manifest["inputs_digest"] = requests_digest(requests)
+        pair_digests = _pair_digests(requests)
+        manifest["inputs_digest"] = requests_digest(
+            requests, pair_digests=pair_digests
+        )
         manifest["requests"] = len(requests)
         calibrations: dict[str, str] = {}
-        for request in requests:
-            calibrations.setdefault(
-                request.spec.name,
-                calibration_digest(request.spec, request.calibration),
-            )
+        for (spec, _), digest in pair_digests.items():
+            calibrations.setdefault(spec.name, digest)
         manifest["calibrations"] = dict(sorted(calibrations.items()))
     if extra:
         manifest.update(extra)

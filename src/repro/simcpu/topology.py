@@ -18,6 +18,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
+import numpy as np
+
 from repro.machines.specs import CPUSpec
 
 __all__ = ["LogicalCPU", "Placement", "place_threads"]
@@ -51,9 +53,9 @@ class Placement:
     active_sockets:
         Number of sockets with ≥ 1 thread.
 
-    The counts are computed on first use and kept: a placement is
-    immutable, and :func:`place_threads` hands out one instance per
-    thread count.
+    The counts and the index column are computed on first use and
+    kept: a placement is immutable, and :func:`place_threads` hands out
+    one instance per thread count.
     """
 
     cpus: tuple[LogicalCPU, ...]
@@ -77,6 +79,15 @@ class Placement:
     @cached_property
     def active_sockets(self) -> int:
         return len({c.socket for c in self.cpus})
+
+    @cached_property
+    def cpu_indices(self) -> np.ndarray:
+        """Read-only index column of :attr:`cpus`, in placement order."""
+        indices = np.fromiter(
+            (c.index for c in self.cpus), dtype=np.intp, count=len(self.cpus)
+        )
+        indices.flags.writeable = False
+        return indices
 
 
 def enumerate_topology(spec: CPUSpec) -> list[LogicalCPU]:

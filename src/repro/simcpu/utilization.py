@@ -46,8 +46,12 @@ class UtilizationVector:
 
     @property
     def average(self) -> float:
-        """Average utilization over all logical CPUs, ∈ [0, 1]."""
-        return float(np.mean(self.per_cpu))
+        """Average utilization over all logical CPUs, ∈ [0, 1].
+
+        ``np.mean``'s own arithmetic — NumPy's pairwise sum, then one
+        division — without its Python wrapper.
+        """
+        return float(np.add.reduce(self.per_cpu) / len(self.per_cpu))
 
     def active(self, threshold: float = 0.05) -> list[float]:
         """Utilizations of CPUs above an idle threshold."""
@@ -92,6 +96,5 @@ def utilization_vector(
     completion = 1.0 + np.asarray(jitter, dtype=float)
     wall = float(completion.max())
     per_cpu = np.full(spec.logical_cpus, os_noise)
-    for thread_idx, cpu in enumerate(placement.cpus):
-        per_cpu[cpu.index] = completion[thread_idx] / wall
+    per_cpu[placement.cpu_indices] = completion / wall
     return UtilizationVector(per_cpu=tuple(per_cpu.tolist()), wall_time_scale=wall)

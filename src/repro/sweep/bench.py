@@ -85,29 +85,19 @@ def _samples_of(fn, repeats: int) -> list[float]:
     return samples
 
 
-def _scalar_sweep(spec, cal, n: int, configs) -> list[tuple[float, float]]:
-    """``(time_s, dynamic_energy_j)`` of each config by the scalar model."""
-    from repro.simgpu.device import GPUDevice
-
-    device = GPUDevice(spec, cal)
-    out = []
-    for c in configs:
-        result = device.run_matmul(n, c.bs, c.g, c.r)
-        out.append((result.time_s, result.dynamic_energy_j))
-    return out
-
-
 def _bench_case(device: str, n: int, *, repeats: int) -> dict:
     from repro.apps.matmul_gpu import MatmulGPUApp
     from repro.machines import get_machine
     from repro.simgpu.batch import evaluate_configs_batch
+    from repro.sweep.planner import scalar_sweep
 
     spec = get_machine(device)
     app = MatmulGPUApp(spec)
     cal = app.device.cal
-    configs = app.sweep_configs()
+    configs = app.sweep_enumeration()
+    _, bs, g, r = configs.columns
 
-    scalar = _scalar_sweep(spec, cal, n, configs)
+    scalar = zip(*scalar_sweep(spec, cal, n, bs, g, r))
     vectorized = evaluate_configs_batch(spec, cal, n, configs)
     max_dev = max(
         max(
@@ -118,7 +108,7 @@ def _bench_case(device: str, n: int, *, repeats: int) -> dict:
     )
 
     scalar_samples = _samples_of(
-        lambda: _scalar_sweep(spec, cal, n, configs), repeats
+        lambda: scalar_sweep(spec, cal, n, bs, g, r), repeats
     )
     vectorized_samples = _samples_of(
         lambda: evaluate_configs_batch(spec, cal, n, configs), repeats
@@ -173,15 +163,17 @@ def _planner_session(requests: list, store_dir):
 
 
 def _bench_planner(sizes: Sequence[int], *, repeats: int) -> dict:
+    from repro.sweep.planner import scalar_sweep
+
     requests = _planner_requests(sizes)
 
     def per_experiment() -> None:
         # The pre-planner path: each experiment runs its own scalar
         # sweep, no shared state, duplicates recomputed in full.
         for request in requests:
-            _scalar_sweep(
-                request.spec, request.calibration, request.n,
-                request.configs(),
+            _, bs, g, r = request.enumeration().columns
+            scalar_sweep(
+                request.spec, request.calibration, request.n, bs, g, r
             )
 
     def cold() -> None:

@@ -26,7 +26,10 @@ the session inside out:
    calls.  Per-lane results are bit-identical to a per-sweep,
    per-calibration batch.  Results are scattered back per group and
    appended to the store shard-at-a-time, one shard per
-   ``(spec, calibration, N)``.
+   ``(spec, calibration, N)``.  A planner built with ``scalar=True``
+   fills the same misses point by point with the scalar model of
+   record instead (:func:`scalar_sweep`); ``repro report`` runs its
+   sweep figures through such a session, and it never has a store.
 
 The hot path is columnar end to end — packed int64 keys, float64
 objective columns, structured arrays — with zero per-point dict
@@ -36,8 +39,9 @@ points.  The planner is the only evaluator behind the experiments'
 ``engine=`` parameters and every sweep-driven CLI command; unplanned
 requests (e.g. a single ``repro sweep``) are filled lazily through the
 same machinery.  ``engine=None`` runs the scalar model of record
-(:meth:`repro.simgpu.device.GPUDevice.run_matmul`) instead, which is
-also the oracle the planner is tested against.
+(:meth:`repro.simgpu.device.GPUDevice.run_matmul`) one sweep at a
+time, with no planner in between: the oracle the planner is tested
+against.
 """
 
 from __future__ import annotations
@@ -66,6 +70,8 @@ __all__ = [
     "EvalPlanner",
     "PlannerStats",
     "collect_session_requests",
+    "scalar_sweep",
+    "session_planner",
     "SESSION_EXPERIMENTS",
 ]
 
@@ -96,11 +102,12 @@ class PlannerStats:
     unique_points: int = 0
     #: Unique points served from the columnar store without computing.
     store_hits: int = 0
-    #: Unique points actually evaluated.
+    #: Unique points actually evaluated, by either fill.
     computed: int = 0
     #: ``batch_run_matmul`` calls the misses were filled in: one per
     #: distinct ``(spec, volt_exp, occ_exp)`` among the missing points,
     #: so one per device unless calibrations differ in an exponent.
+    #: Always 0 with the scalar fill.
     batches: int = 0
     #: Points handed to experiments (duplicates across experiments
     #: count every time — this is the work the planner absorbed).
@@ -169,7 +176,7 @@ class _GroupState:
 
 
 class EvalPlanner:
-    """Collect, deduplicate and batch-fill sweep requests of a session.
+    """Collect, deduplicate and fill sweep requests of a session.
 
     Parameters
     ----------
@@ -177,8 +184,15 @@ class EvalPlanner:
         Columnar result store to partition against and fill into
         (:class:`repro.store.ColumnarStore`).  Without one, the planner
         still deduplicates and mega-batches, but nothing persists.
+    scalar:
+        Fill the misses with the scalar model of record
+        (:func:`scalar_sweep`, one ``GPUDevice.run_matmul`` call per
+        point) instead of the vectorized batch model.  Store shards hold
+        the vectorized backend's values (:data:`~repro.sweep.keys.
+        SHARD_BACKEND`), which match the scalar model to 1e-9 but not
+        to the bit, so a scalar planner takes no store.
 
-    Misses are computed by the vectorized batch model, one
+    By default misses are computed by the vectorized batch model, one
     :func:`~repro.simgpu.batch.batch_run_matmul` call per device and
     exponent pair, whatever the calibrations and matrix sizes of its
     groups.
@@ -189,14 +203,21 @@ class EvalPlanner:
         *,
         store: ColumnarStore | None = None,
         store_dir: str | Path | None = None,
+        scalar: bool = False,
     ) -> None:
         if store is not None and store_dir is not None:
             raise ValueError("pass store_dir or store, not both")
+        if scalar and (store is not None or store_dir is not None):
+            raise ValueError(
+                "a scalar planner takes no store: shards hold the "
+                "vectorized backend's values"
+            )
         if store is None and store_dir is not None:
             from repro.store.columnar import ColumnarStore
 
             store = ColumnarStore(store_dir)
         self.store = store
+        self.scalar = scalar
         self.stats = PlannerStats()
         self._groups: dict[tuple[GPUSpec, GPUCalibration, int], _GroupState] = {}
 
@@ -235,7 +256,7 @@ class EvalPlanner:
     # -- execution ----------------------------------------------------------
 
     def execute(self) -> PlannerStats:
-        """Resolve every pending point: dedup, partition, mega-batch fill.
+        """Resolve every pending point: dedup, partition, fill.
 
         Idempotent — pending sets are drained, and re-adding known
         points is free.  Returns :attr:`stats`.
@@ -287,32 +308,40 @@ class EvalPlanner:
         entries: list[tuple[_GroupState, np.ndarray]],
     ) -> None:
         """Evaluate the missing points of groups that share a device and
-        exponents in one batch, and scatter the results back per group."""
-        from repro.simgpu.batch import batch_run_matmul
-
-        ns = np.concatenate(
-            [np.full(len(p), grp.n, dtype=np.int64) for grp, p in entries]
-        )
+        exponents — in one batch, or point by point with ``scalar`` —
+        and scatter the results back per group."""
         packed = np.concatenate([p for _, p in entries])
         bs, g, r = unpack_keys(packed)
-        cal_runs = [(grp.cal, len(p)) for grp, p in entries]
         with obs.span(
             "planner.fill_misses",
             device=spec.name,
             points=int(len(packed)),
             shards=len(entries),
         ):
-            out = batch_run_matmul(spec, cal_runs, ns, bs, g, r)
-            self.stats.batches += 1
+            if self.scalar:
+                times, energies = _scalar_fill(spec, entries)
+            else:
+                from repro.simgpu.batch import batch_run_matmul
+
+                ns = np.concatenate(
+                    [
+                        np.full(len(p), grp.n, dtype=np.int64)
+                        for grp, p in entries
+                    ]
+                )
+                cal_runs = [(grp.cal, len(p)) for grp, p in entries]
+                out = batch_run_matmul(spec, cal_runs, ns, bs, g, r)
+                times, energies = out.time_s, out.dynamic_energy_j
+                self.stats.batches += 1
+                obs.count("planner.batches")
             self.stats.computed += len(packed)
-            obs.count("planner.batches")
             obs.count("planner.points.computed", len(packed))
 
             offset = 0
             for grp, p in entries:
                 end = offset + len(p)
-                t = out.time_s[offset:end]
-                e = out.dynamic_energy_j[offset:end]
+                t = times[offset:end]
+                e = energies[offset:end]
                 if self.store is not None:
                     self.store.append(
                         grp.key, bs[offset:end], g[offset:end],
@@ -429,15 +458,80 @@ def _columns(
     return pack_configs(configs)
 
 
-def collect_session_requests() -> tuple[SweepRequest, ...]:
-    """Every sweep request of the full figure set, in experiment order.
+def scalar_sweep(
+    spec: GPUSpec,
+    cal: GPUCalibration,
+    n: int,
+    bs: np.ndarray,
+    g: np.ndarray,
+    r: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(time_s, dynamic_energy_j)`` columns of the configurations
+    ``(bs, g, r)`` at matrix size ``n`` by the scalar model of record:
+    one :meth:`~repro.simgpu.device.GPUDevice.run_matmul` call per
+    configuration, on Python ints, in order."""
+    from repro.simgpu.device import GPUDevice
 
-    The union of what the :data:`SESSION_EXPERIMENTS` will ask for —
-    the input of a ``repro all`` session.  Duplicates across
-    experiments are intentional (the planner's dedup pass is what
-    collapses them).
+    run = GPUDevice(spec, cal).run_matmul
+    times, energies = [], []
+    for config in zip(bs.tolist(), g.tolist(), r.tolist()):
+        result = run(n, *config)
+        times.append(result.time_s)
+        energies.append(result.dynamic_energy_j)
+    return (
+        np.array(times, dtype=np.float64),
+        np.array(energies, dtype=np.float64),
+    )
+
+
+def _scalar_fill(
+    spec: GPUSpec, entries: list[tuple[_GroupState, np.ndarray]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The scalar fill: each group's missing keys through
+    :func:`scalar_sweep`, concatenated in ``entries`` order."""
+    columns = [
+        scalar_sweep(spec, grp.cal, grp.n, *unpack_keys(p))
+        for grp, p in entries
+    ]
+    return (
+        np.concatenate([t for t, _ in columns]),
+        np.concatenate([e for _, e in columns]),
+    )
+
+
+def collect_session_requests(
+    ids: Sequence[str] = SESSION_EXPERIMENTS,
+) -> tuple[SweepRequest, ...]:
+    """Every sweep request of the experiments ``ids``, in that order.
+
+    ``ids`` are sweep-driven experiment ids; the default,
+    :data:`SESSION_EXPERIMENTS`, is the input of a ``repro all``
+    session.  Duplicates across experiments are intentional (the
+    planner's dedup pass is what collapses them).
     """
     requests: list[SweepRequest] = []
-    for exp_id in SESSION_EXPERIMENTS:
+    for exp_id in ids:
         requests.extend(EXPERIMENTS[exp_id].load().requests())
     return tuple(requests)
+
+
+def session_planner(
+    ids: Sequence[str] = SESSION_EXPERIMENTS,
+    *,
+    store_dir: str | Path | None = None,
+    scalar: bool = False,
+) -> EvalPlanner:
+    """A planner holding the experiments ``ids``' requests, filled.
+
+    The one way a command builds its session: ``repro all``,
+    ``repro experiment`` and :func:`repro.analysis.summary.
+    generate_report` all call it.  ``store_dir`` and ``scalar`` are
+    :class:`EvalPlanner`'s.  With no requests, nothing is filled and
+    the planner fills lazily as it is asked.
+    """
+    planner = EvalPlanner(store_dir=store_dir, scalar=scalar)
+    requests = collect_session_requests(ids)
+    if requests:
+        planner.add_all(requests)
+        planner.execute()
+    return planner

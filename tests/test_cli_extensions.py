@@ -104,6 +104,31 @@ class TestReport:
         assert "wrote" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--output"],
+        ["sweep", "--device", "k40c", "--n", "2048", "--save"],
+    ],
+    ids=["report", "sweep"],
+)
+@pytest.mark.parametrize(
+    "target,reason",
+    [
+        ("missing-dir", "No such file or directory"),
+        ("directory", "Is a directory"),
+    ],
+)
+def test_unwritable_output_is_a_one_line_error(tmp_path, argv, target, reason):
+    path = tmp_path / "missing" / "out" if target == "missing-dir" else tmp_path
+    with pytest.raises(SystemExit) as info:
+        main([*argv, str(path)])
+    message = str(info.value)
+    assert message.startswith(f"repro {argv[0]}: {path}: ")
+    assert reason in message
+    assert "\n" not in message
+
+
 class TestNewExperimentIds:
     @pytest.mark.parametrize("exp", ["fig3", "fig5"])
     def test_figure_ids(self, exp, capsys):

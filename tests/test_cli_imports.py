@@ -10,7 +10,9 @@ pool (shards are read one after another).  A command imports only what
 it runs: building the parser loads no experiment module and nothing of
 the CPU side (``repro.simcpu``, ``repro.measurement``,
 ``repro.energymodel``) or of the store, and ``repro all`` loads the six
-session experiments and still nothing of the CPU side.  The guard
+session experiments and still nothing of the CPU side.  ``repro
+report`` fills its session with the scalar model, so it loads neither
+the batch model nor the store.  The guard
 starts a fresh interpreter and checks which modules are loaded, so
 unlike a timing gate it cannot flake on a slow host.
 """
@@ -95,6 +97,21 @@ def _child_env() -> dict[str, str]:
     return env
 
 
+#: Runs in a second child: ``repro report`` first thing in a fresh
+#: interpreter, then the batch-model and store modules it loaded.
+REPORT_CHILD = """
+import contextlib, io, json, sys
+import repro.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    repro.cli.main(["report", "--extras", "--output", sys.argv[1]])
+print(json.dumps(sorted(
+    m for m in sys.modules
+    if m in ("repro.simgpu.batch", "repro.store")
+    or m.startswith("repro.store.")
+)))
+"""
+
+
 @pytest.fixture(scope="module")
 def loaded_modules(tmp_path_factory) -> dict[str, list[str]]:
     out = tmp_path_factory.mktemp("cli-imports")
@@ -135,6 +152,14 @@ def test_all_loads_the_session_experiments_and_no_cpu_side(loaded_modules):
     )
     assert loaded_modules["all:experiments"] == ["repro.experiments", *session]
     assert loaded_modules["all:cpu-side"] == []
+
+
+def test_report_loads_no_batch_model_and_no_store(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", REPORT_CHILD, str(tmp_path / "report.md")],
+        env=_child_env(), capture_output=True, text=True, check=True,
+    )
+    assert json.loads(proc.stdout) == []
 
 
 def test_experiment_import_is_timed_under_its_command(tmp_path, capsys):

@@ -257,6 +257,30 @@ class TestProvenance:
         )
         assert provenance.calibration_digest(P100, nudged) != base
 
+    def test_session_requests_digest_is_pinned(self):
+        from repro.sweep.planner import collect_session_requests
+
+        assert provenance.requests_digest(collect_session_requests()) == (
+            "a62b011502099e5f9a7400dc66d783bba5915d7dbf76bbb9ab21ae6e4955a6d4"
+        )
+
+    def test_manifest_digests_each_calibration_pair_once(self, monkeypatch):
+        from repro.sweep.planner import collect_session_requests
+
+        requests = collect_session_requests()
+        pairs = {(r.spec, r.calibration) for r in requests}
+        expected = provenance.run_manifest("all", requests=requests)
+        digested = []
+        digest = provenance.calibration_digest
+        monkeypatch.setattr(
+            provenance, "calibration_digest",
+            lambda *pair: digested.append(pair) or digest(*pair),
+        )
+        manifest = provenance.run_manifest("all", requests=requests)
+        assert len(digested) == len(pairs) < len(requests)
+        assert set(digested) == pairs
+        assert manifest == expected
+
     def test_manifest_names_each_devices_calibration(self):
         reqs = [
             SweepRequest(device="p100", n=2048),
@@ -489,6 +513,21 @@ class TestCliTelemetry:
         prov = next(e for e in events if e["event"] == "provenance")
         assert prov["command"] == command
         assert prov["backend"] == "vectorized"
+
+    def test_provenance_is_built_in_its_own_span_under_the_command(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "run.jsonl"
+        assert main(["all", "--telemetry", f"jsonl:{path}"]) == 0
+        capsys.readouterr()
+        spans = [
+            event
+            for event in map(json.loads, path.read_text().splitlines())
+            if event["event"] == "span"
+        ]
+        (command,) = [s for s in spans if s["name"] == "cli.all"]
+        (built,) = [s for s in spans if s["name"] == "cli.provenance"]
+        assert built["parent"] == command["id"]
 
     def test_bad_spec_is_a_clean_error(self):
         with pytest.raises(SystemExit, match="unknown telemetry spec"):

@@ -235,6 +235,59 @@ class TestPlannerAccounting:
         with pytest.raises(ValueError, match="not both"):
             EvalPlanner(store=ColumnarStore(tmp_path), store_dir=tmp_path)
 
+    @pytest.mark.parametrize("arg", ["store", "store_dir"])
+    def test_scalar_planner_takes_no_store(self, tmp_path, arg):
+        """Shards hold vectorized values: scalar ones never enter one."""
+        from repro.store import ColumnarStore
+
+        value = ColumnarStore(tmp_path) if arg == "store" else tmp_path
+        with pytest.raises(ValueError, match="scalar planner takes no store"):
+            EvalPlanner(scalar=True, **{arg: value})
+        assert not any(tmp_path.iterdir())
+
+    def test_scalar_fill_runs_the_model_of_record_once_per_point(
+        self, monkeypatch
+    ):
+        from repro.simgpu.device import GPUDevice
+
+        calls = []
+        run_matmul = GPUDevice.run_matmul
+
+        def counted(self, n, bs, g, r):
+            calls.append((n, bs, g, r))
+            assert all(type(v) is int for v in (bs, g, r))
+            return run_matmul(self, n, bs, g, r)
+
+        monkeypatch.setattr(GPUDevice, "run_matmul", counted)
+        req = SweepRequest(device="k40c", n=4096)
+        planner = EvalPlanner(scalar=True)
+        planner.add_all([req, req, SweepRequest(device="k40c", n=4096,
+                                                min_bs=8)])
+        stats = planner.execute()
+        assert len(calls) == len(set(calls)) == len(req.configs())
+        assert stats.computed == len(calls) and stats.batches == 0
+
+    def test_session_requests_of_ids_concatenate_in_order(self):
+        from repro.experiments import EXPERIMENTS
+        from repro.sweep.planner import SESSION_EXPERIMENTS
+
+        def identities(requests):
+            return [(r, r.cal) for r in requests]
+
+        def concatenated(ids):
+            return [
+                r for i in ids for r in EXPERIMENTS[i].load().requests()
+            ]
+
+        ids = ("headline", "fig2", "sensitivity")
+        assert identities(collect_session_requests(ids)) == identities(
+            concatenated(ids)
+        )
+        assert collect_session_requests(()) == ()
+        assert identities(collect_session_requests()) == identities(
+            concatenated(SESSION_EXPERIMENTS)
+        )
+
     def test_perturbed_calibration_gets_its_own_shard(self, tmp_path):
         planner = EvalPlanner(store_dir=tmp_path)
         base = planner.sweep("p100", 4096)

@@ -93,3 +93,28 @@ class TestUtilizationVector:
         skew[0] = 0.3
         imbalanced = utilization_vector(HASWELL, placement, skew)
         assert imbalanced.average < balanced.average
+
+
+class TestVectorizedFillIsBitIdentical:
+    """The one-step fill and the wrapper-free average do the loop's and
+    ``np.mean``'s arithmetic, so every bit matches."""
+
+    @pytest.mark.parametrize("os_noise", [0.004, 0.0])
+    @pytest.mark.parametrize("n_threads", range(1, HASWELL.logical_cpus + 1))
+    def test_matches_loop_formula_and_np_mean(self, n_threads, os_noise):
+        placement = place_threads(HASWELL, n_threads)
+        jitter = contention_jitter(
+            f"part-{n_threads}", n_threads, 1 + n_threads % 4, HASWELL_CAL
+        )
+        util = utilization_vector(
+            HASWELL, placement, jitter, os_noise=os_noise
+        )
+        completion = 1.0 + np.asarray(jitter, dtype=float)
+        wall = float(completion.max())
+        per_cpu = np.full(HASWELL.logical_cpus, os_noise)
+        for thread_idx, cpu in enumerate(placement.cpus):
+            per_cpu[cpu.index] = completion[thread_idx] / wall
+        expected = tuple(per_cpu.tolist())
+        assert [u.hex() for u in util.per_cpu] == [u.hex() for u in expected]
+        assert util.average.hex() == float(np.mean(expected)).hex()
+        assert util.wall_time_scale.hex() == wall.hex()
