@@ -457,7 +457,7 @@ def _run_sweep(
         try:
             save_sweep(save, SweepDocument(device, n, tuple(points)))
         except OSError as exc:
-            raise SystemExit(f"repro sweep: {save}: {exc}") from None
+            raise SystemExit(f"repro sweep: {save}: {exc.strerror}") from None
         out.append(f"saved sweep to {save}\n")
     if all_points:
         rows = [
@@ -830,11 +830,36 @@ def _run_perf(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_output(command: str, path: str) -> None:
+    """Exit in one line if ``path`` cannot be created: its directory is
+    missing, or it is itself a directory.
+
+    Called before the command does any work, so a bad path costs no
+    sweep or render.  The command writes ``path`` only once its output
+    is complete, so a failed check or render leaves an existing file as
+    it was.
+    """
+    import errno
+    import os
+    from pathlib import Path
+
+    target = Path(path)
+    if target.is_dir():
+        code = errno.EISDIR
+    elif not target.parent.is_dir():
+        code = errno.ENOENT
+    else:
+        return
+    raise SystemExit(f"repro {command}: {path}: {os.strerror(code)}")
+
+
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "experiment":
         planner = _build_planner(args.store_dir, _sweep_ids(args.id))
         print(_run_experiment(args.id, engine=planner))
     elif args.command == "sweep":
+        if args.save is not None:
+            _check_output("sweep", args.save)
         print(
             _run_sweep(
                 args.device, args.n, args.products, args.all_points,
@@ -871,6 +896,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
         return run_from_args(args)
     elif args.command == "report":
+        _check_output("report", args.output)
         from pathlib import Path
 
         from repro.analysis.summary import generate_report
@@ -879,7 +905,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         try:
             Path(args.output).write_text(text)
         except OSError as exc:
-            raise SystemExit(f"repro report: {args.output}: {exc}") from None
+            raise SystemExit(
+                f"repro report: {args.output}: {exc.strerror}"
+            ) from None
         print(f"wrote {args.output} ({len(text.splitlines())} lines)")
     else:  # pragma: no cover - argparse enforces choices
         raise AssertionError(args.command)

@@ -35,29 +35,33 @@ PROVENANCE_FORMAT = "repro-provenance/1"
 
 
 def git_revision(root: str | Path | None = None) -> str:
-    """The checkout's commit SHA (plus ``-dirty``), or ``"unknown"``."""
+    """The checkout's commit SHA (plus ``-dirty``), or ``"unknown"``.
+
+    One ``git status --porcelain=v2 --branch`` answers both questions:
+    its ``# branch.oid`` header names the commit (``(initial)`` before
+    the first one), and every line that is not a ``#`` header is a
+    changed or untracked path.
+    """
     if root is None:
         root = Path(__file__).resolve().parents[3]
     try:
-        sha = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+        status = subprocess.run(
+            ["git", "status", "--porcelain=v2", "--branch"],
             cwd=root,
             capture_output=True,
             text=True,
             timeout=5,
             check=True,
-        ).stdout.strip()
-        dirty = subprocess.run(
-            ["git", "status", "--porcelain"],
-            cwd=root,
-            capture_output=True,
-            text=True,
-            timeout=5,
-            check=True,
-        ).stdout.strip()
+        ).stdout
     except (OSError, subprocess.SubprocessError):
         return "unknown"
-    if not sha:
+    sha, dirty = "", False
+    for line in status.splitlines():
+        if line.startswith("# branch.oid "):
+            sha = line[len("# branch.oid "):]
+        elif not line.startswith("#"):
+            dirty = True
+    if not sha or sha == "(initial)":
         return "unknown"
     return f"{sha}-dirty" if dirty else sha
 

@@ -21,7 +21,7 @@ mirroring the qualitative model of [8].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.machines.specs import CPUSpec
 from repro.simcpu.calibration import CPUCalibration
@@ -30,8 +30,7 @@ from repro.simcpu.topology import Placement
 __all__ = ["CPUPowerBreakdown", "cpu_power"]
 
 
-@dataclass(frozen=True)
-class CPUPowerBreakdown:
+class CPUPowerBreakdown(NamedTuple):
     """Average dynamic power of one run, by component (watts)."""
 
     cores_w: float
@@ -96,6 +95,4 @@ def cpu_power(
         traffic_bytes_per_s, n_groups, cal, walk_factor=walk_factor
     )
     dtlb = cal.e_page_walk_j * walks
-    return CPUPowerBreakdown(
-        cores_w=cores, flops_w=flops, uncore_w=uncore, dram_w=dram, dtlb_w=dtlb
-    )
+    return CPUPowerBreakdown(cores, flops, uncore, dram, dtlb)

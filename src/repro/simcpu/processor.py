@@ -21,6 +21,7 @@ Performance model (roofline with SMT and shape effects):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,8 +88,7 @@ class DGEMMConfig:
         )
 
 
-@dataclass(frozen=True)
-class CPURunResult:
+class CPURunResult(NamedTuple):
     """Modelled outcome of one DGEMM run."""
 
     time_s: float
@@ -219,21 +219,14 @@ class MulticoreCPU:
             # clock-domain independent.
             volt = freq_scale**1.5
             power = CPUPowerBreakdown(
-                cores_w=power.cores_w * freq_scale**2.5,
-                flops_w=power.flops_w * volt,
-                uncore_w=power.uncore_w,
-                dram_w=power.dram_w,
-                dtlb_w=power.dtlb_w,
+                power.cores_w * freq_scale**2.5,
+                power.flops_w * volt,
+                power.uncore_w,
+                power.dram_w,
+                power.dtlb_w,
             )
         energy = power.dynamic_w * time_s
         return CPURunResult(
-            time_s=time_s,
-            dynamic_energy_j=energy,
-            gflops=achieved_flops / 1e9,
-            avg_utilization=util.average * 100.0,
-            utilization=util,
-            power=power,
-            placement=placement,
-            config=config,
-            n=n,
+            time_s, energy, achieved_flops / 1e9, util.average * 100.0, util,
+            power, placement, config, n,
         )

@@ -26,7 +26,7 @@ finishes); idle logical CPUs contribute a small OS-noise utilization.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,21 +37,15 @@ from repro.simcpu.topology import Placement
 __all__ = ["UtilizationVector", "contention_jitter", "utilization_vector"]
 
 
-@dataclass(frozen=True)
-class UtilizationVector:
+class UtilizationVector(NamedTuple):
     """Utilization of every logical CPU over one application run."""
 
     per_cpu: tuple[float, ...]
     wall_time_scale: float  # slowest thread's 1+jitter (scales wall time)
-
-    @property
-    def average(self) -> float:
-        """Average utilization over all logical CPUs, ∈ [0, 1].
-
-        ``np.mean``'s own arithmetic — NumPy's pairwise sum, then one
-        division — without its Python wrapper.
-        """
-        return float(np.add.reduce(self.per_cpu) / len(self.per_cpu))
+    #: Average utilization over all logical CPUs, ∈ [0, 1]: ``np.mean``'s
+    #: own arithmetic (NumPy's pairwise sum, then one division) over
+    #: ``per_cpu``, computed once by :func:`utilization_vector`.
+    average: float
 
     def active(self, threshold: float = 0.05) -> list[float]:
         """Utilizations of CPUs above an idle threshold."""
@@ -97,4 +91,5 @@ def utilization_vector(
     wall = float(completion.max())
     per_cpu = np.full(spec.logical_cpus, os_noise)
     per_cpu[placement.cpu_indices] = completion / wall
-    return UtilizationVector(per_cpu=tuple(per_cpu.tolist()), wall_time_scale=wall)
+    average = float(np.add.reduce(per_cpu) / len(per_cpu))
+    return UtilizationVector(tuple(per_cpu.tolist()), wall, average)

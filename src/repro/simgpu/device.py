@@ -29,7 +29,7 @@ warps) bounds the result from below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +47,7 @@ from repro.simgpu.power import (
 __all__ = ["KernelRunResult", "GPUDevice"]
 
 
-@dataclass(frozen=True)
-class KernelRunResult:
+class KernelRunResult(NamedTuple):
     """Modelled outcome of R launches of a (N, BS, G) kernel.
 
     ``time_s`` and ``dynamic_energy_j`` cover the CUDA kernel
@@ -83,9 +82,10 @@ class _KernelTerms:
     """
 
     __slots__ = (
-        "spec", "cal", "blocks_per_sm", "compute_cycles", "tile_fetch_bytes",
-        "sm_steps", "t_dram", "g", "lanes", "dram_bytes", "activity_base_w",
-        "aux_windows_w", "evaluated",
+        "spec", "cal", "mem_bandwidth_bps", "sm_count", "mem_latency_cycles",
+        "launch_overhead_s", "idle_power_w", "blocks_per_sm", "compute_cycles",
+        "tile_fetch_bytes", "sm_steps", "t_dram", "g", "lanes", "dram_bytes",
+        "activity_base_w", "aux_windows_w", "evaluated",
     )
 
     def __init__(
@@ -96,6 +96,12 @@ class _KernelTerms:
         occ: Occupancy,
     ) -> None:
         self.spec, self.cal = spec, cal
+        # The constants a probe reads, looked up once per call.
+        self.mem_bandwidth_bps = spec.mem_bandwidth_bps
+        self.sm_count = spec.sm_count
+        self.mem_latency_cycles = cal.mem_latency_cycles
+        self.launch_overhead_s = cal.launch_overhead_s
+        self.idle_power_w = spec.idle_power_w
         self.blocks_per_sm = occ.blocks_per_sm
         self.compute_cycles = res.compute_cycles_per_kstep
         self.tile_fetch_bytes = res.tile_fetch_bytes
@@ -126,25 +132,28 @@ class _KernelTerms:
         ev = self.evaluated.get(clock_hz)
         if ev is not None:
             return ev
-        spec, cal = self.spec, self.cal
-        bw_per_sm_bytes_per_cycle = spec.mem_bandwidth_bps / (
-            clock_hz * spec.sm_count
+        bw_per_sm_bytes_per_cycle = self.mem_bandwidth_bps / (
+            clock_hz * self.sm_count
         )
         mem_cycles = (
-            cal.mem_latency_cycles
+            self.mem_latency_cycles
             + self.tile_fetch_bytes / bw_per_sm_bytes_per_cycle
         )
+        # Each comparison returns the operand ``max`` would: the first,
+        # unless the second is strictly greater.
         compute = self.compute_cycles
-        per_block = max(compute, (compute + mem_cycles) / self.blocks_per_sm)
+        latency_bound = (compute + mem_cycles) / self.blocks_per_sm
+        per_block = latency_bound if latency_bound > compute else compute
         t_pipe = self.sm_steps * per_block / clock_hz
-        t_product = max(t_pipe, self.t_dram)
+        t_dram = self.t_dram
+        t_product = t_dram if t_dram > t_pipe else t_pipe
         # The launch time's G·t and the launch-average rates' G·t are
         # the same product.
         g_t = self.g * t_product
-        t_launch = cal.launch_overhead_s + g_t
+        t_launch = self.launch_overhead_s + g_t
         components = power_components(
-            spec,
-            cal,
+            self.spec,
+            self.cal,
             clock_hz,
             self.lanes / g_t,
             self.dram_bytes / g_t,
@@ -156,7 +165,7 @@ class _KernelTerms:
         compute_w, dram_w, activity_w, aux_w, leakage_w = components
         dynamic_w = compute_w + dram_w + activity_w + aux_w + leakage_w
         ev = self.evaluated[clock_hz] = (
-            spec.idle_power_w + dynamic_w,
+            self.idle_power_w + dynamic_w,
             dynamic_w,
             t_product,
             t_launch,
@@ -270,16 +279,8 @@ class GPUDevice:
             energy_j *= max(0.5, 1.0 + 0.4 * tj * rng.standard_normal())
 
         return KernelRunResult(
-            time_s=time_s,
-            dynamic_energy_j=energy_j,
-            dynamic_power_w=dynamic_w,
-            clock_hz=clock_hz,
-            throttled=throttled,
-            occupancy=occ,
-            power=power,
-            resources=res,
-            r=r,
-            product_time_s=t_product,
+            time_s, energy_j, dynamic_w, clock_hz, throttled, occ, power, res,
+            r, t_product,
         )
 
     def performance_gflops(self, result: KernelRunResult) -> float:

@@ -21,7 +21,7 @@ throttled).
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.machines.specs import GPUSpec
 from repro.simgpu.calibration import GPUCalibration
@@ -34,8 +34,7 @@ __all__ = ["OperatingPoint", "solve_operating_clock"]
 MIN_CLOCK_FRACTION = 0.8
 
 
-@dataclass(frozen=True)
-class OperatingPoint:
+class OperatingPoint(NamedTuple):
     """Resolved DVFS state for one kernel."""
 
     clock_hz: float
@@ -59,14 +58,12 @@ def solve_operating_clock(
     """
     if not spec.has_autoboost:
         f = spec.base_clock_hz
-        return OperatingPoint(
-            clock_hz=f, board_power_w=evaluate_board_power(f), throttled=False
-        )
+        return OperatingPoint(f, evaluate_board_power(f), False)
 
     hi = spec.boost_clock_hz
     p_hi = evaluate_board_power(hi)
     if p_hi <= cal.power_cap_w:
-        return OperatingPoint(clock_hz=hi, board_power_w=p_hi, throttled=False)
+        return OperatingPoint(hi, p_hi, False)
 
     lo = MIN_CLOCK_FRACTION * spec.base_clock_hz
     p_lo = evaluate_board_power(lo)
@@ -74,18 +71,16 @@ def solve_operating_clock(
         # Even the floor clock exceeds the cap; run at the floor (real
         # parts would trip thermal protection, but the sweep should not
         # crash on a pathological calibration).
-        return OperatingPoint(clock_hz=lo, board_power_w=p_lo, throttled=True)
+        return OperatingPoint(lo, p_lo, True)
 
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
         p_mid = evaluate_board_power(mid)
         if abs(p_mid - cal.power_cap_w) <= tol_w:
-            return OperatingPoint(clock_hz=mid, board_power_w=p_mid, throttled=True)
+            return OperatingPoint(mid, p_mid, True)
         if p_mid > cal.power_cap_w:
             hi = mid
         else:
             lo = mid
     mid = 0.5 * (lo + hi)
-    return OperatingPoint(
-        clock_hz=mid, board_power_w=evaluate_board_power(mid), throttled=True
-    )
+    return OperatingPoint(mid, evaluate_board_power(mid), True)

@@ -20,7 +20,7 @@ curve (V²f scaling); DRAM power does not scale with core clock.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.machines.specs import GPUSpec
 from repro.simgpu.calibration import GPUCalibration
@@ -34,8 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PowerBreakdown:
+class PowerBreakdown(NamedTuple):
     """Average dynamic power of one kernel launch, by component (watts)."""
 
     compute_w: float

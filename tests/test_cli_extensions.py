@@ -119,14 +119,41 @@ class TestReport:
         ("directory", "Is a directory"),
     ],
 )
-def test_unwritable_output_is_a_one_line_error(tmp_path, argv, target, reason):
+def test_unwritable_output_is_a_one_line_error(
+    tmp_path, monkeypatch, argv, target, reason
+):
+    """The path is checked before any work: no report is rendered and
+    no sweep is evaluated or planned."""
+    import repro.analysis.summary
+    import repro.sweep.planner
+
+    def never(*args, **kwargs):
+        raise AssertionError("work done before the output path was checked")
+
+    monkeypatch.setattr(repro.analysis.summary, "generate_report", never)
+    monkeypatch.setattr(MatmulGPUApp, "sweep_points", never)
+    monkeypatch.setattr(repro.sweep.planner, "session_planner", never)
     path = tmp_path / "missing" / "out" if target == "missing-dir" else tmp_path
     with pytest.raises(SystemExit) as info:
         main([*argv, str(path)])
     message = str(info.value)
-    assert message.startswith(f"repro {argv[0]}: {path}: ")
-    assert reason in message
-    assert "\n" not in message
+    assert message == f"repro {argv[0]}: {path}: {reason}"
+
+
+def test_failed_report_render_leaves_the_output_file_untouched(
+    tmp_path, monkeypatch
+):
+    import repro.analysis.summary
+
+    def broken(**kwargs):
+        raise RuntimeError("render failed")
+
+    out = tmp_path / "R.md"
+    out.write_text("previous report\n")
+    monkeypatch.setattr(repro.analysis.summary, "generate_report", broken)
+    with pytest.raises(RuntimeError, match="render failed"):
+        main(["report", "--output", str(out)])
+    assert out.read_text() == "previous report\n"
 
 
 class TestNewExperimentIds:

@@ -294,6 +294,70 @@ class TestProvenance:
         )
 
 
+def _git(cwd, *args):
+    import subprocess
+
+    subprocess.run(
+        ["git", "-c", "user.name=repro", "-c", "user.email=repro@example.com",
+         "-c", "commit.gpgsign=false", *args],
+        cwd=cwd, check=True, capture_output=True,
+    )
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="git is not installed")
+class TestGitRevision:
+    """``git_revision`` on throwaway repositories, one per case."""
+
+    @pytest.fixture
+    def repo(self, tmp_path, monkeypatch):
+        # Keep git from finding a repository above the temporary one.
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+        root = tmp_path / "repo"
+        root.mkdir()
+        _git(root, "init", "-q")
+        return root
+
+    @staticmethod
+    def _commit(root):
+        (root / "a.txt").write_text("a\n")
+        _git(root, "add", "a.txt")
+        _git(root, "commit", "-q", "-m", "first")
+        import subprocess
+
+        return subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=root, check=True,
+            capture_output=True, text=True,
+        ).stdout.strip()
+
+    def test_clean_checkout_is_its_sha(self, repo):
+        sha = self._commit(repo)
+        assert len(sha) == 40
+        assert provenance.git_revision(repo) == sha
+
+    @pytest.mark.parametrize("change", ["modified", "untracked"])
+    def test_changed_checkout_is_dirty(self, repo, change):
+        sha = self._commit(repo)
+        name = "a.txt" if change == "modified" else "b.txt"
+        (repo / name).write_text("changed\n")
+        assert provenance.git_revision(repo) == f"{sha}-dirty"
+
+    def test_before_the_first_commit_is_unknown(self, repo):
+        assert provenance.git_revision(repo) == "unknown"
+        (repo / "a.txt").write_text("a\n")
+        assert provenance.git_revision(repo) == "unknown"
+
+    def test_outside_a_repository_is_unknown(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+        plain = tmp_path / "plain"
+        plain.mkdir()
+        assert provenance.git_revision(plain) == "unknown"
+
+    def test_without_git_is_unknown(self, repo, monkeypatch):
+        self._commit(repo)
+        monkeypatch.setenv("PATH", "")
+        assert provenance.git_revision(repo) == "unknown"
+
+
 def _planner_session(store_dir, reqs):
     """One instrumented planner session; returns (structure, counters)."""
     tel = obs.set_telemetry(obs.Telemetry("summary"))

@@ -118,3 +118,14 @@ class TestVectorizedFillIsBitIdentical:
         assert [u.hex() for u in util.per_cpu] == [u.hex() for u in expected]
         assert util.average.hex() == float(np.mean(expected)).hex()
         assert util.wall_time_scale.hex() == wall.hex()
+
+    def test_average_is_np_mean_on_every_fig4_configuration(self):
+        from repro.apps.dgemm_cpu import DGEMMCPUApp
+        from repro.experiments.fig4_cpu_utilization import N_PAPER
+
+        results = DGEMMCPUApp(HASWELL).sweep(N_PAPER)
+        assert len(results) == 294
+        for result in results:
+            util = result.utilization
+            assert util.average.hex() == float(np.mean(util.per_cpu)).hex()
+            assert result.avg_utilization.hex() == (util.average * 100.0).hex()
