@@ -30,8 +30,8 @@ custom workload, without writing code:
   ``perf report`` (per-span-name self/total profile + critical path
   of a telemetry stream), ``perf diff A B`` (self-time deltas between
   two streams), ``perf flamegraph`` (Brendan-Gregg folded stacks),
-  and ``perf check`` (Mann-Whitney regression sentinel comparing a
-  bench run's samples against the matched-host history baseline,
+  and ``perf check BASELINE CURRENT`` (Mann-Whitney regression
+  sentinel over the per-repeat samples of two bench documents,
   nonzero exit on confirmed regressions);
 * ``report`` — run everything and write a single markdown report; its
   sweep figures run through one in-memory planner session filled by
@@ -43,10 +43,9 @@ evaluate through one :class:`repro.sweep.planner.EvalPlanner`, backed
 by the columnar store at ``--store-dir``, else ``$REPRO_STORE_DIR``,
 else held in memory for the run; ``experiment`` and ``all`` fill their
 requests in it before the experiments run
-(:func:`repro.sweep.planner.session_planner`).  They, plus ``bench``, accept
-``--telemetry off|summary|jsonl:PATH|prom:PATH`` (:mod:`repro.obs`):
-``off`` is the default and byte-identical to the uninstrumented
-output.
+(:func:`repro.sweep.planner.session_planner`).  They accept
+``--telemetry off|summary|jsonl:PATH`` (:mod:`repro.obs`): ``off`` is
+the default and byte-identical to the uninstrumented output.
 """
 
 from __future__ import annotations
@@ -104,21 +103,6 @@ def nonnegative_float(text: str) -> float:
     return value
 
 
-def _add_telemetry_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--telemetry", default="off",
-        metavar="off|summary|jsonl:PATH|prom:PATH",
-        help=(
-            "telemetry sink: 'off' (default; output byte-identical to "
-            "an uninstrumented run), 'summary' (append a span/metric "
-            "digest), 'jsonl:PATH' (write the event stream for "
-            "`repro trace` / `repro perf`), or 'prom:PATH' (write the "
-            "metrics snapshot in Prometheus textfile format for a "
-            "node-exporter textfile collector)"
-        ),
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     # Every --device flag derives its choices from the device registry
     # — the single source of truth — so subparsers cannot drift apart
@@ -147,7 +131,16 @@ def build_parser() -> argparse.ArgumentParser:
                 "only)"
             ),
         )
-        _add_telemetry_flag(p)
+        p.add_argument(
+            "--telemetry", default="off",
+            metavar="off|summary|jsonl:PATH",
+            help=(
+                "telemetry sink: 'off' (default; output byte-identical "
+                "to an uninstrumented run), 'summary' (append a "
+                "span/metric digest), or 'jsonl:PATH' (write the event "
+                "stream for `repro trace` / `repro perf`)"
+            ),
+        )
 
     exp = sub.add_parser(
         "experiment", help="regenerate one paper artifact"
@@ -210,13 +203,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument("file", help="telemetry JSONL file to render")
 
-    from repro.obs.history import DEFAULT_HISTORY_PATH
-
     perf = sub.add_parser(
         "perf",
         help=(
             "performance observatory: span profiles, flamegraphs and "
-            "the bench-history regression sentinel"
+            "the regression sentinel over two bench runs"
         ),
     )
     perf_sub = perf.add_subparsers(dest="perf_command", required=True)
@@ -256,25 +247,16 @@ def build_parser() -> argparse.ArgumentParser:
     perf_check = perf_sub.add_parser(
         "check",
         help=(
-            "compare a bench run's wall samples against the "
-            "matched-host history baseline (Mann-Whitney U + median "
-            "shift); exits nonzero on confirmed regressions"
+            "judge each case of a bench document against the same case "
+            "of a baseline one (Mann-Whitney U + median shift); exits "
+            "nonzero on confirmed regressions"
         ),
     )
     perf_check.add_argument(
-        "--bench", default="BENCH_sweep.json", metavar="FILE",
-        help="bench document to check (default: BENCH_sweep.json)",
+        "baseline", help="baseline bench document (the parent's)"
     )
     perf_check.add_argument(
-        "--history", default=str(DEFAULT_HISTORY_PATH), metavar="FILE",
-        help=(
-            "repro-bench-history/1 JSONL baseline "
-            "(default: benchmarks/history/bench_history.jsonl)"
-        ),
-    )
-    perf_check.add_argument(
-        "--report-only", action="store_true",
-        help="print verdicts but always exit 0 (PR-lane mode)",
+        "current", help="bench document to judge (the change's)"
     )
 
     sub.add_parser("machines", help="list the platform registry")
@@ -375,9 +357,11 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench",
         help="time the scalar vs vectorized sweep models and the planner",
+        # The sweep commands' `--telemetry` is a usage error here, not
+        # an abbreviation of `--telemetry-output`.
+        allow_abbrev=False,
     )
     add_bench_flags(bench)
-    _add_telemetry_flag(bench)
 
     report = sub.add_parser(
         "report", help="regenerate every artifact into one markdown report"
@@ -767,36 +751,13 @@ def _load_perf_run(path: str) -> list:
 
 
 def _run_perf_check(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.obs.history import load_history
     from repro.obs.sentinel import check_bench
 
-    bench_path = Path(args.bench)
-    if not bench_path.is_file():
-        raise SystemExit(
-            f"repro perf check: no bench document at {bench_path} "
-            f"(run `repro bench` first or pass --bench)"
-        )
     try:
-        doc = json.loads(bench_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise SystemExit(
-            f"repro perf check: {bench_path}: not a JSON document ({exc})"
-        ) from None
-    try:
-        history = load_history(args.history)
+        report = check_bench(args.baseline, args.current)
     except ValueError as exc:
         raise SystemExit(f"repro perf check: {exc}") from None
-    report = check_bench(doc, history)
     print(report.render())
-    if report.exit_code and args.report_only:
-        print(
-            "report-only mode: regressions reported above, exit 0",
-            file=sys.stderr,
-        )
-        return 0
     return report.exit_code
 
 

@@ -14,15 +14,12 @@ On top of those, the **performance observatory** (``docs/MODEL.md``
 §6.6), one module per job:
 
 * :mod:`repro.obs.ingest` — the tolerant JSONL reader of telemetry
-  streams and bench history;
+  streams;
 * :mod:`repro.obs.perf` — the span tree and everything rendered from
   it: ``repro trace``, self/total profiles, the critical path and
   folded-stack flamegraphs (``repro perf report|diff|flamegraph``);
-* :mod:`repro.obs.history` — the append-only bench history store;
 * :mod:`repro.obs.sentinel` — the Mann-Whitney regression sentinel
-  (``repro perf check``);
-* :mod:`repro.obs.openmetrics` — the Prometheus textfile exporter
-  (``--telemetry prom:PATH``).
+  over two bench documents (``repro perf check BASELINE CURRENT``).
 
 Off by default: the module-level helpers are no-ops until the CLI (or
 a test) installs an enabled :class:`Telemetry` via :func:`configure`.

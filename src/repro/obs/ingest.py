@@ -1,12 +1,11 @@
-"""Tolerant JSONL ingestion: telemetry streams and bench history.
+"""Tolerant JSONL ingestion of telemetry streams.
 
-:func:`read_jsonl` is the one reader of both JSONL files the repo
-reads, ``repro-telemetry/1`` event streams (``repro trace``, ``repro
-perf``) and ``repro-bench-history/1`` records (``repro perf check``).
-A truncated final line (a run killed mid-write) is dropped with a
-warning; garbage on any other line is a ``path:lineno`` error, and a
-file with nothing valid in it an error naming the path.  Several runs
-appended to one telemetry file are split at each ``header`` event.
+:func:`load_stream` reads the ``repro-telemetry/1`` event streams that
+``repro trace`` and ``repro perf`` render.  A truncated final line (a
+run killed mid-write) is dropped with a warning; garbage on any other
+line is a ``path:lineno`` error, and a file with nothing valid in it an
+error naming the path.  Several runs appended to one file are split at
+each ``header`` event.
 """
 
 from __future__ import annotations
@@ -20,14 +19,13 @@ from typing import Any
 __all__ = [
     "TelemetryStreamError",
     "TelemetryStream",
-    "read_jsonl",
     "load_stream",
     "load_cli_stream",
 ]
 
 
 class TelemetryStreamError(ValueError):
-    """A telemetry stream or bench history that cannot be read."""
+    """A telemetry stream that cannot be read."""
 
 
 @dataclass
@@ -47,59 +45,40 @@ class TelemetryStream:
         return [e for run in self.runs for e in run]
 
 
-def read_jsonl(
-    path: Path, item: str, kind: str
-) -> tuple[list[tuple[int, Any]], list[str]]:
-    """``(lineno, value)`` of every JSON line of ``path``, and warnings.
+def load_stream(path: str | Path) -> TelemetryStream:
+    """Parse a telemetry JSONL file, split into runs.
 
     Blank lines are skipped; a truncated final line after valid ones
     is dropped with a warning.  Raises :class:`TelemetryStreamError`
-    for an unreadable file, for garbage on any other line (``item``
-    names what a line should have been) and for a file with no valid
-    line (``kind`` names the file).
+    for an unreadable file, for garbage or a non-event on any other
+    line and for a file with no valid line.
     """
+    target = Path(path)
     try:
-        text = path.read_text()
+        lines = target.read_text().splitlines()
     except OSError as exc:
-        raise TelemetryStreamError(f"{path}: {exc}") from None
-    lines = text.splitlines()
+        raise TelemetryStreamError(f"{target}: {exc}") from None
     last_nonempty = max(
         (i for i, line in enumerate(lines, 1) if line.strip()), default=0
     )
-    values: list[tuple[int, Any]] = []
-    warnings: list[str] = []
+    stream = TelemetryStream(path=target)
+    current: list[dict[str, Any]] = []
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
             continue
         try:
-            values.append((lineno, json.loads(line)))
+            event = json.loads(line)
         except json.JSONDecodeError as exc:
-            if lineno == last_nonempty and values:
-                warnings.append(
-                    f"{path}:{lineno}: dropped truncated final line "
+            if lineno == last_nonempty and (current or stream.runs):
+                stream.warnings.append(
+                    f"{target}:{lineno}: dropped truncated final line "
                     f"({exc.msg})"
                 )
                 continue
             raise TelemetryStreamError(
-                f"{path}:{lineno}: not a {item} ({exc})"
+                f"{target}:{lineno}: not a JSON event line ({exc})"
             ) from None
-    if not values:
-        raise TelemetryStreamError(f"{path}: empty {kind}")
-    return values, warnings
-
-
-def load_stream(path: str | Path) -> TelemetryStream:
-    """Parse a telemetry JSONL file with :func:`read_jsonl`, split into
-    runs; raises :class:`TelemetryStreamError` for a line that is not
-    an event."""
-    target = Path(path)
-    values, warnings = read_jsonl(
-        target, "JSON event line", "telemetry stream"
-    )
-    stream = TelemetryStream(path=target, warnings=warnings)
-    current: list[dict[str, Any]] = []
-    for lineno, event in values:
         if not isinstance(event, dict) or "event" not in event:
             raise TelemetryStreamError(
                 f"{target}:{lineno}: not a telemetry event"
@@ -108,6 +87,8 @@ def load_stream(path: str | Path) -> TelemetryStream:
             stream.runs.append(current)
             current = []
         current.append(event)
+    if not current:
+        raise TelemetryStreamError(f"{target}: empty telemetry stream")
     stream.runs.append(current)
     if stream.runs[0][0].get("event") != "header":
         stream.warnings.append(

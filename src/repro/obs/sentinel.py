@@ -1,10 +1,9 @@
-"""Statistical regression sentinel over the bench history store.
+"""Statistical regression sentinel over two bench documents.
 
-``repro perf check`` compares the current bench run's repeated wall
-samples against the matched-host baseline pooled from
-:mod:`repro.obs.history`, one case at a time, and only calls
-something a regression when **both** of two independent bars are
-cleared:
+``repro perf check BASELINE CURRENT`` compares two ``BENCH_sweep.json``
+documents, say the parent's and the change's, one case at a time, and
+only calls something a regression when **both** of two independent
+bars are cleared:
 
 * **significance** — a two-sided Mann-Whitney U test (SciPy's exact
   distribution for small tie-free samples, its normal approximation
@@ -15,29 +14,24 @@ cleared:
   a statistically detectable 0.3% drift is not worth failing a build
   over.
 
-Everything that would otherwise be false confidence is an explicit
-outcome instead: ``insufficient-history`` (fewer than
-:data:`MIN_SAMPLES` baseline samples for the case), ``host-mismatch``
-(history exists but none of it was recorded on a comparable host),
-``no-history``.  The sentinel never compares timings across host
-fingerprints.
+A case with fewer than :data:`MIN_SAMPLES` samples on either side is
+``insufficient-samples`` rather than a false verdict.  Two documents
+that cannot be compared at all (recorded on different hosts, or
+holding different cases) are an error, not a verdict.
 """
 
 from __future__ import annotations
 
+import json
 import statistics
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Sequence
-
-from repro.obs.history import (
-    case_samples,
-    fingerprints_match,
-    host_fingerprint,
-)
 
 __all__ = [
     "mann_whitney_u",
+    "case_samples",
     "CaseVerdict",
     "CheckReport",
     "check_bench",
@@ -47,18 +41,11 @@ __all__ = [
 ALPHA = 0.05
 #: Smallest relative median shift called a confirmed change.
 MIN_SHIFT = 0.10
-#: Fewest pooled baseline samples per case the sentinel will judge.
+#: Fewest samples per case, on each side, the sentinel will judge.
 MIN_SAMPLES = 3
 
 #: Outcome vocabulary, in severity order.
-OUTCOMES = (
-    "regression",
-    "improvement",
-    "neutral",
-    "insufficient-history",
-    "host-mismatch",
-    "no-history",
-)
+OUTCOMES = ("regression", "improvement", "neutral", "insufficient-samples")
 
 
 def mann_whitney_u(
@@ -88,15 +75,35 @@ def mann_whitney_u(
     return float(min(u_a, n * m - u_a)), float(p)
 
 
+def case_samples(doc: dict[str, Any]) -> dict[str, list[float]]:
+    """``case-key -> wall-time samples`` of one bench document.
+
+    Case keys are stable strings (``p100/N10240/vectorized``,
+    ``planner/warm`` …) so two documents address the same measurement
+    the same way.  Documents older than bench v5 carry no samples and
+    yield nothing.
+    """
+    out: dict[str, list[float]] = {}
+    for case in doc.get("cases", ()):
+        prefix = f"{case['device']}/N{case['n']}"
+        for backend, values in (case.get("samples") or {}).items():
+            if values:
+                out[f"{prefix}/{backend}"] = [float(v) for v in values]
+    planner = doc.get("planner") or {}
+    for path_name, values in (planner.get("samples") or {}).items():
+        if values:
+            out[f"planner/{path_name}"] = [float(v) for v in values]
+    return out
+
+
 @dataclass(frozen=True)
 class CaseVerdict:
-    """One case's comparison against its matched-host baseline."""
+    """One case's comparison of the current samples with the baseline's."""
 
     case: str
     outcome: str
-    current_n: int = 0
-    baseline_n: int = 0
-    baseline_runs: int = 0
+    current_n: int
+    baseline_n: int
     median_current: float | None = None
     median_baseline: float | None = None
     shift: float | None = None
@@ -107,10 +114,9 @@ class CaseVerdict:
 class CheckReport:
     """``repro perf check``'s full result."""
 
-    verdicts: list[CaseVerdict] = field(default_factory=list)
-    fingerprint: dict[str, Any] = field(default_factory=dict)
-    history_runs: int = 0
-    matched_runs: int = 0
+    baseline: str
+    current: str
+    verdicts: list[CaseVerdict]
 
     @property
     def regressions(self) -> list[CaseVerdict]:
@@ -122,9 +128,8 @@ class CheckReport:
 
     def render(self) -> str:
         lines = [
-            f"perf check: {len(self.verdicts)} case(s) vs "
-            f"{self.matched_runs}/{self.history_runs} matched-host "
-            f"history run(s) "
+            f"perf check: {len(self.verdicts)} case(s), {self.current} "
+            f"vs {self.baseline} "
             f"(alpha={ALPHA:g}, min shift={MIN_SHIFT:.0%}, "
             f"min samples={MIN_SAMPLES})",
         ]
@@ -137,8 +142,7 @@ class CheckReport:
                     f"median {v.median_current * 1e3:9.3f} ms vs "
                     f"{v.median_baseline * 1e3:9.3f} ms "
                     f"({v.shift:+7.1%}, p={v.p_value:.3f}, "
-                    f"n={v.current_n} vs {v.baseline_n} over "
-                    f"{v.baseline_runs} run(s))"
+                    f"n={v.current_n} vs {v.baseline_n})"
                 )
             else:
                 detail = (
@@ -146,7 +150,7 @@ class CheckReport:
                     f"sample(s)"
                 )
             lines.append(
-                f"  {v.outcome:<22} {v.case:<{width}}  {detail}"
+                f"  {v.outcome:<20} {v.case:<{width}}  {detail}"
             )
         counts = Counter(v.outcome for v in self.verdicts)
         lines.append(
@@ -155,95 +159,87 @@ class CheckReport:
                 f"{counts[o]} {o}" for o in OUTCOMES if o in counts
             )
         )
-        if any(v.outcome == "host-mismatch" for v in self.verdicts):
-            lines.append(
-                "note: history exists but none of it was recorded on a "
-                "matching host; record a baseline on this host first"
-            )
         return "\n".join(lines)
 
 
-def _same_run(record: dict[str, Any], current: dict[str, Any]) -> bool:
-    """True when a history record *is* the current document's run.
+def _judge(case: str, base: list[float], cur: list[float]) -> CaseVerdict:
+    """One case's verdict from its baseline and current samples."""
+    sizes = dict(current_n=len(cur), baseline_n=len(base))
+    if min(len(base), len(cur)) < MIN_SAMPLES:
+        return CaseVerdict(case, "insufficient-samples", **sizes)
+    med_cur = statistics.median(cur)
+    med_base = statistics.median(base)
+    shift = (med_cur - med_base) / med_base if med_base else 0.0
+    _, p = mann_whitney_u(cur, base)
+    if p < ALPHA and shift > MIN_SHIFT:
+        outcome = "regression"
+    elif p < ALPHA and shift < -MIN_SHIFT:
+        outcome = "improvement"
+    else:
+        outcome = "neutral"
+    return CaseVerdict(
+        case, outcome, **sizes, median_current=med_cur,
+        median_baseline=med_base, shift=shift, p_value=p,
+    )
 
-    ``repro bench`` appends its own record before ``repro perf check``
-    runs, and comparing a run against itself would drag every verdict
-    toward neutral; identical per-case samples identify it exactly.
+
+def _load(path: Path) -> tuple[dict[str, Any], dict[str, list[float]]]:
+    """A bench document's ``host`` section, less ``peak_rss_kb``, and its
+    case samples; :class:`ValueError` naming ``path`` when it is
+    missing, not JSON, or holds no per-case samples."""
+    try:
+        doc = json.loads(path.read_text())
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: not a JSON document ({exc})") from None
+    try:
+        samples = case_samples(doc)
+    except (AttributeError, KeyError, TypeError, ValueError):
+        samples = {}
+    if not samples:
+        raise ValueError(f"{path}: no per-case samples")
+    host = doc.get("host")
+    if not isinstance(host, dict):
+        host = {}
+    return {k: v for k, v in host.items() if k != "peak_rss_kb"}, samples
+
+
+def check_bench(baseline: str | Path, current: str | Path) -> CheckReport:
+    """Judge every case of the bench document ``current`` against the
+    same case of ``baseline``.
+
+    Raises :class:`ValueError`, with a one-line message naming the
+    file(s), when a file cannot be read as a bench document with
+    samples, when the two ``host`` sections differ in anything but
+    ``peak_rss_kb``, or when the two documents hold different cases.
     """
-    return {
-        c["case"]: c["samples"] for c in record.get("cases", ())
-    } == case_samples(current)
-
-
-def check_bench(
-    current: dict[str, Any],
-    history: Sequence[dict[str, Any]],
-    *,
-    fingerprint: dict[str, Any] | None = None,
-) -> CheckReport:
-    """Compare one bench document against the history baseline.
-
-    ``current`` is a bench v5+ ``BENCH_sweep.json`` document (its
-    ``samples`` arrays are the test's subject); ``history`` the parsed
-    record list from :func:`repro.obs.history.load_history`.
-    """
-    fp = fingerprint if fingerprint is not None else host_fingerprint()
-    report = CheckReport(fingerprint=fp, history_runs=len(history))
-    host_matched = [
-        r for r in history if fingerprints_match(r.get("host") or {}, fp)
-    ]
-    matched = [r for r in host_matched if not _same_run(r, current)]
-    report.matched_runs = len(matched)
-
-    baseline: dict[str, list[float]] = {}
-    baseline_runs: dict[str, int] = {}
-    for record in matched:
-        for case in record.get("cases", ()):
-            samples = [float(v) for v in case.get("samples", ())]
-            if not samples:
-                continue
-            baseline.setdefault(case["case"], []).extend(samples)
-            baseline_runs[case["case"]] = (
-                baseline_runs.get(case["case"], 0) + 1
-            )
-
-    for case, samples in sorted(case_samples(current).items()):
-        base = baseline.get(case, [])
-        measured: dict[str, float] = {}
-        if not history:
-            outcome = "no-history"
-        elif not host_matched:
-            # A history where the only comparable record is this very
-            # run is *thin*, not incomparable — that falls through to
-            # insufficient-history below.
-            outcome = "host-mismatch"
-        elif len(base) < MIN_SAMPLES:
-            outcome = "insufficient-history"
-        else:
-            med_cur = statistics.median(samples)
-            med_base = statistics.median(base)
-            shift = (med_cur - med_base) / med_base if med_base else 0.0
-            _, p = mann_whitney_u(samples, base)
-            if p < ALPHA and shift > MIN_SHIFT:
-                outcome = "regression"
-            elif p < ALPHA and shift < -MIN_SHIFT:
-                outcome = "improvement"
-            else:
-                outcome = "neutral"
-            measured = dict(
-                median_current=med_cur,
-                median_baseline=med_base,
-                shift=shift,
-                p_value=p,
-            )
-        report.verdicts.append(
-            CaseVerdict(
-                case=case,
-                outcome=outcome,
-                current_n=len(samples),
-                baseline_n=len(base),
-                baseline_runs=baseline_runs.get(case, 0),
-                **measured,
-            )
+    base_path, cur_path = Path(baseline), Path(current)
+    base_host, base = _load(base_path)
+    cur_host, cur = _load(cur_path)
+    pair = f"{base_path} and {cur_path}"
+    differing = sorted(
+        k for k in base_host.keys() | cur_host.keys()
+        if base_host.get(k) != cur_host.get(k)
+    )
+    if differing:
+        detail = ", ".join(
+            f"{k}: {base_host.get(k)!r} vs {cur_host.get(k)!r}"
+            for k in differing
         )
-    return report
+        raise ValueError(f"{pair} were recorded on different hosts ({detail})")
+    if base.keys() != cur.keys():
+        detail = "; ".join(
+            f"only in {path}: {', '.join(sorted(extra))}"
+            for path, extra in (
+                (base_path, base.keys() - cur.keys()),
+                (cur_path, cur.keys() - base.keys()),
+            )
+            if extra
+        )
+        raise ValueError(f"{pair} hold different cases ({detail})")
+    return CheckReport(
+        str(base_path),
+        str(cur_path),
+        [_judge(case, base[case], cur[case]) for case in sorted(cur)],
+    )

@@ -24,12 +24,9 @@ Design
   without unbounded storage).
 * **Sinks**: ``off`` (the default — nothing is recorded),
   ``summary`` (human-readable digest appended to stdout at command
-  exit), ``jsonl:PATH`` (one JSON object per line: provenance,
+  exit) and ``jsonl:PATH`` (one JSON object per line: provenance,
   then spans in completion order, then the final metrics snapshot —
-  the input of ``repro trace`` and ``repro perf``) and ``prom:PATH``
-  (the final metrics snapshot in Prometheus textfile format for a
-  node-exporter textfile collector — see
-  :mod:`repro.obs.openmetrics`).
+  the input of ``repro trace`` and ``repro perf``).
 
 The registry is intentionally *not* thread-local: one process-wide
 registry collects every layer's spans and metrics.
@@ -61,9 +58,9 @@ __all__ = [
 #: Schema tag of the JSONL event stream (``repro trace`` input).
 TELEMETRY_FORMAT = "repro-telemetry/1"
 
-#: Sink modes ``configure`` accepts (``jsonl``/``prom`` additionally
-#: take a path).
-MODES = ("off", "summary", "jsonl", "prom")
+#: Sink modes ``configure`` accepts (``jsonl`` additionally takes a
+#: path).
+MODES = ("off", "summary", "jsonl")
 
 
 @dataclass
@@ -183,10 +180,8 @@ class Telemetry:
                 f"unknown telemetry mode {mode!r}: expected one of "
                 f"{', '.join(MODES)}"
             )
-        if mode in ("jsonl", "prom") and path is None:
-            raise ValueError(
-                f"{mode} telemetry needs a path ({mode}:PATH)"
-            )
+        if mode == "jsonl" and path is None:
+            raise ValueError("jsonl telemetry needs a path (jsonl:PATH)")
         self.mode = mode
         self.path = Path(path) if path is not None else None
         self.enabled = mode != "off"
@@ -324,25 +319,10 @@ class Telemetry:
             )
         return "\n".join(lines)
 
-    def write_prom(self, path: str | Path | None = None) -> Path:
-        """Write the metrics snapshot as a Prometheus textfile."""
-        from repro.obs.openmetrics import render_openmetrics
-
-        target = Path(path) if path is not None else self.path
-        if target is None:
-            raise ValueError("no prom path configured")
-        target.write_text(
-            render_openmetrics(self.snapshot(), manifest=self.manifest)
-        )
-        return target
-
     def flush(self) -> str | None:
         """Drain to the configured sink; returns summary text if any."""
         if self.mode == "jsonl":
             self.write_jsonl()
-            return None
-        if self.mode == "prom":
-            self.write_prom()
             return None
         if self.mode == "summary":
             return self.render_summary()
@@ -368,24 +348,20 @@ def set_telemetry(tel: Telemetry) -> Telemetry:
 def configure(spec: str | None) -> Telemetry:
     """Parse a ``--telemetry`` spec and install the result.
 
-    Accepted forms: ``off`` (or None), ``summary``, ``jsonl:PATH``,
-    ``prom:PATH``.
+    Accepted forms: ``off`` (or None), ``summary``, ``jsonl:PATH``.
     """
     if spec is None or spec == "off":
         return set_telemetry(Telemetry("off"))
     if spec == "summary":
         return set_telemetry(Telemetry("summary"))
-    for mode in ("jsonl", "prom"):
-        if spec.startswith(f"{mode}:"):
-            path = spec[len(mode) + 1:]
-            if not path:
-                raise ValueError(
-                    f"{mode} telemetry needs a path ({mode}:PATH)"
-                )
-            return set_telemetry(Telemetry(mode, path))
+    if spec.startswith("jsonl:"):
+        path = spec[len("jsonl:"):]
+        if not path:
+            raise ValueError("jsonl telemetry needs a path (jsonl:PATH)")
+        return set_telemetry(Telemetry("jsonl", path))
     raise ValueError(
-        f"unknown telemetry spec {spec!r}: expected off, summary, "
-        f"jsonl:PATH or prom:PATH"
+        f"unknown telemetry spec {spec!r}: expected off, summary or "
+        f"jsonl:PATH"
     )
 
 

@@ -1,6 +1,7 @@
 """Backend benchmark for the sweep models (``repro bench``).
 
-Writes ``BENCH_sweep.json`` (:data:`BENCH_VERSION`) with four sections:
+Writes ``BENCH_sweep.json`` (:data:`BENCH_VERSION`) with four timed
+sections:
 
 * ``cases`` — per matrix size, one device's full default sweep
   through the scalar model of record and the vectorized batch model,
@@ -14,8 +15,9 @@ Writes ``BENCH_sweep.json`` (:data:`BENCH_VERSION`) with four sections:
 * ``telemetry_overhead`` — the warm session with telemetry off and on.
 
 Each case keeps every repeat's wall time (``samples``) next to the
-minimum it reports, and each run appends a ``repro-bench-history/1``
-record (:mod:`repro.obs.history`) for ``repro perf check``.  Four
+minimum it reports, and the ``host`` section records the machine the
+samples were taken on: ``repro perf check BASELINE CURRENT`` judges
+the samples of two documents only when their hosts are the same.  Four
 regression gates fail the run (:func:`run_from_args`).
 
 The per-``(N, BS, G)`` memo caches are cleared before every timed run:
@@ -45,7 +47,7 @@ __all__ = [
 ]
 
 #: Schema tag of the BENCH_sweep.json document.
-BENCH_VERSION = "repro-bench/6"
+BENCH_VERSION = "repro-bench/7"
 
 #: CI gate: telemetry-on may cost at most this fraction over
 #: telemetry-off on the warm planner session case.
@@ -73,8 +75,8 @@ def _clear_sweep_memo() -> None:
 
 
 def _samples_of(fn, repeats: int) -> list[float]:
-    """Every repeat's wall time — the raw material of the history
-    store; summary statistics (min for the latest-run view, medians
+    """Every repeat's wall time — the raw material of ``repro perf
+    check``; summary statistics (min for the document's view, medians
     for the sentinel) are derived downstream, never stored alone."""
     samples = []
     for _ in range(repeats):
@@ -336,6 +338,31 @@ def _bench_incremental(*, repeats: int, points: int = 50_000) -> dict:
     }
 
 
+def _host() -> dict:
+    """The identity under which two runs' timings are comparable: CPU
+    model, core count, machine arch, Python and NumPy versions."""
+    import numpy
+
+    cpu_model = ""
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.lower().startswith("model name"):
+                cpu_model = line.split(":", 1)[1].strip()
+                break
+    except OSError:
+        pass
+    return {
+        "cpu_model": (
+            cpu_model or platform.processor() or platform.machine()
+            or "unknown"
+        ),
+        "cpus": os.cpu_count() or 1,
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+    }
+
+
 def run_benchmark(
     *,
     device: str = "p100",
@@ -352,15 +379,11 @@ def run_benchmark(
 
     doc = {
         "version": BENCH_VERSION,
-        "host": {
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "cpus": os.cpu_count(),
-        },
+        "host": _host(),
         "repeats": repeats,
         # What produced these numbers: the checkout and the planner
-        # session's input identity (the history store records both, so
-        # a timing shift can be tied to a code or an input change).
+        # session's input identity, so that a timing shift can be tied
+        # to a code or an input change.
         "git_sha": git_revision(),
         "inputs_digest": requests_digest(_planner_requests(sizes)),
         "cases": [_bench_case(device, n, repeats=repeats) for n in sizes],
@@ -513,20 +536,6 @@ def add_bench_flags(parser: argparse.ArgumentParser) -> None:
             "--output, else next to --output)"
         ),
     )
-    from repro.obs.history import DEFAULT_HISTORY_PATH
-
-    parser.add_argument(
-        "--history", default=str(DEFAULT_HISTORY_PATH), metavar="FILE",
-        help=(
-            "append this run (host fingerprint + raw wall samples) to "
-            "a repro-bench-history/1 JSONL — the `repro perf check` "
-            "baseline (default: benchmarks/history/bench_history.jsonl)"
-        ),
-    )
-    parser.add_argument(
-        "--no-history", action="store_true",
-        help="do not append this run to the bench history store",
-    )
 
 
 def run_from_args(args: argparse.Namespace) -> int:
@@ -558,11 +567,6 @@ def run_from_args(args: argparse.Namespace) -> int:
     Path(args.output).write_text(json.dumps(doc, indent=2) + "\n")
     print(format_results(doc))
     print(f"\nwrote {args.output}")
-    if not args.no_history:
-        from repro.obs.history import append_record, history_record
-
-        target = append_record(args.history, history_record(doc))
-        print(f"appended history record to {target}")
 
     failures = _gate_failures(doc)
     for message in failures:

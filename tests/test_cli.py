@@ -79,18 +79,27 @@ class TestPlannerCommands:
             ["bench", "--" + "no-planner"],
             ["cache", "migrate"],
             # The sentinel's thresholds, constants of repro.obs.sentinel.
-            ["perf", "check", "--" + "alpha", "0.05"],
-            ["perf", "check", "--" + "min-shift", "0.10"],
-            ["perf", "check", "--" + "min-samples", "3"],
+            ["perf", "check", "a.json", "b.json", "--" + "alpha", "0.05"],
+            ["perf", "check", "a.json", "b.json", "--" + "min-shift", "0.10"],
+            ["perf", "check", "a.json", "b.json", "--" + "min-samples", "3"],
+            # The bench's telemetry sink (it writes its stream with
+            # --telemetry-output) and the bench history store.
+            ["bench", "--telemetry", "summary"],
+            ["bench", "--" + "history", "F"],
+            ["bench", "--no-" + "history"],
+            ["perf", "check", "a.json", "b.json", "--" + "bench", "F"],
+            ["perf", "check", "a.json", "b.json", "--" + "history", "F"],
+            ["perf", "check", "a.json", "b.json", "--report-" + "only"],
         ],
         ids=" ".join,
     )
     def test_removed_options_are_usage_errors(self, argv, capsys):
         """The backend choice, the process pool, the million-point
-        mapped-shard benchmark, the bench's single-repeat alias and
-        planner skip, the JSON-cache migration and the sentinel's
-        threshold flags are gone: asking for one is a usage error, not
-        a silently different run."""
+        mapped-shard benchmark, the bench's single-repeat alias,
+        planner skip and telemetry sink, the JSON-cache migration, the
+        sentinel's threshold flags and the bench history store are
+        gone: asking for one is a usage error, not a silently different
+        run."""
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
@@ -230,17 +239,19 @@ class TestPlannerCommands:
 
 
 class TestBenchCommand:
-    def test_bench_quick_writes_document(self, tmp_path, capsys):
+    def test_bench_quick_writes_document(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
         out = tmp_path / "BENCH_sweep.json"
-        history = tmp_path / "history" / "bench_history.jsonl"
         assert main(
-            ["bench", "--repeats", "1", "--sizes", "1024",
-             "--output", str(out), "--history", str(history)]
+            ["bench", "--repeats", "3", "--sizes", "1024",
+             "--output", str(out)]
         ) == 0
         import json
 
         doc = json.loads(out.read_text())
-        assert doc["version"] == "repro-bench/6"
+        assert doc["version"] == "repro-bench/7"
         (case,) = doc["cases"]
         assert case["device"] == "p100" and case["n"] == 1024
         assert case["configs"] == 146
@@ -260,26 +271,35 @@ class TestBenchCommand:
         assert incremental["equivalent"] is True
         assert incremental["front_size"] > 0
         assert "large" not in doc  # no million-point shard case
+        # Bench v7: the host fingerprint `perf check` compares.
+        assert set(doc["host"]) == {
+            "cpu_model", "cpus", "machine", "python", "numpy",
+            "peak_rss_kb",
+        }
         assert doc["host"]["peak_rss_kb"] > 0
-        # Bench v5: raw per-repeat samples + provenance for the
-        # history store and the regression sentinel.
-        assert case["samples"]["vectorized"]
+        # Bench v5: raw per-repeat samples + provenance.
+        assert len(case["samples"]["vectorized"]) == 3
         assert min(case["samples"]["vectorized"]) == case["vectorized_s"]
-        assert planner["samples"]["warm"]
+        assert len(planner["samples"]["warm"]) == 3
         # 40-hex sha, possibly "-dirty"; empty outside a checkout.
         assert len(doc["git_sha"]) == 0 or doc["git_sha"][:40].isalnum()
         assert len(doc["inputs_digest"]) == 64
-        # ... and the run appended one history record.
-        from repro.obs.history import load_history
-
-        (record,) = load_history(history)
-        assert record["format"] == "repro-bench-history/1"
-        cases = {c["case"] for c in record["cases"]}
-        assert {
-            "p100/N1024/scalar", "p100/N1024/vectorized",
-            "planner/per_experiment", "planner/warm",
-        } <= cases
         assert "vectorized" in capsys.readouterr().out
+        # The document and the telemetry stream, and no history file.
+        assert sorted(p.name for p in tmp_path.rglob("*")) == [
+            "BENCH_sweep.json", "BENCH_telemetry.jsonl",
+        ]
+        # The round trip on a real document: every case, judged against
+        # itself, is neutral.
+        assert main(["perf", "check", str(out), str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        verdicts = [line.split()[:2] for line in lines[1:-1]]
+        assert sorted(case for _, case in verdicts) == [
+            "p100/N1024/scalar", "p100/N1024/vectorized",
+            "planner/cold", "planner/per_experiment", "planner/warm",
+        ]
+        assert {outcome for outcome, _ in verdicts} == {"neutral"}
+        assert lines[-1] == "summary: 5 neutral"
 
     def test_sweep_with_store_dir_populates_store(self, tmp_path, capsys):
         store = tmp_path / "store"

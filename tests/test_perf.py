@@ -1,11 +1,10 @@
 """Tests for the performance observatory (``repro perf``).
 
-Covers the four pillars of ``docs/MODEL.md`` §6.6: tolerant telemetry
+Covers the three pillars of ``docs/MODEL.md`` §6.6: tolerant telemetry
 ingestion (:mod:`repro.obs.ingest`), span-profile analytics
-(:mod:`repro.obs.perf`), the append-only bench history store
-(:mod:`repro.obs.history`) and the Mann-Whitney regression sentinel
-(:mod:`repro.obs.sentinel`), plus the OpenMetrics exporter and the
-``repro perf`` CLI family end to end.
+(:mod:`repro.obs.perf`) and the Mann-Whitney regression sentinel over
+two bench documents (:mod:`repro.obs.sentinel`), plus the ``repro
+perf`` CLI family end to end.
 """
 
 from __future__ import annotations
@@ -16,21 +15,7 @@ import pytest
 
 import repro.obs as obs
 from repro.cli import _run_trace, main
-from repro.obs.history import (
-    HISTORY_FORMAT,
-    append_record,
-    case_samples,
-    fingerprints_match,
-    history_record,
-    host_fingerprint,
-    load_history,
-)
 from repro.obs.ingest import TelemetryStreamError, load_stream
-from repro.obs.openmetrics import (
-    escape_label_value,
-    metric_name,
-    render_openmetrics,
-)
 from repro.obs.perf import (
     critical_path,
     folded_stacks,
@@ -40,7 +25,7 @@ from repro.obs.perf import (
     render_report,
     span_profile,
 )
-from repro.obs.sentinel import check_bench, mann_whitney_u
+from repro.obs.sentinel import case_samples, check_bench, mann_whitney_u
 
 
 @pytest.fixture(autouse=True)
@@ -261,114 +246,6 @@ class TestIngest:
         assert "== run 1/2 ==" in out and "== run 2/2 ==" in out
 
 
-class TestHistoryStore:
-    DOC = {
-        "version": "repro-bench/5",
-        "git_sha": "deadbeef",
-        "inputs_digest": "ab" * 32,
-        "repeats": 3,
-        "host": {"peak_rss_kb": 12345},
-        "cases": [
-            {
-                "device": "p100",
-                "n": 1024,
-                "samples": {
-                    "scalar": [0.03, 0.031],
-                    "vectorized": [0.001, 0.0011],
-                },
-            }
-        ],
-        "planner": {"samples": {"warm": [0.002, 0.0021]}},
-    }
-
-    def test_case_samples_keys_are_stable(self):
-        samples = case_samples(self.DOC)
-        assert set(samples) == {
-            "p100/N1024/scalar",
-            "p100/N1024/vectorized",
-            "planner/warm",
-        }
-
-    def test_pre_v5_documents_yield_nothing(self):
-        doc = {"cases": [{"device": "p100", "n": 1024}], "planner": {}}
-        assert case_samples(doc) == {}
-
-    def test_record_carries_fingerprint_and_provenance(self):
-        record = history_record(self.DOC)
-        assert record["format"] == HISTORY_FORMAT
-        assert record["git_sha"] == "deadbeef"
-        assert record["inputs_digest"] == "ab" * 32
-        assert record["host"]["peak_rss_kb"] == 12345
-        for key in ("cpu_model", "cpus", "machine", "python", "numpy"):
-            assert key in record["host"]
-        assert [c["case"] for c in record["cases"]] == sorted(
-            c["case"] for c in record["cases"]
-        )
-
-    def test_append_then_load_round_trips(self, tmp_path):
-        path = tmp_path / "hist" / "bench_history.jsonl"
-        record = history_record(self.DOC)
-        append_record(path, record)
-        append_record(path, record)
-        assert load_history(path) == [record, record]
-
-    def test_missing_file_is_empty_history(self, tmp_path):
-        assert load_history(tmp_path / "nope.jsonl") == []
-
-    def test_truncated_final_line_is_dropped(self, tmp_path):
-        path = tmp_path / "h.jsonl"
-        append_record(path, history_record(self.DOC))
-        with path.open("a") as fh:
-            fh.write('{"format": "repro-bench-hist')  # killed mid-append
-        with pytest.warns(UserWarning, match=":2: dropped truncated final"):
-            assert len(load_history(path)) == 1
-        bench = tmp_path / "BENCH_sweep.json"
-        bench.write_text(json.dumps(self.DOC))
-        with pytest.warns(UserWarning, match=":2: dropped truncated final"):
-            assert main(
-                ["perf", "check", "--bench", str(bench),
-                 "--history", str(path)]
-            ) == 0
-
-    def test_garbage_only_file_is_an_error(self, tmp_path):
-        path = tmp_path / "h.jsonl"
-        path.write_text("this is not json\n")
-        with pytest.raises(ValueError, match=r":1: not a history record"):
-            load_history(path)
-        bench = tmp_path / "BENCH_sweep.json"
-        bench.write_text(json.dumps(self.DOC))
-        with pytest.raises(SystemExit, match=r":1: not a history record"):
-            main(["perf", "check", "--bench", str(bench),
-                  "--history", str(path)])
-
-    def test_garbage_mid_file_is_an_error(self, tmp_path):
-        path = tmp_path / "h.jsonl"
-        path.write_text("garbage\n")
-        append_record(path, history_record(self.DOC))
-        with pytest.raises(ValueError, match=r":1: not a history record"):
-            load_history(path)
-
-    def test_foreign_format_is_an_error(self, tmp_path):
-        path = tmp_path / "h.jsonl"
-        path.write_text(json.dumps({"format": "other/1"}) + "\n")
-        with pytest.raises(ValueError, match="not a repro-bench-history/1"):
-            load_history(path)
-
-    def test_fingerprint_matching_rules(self):
-        fp = host_fingerprint()
-        assert fingerprints_match(fp, dict(fp))
-        other = dict(fp, cpus=fp["cpus"] + 1)
-        assert not fingerprints_match(fp, other)
-        # Patch-level python differences are comparable ...
-        patched = dict(fp, python="3.11.99")
-        mine = dict(fp, python="3.11.2")
-        assert fingerprints_match(mine, patched)
-        # ... minor-level ones are not.
-        assert not fingerprints_match(
-            dict(fp, python="3.11.2"), dict(fp, python="3.12.2")
-        )
-
-
 class TestMannWhitney:
     def test_separated_samples_are_significant(self):
         a = [1.0, 1.1, 1.2, 1.3, 1.4]
@@ -404,14 +281,50 @@ class TestMannWhitney:
         assert p < 0.001
 
 
+class TestCaseSamples:
+    DOC = {
+        "cases": [
+            {
+                "device": "p100",
+                "n": 1024,
+                "samples": {
+                    "scalar": [0.03, 0.031],
+                    "vectorized": [0.001, 0.0011],
+                },
+            }
+        ],
+        "planner": {"samples": {"warm": [0.002, 0.0021]}},
+    }
+
+    def test_case_samples_keys_are_stable(self):
+        samples = case_samples(self.DOC)
+        assert set(samples) == {
+            "p100/N1024/scalar",
+            "p100/N1024/vectorized",
+            "planner/warm",
+        }
+
+    def test_pre_v5_documents_yield_nothing(self):
+        doc = {"cases": [{"device": "p100", "n": 1024}], "planner": {}}
+        assert case_samples(doc) == {}
+
+
+#: The ``host`` section of every test document.
+HOST = {
+    "cpu_model": "Test CPU @ 2.00GHz",
+    "cpus": 2,
+    "machine": "x86_64",
+    "python": "3.11.7",
+    "numpy": "1.26.4",
+}
+
+
 def _doc(samples, **extra):
-    """A minimal bench v5 document with one vectorized case."""
+    """A minimal bench document with one vectorized case."""
     doc = {
-        "version": "repro-bench/5",
-        "git_sha": "cafe" * 10,
-        "inputs_digest": "00" * 32,
+        "version": "repro-bench/7",
+        "host": dict(HOST, peak_rss_kb=1000),
         "repeats": len(samples),
-        "host": {"peak_rss_kb": 1000},
         "cases": [
             {
                 "device": "p100",
@@ -424,157 +337,113 @@ def _doc(samples, **extra):
     return doc
 
 
-#: Three baseline runs around 10 ms, jittered so no two samples tie.
-BASELINES = [
-    [0.0100, 0.0102, 0.0104, 0.0101, 0.0103],
-    [0.0099, 0.0105, 0.0098, 0.0106, 0.0097],
-    [0.0107, 0.0096, 0.0108, 0.0095, 0.0109],
-]
+def _write(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+#: A baseline run around 10 ms, jittered so no two samples tie.
+BASELINE = [0.0100, 0.0102, 0.0104, 0.0101, 0.0103]
 
 
 class TestSentinel:
-    def _history(self, fp):
-        return [
-            history_record(_doc(samples), fingerprint=fp)
-            for samples in BASELINES
-        ]
+    def _check(self, tmp_path, base, cur):
+        return check_bench(
+            _write(tmp_path / "base.json", _doc(base)),
+            _write(tmp_path / "cur.json", _doc(cur)),
+        )
 
-    def test_2x_slowdown_is_a_regression(self):
-        fp = host_fingerprint()
-        current = _doc([0.0200, 0.0204, 0.0208, 0.0202, 0.0206])
-        report = check_bench(current, self._history(fp), fingerprint=fp)
+    def test_2x_slowdown_is_a_regression(self, tmp_path):
+        report = self._check(
+            tmp_path, BASELINE, [0.0200, 0.0204, 0.0208, 0.0202, 0.0206]
+        )
         (verdict,) = report.verdicts
         assert verdict.outcome == "regression"
         assert verdict.case == "p100/N1024/vectorized"
         assert verdict.shift == pytest.approx(1.0, abs=0.1)  # ~2x
-        assert verdict.p_value < 0.05
+        assert verdict.p_value == pytest.approx(2 / 252)  # exact, n=m=5
         assert report.exit_code == 1
         rendered = report.render()
         assert "regression" in rendered
         assert "p100/N1024/vectorized" in rendered
 
-    def test_unmodified_rerun_is_neutral(self):
-        fp = host_fingerprint()
-        current = _doc([0.0101, 0.0103, 0.0099, 0.0104, 0.0102])
-        report = check_bench(current, self._history(fp), fingerprint=fp)
-        (verdict,) = report.verdicts
-        assert verdict.outcome == "neutral"
-        assert report.exit_code == 0
-
-    def test_2x_speedup_is_an_improvement(self):
-        fp = host_fingerprint()
-        current = _doc([0.0050, 0.0052, 0.0048, 0.0051, 0.0049])
-        report = check_bench(current, self._history(fp), fingerprint=fp)
+    def test_2x_speedup_is_an_improvement(self, tmp_path):
+        report = self._check(
+            tmp_path, BASELINE, [0.0050, 0.0052, 0.0048, 0.0051, 0.0049]
+        )
         assert report.verdicts[0].outcome == "improvement"
         assert report.exit_code == 0  # getting faster never fails a build
 
-    def test_significant_but_tiny_shift_is_neutral(self):
+    def test_significant_but_tiny_shift_is_neutral(self, tmp_path):
         # Clearly separated distributions (p tiny) but only ~5% apart:
         # the effect-size bar keeps the sentinel quiet.
-        fp = host_fingerprint()
-        current = _doc([0.01050, 0.01052, 0.01054, 0.01051, 0.01053])
-        baselines = [
+        report = self._check(
+            tmp_path,
             [0.01000, 0.01002, 0.01004, 0.01001, 0.01003],
-            [0.00999, 0.01005, 0.00998, 0.01006, 0.00997],
-            [0.01007, 0.00996, 0.01008, 0.00995, 0.01009],
-        ]
-        history = [
-            history_record(_doc(s), fingerprint=fp) for s in baselines
-        ]
-        report = check_bench(current, history, fingerprint=fp)
+            [0.01050, 0.01052, 0.01054, 0.01051, 0.01053],
+        )
         (verdict,) = report.verdicts
         assert verdict.p_value < 0.05
+        assert verdict.shift == pytest.approx(0.05, abs=0.005)
         assert verdict.outcome == "neutral"
-
-    def test_no_history_outcome(self):
-        report = check_bench(_doc([0.01]), [])
-        assert report.verdicts[0].outcome == "no-history"
         assert report.exit_code == 0
 
-    def test_host_mismatch_refuses_to_compare(self):
-        fp = host_fingerprint()
-        alien = dict(fp, cpu_model="Imaginary-9000")
-        current = _doc([0.0200, 0.0204, 0.0208])  # 2x, but incomparable
-        report = check_bench(current, self._history(alien), fingerprint=fp)
-        assert report.verdicts[0].outcome == "host-mismatch"
-        assert report.exit_code == 0
-        assert "none of it was recorded on a matching host" in (
-            report.render()
+    def test_unmodified_rerun_is_neutral(self, tmp_path):
+        report = self._check(
+            tmp_path, BASELINE, [0.0101, 0.0103, 0.0099, 0.0104, 0.0102]
         )
-
-    def test_insufficient_history_below_min_samples(self):
-        fp = host_fingerprint()
-        history = [history_record(_doc([0.0100]), fingerprint=fp)]
-        report = check_bench(_doc([0.02]), history, fingerprint=fp)
-        assert report.verdicts[0].outcome == "insufficient-history"
+        assert report.verdicts[0].outcome == "neutral"
         assert report.exit_code == 0
 
-    def test_self_only_history_is_thin_not_incomparable(self):
-        # The very first bench run appends its own record and then
-        # checks: same host, but zero independent baseline — that is
-        # insufficient-history, not host-mismatch.
-        fp = host_fingerprint()
-        current = _doc([0.0100, 0.0102, 0.0104])
-        history = [history_record(current, fingerprint=fp)]
-        report = check_bench(current, history, fingerprint=fp)
-        assert report.matched_runs == 0
-        assert report.verdicts[0].outcome == "insufficient-history"
-        assert "matching host" not in report.render()
+    @pytest.mark.parametrize(
+        "base,cur",
+        [
+            (BASELINE, [0.0200, 0.0204]),
+            ([0.0100, 0.0102], [0.0200, 0.0204, 0.0208, 0.0202]),
+        ],
+        ids=["current", "baseline"],
+    )
+    def test_fewer_than_min_samples_is_insufficient(
+        self, tmp_path, base, cur
+    ):
+        # A 2x slowdown, but too few samples on one side to judge it.
+        report = self._check(tmp_path, base, cur)
+        (verdict,) = report.verdicts
+        assert verdict.outcome == "insufficient-samples"
+        assert verdict.p_value is None
+        assert (verdict.baseline_n, verdict.current_n) == (
+            len(base), len(cur)
+        )
+        assert report.exit_code == 0
+        assert "1 insufficient-samples" in report.render()
 
-    def test_own_record_is_excluded_from_the_baseline(self):
-        # `repro bench` appends its record before `perf check` runs;
-        # the sentinel must not compare the run against itself.
-        fp = host_fingerprint()
-        current = _doc([0.0200, 0.0204, 0.0208, 0.0202, 0.0206])
-        history = self._history(fp) + [
-            history_record(current, fingerprint=fp)
-        ]
-        report = check_bench(current, history, fingerprint=fp)
-        assert report.matched_runs == 3  # 4 records, self excluded
-        assert report.verdicts[0].outcome == "regression"
-
-
-class TestOpenMetrics:
-    def test_metric_name_sanitization(self):
-        assert metric_name("store.shard.hits") == "repro_store_shard_hits"
-        assert metric_name("9weird name") == "repro__9weird_name"
-
-    def test_label_escaping(self):
-        assert escape_label_value('a"b\\c\nd') == 'a\\"b\\\\c\\nd'
-
-    def test_counters_gauges_histograms(self):
-        snapshot = {
-            "counters": {"store.hits": 3},
-            "gauges": {"pool.bytes": 2.5},
-            "histograms": {
-                "span.ms": {"count": 2, "total": 7.0, "min": 3.0,
-                            "max": 4.0},
+    def test_same_file_twice_is_all_neutral(self, tmp_path):
+        doc = _doc(
+            BASELINE,
+            planner={
+                "samples": {
+                    "cold": [0.030, 0.031, 0.029],
+                    "warm": [0.002, 0.0021, 0.0019],
+                }
             },
-        }
-        out = render_openmetrics(
-            snapshot, manifest={"command": "sweep", "git_sha": "abc"}
         )
-        assert '# TYPE repro_store_hits_total counter' in out
-        assert "repro_store_hits_total 3" in out
-        assert "# TYPE repro_pool_bytes gauge" in out
-        assert "repro_pool_bytes 2.5" in out
-        assert "# TYPE repro_span_ms summary" in out
-        assert "repro_span_ms_count 2" in out
-        assert "repro_span_ms_sum 7" in out
-        assert "repro_span_ms_min 3" in out
-        assert 'repro_run_info{command="sweep",git_sha="abc"} 1' in out
-        assert out.endswith("\n")
+        path = _write(tmp_path / "BENCH_sweep.json", doc)
+        report = check_bench(path, path)
+        assert [v.case for v in report.verdicts] == [
+            "p100/N1024/vectorized", "planner/cold", "planner/warm",
+        ]
+        assert {v.outcome for v in report.verdicts} == {"neutral"}
+        assert {v.p_value for v in report.verdicts} == {1.0}
+        assert report.exit_code == 0
 
-    def test_cli_prom_sink_writes_textfile(self, tmp_path):
-        path = tmp_path / "metrics.prom"
-        assert main(
-            ["sweep", "--device", "p100", "--n", "2048",
-             "--telemetry", f"prom:{path}"]
-        ) == 0
-        text = path.read_text()
-        assert "# TYPE repro_run_info gauge" in text
-        assert 'command="sweep"' in text
-        assert "repro_planner_points_requested_total" in text
+    def test_peak_rss_may_differ(self, tmp_path):
+        cur = _doc(BASELINE)
+        cur["host"]["peak_rss_kb"] = 999_999
+        report = check_bench(
+            _write(tmp_path / "base.json", _doc(BASELINE)),
+            _write(tmp_path / "cur.json", cur),
+        )
+        assert report.verdicts[0].outcome == "neutral"
 
 
 class TestPerfCli:
@@ -631,69 +500,92 @@ class TestPerfCli:
         with pytest.raises(SystemExit, match="no such file"):
             main(["perf", "report", str(tmp_path / "gone.jsonl")])
 
-    def test_check_flags_injected_slowdown(self, tmp_path, capsys):
-        fp = host_fingerprint()
-        hist = tmp_path / "hist.jsonl"
-        for samples in BASELINES:
-            append_record(
-                hist, history_record(_doc(samples), fingerprint=fp)
-            )
-        bench = tmp_path / "BENCH_sweep.json"
-        bench.write_text(
-            json.dumps(_doc([0.0200, 0.0204, 0.0208, 0.0202, 0.0206]))
+    def _check(self, tmp_path, cur, base=BASELINE):
+        return main(
+            ["perf", "check",
+             _write(tmp_path / "base.json", _doc(base)),
+             _write(tmp_path / "cur.json", _doc(cur))]
         )
-        code = main(
-            ["perf", "check", "--bench", str(bench),
-             "--history", str(hist)]
+
+    def test_check_flags_injected_slowdown(self, tmp_path, capsys):
+        code = self._check(
+            tmp_path, [0.0200, 0.0204, 0.0208, 0.0202, 0.0206]
         )
         out = capsys.readouterr().out
         assert code == 1
         assert "regression" in out
         assert "p100/N1024/vectorized" in out
-
-    def test_check_report_only_reports_but_passes(self, tmp_path, capsys):
-        fp = host_fingerprint()
-        hist = tmp_path / "hist.jsonl"
-        for samples in BASELINES:
-            append_record(
-                hist, history_record(_doc(samples), fingerprint=fp)
-            )
-        bench = tmp_path / "BENCH_sweep.json"
-        bench.write_text(
-            json.dumps(_doc([0.0200, 0.0204, 0.0208, 0.0202, 0.0206]))
-        )
-        code = main(
-            ["perf", "check", "--bench", str(bench),
-             "--history", str(hist), "--report-only"]
-        )
-        captured = capsys.readouterr()
-        assert code == 0
-        assert "regression" in captured.out
-        assert "report-only" in captured.err
+        assert f"{tmp_path / 'cur.json'} vs {tmp_path / 'base.json'}" in out
 
     def test_check_neutral_rerun_exits_zero(self, tmp_path, capsys):
-        fp = host_fingerprint()
-        hist = tmp_path / "hist.jsonl"
-        for samples in BASELINES:
-            append_record(
-                hist, history_record(_doc(samples), fingerprint=fp)
-            )
-        bench = tmp_path / "BENCH_sweep.json"
-        bench.write_text(
-            json.dumps(_doc([0.0101, 0.0103, 0.0099, 0.0104, 0.0102]))
-        )
-        code = main(
-            ["perf", "check", "--bench", str(bench),
-             "--history", str(hist)]
+        code = self._check(
+            tmp_path, [0.0101, 0.0103, 0.0099, 0.0104, 0.0102]
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert "neutral" in out
+        assert "1 neutral" in out
 
-    def test_check_missing_bench_is_a_clean_error(self, tmp_path):
-        with pytest.raises(SystemExit, match="no bench document"):
-            main(
-                ["perf", "check",
-                 "--bench", str(tmp_path / "nope.json"),
-                 "--history", str(tmp_path / "hist.jsonl")]
-            )
+    def _error(self, *argv):
+        """The message of a ``perf check`` that exits with an error."""
+        with pytest.raises(SystemExit) as exc:
+            main(["perf", "check", *argv])
+        message = exc.value.code
+        assert isinstance(message, str)
+        assert message.startswith("repro perf check: ")
+        assert "\n" not in message
+        return message
+
+    @pytest.mark.parametrize("side", ["baseline", "current"])
+    def test_check_missing_file_names_it(self, tmp_path, side):
+        present = _write(tmp_path / "present.json", _doc(BASELINE))
+        missing = str(tmp_path / "missing.json")
+        argv = [missing, present] if side == "baseline" else [present, missing]
+        message = self._error(*argv)
+        assert f"{missing}: No such file" in message
+        assert present not in message
+
+    def test_check_non_json_file_names_it(self, tmp_path):
+        garbage = tmp_path / "garbage.json"
+        garbage.write_text("{truncated")
+        present = _write(tmp_path / "present.json", _doc(BASELINE))
+        message = self._error(present, str(garbage))
+        assert f"{garbage}: not a JSON document" in message
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"version": "repro-bench/4", "cases": [
+                {"device": "p100", "n": 1024, "scalar_s": 0.01}
+            ]},
+            {"cases": [{"device": "p100", "n": 1024, "samples": {}}]},
+            {"cases": "p100"},
+            [1, 2, 3],
+        ],
+        ids=["pre-v5", "empty-samples", "malformed", "not-an-object"],
+    )
+    def test_check_file_without_samples_names_it(self, tmp_path, doc):
+        empty = _write(tmp_path / "empty.json", doc)
+        present = _write(tmp_path / "present.json", _doc(BASELINE))
+        message = self._error(empty, present)
+        assert f"{empty}: no per-case samples" in message
+
+    def test_check_different_hosts_names_both_files(self, tmp_path):
+        base = _write(tmp_path / "base.json", _doc(BASELINE))
+        other = _doc(BASELINE)
+        other["host"]["cpus"] = 64
+        cur = _write(tmp_path / "cur.json", other)
+        message = self._error(base, cur)
+        assert f"{base} and {cur} were recorded on different hosts" in (
+            message
+        )
+        assert "cpus: 2 vs 64" in message
+
+    def test_check_different_cases_names_both_files(self, tmp_path):
+        base = _write(tmp_path / "base.json", _doc(BASELINE))
+        cur = _write(
+            tmp_path / "cur.json",
+            _doc(BASELINE, planner={"samples": {"warm": BASELINE}}),
+        )
+        message = self._error(base, cur)
+        assert f"{base} and {cur} hold different cases" in message
+        assert f"only in {cur}: planner/warm" in message
