@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StrongEPStudy:
+class StrongEPStudy(NamedTuple):
     """Strong-EP verdict over a workload sweep on one device."""
 
     device: str

@@ -18,15 +18,14 @@ worst bin, which localizes where the relation breaks (the paper's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = ["NonfunctionalityVerdict", "nonfunctionality_test"]
 
 
-@dataclass(frozen=True)
-class NonfunctionalityVerdict:
+class NonfunctionalityVerdict(NamedTuple):
     """Outcome of the binned multi-valuedness test.
 
     Attributes

@@ -12,7 +12,7 @@ so a configuration that several sections sweep is evaluated once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.experiments import EXPERIMENTS, Experiment
 from repro.sweep.planner import EvalPlanner, session_planner
@@ -20,8 +20,7 @@ from repro.sweep.planner import EvalPlanner, session_planner
 __all__ = ["ReportSection", "generate_report"]
 
 
-@dataclass(frozen=True)
-class ReportSection:
+class ReportSection(NamedTuple):
     title: str
     body: str
 

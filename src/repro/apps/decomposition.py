@@ -17,7 +17,7 @@ tests and available to users building their own weak-EP studies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "ThreadAssignment",
@@ -32,8 +32,7 @@ class DecompositionError(ValueError):
     """A configuration cannot satisfy the weak-EP constraints."""
 
 
-@dataclass(frozen=True)
-class ThreadAssignment:
+class ThreadAssignment(NamedTuple):
     """Row range of A and C one thread computes.
 
     The thread computes ``C[row_start:row_end, :] = alpha ·
@@ -56,8 +55,7 @@ class ThreadAssignment:
         return 2.0 * self.rows * n * n
 
 
-@dataclass(frozen=True)
-class GroupAssignment:
+class GroupAssignment(NamedTuple):
     """One threadgroup's slab and its per-thread split."""
 
     group: int

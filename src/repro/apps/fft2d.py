@@ -24,7 +24,7 @@ Each device has a throughput/power profile derived from its spec;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.machines.specs import CPUSpec, GPUSpec, HASWELL, K40C, P100
 
@@ -95,8 +95,7 @@ def radix_penalty(n: int, *, bluestein_factor: float = 2.2) -> float:
     return penalty
 
 
-@dataclass(frozen=True)
-class FFTDeviceProfile:
+class FFTDeviceProfile(NamedTuple):
     """FFT throughput/power profile of one platform.
 
     Attributes
@@ -161,8 +160,7 @@ def _default_profiles() -> dict[str, FFTDeviceProfile]:
     }
 
 
-@dataclass(frozen=True)
-class FFTRunResult:
+class FFTRunResult(NamedTuple):
     """Modelled (time, energy) of one 2D FFT."""
 
     n: int

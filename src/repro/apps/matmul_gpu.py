@@ -194,7 +194,13 @@ class MatmulGPUApp:
 
     def config_space(self) -> ConfigurationSpace:
         """The decision-variable space as a
-        :class:`~repro.core.biobjective.ConfigurationSpace`."""
+        :class:`~repro.core.biobjective.ConfigurationSpace`.
+
+        Its valid configurations are read from the enumeration memo,
+        which holds what ``valid`` keeps of the BS × G × R product, in
+        the product's order: BS, then G, and R = T/G is the one valid
+        R of each G.
+        """
         lo, hi = self.bs_range
         lo = max(lo, self.min_bs)
         divs = divisors(self.total_products)
@@ -204,13 +210,10 @@ class MatmulGPUApp:
                 return False
             return cfg["r"] == self.total_products // cfg["g"]
 
-        return ConfigurationSpace(
-            variables={
-                "bs": list(range(lo, hi + 1)),
-                "g": divs,
-                "r": divs[::-1],
-            },
-            is_valid=valid,
+        return ConfigurationSpace.enumerated(
+            {"bs": list(range(lo, hi + 1)), "g": divs, "r": divs[::-1]},
+            valid,
+            [(c.bs, c.g, c.r) for c in self._enumeration(self.min_bs)],
         )
 
     def sweep_enumeration(self, *, min_bs: int | None = None) -> ConfigEnumeration:

@@ -853,6 +853,9 @@ def _dispatch(args: argparse.Namespace) -> int:
     elif args.command == "perf":
         return _run_perf(args)
     elif args.command == "bench":
+        _check_output("bench", args.output)
+        if args.telemetry_output is not None:
+            _check_output("bench", args.telemetry_output)
         from repro.sweep.bench import run_from_args
 
         return run_from_args(args)

@@ -27,7 +27,7 @@ from bisect import bisect_left
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.core.pareto import ParetoPoint, pareto_front
 
@@ -42,8 +42,7 @@ __all__ = [
 Evaluator = Callable[[Mapping[str, Any]], tuple[float, float]]
 
 
-@dataclass(frozen=True)
-class EvaluatedConfig:
+class EvaluatedConfig(NamedTuple):
     """A configuration together with its measured objectives."""
 
     config: dict[str, Any]
@@ -70,7 +69,8 @@ class ConfigurationSpace:
 
     The space is enumerated once, on first use, and the valid
     configurations are kept; treat ``variables`` and ``is_valid`` as
-    fixed from then on.
+    fixed from then on.  A caller that already holds the valid
+    configurations builds the space with :meth:`enumerated` instead.
     """
 
     variables: dict[str, Sequence[Any]]
@@ -84,6 +84,23 @@ class ConfigurationSpace:
         for name, values in self.variables.items():
             if len(values) == 0:
                 raise ValueError(f"variable {name!r} has no admissible values")
+
+    @classmethod
+    def enumerated(
+        cls,
+        variables: dict[str, Sequence[Any]],
+        is_valid: Callable[[Mapping[str, Any]], bool],
+        valid_keys: Sequence[tuple[Any, ...]],
+    ) -> ConfigurationSpace:
+        """A space whose valid configurations are already known.
+
+        ``valid_keys`` must be exactly what one pass of ``is_valid``
+        over the product keeps: the valid value tuples, in variable
+        order and in the product's order.  That pass is skipped.
+        """
+        space = cls(variables, is_valid)
+        space._valid_keys = tuple(valid_keys)
+        return space
 
     @cached_property
     def _valid_keys(self) -> tuple[tuple[Any, ...], ...]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +39,7 @@ __all__ = [
 PAPER_PRECISION = 0.025
 
 
-@dataclass(frozen=True)
-class StrongEPResult:
+class StrongEPResult(NamedTuple):
     """Verdict of a strong-EP linearity check.
 
     Attributes
@@ -66,8 +65,7 @@ class StrongEPResult:
     tolerance: float
 
 
-@dataclass(frozen=True)
-class WeakEPResult:
+class WeakEPResult(NamedTuple):
     """Verdict of a weak-EP constancy check over a configuration sweep.
 
     Attributes

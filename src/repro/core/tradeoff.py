@@ -18,7 +18,7 @@ Pareto front:
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.core.pareto import ParetoPoint, pareto_front
 
@@ -31,8 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TradeoffEntry:
+class TradeoffEntry(NamedTuple):
     """One Pareto-front point expressed as a trade-off vs. the time-optimum.
 
     Attributes

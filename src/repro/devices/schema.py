@@ -44,9 +44,8 @@ import dataclasses
 import json
 import math
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.machines.specs import CacheSpec, CPUSpec, GPUSpec
 from repro.simgpu.calibration import GPUCalibration
@@ -93,8 +92,7 @@ class UnknownDeviceError(DeviceError, LookupError):
     """
 
 
-@dataclass(frozen=True)
-class DeviceDefinition:
+class DeviceDefinition(NamedTuple):
     """One validated device document, ready for registry insertion."""
 
     key: str

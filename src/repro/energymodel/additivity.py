@@ -14,15 +14,14 @@ CUPTI events — and how Fig. 6 diagnoses the 58 W auxiliary component
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.energymodel.events import ApplicationProfile
 
 __all__ = ["AdditivityResult", "additivity_error", "additivity_report"]
 
 
-@dataclass(frozen=True)
-class AdditivityResult:
+class AdditivityResult(NamedTuple):
     """Additivity verdict for one quantity.
 
     ``error`` is relative: ``|compound − (a + b)| / (a + b)``.

@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import importlib
 import sys
-from dataclasses import dataclass
 from types import ModuleType
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Experiment:
+class Experiment(NamedTuple):
     """One entry of the experiment table.
 
     The entry names its module and function, never the function

@@ -14,8 +14,7 @@ Quality is scored with the standard indicators (IGD and the additive
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.analysis.front_quality import additive_epsilon, igd
 from repro.analysis.report import format_table
@@ -43,8 +42,7 @@ def requests(spec: GPUSpec = P100, n: int = 10240):
     return (SweepRequest(device=spec, n=n, min_bs=1),)
 
 
-@dataclass(frozen=True)
-class BudgetRow:
+class BudgetRow(NamedTuple):
     budget: int
     budget_fraction: float
     front_size: int
@@ -52,8 +50,7 @@ class BudgetRow:
     epsilon: float
 
 
-@dataclass(frozen=True)
-class BudgetedSearchResult:
+class BudgetedSearchResult(NamedTuple):
     device: str
     n: int
     space_size: int

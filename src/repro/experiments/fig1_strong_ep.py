@@ -11,7 +11,7 @@ applies the formal strong-EP check to each series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.analysis.ep_analysis import StrongEPStudy, strong_ep_study
 from repro.analysis.report import format_pct, format_series, format_table
@@ -37,8 +37,7 @@ def default_sizes() -> list[int]:
     return sorted(set(sizes))
 
 
-@dataclass(frozen=True)
-class Fig1Result:
+class Fig1Result(NamedTuple):
     """Per-device (W, E_d) series plus strong-EP verdicts."""
 
     studies: tuple[StrongEPStudy, ...]

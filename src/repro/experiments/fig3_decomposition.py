@@ -10,7 +10,7 @@ configuration the Fig. 4 sweep uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.apps.decomposition import (
     DecompositionError,
@@ -47,8 +47,7 @@ def render_diagram(n: int, groups: int, threads_per_group: int) -> str:
     return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class Fig3Result:
+class Fig3Result(NamedTuple):
     diagram: str
     configurations_checked: int
     violations: int

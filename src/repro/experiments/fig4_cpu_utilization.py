@@ -20,7 +20,7 @@ power gap (the nonfunctionality witness).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,8 +57,7 @@ def nonfunctionality_witnesses(
     return pairs
 
 
-@dataclass(frozen=True)
-class LibrarySeries:
+class LibrarySeries(NamedTuple):
     """One library's Fig. 4 panel data."""
 
     library: str
@@ -74,8 +73,7 @@ class LibrarySeries:
     nonfunctionality_ratio: float
 
 
-@dataclass(frozen=True)
-class Fig4Result:
+class Fig4Result(NamedTuple):
     n: int
     series: tuple[LibrarySeries, ...]
 

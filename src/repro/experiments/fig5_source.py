@@ -10,7 +10,7 @@ structural statistics the paper's description implies — so the
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.analysis.report import format_table
 from repro.apps.cuda_source import full_source
@@ -18,8 +18,7 @@ from repro.apps.cuda_source import full_source
 __all__ = ["Fig5Result", "run"]
 
 
-@dataclass(frozen=True)
-class Fig5Result:
+class Fig5Result(NamedTuple):
     source: str
     group_routines: int
     dispatch_kernels: int

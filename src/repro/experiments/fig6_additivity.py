@@ -20,7 +20,7 @@ by subtracting the auxiliary window energy and re-testing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.analysis.report import format_pct, format_table
 from repro.energymodel.additivity import additivity_error
@@ -34,8 +34,7 @@ __all__ = ["AdditivityCell", "Fig6Result", "run", "DEFAULT_SIZES"]
 DEFAULT_SIZES = (5120, 7168, 10240, 12288, 15360, 17408)
 
 
-@dataclass(frozen=True)
-class AdditivityCell:
+class AdditivityCell(NamedTuple):
     """Additivity of one (N, G) cell against G × the G=1 run."""
 
     n: int
@@ -46,8 +45,7 @@ class AdditivityCell:
     energy_error_reattributed: float
 
 
-@dataclass(frozen=True)
-class Fig6Result:
+class Fig6Result(NamedTuple):
     device: str
     bs: int
     cells: tuple[AdditivityCell, ...]

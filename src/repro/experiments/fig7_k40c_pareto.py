@@ -17,8 +17,7 @@ a wider size range (:mod:`repro.experiments.headline`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.analysis.ep_analysis import WeakEPStudy, weak_ep_study_table
 from repro.analysis.report import format_pct, format_table
@@ -45,8 +44,7 @@ def requests(sizes: tuple[int, ...] = PAPER_SIZES):
 LOCAL_REGION_MAX_BS = 31
 
 
-@dataclass(frozen=True)
-class Fig7Result:
+class Fig7Result(NamedTuple):
     studies: tuple[WeakEPStudy, ...]
 
     def render(self) -> str:

@@ -19,8 +19,7 @@ near-equally-fast configurations).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.analysis.ep_analysis import WeakEPStudy, weak_ep_study_table
 from repro.analysis.report import format_pct, format_table
@@ -43,8 +42,7 @@ def requests(sizes: tuple[int, ...] = PAPER_SIZES):
     return tuple(SweepRequest(device=P100, n=n) for n in sizes)
 
 
-@dataclass(frozen=True)
-class Fig8Result:
+class Fig8Result(NamedTuple):
     studies: tuple[WeakEPStudy, ...]
 
     def render(self) -> str:

@@ -16,9 +16,7 @@ aggregates the same statistics from the simulator.
 
 from __future__ import annotations
 
-import statistics
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -55,8 +53,7 @@ def requests(sizes: dict[str, tuple[int, ...]] | None = None):
     )
 
 
-@dataclass(frozen=True)
-class DeviceHeadline:
+class DeviceHeadline(NamedTuple):
     """Aggregated front statistics for one device."""
 
     device: str
@@ -74,8 +71,7 @@ class DeviceHeadline:
     global_bs_always_32: bool
 
 
-@dataclass(frozen=True)
-class HeadlineResult:
+class HeadlineResult(NamedTuple):
     devices: tuple[DeviceHeadline, ...]
 
     def render(self) -> str:
@@ -139,9 +135,9 @@ def _analyze(
         sizes=sizes,
         global_sizes=tuple(global_sizes),
         local_sizes=tuple(local_sizes),
-        global_front_avg=statistics.mean(global_sizes),
+        global_front_avg=sum(global_sizes) / len(global_sizes),
         global_front_max=max(global_sizes),
-        local_front_avg=statistics.mean(local_sizes),
+        local_front_avg=sum(local_sizes) / len(local_sizes),
         local_front_max=max(local_sizes),
         max_saving=best_saving,
         max_saving_degradation=best_deg,

@@ -20,8 +20,7 @@ do not enter these verdicts.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.analysis.report import format_table
 from repro.apps.matmul_gpu import MatmulGPUApp
@@ -71,16 +70,14 @@ def requests(n: int = 10240):
     return tuple(reqs)
 
 
-@dataclass(frozen=True)
-class SensitivityRow:
+class SensitivityRow(NamedTuple):
     constant: str
     k40c_verdict_held: int  # out of len(FACTORS)
     p100_verdict_held: int
     trials: int
 
 
-@dataclass(frozen=True)
-class SensitivityResult:
+class SensitivityResult(NamedTuple):
     rows: tuple[SensitivityRow, ...]
     n: int
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.analysis.report import format_table
 from repro.machines.specs import CPUSpec, GPUSpec, HASWELL, K40C, P100
@@ -10,8 +10,7 @@ from repro.machines.specs import CPUSpec, GPUSpec, HASWELL, K40C, P100
 __all__ = ["Table1Result", "run"]
 
 
-@dataclass(frozen=True)
-class Table1Result:
+class Table1Result(NamedTuple):
     """The rendered platform-specification rows."""
 
     rows: tuple[tuple[str, str], ...]

@@ -13,12 +13,12 @@ their per-core utilization distributions and dTLB activity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["CPUCalibration", "HASWELL_CAL", "LibraryProfile", "LIBRARIES"]
 
 
-@dataclass(frozen=True)
-class LibraryProfile:
+class LibraryProfile(NamedTuple):
     """BLAS-library efficiency profile.
 
     Attributes

@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +26,7 @@ from repro.machines.specs import CPUSpec
 __all__ = ["LogicalCPU", "Placement", "place_threads"]
 
 
-@dataclass(frozen=True)
-class LogicalCPU:
+class LogicalCPU(NamedTuple):
     """Identity of one logical CPU in the topology."""
 
     index: int  # 0 .. logical_cpus-1, OS numbering

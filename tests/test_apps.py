@@ -16,6 +16,7 @@ from repro.apps.fft2d import (
     radix_penalty,
 )
 from repro.apps.matmul_gpu import MatmulGPUApp, config_enumeration, divisors
+from repro.core.biobjective import ConfigurationSpace, greedy_front_search
 from repro.machines import HASWELL, K40C, P100
 from repro.simgpu.calibration import P100_CAL
 from repro.simgpu.kernel import max_group_size, shared_mem_per_block
@@ -79,6 +80,25 @@ class TestMatmulConfigSpace:
         }
         from_space = {(c["bs"], c["g"], c["r"]) for c in space}
         assert from_space == from_iter
+
+    @pytest.mark.parametrize("min_bs", [1, 4])
+    @pytest.mark.parametrize("spec", [K40C, P100], ids=["k40c", "p100"])
+    def test_config_space_is_what_its_predicate_keeps(self, spec, min_bs):
+        """The space read from the enumeration memo equals one pass of
+        its own predicate over the product, in order, so the greedy
+        search evaluates the same sequence on either."""
+        space = MatmulGPUApp(spec, min_bs=min_bs).config_space()
+        scanned = ConfigurationSpace(space.variables, space.is_valid)
+        assert tuple(space) == tuple(scanned)
+
+        def evaluate(cfg):
+            return cfg["bs"] + 1.0 / cfg["g"], 1.0 / cfg["bs"] + cfg["g"]
+
+        def sequence(s):
+            _, evaluated = greedy_front_search(s, evaluate, budget=40, seed=1)
+            return [ec.config for ec in evaluated]
+
+        assert sequence(space) == sequence(scanned)
 
     def test_sweep_points_carry_configs(self):
         app = MatmulGPUApp(K40C)

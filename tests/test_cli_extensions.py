@@ -109,8 +109,10 @@ class TestReport:
     [
         ["report", "--output"],
         ["sweep", "--device", "k40c", "--n", "2048", "--save"],
+        ["bench", "--output"],
+        ["bench", "--telemetry-output"],
     ],
-    ids=["report", "sweep"],
+    ids=["report", "sweep", "bench", "bench-telemetry"],
 )
 @pytest.mark.parametrize(
     "target,reason",
@@ -122,15 +124,17 @@ class TestReport:
 def test_unwritable_output_is_a_one_line_error(
     tmp_path, monkeypatch, argv, target, reason
 ):
-    """The path is checked before any work: no report is rendered and
-    no sweep is evaluated or planned."""
+    """The path is checked before any work: no report is rendered, no
+    sweep is evaluated or planned and no bench case runs."""
     import repro.analysis.summary
+    import repro.sweep.bench
     import repro.sweep.planner
 
     def never(*args, **kwargs):
         raise AssertionError("work done before the output path was checked")
 
     monkeypatch.setattr(repro.analysis.summary, "generate_report", never)
+    monkeypatch.setattr(repro.sweep.bench, "run_benchmark", never)
     monkeypatch.setattr(MatmulGPUApp, "sweep_points", never)
     monkeypatch.setattr(repro.sweep.planner, "session_planner", never)
     path = tmp_path / "missing" / "out" if target == "missing-dir" else tmp_path

@@ -12,7 +12,10 @@ the CPU side (``repro.simcpu``, ``repro.measurement``,
 ``repro.energymodel``) or of the store, and ``repro all`` loads the six
 session experiments and still nothing of the CPU side.  ``repro
 report`` fills its session with the scalar model, so it loads neither
-the batch model nor the store.  The guard
+the batch model nor the store.  A cold ``repro all`` or ``repro
+report`` loads no ``statistics`` (nor the ``fractions`` and ``decimal``
+it imports), and the dataclasses their modules define are exactly the
+listed ones, each kept for a stated reason.  The guard
 starts a fresh interpreter and checks which modules are loaded, so
 unlike a timing gate it cannot flake on a slow host.
 """
@@ -110,6 +113,94 @@ print(json.dumps(sorted(
     or m.startswith("repro.store.")
 )))
 """
+
+
+#: Runs in a third child, once per command: set-up, then the command
+#: cold, then the ``statistics`` modules and the dataclasses of the
+#: ``repro`` modules that are loaded.  A child of its own, because the
+#: first one imports the sentinel, which needs ``statistics``.
+COLD_CHILD = """
+import contextlib, dataclasses, inspect, io, json, sys
+import repro.cli
+repro.cli.build_parser()
+with contextlib.redirect_stdout(io.StringIO()):
+    repro.cli.main(sys.argv[1:])
+print(json.dumps({
+    "statistics": sorted(
+        m for m in ("statistics", "fractions", "decimal") if m in sys.modules
+    ),
+    "dataclasses": sorted(
+        cls.__name__
+        for name, module in list(sys.modules.items())
+        if name == "repro" or name.startswith("repro.")
+        for cls in vars(module).values()
+        if inspect.isclass(cls) and cls.__module__ == name
+        and dataclasses.is_dataclass(cls)
+    ),
+}))
+"""
+
+#: Every dataclass that set-up, a cold ``repro all`` or a cold ``repro
+#: report`` defines, and why it is not a ``typing.NamedTuple``: a frozen
+#: dataclass takes about 1 ms to create, a named tuple about 0.2 ms
+#: (docs/MODEL.md §1.9).
+DATACLASSES = {
+    "GPUSpec": "hashed as a cache key, replaced, parsed with "
+    "dataclasses.fields, digested with asdict",
+    "GPUCalibration": "hashed as a cache key, replaced, parsed with "
+    "dataclasses.fields, digested with asdict",
+    "CPUSpec": "hashed as a cache key, parsed with dataclasses.fields, "
+    "digested with asdict",
+    "CacheSpec": "part of CPUSpec: hashed, parsed with dataclasses.fields, "
+    "digested with asdict",
+    "CPUCalibration": "replaced by the ablation's no-imbalance run",
+    "ParetoPoint": "validated in __post_init__",
+    "DGEMMConfig": "validated in __post_init__",
+    "ApplicationProfile": "validated in __post_init__",
+    "ConfigurationSpace": "mutable, with a cached_property",
+    "Placement": "cached_property counts",
+    "PlannerStats": "mutable session counters",
+    "HistogramSummary": "mutable running summary",
+    "SpanRecord": "its attrs dict is built by default_factory",
+    "WeakEPStudy": "its ndarray field is compare=False; a tuple compares it",
+    "Fig2Result": "its ndarray field is compare=False; a tuple compares it",
+    "BatchRunResult": "array fields and its own __len__",
+    "MatmulConfig": "the planner and the request digest read its fields "
+    "for every enumerated point; a tuple would equal its plain key",
+    "SweepRequest": "cal is compare=False; a tuple would compare it",
+    "KernelResources": "read ~13 times per run_matmul call; a named-tuple "
+    "field read costs about twice an attribute read",
+    "Occupancy": "read ~13 times per run_matmul call; a named-tuple "
+    "field read costs about twice an attribute read",
+    "TrafficModel": "read ~13 times per run_matmul call; a named-tuple "
+    "field read costs about twice an attribute read",
+}
+
+
+@pytest.fixture(scope="module")
+def cold_runs(tmp_path_factory) -> dict[str, dict[str, list[str]]]:
+    out = tmp_path_factory.mktemp("cold-runs")
+    runs = {}
+    for argv in (["all"], ["report", "--output", str(out / "report.md")]):
+        proc = subprocess.run(
+            [sys.executable, "-c", COLD_CHILD, *argv],
+            env=_child_env(), capture_output=True, text=True, check=True,
+        )
+        runs[argv[0]] = json.loads(proc.stdout)
+    return runs
+
+
+@pytest.mark.parametrize("command", ["all", "report"])
+def test_cold_command_loads_no_statistics_module(cold_runs, command):
+    """``statistics`` pulls in ``fractions`` and ``decimal``: 5-6 ms of
+    a cold command, for nothing either command needs."""
+    assert cold_runs[command]["statistics"] == []
+
+
+def test_cold_commands_define_only_the_allowlisted_dataclasses(cold_runs):
+    defined = set(cold_runs["all"]["dataclasses"])
+    defined |= set(cold_runs["report"]["dataclasses"])
+    assert sorted(defined) == sorted(DATACLASSES)
 
 
 @pytest.fixture(scope="module")

@@ -1,14 +1,19 @@
-"""The contract of the scalar models' per-call result records.
+"""The contract of the named-tuple records and results.
 
 ``KernelRunResult``, ``PowerBreakdown`` and ``OperatingPoint``
 (``repro.simgpu``) and ``CPURunResult``, ``CPUPowerBreakdown`` and
 ``UtilizationVector`` (``repro.simcpu``) are immutable named tuples:
 their fields keep the documented order, no field can be reassigned,
 and the derived ``dynamic_w`` is the left-to-right sum of the
-components, bit for bit.
+components, bit for bit.  The experiments' results and rows and the
+other records a cold command defines are named tuples too, with their
+fields in the documented order; that check reads the classes and runs
+no experiment.
 """
 
 from __future__ import annotations
+
+import importlib
 
 import pytest
 
@@ -33,6 +38,116 @@ FIELDS = {
     ),
     "CPUPowerBreakdown": ("cores_w", "flops_w", "uncore_w", "dram_w", "dtlb_w"),
     "UtilizationVector": ("per_cpu", "wall_time_scale", "average"),
+    "StrongEPResult": (
+        "holds", "coefficient", "max_relative_deviation", "r_squared",
+        "tolerance",
+    ),
+    "WeakEPResult": (
+        "holds", "mean_energy_j", "max_relative_spread",
+        "coefficient_of_variation", "tolerance",
+    ),
+    "TradeoffEntry": ("point", "energy_saving", "perf_degradation"),
+    "EvaluatedConfig": ("config", "time_s", "energy_j"),
+    "StrongEPStudy": ("device", "work", "energy_j", "result"),
+    "NonfunctionalityVerdict": (
+        "ratio", "worst_bin_center", "worst_bin_spread", "n_bins_used",
+        "nonfunctional", "threshold",
+    ),
+    "ReportSection": ("title", "body"),
+    "ThreadAssignment": ("group", "thread", "row_start", "row_end"),
+    "GroupAssignment": ("group", "row_start", "row_end", "threads"),
+    "FFTDeviceProfile": (
+        "name", "base_gflops", "dynamic_power_w", "cache_bytes",
+        "dram_energy_scale", "dram_throughput_scale", "bluestein_factor",
+    ),
+    "FFTRunResult": ("n", "work", "time_s", "dynamic_energy_j", "device"),
+    "DeviceDefinition": (
+        "key", "kind", "spec", "calibration", "description", "source",
+    ),
+    "AdditivityResult": ("quantity", "base_sum", "compound", "error", "additive"),
+    "LibraryProfile": (
+        "name", "peak_efficiency", "skinny_rows", "skinny_floor",
+        "walk_factor",
+    ),
+    "LogicalCPU": ("index", "socket", "physical_core", "hyperthread"),
+    "Experiment": (
+        "id", "module", "title", "section", "sweep", "function", "devices",
+        "report_cut",
+    ),
+    "Table1Result": ("rows",),
+    "Fig1Result": ("studies",),
+    "Fig3Result": ("diagram", "configurations_checked", "violations"),
+    "LibrarySeries": (
+        "library", "utilization_pct", "power_w", "gflops", "plateau_gflops",
+        "ramp_r_squared", "n_witness_pairs", "max_power_gap_w",
+        "nonfunctionality_ratio",
+    ),
+    "Fig4Result": ("n", "series"),
+    "Fig5Result": (
+        "source", "group_routines", "dispatch_kernels", "sync_calls", "lines",
+    ),
+    "AdditivityCell": (
+        "n", "g", "energy_error", "time_error", "energy_error_reattributed",
+    ),
+    "Fig6Result": ("device", "bs", "cells", "threshold_n"),
+    "Fig7Result": ("studies",),
+    "Fig8Result": ("studies",),
+    "DeviceHeadline": (
+        "device", "sizes", "global_sizes", "local_sizes", "global_front_avg",
+        "global_front_max", "local_front_avg", "local_front_max",
+        "max_saving", "max_saving_degradation", "global_bs_always_32",
+    ),
+    "HeadlineResult": ("devices",),
+    "SensitivityRow": (
+        "constant", "k40c_verdict_held", "p100_verdict_held", "trials",
+    ),
+    "SensitivityResult": ("rows", "n"),
+    "BudgetRow": ("budget", "budget_fraction", "front_size", "igd", "epsilon"),
+    "BudgetedSearchResult": (
+        "device", "n", "space_size", "exhaustive_front_size", "rows",
+    ),
+}
+
+#: The module under ``repro`` that defines each class.
+MODULES = {
+    "KernelRunResult": "simgpu.device",
+    "PowerBreakdown": "simgpu.power",
+    "OperatingPoint": "simgpu.dvfs",
+    "CPURunResult": "simcpu.processor",
+    "CPUPowerBreakdown": "simcpu.power",
+    "UtilizationVector": "simcpu.utilization",
+    "StrongEPResult": "core.definitions",
+    "WeakEPResult": "core.definitions",
+    "TradeoffEntry": "core.tradeoff",
+    "EvaluatedConfig": "core.biobjective",
+    "StrongEPStudy": "analysis.ep_analysis",
+    "NonfunctionalityVerdict": "analysis.nonfunctionality",
+    "ReportSection": "analysis.summary",
+    "ThreadAssignment": "apps.decomposition",
+    "GroupAssignment": "apps.decomposition",
+    "FFTDeviceProfile": "apps.fft2d",
+    "FFTRunResult": "apps.fft2d",
+    "DeviceDefinition": "devices.schema",
+    "AdditivityResult": "energymodel.additivity",
+    "LibraryProfile": "simcpu.calibration",
+    "LogicalCPU": "simcpu.topology",
+    "Experiment": "experiments",
+    "Table1Result": "experiments.table1_specs",
+    "Fig1Result": "experiments.fig1_strong_ep",
+    "Fig3Result": "experiments.fig3_decomposition",
+    "LibrarySeries": "experiments.fig4_cpu_utilization",
+    "Fig4Result": "experiments.fig4_cpu_utilization",
+    "Fig5Result": "experiments.fig5_source",
+    "AdditivityCell": "experiments.fig6_additivity",
+    "Fig6Result": "experiments.fig6_additivity",
+    "Fig7Result": "experiments.fig7_k40c_pareto",
+    "Fig8Result": "experiments.fig8_p100_pareto",
+    "DeviceHeadline": "experiments.headline",
+    "HeadlineResult": "experiments.headline",
+    "SensitivityRow": "experiments.sensitivity",
+    "SensitivityResult": "experiments.sensitivity",
+    "BudgetRow": "experiments.budgeted_search",
+    "BudgetedSearchResult": "experiments.budgeted_search",
 }
 
 
@@ -58,12 +173,17 @@ RECORDS = _records()
 
 @pytest.mark.parametrize("name", FIELDS)
 def test_fields_are_in_the_documented_order(name):
-    record = RECORDS[name]
-    assert type(record).__name__ == name
-    assert type(record)._fields == FIELDS[name]
+    cls = getattr(importlib.import_module(f"repro.{MODULES[name]}"), name)
+    assert issubclass(cls, tuple)
+    assert cls._fields == FIELDS[name]
 
 
-@pytest.mark.parametrize("name", FIELDS)
+@pytest.mark.parametrize("name", RECORDS)
+def test_model_calls_return_the_records(name):
+    assert type(RECORDS[name]).__name__ == name
+
+
+@pytest.mark.parametrize("name", RECORDS)
 def test_no_field_can_be_assigned(name):
     record = RECORDS[name]
     for field in FIELDS[name]:

@@ -421,19 +421,27 @@ class TestOffPathOverhead:
         The instrumented sweep path executes a small constant number of
         helper calls per *batch* (spans + counters), never per point.
         Measure the per-call cost of the off fast path directly and
-        compare a generous budget against the measured wall time of one
-        sweep filled and served by a fresh planner — the overhead must
-        stay < 2%.
+        compare a generous budget against the wall time of one sweep
+        filled and served by a fresh planner — the overhead must stay
+        < 2%.
+
+        The two are timed in interleaved pairs, alternating which runs
+        first, so drift on a busy host (a co-tenant, a frequency step)
+        hits both sides of a pair alike, and the gate is the
+        interquartile mean of the per-pair overheads, as
+        ``repro bench``'s 5% telemetry gate does: a ratio of two
+        separately taken minima read 2.40% once on a 2-CPU host.
         """
         assert obs.get_telemetry().enabled is False
         req = SweepRequest(device="p100", n=4096)
         configs = req.configs()
-        sweep_s = min(
-            _timed(lambda: EvalPlanner().table(req, configs))
-            for _ in range(5)
-        )
+        budget = 20  # actual instrumented path: ~a dozen sites per batch
+        calls = 500
 
-        def helper_pairs(calls=2000):
+        def sweep_s():
+            return _timed(lambda: EvalPlanner().table(req, configs))
+
+        def per_pair_s():
             t0 = time.perf_counter()
             for _ in range(calls):
                 with obs.span("x", device="p100", points=146):
@@ -441,14 +449,23 @@ class TestOffPathOverhead:
                 obs.count("c", 146)
             return (time.perf_counter() - t0) / calls
 
-        per_pair_s = min(helper_pairs() for _ in range(5))
-
-        budget = 20  # actual instrumented path: ~a dozen sites per batch
-        assert budget * per_pair_s < 0.02 * sweep_s, (
-            f"off-path span+counter pair costs {per_pair_s * 1e9:.0f} ns; "
-            f"{budget} sites would add "
-            f"{budget * per_pair_s / sweep_s:.2%} to a "
-            f"{sweep_s * 1e3:.2f} ms planner sweep"
+        samples = []  # (overhead, per-pair s, sweep s)
+        for i in range(41):
+            if i % 2 == 0:
+                sweep, pair = sweep_s(), per_pair_s()
+            else:
+                pair, sweep = per_pair_s(), sweep_s()
+            samples.append((budget * pair / sweep, pair, sweep))
+        samples.sort()
+        quarter = len(samples) // 4
+        middle = samples[quarter : len(samples) - quarter]
+        overhead = sum(s[0] for s in middle) / len(middle)
+        _, pair, sweep = samples[len(samples) // 2]
+        assert overhead < 0.02, (
+            f"{budget} off-path span+counter sites add {overhead:.2%} "
+            f"(interquartile mean of {len(samples)} pairs) to a planner "
+            f"sweep; median pair: {pair * 1e9:.0f} ns per site, "
+            f"{sweep * 1e3:.2f} ms sweep"
         )
 
 

@@ -16,9 +16,10 @@ values are *named* attributes of each result (``power.compute_w``,
 ``utilization.average``, ...) read with ``getattr``, not a flattening
 of the record's type, so a dataclass record and a named tuple with the
 same fields print the same row, and an attribute prints the same
-whether it is a property or a field.  Nested objects the models memo
-(occupancy, kernel resources, DGEMM configuration) print as ``repr``,
-which round-trips floats exactly.
+whether it is a property or a field.  Nested records (occupancy,
+kernel resources, DGEMM configuration) print as ``Name(field=value,
+...)`` with the same value formatting, whichever of the two kinds
+they are.
 
 Usage, from the root of a checkout::
 
@@ -36,6 +37,7 @@ bit-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import subprocess
@@ -77,9 +79,17 @@ CPU_ATTRS = (
 def _format(value) -> str:
     if isinstance(value, float):
         return value.hex()
-    if isinstance(value, (tuple, list)):
+    if hasattr(type(value), "_fields"):  # a named tuple
+        names = type(value)._fields
+    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+        names = [f.name for f in dataclasses.fields(value)]
+    elif isinstance(value, (tuple, list)):
         return ",".join(_format(v) for v in value)
-    return repr(value)
+    else:
+        return repr(value)
+    return f"{type(value).__name__}(" + ", ".join(
+        f"{name}={_format(getattr(value, name))}" for name in names
+    ) + ")"
 
 
 def _values(result, attrs: tuple[str, ...]) -> list[str]:
