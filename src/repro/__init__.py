@@ -37,7 +37,7 @@ Quickstart::
           f"{best.perf_degradation:.0%} slowdown")
 """
 
-import importlib
+import sys
 
 __version__ = "1.0.0"
 
@@ -49,7 +49,9 @@ def _lazy_exports(namespace: dict, exports: dict[str, str]):
     ``namespace`` is the package's ``globals()``; ``exports`` maps each
     exported name to the submodule that defines it.  The first access
     to a name imports that submodule only and caches the value in the
-    package, so later lookups never reach ``__getattr__``.
+    package, so later lookups never reach ``__getattr__``.  The import
+    goes through ``__import__``, which ``python -X importtime`` logs
+    (``importlib.import_module`` bypasses that log).
     """
     package = namespace["__name__"]
 
@@ -59,8 +61,9 @@ def _lazy_exports(namespace: dict, exports: dict[str, str]):
             raise AttributeError(
                 f"module {package!r} has no attribute {name!r}"
             )
-        module = importlib.import_module(f"{package}.{submodule}")
-        value = namespace[name] = getattr(module, name)
+        module_name = f"{package}.{submodule}"
+        __import__(module_name)
+        value = namespace[name] = getattr(sys.modules[module_name], name)
         return value
 
     def __dir__() -> list[str]:

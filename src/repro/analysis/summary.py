@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from repro import obs
 from repro.experiments import EXPERIMENTS, Experiment
 from repro.sweep.planner import EvalPlanner, session_planner
 
-__all__ = ["ReportSection", "generate_report"]
+__all__ = ["ReportSection", "generate_report", "report_experiments"]
 
 
 class ReportSection(NamedTuple):
@@ -26,10 +27,17 @@ class ReportSection(NamedTuple):
 
 
 def _section(exp: Experiment, session: EvalPlanner) -> ReportSection:
-    body = exp.render(engine=session)
+    with obs.span("report.section", id=exp.id):
+        body = exp.render(engine=session)
     if exp.report_cut is not None:
         body = body.split(exp.report_cut)[0].rstrip()
     return ReportSection(exp.title, body)
+
+
+def report_experiments(include_extras: bool = False) -> list[Experiment]:
+    """The experiments a report renders, one section each, in order."""
+    included = ("core", "extras") if include_extras else ("core",)
+    return [exp for exp in EXPERIMENTS.values() if exp.section in included]
 
 
 def generate_report(*, include_extras: bool = False) -> str:
@@ -44,10 +52,7 @@ def generate_report(*, include_extras: bool = False) -> str:
     each distinct configuration again (docs/MODEL.md §1.9: no result
     memo across reports).
     """
-    included = ("core", "extras") if include_extras else ("core",)
-    experiments = [
-        exp for exp in EXPERIMENTS.values() if exp.section in included
-    ]
+    experiments = report_experiments(include_extras)
     session = session_planner(
         tuple(exp.id for exp in experiments if exp.sweep), scalar=True
     )

@@ -43,9 +43,10 @@ evaluate through one :class:`repro.sweep.planner.EvalPlanner`, backed
 by the columnar store at ``--store-dir``, else ``$REPRO_STORE_DIR``,
 else held in memory for the run; ``experiment`` and ``all`` fill their
 requests in it before the experiments run
-(:func:`repro.sweep.planner.session_planner`).  They accept
-``--telemetry off|summary|jsonl:PATH`` (:mod:`repro.obs`): ``off`` is
-the default and byte-identical to the uninstrumented output.
+(:func:`repro.sweep.planner.session_planner`).  They, and ``report``
+(which has no store), accept ``--telemetry off|summary|jsonl:PATH``
+(:mod:`repro.obs`): ``off`` is the default and byte-identical to the
+uninstrumented output.
 """
 
 from __future__ import annotations
@@ -131,6 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
                 "only)"
             ),
         )
+        add_telemetry_flag(p)
+
+    def add_telemetry_flag(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--telemetry", default="off",
             metavar="off|summary|jsonl:PATH",
@@ -373,6 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--extras", action="store_true",
         help="include the extension studies (slower)",
     )
+    add_telemetry_flag(report)
     return parser
 
 
@@ -712,6 +717,17 @@ def _provenance_for(args: argparse.Namespace) -> dict:
 
         return run_manifest(
             "all", backend=backend, requests=collect_session_requests()
+        )
+    if args.command == "report":
+        from repro.analysis.summary import report_experiments
+        from repro.sweep.planner import collect_session_requests
+
+        ids = [e.id for e in report_experiments(args.extras) if e.sweep]
+        # The report's session is filled by the scalar model of record.
+        return run_manifest(
+            "report --extras" if args.extras else "report",
+            backend="scalar",
+            requests=collect_session_requests(ids),
         )
     return run_manifest(args.command)
 

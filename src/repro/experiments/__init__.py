@@ -22,7 +22,6 @@ runs.
 
 from __future__ import annotations
 
-import importlib
 import sys
 from types import ModuleType
 from typing import NamedTuple
@@ -62,7 +61,9 @@ class Experiment(NamedTuple):
 
         The import itself — the module and whatever it pulls in that
         is not loaded yet — is timed as an ``experiments.import`` span;
-        later calls return the loaded module and record nothing.
+        later calls return the loaded module and record nothing.  It
+        goes through ``__import__``, which ``python -X importtime``
+        logs (``importlib.import_module`` bypasses that log).
         """
         name = f"{__name__}.{self.module}"
         module = sys.modules.get(name)
@@ -70,7 +71,8 @@ class Experiment(NamedTuple):
             from repro import obs
 
             with obs.span("experiments.import", module=self.module):
-                module = importlib.import_module(name)
+                __import__(name)
+            module = sys.modules[name]
         return module
 
     def render(self, engine=None) -> str:
@@ -151,8 +153,10 @@ __all__ = ["EXPERIMENTS", "Experiment", *_MODULES]
 
 def __getattr__(name: str):
     if name in _MODULES:
-        module = importlib.import_module(f"{__name__}.{name}")
-        globals()[name] = module  # cache: subsequent access skips here
+        # ``__import__``, not ``importlib.import_module``: see
+        # ``Experiment.load``.
+        __import__(f"{__name__}.{name}")
+        module = globals()[name] = sys.modules[f"{__name__}.{name}"]
         return module
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 

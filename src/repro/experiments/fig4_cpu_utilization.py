@@ -34,26 +34,53 @@ __all__ = ["Fig4Result", "LibrarySeries", "run", "nonfunctionality_witnesses"]
 #: The paper's workload for this figure.
 N_PAPER = 17408
 
+#: A witness pair's utilizations lie within this many percentage
+#: points of each other, and its powers at least this many watts apart.
+UTILIZATION_WINDOW = 1.5
+MIN_POWER_GAP_W = 10.0
+
 
 def nonfunctionality_witnesses(
     results: list[CPURunResult],
     *,
-    utilization_window: float = 1.5,
-    min_power_gap_w: float = 10.0,
+    utilization_window: float = UTILIZATION_WINDOW,
+    min_power_gap_w: float = MIN_POWER_GAP_W,
 ) -> list[tuple[CPURunResult, CPURunResult]]:
     """Config pairs with near-equal average utilization and far-apart power.
 
     Each returned pair is a counterexample to any functional
     power-vs-utilization model — the paper's points on lines C and D.
     """
+    results = list(results)
+    pairs = _witness_pairs(
+        [r.avg_utilization for r in results],
+        [r.power.dynamic_w for r in results],
+        utilization_window,
+        min_power_gap_w,
+    )
+    return [(results[i], results[j]) for i, j in pairs]
+
+
+def _witness_pairs(
+    util: list[float],
+    power: list[float],
+    utilization_window: float,
+    min_power_gap_w: float,
+) -> list[tuple[int, int]]:
+    """:func:`nonfunctionality_witnesses` over each result's utilization
+    and power, read once: index pairs ``(i, j)``, ``i`` before ``j`` in
+    the stable order of ascending utilization."""
+    order = sorted(range(len(util)), key=util.__getitem__)
+    util = [util[i] for i in order]
+    power = [power[i] for i in order]
     pairs = []
-    ordered = sorted(results, key=lambda r: r.avg_utilization)
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1 :]:
-            if b.avg_utilization - a.avg_utilization > utilization_window:
+    count = len(order)
+    for a, (util_a, power_a) in enumerate(zip(util, power)):
+        for b in range(a + 1, count):
+            if util[b] - util_a > utilization_window:
                 break
-            if abs(a.power.dynamic_w - b.power.dynamic_w) >= min_power_gap_w:
-                pairs.append((a, b))
+            if abs(power_a - power[b]) >= min_power_gap_w:
+                pairs.append((order[a], order[b]))
     return pairs
 
 
@@ -120,14 +147,18 @@ def run(n: int = N_PAPER) -> Fig4Result:
     series = []
     for lib in ("mkl", "openblas"):
         results = app.sweep(n, lib)
-        util = np.array([r.avg_utilization for r in results])
-        power = np.array([r.power.dynamic_w for r in results])
-        gflops = np.array([r.gflops for r in results])
-        witnesses = nonfunctionality_witnesses(results)
+        util_pct = [r.avg_utilization for r in results]
+        power_w = [r.power.dynamic_w for r in results]
+        witnesses = _witness_pairs(
+            util_pct, power_w, UTILIZATION_WINDOW, MIN_POWER_GAP_W
+        )
         max_gap = max(
-            (abs(a.power.dynamic_w - b.power.dynamic_w) for a, b in witnesses),
+            (abs(power_w[i] - power_w[j]) for i, j in witnesses),
             default=0.0,
         )
+        util = np.array(util_pct)
+        power = np.array(power_w)
+        gflops = np.array([r.gflops for r in results])
         from repro.analysis.nonfunctionality import nonfunctionality_test
 
         verdict = nonfunctionality_test(util, power)

@@ -112,12 +112,38 @@ _PARTITION_FACTORS = {
 }
 
 
+#: At most this many specs keep a placement table (the oldest is
+#: dropped first); a table holds one entry per valid thread count, so
+#: at most ``spec.logical_cpus``.
+PLACEMENT_TABLES = 64
+
+#: ``spec`` -> thread count -> :class:`Placement` (docs/MODEL.md §1.9).
+_placement_tables: dict[CPUSpec, dict[int, Placement]] = {}
+
+
+def _placement_table(spec: CPUSpec) -> dict[int, Placement]:
+    """The placement table of ``spec``, shared by every processor built
+    with an equal spec; the one place a processor hashes its spec."""
+    table = _placement_tables.get(spec)
+    if table is None:
+        if len(_placement_tables) >= PLACEMENT_TABLES:
+            del _placement_tables[next(iter(_placement_tables))]
+        table = _placement_tables[spec] = {}
+    return table
+
+
 class MulticoreCPU:
-    """Analytical model of the dual-socket Haswell node running DGEMM."""
+    """Analytical model of the dual-socket Haswell node running DGEMM.
+
+    A processor resolves its spec's placement table once, when it is
+    built, and finds each thread count's :class:`Placement` there;
+    :func:`place_threads` places a thread count only on a miss.
+    """
 
     def __init__(self, spec: CPUSpec, cal: CPUCalibration | None = None) -> None:
         self.spec = spec
         self.cal = cal if cal is not None else HASWELL_CAL
+        self._placements = _placement_table(spec)
 
     # -- throughput ---------------------------------------------------------
 
@@ -132,12 +158,30 @@ class MulticoreCPU:
         self, n: int, config: DGEMMConfig, *, freq_scale: float = 1.0
     ) -> tuple[float, Placement]:
         """Aggregate DP flop rate (flops/s) and the thread placement."""
-        spec, cal = self.spec, self.cal
-        lib = LIBRARIES[config.library]
-        placement = place_threads(spec, config.n_threads)
         eff_part, traffic_part, _ = _PARTITION_FACTORS[config.partition]
+        return self._aggregate_flops(
+            n, config.n_threads, LIBRARIES[config.library], eff_part,
+            traffic_part, freq_scale,
+        )
 
-        rows = n / config.n_threads
+    def _aggregate_flops(
+        self,
+        n: int,
+        n_threads: int,
+        lib: LibraryProfile,
+        eff_part: float,
+        traffic_part: float,
+        freq_scale: float,
+    ) -> tuple[float, Placement]:
+        """:meth:`aggregate_flops` with the configuration's library
+        profile and partition factors already looked up."""
+        spec, cal = self.spec, self.cal
+        placement = self._placements.get(n_threads)
+        if placement is None:
+            placement = place_threads(spec, n_threads)
+            self._placements[n_threads] = placement
+
+        rows = n / n_threads
         eff = self._shape_efficiency(lib, rows) * eff_part
         core_peak = freq_scale * spec.base_clock_hz * spec.dp_flops_per_cycle
 
@@ -185,13 +229,14 @@ class MulticoreCPU:
                 "freq_scale must lie in the part's DVFS range [0.4, 1.1]"
             )
         spec, cal = self.spec, self.cal
-        agg_flops, placement = self.aggregate_flops(
-            n, config, freq_scale=freq_scale
+        lib = LIBRARIES[config.library]
+        eff_part, traffic_part, walk_part = _PARTITION_FACTORS[config.partition]
+        n_threads, groups = config.n_threads, config.groups
+        agg_flops, placement = self._aggregate_flops(
+            n, n_threads, lib, eff_part, traffic_part, freq_scale
         )
 
-        jitter = contention_jitter(
-            config.key(), config.n_threads, config.groups, cal
-        )
+        jitter = contention_jitter(config.key(), n_threads, groups, cal)
         util = utilization_vector(spec, placement, jitter)
 
         flops_total = 2.0 * float(n) ** 3
@@ -200,7 +245,6 @@ class MulticoreCPU:
             time_s *= max(0.5, 1.0 + cal.time_jitter * rng.standard_normal())
 
         achieved_flops = flops_total / time_s
-        _, traffic_part, walk_part = _PARTITION_FACTORS[config.partition]
         traffic_rate = achieved_flops * cal.traffic_bytes_per_flop * traffic_part
         power = cpu_power(
             spec,
@@ -208,8 +252,8 @@ class MulticoreCPU:
             placement,
             flops_per_s=achieved_flops,
             traffic_bytes_per_s=traffic_rate,
-            n_groups=config.groups,
-            walk_factor=walk_part * LIBRARIES[config.library].walk_factor,
+            n_groups=groups,
+            walk_factor=walk_part * lib.walk_factor,
         )
         if freq_scale != 1.0:
             # V²f scaling of the core-clocked components.  e_flop is

@@ -88,8 +88,10 @@ def utilization_vector(
     if len(jitter) != placement.n_threads:
         raise ValueError("jitter length must equal the number of threads")
     completion = 1.0 + np.asarray(jitter, dtype=float)
-    wall = float(completion.max())
-    per_cpu = np.full(spec.logical_cpus, os_noise)
+    # ``ndarray.max`` and ``np.full`` without their Python wrappers.
+    wall = float(np.maximum.reduce(completion))
+    per_cpu = np.empty(spec.logical_cpus)
+    per_cpu.fill(os_noise)
     per_cpu[placement.cpu_indices] = completion / wall
     average = float(np.add.reduce(per_cpu) / len(per_cpu))
     return UtilizationVector(tuple(per_cpu.tolist()), wall, average)

@@ -174,6 +174,38 @@ class _KernelTerms:
         return ev
 
 
+#: Bounds of the device tables: at most this many ``(spec, cal)`` pairs
+#: (the oldest pair's table is dropped first) ...
+DEVICE_TABLES = 64
+#: ... and at most this many ``(n, bs, g)`` entries per table (a full
+#: table is emptied), the bound of ``matmul_kernel_resources``' memo.
+DEVICE_TABLE_SIZE = 4096
+
+#: ``(spec, cal)`` -> that pair's device table: ``(n, bs, g)`` ->
+#: ``(KernelResources, Occupancy)`` (docs/MODEL.md §1.9).
+_device_tables: dict[tuple[GPUSpec, GPUCalibration], dict] = {}
+
+
+def _device_table(spec: GPUSpec, cal: GPUCalibration) -> dict:
+    """The device table of ``(spec, cal)``, shared by every device built
+    with an equal pair; the one place a device hashes its spec and
+    calibration."""
+    table = _device_tables.get((spec, cal))
+    if table is None:
+        if len(_device_tables) >= DEVICE_TABLES:
+            del _device_tables[next(iter(_device_tables))]
+        table = _device_tables[spec, cal] = {}
+    return table
+
+
+def clear_device_tables() -> None:
+    """Empty every device table, so the next call of each configuration
+    misses (``repro bench``'s cold scalar sweeps)."""
+    for table in _device_tables.values():
+        table.clear()
+    _device_tables.clear()
+
+
 class GPUDevice:
     """Analytical model of one GPU running the paper's matmul kernel.
 
@@ -183,11 +215,31 @@ class GPUDevice:
         Machine specification (``repro.machines.K40C`` or ``P100``).
     cal:
         Calibration constants; defaults to the device's calibration.
+
+    A device resolves its ``(spec, cal)`` pair's table once, when it is
+    built: :meth:`run_matmul` finds a configuration's kernel resources
+    and occupancy there by ``(n, bs, g)``, and builds them through the
+    memoized :func:`matmul_kernel_resources` and
+    :func:`compute_occupancy` only on a miss.
     """
 
     def __init__(self, spec: GPUSpec, cal: GPUCalibration | None = None) -> None:
         self.spec = spec
         self.cal = cal if cal is not None else calibration_for(spec)
+        self._table = _device_table(self.spec, self.cal)
+
+    def _records(self, n: int, bs: int, g: int) -> tuple:
+        """``(KernelResources, Occupancy)`` of ``(n, bs, g)``, a table
+        miss: built (or found in their memos) and entered."""
+        spec, table = self.spec, self._table
+        res = matmul_kernel_resources(spec, self.cal, n, bs, g)
+        occ = compute_occupancy(
+            spec, res.threads_per_block, res.smem_per_block_bytes
+        )
+        if len(table) >= DEVICE_TABLE_SIZE:
+            table.clear()
+        table[n, bs, g] = records = (res, occ)
+        return records
 
     def run_matmul(
         self,
@@ -228,10 +280,10 @@ class GPUDevice:
                     f"pinned clock {pinned_clock_hz/1e6:.0f} MHz outside "
                     f"the supported ladder [{lo/1e6:.0f}, {hi/1e6:.0f}] MHz"
                 )
-        res = matmul_kernel_resources(spec, cal, n, bs, g)
-        occ = compute_occupancy(
-            spec, res.threads_per_block, res.smem_per_block_bytes
-        )
+        records = self._table.get((n, bs, g))
+        if records is None:
+            records = self._records(n, bs, g)
+        res, occ = records
         at = _KernelTerms(spec, cal, res, occ).at
 
         def board_power(clock_hz: float) -> float:

@@ -24,7 +24,6 @@ the layout.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 from typing import Any
 
@@ -129,6 +128,10 @@ def shard_digest(spec: GPUSpec, cal: GPUCalibration, n: int) -> str:
     one digest, which is how the columnar store (:mod:`repro.store`)
     groups points into shards.
     """
+    # Imported here, its one use: set-up and a store-less `repro all`
+    # never load hashlib (about 6 ms with OpenSSL's `_hashlib`).
+    import hashlib
+
     payload = {
         "model_version": MODEL_VERSION,
         "spec": dataclasses.asdict(spec),

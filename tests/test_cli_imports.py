@@ -15,7 +15,9 @@ report`` fills its session with the scalar model, so it loads neither
 the batch model nor the store.  A cold ``repro all`` or ``repro
 report`` loads no ``statistics`` (nor the ``fractions`` and ``decimal``
 it imports), and the dataclasses their modules define are exactly the
-listed ones, each kept for a stated reason.  The guard
+listed ones, each kept for a stated reason.  Set-up and a cold ``repro
+all`` load no ``hashlib``, and ``python -X importtime`` logs every
+module the lazy loaders import.  The guard
 starts a fresh interpreter and checks which modules are loaded, so
 unlike a timing gate it cannot flake on a slow host.
 """
@@ -116,16 +118,20 @@ print(json.dumps(sorted(
 
 
 #: Runs in a third child, once per command: set-up, then the command
-#: cold, then the ``statistics`` modules and the dataclasses of the
-#: ``repro`` modules that are loaded.  A child of its own, because the
-#: first one imports the sentinel, which needs ``statistics``.
+#: cold, then whether ``hashlib`` was loaded after each, the
+#: ``statistics`` modules and the dataclasses of the ``repro`` modules
+#: that are loaded.  A child of its own, because the first one imports
+#: the sentinel, which needs ``statistics``.
 COLD_CHILD = """
 import contextlib, dataclasses, inspect, io, json, sys
 import repro.cli
 repro.cli.build_parser()
+hashlib = {"setup": "hashlib" in sys.modules}
 with contextlib.redirect_stdout(io.StringIO()):
     repro.cli.main(sys.argv[1:])
+hashlib["command"] = "hashlib" in sys.modules
 print(json.dumps({
+    "hashlib": hashlib,
     "statistics": sorted(
         m for m in ("statistics", "fractions", "decimal") if m in sys.modules
     ),
@@ -195,6 +201,14 @@ def test_cold_command_loads_no_statistics_module(cold_runs, command):
     """``statistics`` pulls in ``fractions`` and ``decimal``: 5-6 ms of
     a cold command, for nothing either command needs."""
     assert cold_runs[command]["statistics"] == []
+
+
+def test_setup_and_cold_all_load_no_hashlib(cold_runs):
+    """Only the store's shard digest, the provenance manifest and the
+    CPU model's contention jitter hash; set-up and a store-less ``repro
+    all`` need none of them (``hashlib`` with OpenSSL: about 4 ms)."""
+    assert cold_runs["all"]["hashlib"] == {"setup": False, "command": False}
+    assert cold_runs["report"]["hashlib"] == {"setup": False, "command": True}
 
 
 def test_cold_commands_define_only_the_allowlisted_dataclasses(cold_runs):
@@ -274,3 +288,32 @@ def test_experiment_import_is_timed_under_its_command(tmp_path, capsys):
     assert imports == [(command["id"], {"module": "fig7_k40c_pareto"})]
     assert main(["experiment", "fig7"]) == 0
     assert proc.stdout == capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "code,module",
+    [
+        ("from repro.experiments import EXPERIMENTS\n"
+         "EXPERIMENTS['fig7'].load()",
+         "repro.experiments.fig7_k40c_pareto"),
+        ("import repro.experiments\nrepro.experiments.fig3_decomposition",
+         "repro.experiments.fig3_decomposition"),
+        ("import repro.simcpu\nrepro.simcpu.MulticoreCPU",
+         "repro.simcpu.processor"),
+    ],
+    ids=["Experiment.load", "experiments.__getattr__", "_lazy_exports"],
+)
+def test_lazy_imports_are_logged_by_importtime(code, module):
+    """``python -X importtime`` logs imports made by ``__import__`` and
+    not those by ``importlib.import_module``, so each lazy loader must
+    use the former for its module to appear in the import tree."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", code],
+        env=_child_env(), capture_output=True, text=True, check=True,
+    )
+    logged = [
+        line.rsplit("|", 1)[-1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    ]
+    assert module in logged

@@ -614,6 +614,65 @@ class TestCliTelemetry:
         (built,) = [s for s in spans if s["name"] == "cli.provenance"]
         assert built["parent"] == command["id"]
 
+    def test_report_telemetry_off_writes_the_same_bytes(
+        self, tmp_path, capsys
+    ):
+        default, off = tmp_path / "default.md", tmp_path / "off.md"
+        assert main(["report", "--output", str(default)]) == 0
+        assert main(
+            ["report", "--output", str(off), "--telemetry", "off"]
+        ) == 0
+        assert off.read_bytes() == default.read_bytes()
+        assert "-- telemetry summary --" not in capsys.readouterr().out
+
+    def test_report_summary_appends_digest(self, tmp_path, capsys):
+        out = tmp_path / "R.md"
+        assert main(
+            ["report", "--output", str(out), "--telemetry", "summary"]
+        ) == 0
+        text = capsys.readouterr().out
+        assert text.startswith(f"wrote {out}")
+        assert "-- telemetry summary --" in text
+        assert "report.section" in text
+
+    def test_report_jsonl_spans_each_section_and_names_its_inputs(
+        self, tmp_path, capsys
+    ):
+        from repro.analysis.summary import report_experiments
+        from repro.sweep.planner import collect_session_requests
+
+        path, out = tmp_path / "run.jsonl", tmp_path / "R.md"
+        assert main(
+            ["report", "--output", str(out), "--telemetry", f"jsonl:{path}"]
+        ) == 0
+        capsys.readouterr()
+        events = [json.loads(line) for line in path.read_text().splitlines()]
+        spans = [e for e in events if e["event"] == "span"]
+        (command,) = [s for s in spans if s["name"] == "cli.report"]
+        sections = [s for s in spans if s["name"] == "report.section"]
+        experiments = report_experiments()
+        assert [s["attrs"] for s in sections] == [
+            {"id": exp.id} for exp in experiments
+        ]
+        assert {s["parent"] for s in sections} == {command["id"]}
+        # Where the report's time went: the command's direct children
+        # (session fill, imports, sections, manifest) hold nearly all.
+        children = sum(
+            s["duration_ns"] for s in spans if s["parent"] == command["id"]
+        )
+        assert children >= 0.9 * command["duration_ns"]
+        prov = next(e for e in events if e["event"] == "provenance")
+        assert prov["command"] == "report"
+        assert prov["backend"] == "scalar"
+        sweep_ids = [exp.id for exp in experiments if exp.sweep]
+        assert prov["requests"] == len(collect_session_requests(sweep_ids))
+
+    def test_report_takes_no_store_dir(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["report", "--store-dir", str(tmp_path)])
+        assert info.value.code == 2
+        assert "--store-dir" in capsys.readouterr().err
+
     @pytest.mark.parametrize("spec", ["xml", "prom" + ":{dir}/run.prom"])
     def test_bad_spec_is_a_clean_error(self, spec, tmp_path):
         with pytest.raises(SystemExit, match="unknown telemetry spec"):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.apps.dgemm_cpu import DGEMMCPUApp
 from repro.machines import HASWELL
-from repro.simcpu import topology
+from repro.simcpu import processor, topology
 from repro.simcpu.topology import enumerate_topology, place_threads
 
 
@@ -88,6 +88,9 @@ class TestPlacementMemo:
             return real(spec)
 
         monkeypatch.setattr(topology, "enumerate_topology", counting)
+        # Both memo layers cold: the processors' placement tables, then
+        # place_threads' own memo.
+        monkeypatch.setattr(processor, "_placement_tables", {})
         place_threads.cache_clear()
         app = DGEMMCPUApp(HASWELL)
         results = app.sweep(17408, "mkl")

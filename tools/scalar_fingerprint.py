@@ -28,10 +28,12 @@ Usage, from the root of a checkout::
 
 ``--against REV`` extracts ``src/`` of REV with ``git archive``, runs
 this same script on it and on this checkout's ``src/`` (two processes
-side by side, about 5 s on two CPUs), and prints the number of
-differing rows per model and clock mode.  It exits 1 if any row
-differs, so 0 differing rows means every field of every call is
-bit-identical.
+side by side, each with its own random hash seed, about 9 s on two
+CPUs), and prints the number of differing rows per model and clock
+mode.  It exits 1 if any row differs, so 0 differing rows means every
+field of every call is bit-identical.  ``--against HEAD`` on a clean
+checkout compares the code with itself under two hash seeds: CI runs
+it to catch a result that depends on dict or hash order.
 """
 
 from __future__ import annotations
@@ -160,7 +162,10 @@ def dump(out) -> None:
 
 
 def _dump_tree(src: Path, path: Path) -> subprocess.Popen:
-    env = dict(os.environ, PYTHONPATH=str(src))
+    # Each dump draws its own hash seed, whatever the caller's
+    # environment pins, so a result that depends on dict or hash order
+    # differs between the two.
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="random")
     with path.open("w") as out:
         return subprocess.Popen(
             [sys.executable, str(Path(__file__).resolve())],
