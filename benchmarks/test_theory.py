@@ -1,49 +1,10 @@
 """Bench TH: Section III equations (1)-(3) and the n-core extension."""
 
-import numpy as np
-
-from repro.analysis.report import format_table, paper_vs_measured
-from repro.core.theory import NCoreModel, TwoCoreModel
-
-
-def verify_theory():
-    """Evaluate the inequality chain over a utilization grid and the
-    n-core balanced-minimum property over random vectors."""
-    m = TwoCoreModel(a=1.0, b=1.0)
-    chain_ok = 0
-    total = 0
-    rows = []
-    for u in (0.3, 0.5, 0.7):
-        for delta in (0.05, 0.1, 0.2):
-            if u + delta > 1.0 or delta >= u:
-                continue
-            e1, e2, e3 = m.inequality_chain(u, delta)
-            total += 1
-            chain_ok += e3 > e2 > e1
-            rows.append(
-                (f"U={u}, dU={delta}", f"{e1:.3f}", f"{e2:.3f}", f"{e3:.3f}")
-            )
-    rng = np.random.default_rng(0)
-    n_core_ok = 0
-    for _ in range(200):
-        n = int(rng.integers(2, 16))
-        model = NCoreModel(a=1.0, b=1.0, n=n)
-        u = rng.uniform(0.05, 1.0, n)
-        n_core_ok += model.dynamic_energy(u) >= model.balanced_energy() - 1e-9
-    return chain_ok, total, n_core_ok, rows
+from repro.experiments import section3_theory
 
 
 def test_theory(benchmark, emit):
-    chain_ok, total, n_core_ok, rows = benchmark(verify_theory)
-    comparison = paper_vs_measured(
-        [
-            ("two-core chain E3 > E2 > E1", "holds (eqs 1-3)",
-             f"{chain_ok}/{total} grid points"),
-            ("n-core balanced minimum", "future work (Section III)",
-             f"{n_core_ok}/200 random vectors"),
-        ]
-    )
-    table = format_table(["config", "E1", "E2", "E3"], rows)
-    emit("theory", comparison + "\n\n" + table)
-    assert chain_ok == total
-    assert n_core_ok == 200
+    result = benchmark(section3_theory.run)
+    emit("theory", result.render())
+    assert result.chain_ok == len(result.rows)
+    assert result.n_core_ok == section3_theory.N_CORE_VECTORS

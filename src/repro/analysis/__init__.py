@@ -15,12 +15,9 @@ _EXPORTS = {
     "MethodReading": "comparison",
     "compare_cpu_methods": "comparison",
     "compare_gpu_methods": "comparison",
-    "Series": "asciiplot",
-    "scatter_plot": "asciiplot",
     "additive_epsilon": "front_quality",
     "igd": "front_quality",
     "normalized_objectives": "front_quality",
-    "measured_gpu_sweep": "measured",
     "NonfunctionalityVerdict": "nonfunctionality",
     "nonfunctionality_test": "nonfunctionality",
     "StrongEPStudy": "ep_analysis",

@@ -50,14 +50,6 @@ _EXPORTS = {
     "EvaluatedConfig": "biobjective",
     "exhaustive_front": "biobjective",
     "greedy_front_search": "biobjective",
-    "min_time_under_energy_budget": "scalarization",
-    "min_energy_under_time_constraint": "scalarization",
-    "epsilon_constraint_front": "scalarization",
-    "weighted_sum_point": "scalarization",
-    "weighted_sum_front": "scalarization",
-    "ProcessorProfile": "workload_distribution",
-    "Distribution": "workload_distribution",
-    "pareto_workload_distributions": "workload_distribution",
 }
 
 __all__ = list(_EXPORTS)

@@ -138,15 +138,12 @@ EXPERIMENTS: dict[str, Experiment] = {
                    "DVFS vs application-level knobs (P100)", "extras",
                    function="run_gpu"),
         Experiment("energy-model", "gpu_energy_model"),
+        Experiment("theory", "section3_theory"),
     )
 }
 
-#: Every submodule: the table's, then ``matmul_strong_ep`` (DESIGN.md
-#: X9), which has no CLI id.
-_MODULES = (
-    *dict.fromkeys(e.module for e in EXPERIMENTS.values()),
-    "matmul_strong_ep",
-)
+#: Every submodule, in table order.
+_MODULES = tuple(dict.fromkeys(e.module for e in EXPERIMENTS.values()))
 
 __all__ = ["EXPERIMENTS", "Experiment", *_MODULES]
 

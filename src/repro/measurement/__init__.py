@@ -19,10 +19,6 @@ _EXPORTS = {
     "PowerMeter": "powermeter",
     "EnergyReading": "hclwattsup",
     "HCLWattsUp": "hclwattsup",
-    "DataPoint": "runner",
-    "ExperimentRunner": "runner",
-    "MeasurementSession": "session",
-    "SessionRecord": "session",
     "MeasurementResult": "stats",
     "NormalityCheck": "stats",
     "confidence_halfwidth": "stats",

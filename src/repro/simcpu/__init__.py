@@ -1,6 +1,6 @@
 """Multicore CPU simulator substrate: topology, utilization accounting
 with contention imbalance, component power (incl. dTLB walks), and
-/proc/stat emulation.
+RAPL counters.
 
 Exports resolve lazily (PEP 562): ``from repro.simcpu import
 HASWELL_CAL`` imports :mod:`repro.simcpu.calibration` and what it
@@ -25,10 +25,6 @@ _EXPORTS = {
     "DGEMMConfig": "processor",
     "MulticoreCPU": "processor",
     "PARTITIONS": "processor",
-    "ProcStatSnapshot": "procstat",
-    "parse_proc_stat": "procstat",
-    "render_proc_stat": "procstat",
-    "utilizations_between": "procstat",
     "RAPLCounters": "rapl",
     "RAPLReading": "rapl",
     "rapl_energy_j": "rapl",

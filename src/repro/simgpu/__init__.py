@@ -46,8 +46,6 @@ _EXPORTS = {
     "lane_efficiency": "warps",
     "smem_replay_factor": "warps",
     "warps_per_block": "warps",
-    "WaveAnalysis": "waves",
-    "analyze_waves": "waves",
 }
 
 __all__ = list(_EXPORTS)

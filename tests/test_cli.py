@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+from pathlib import Path
 
 import pytest
 
@@ -383,9 +384,10 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Nvidia K40c" in out
 
-    def test_experiment_theory_alias_absent(self):
-        with pytest.raises(SystemExit):
-            main(["experiment", "theory"])
+    def test_experiment_theory_prints_its_golden(self, capsys):
+        assert main(["experiment", "theory"]) == 0
+        golden = Path(__file__).parents[1] / "benchmarks/output/theory.txt"
+        assert capsys.readouterr().out.encode() == golden.read_bytes()
 
     def test_sweep_prints_front(self, capsys):
         assert main(["sweep", "--device", "k40c", "--n", "2048"]) == 0

@@ -13,7 +13,7 @@ import pytest
 
 from repro.measurement.hclwattsup import HCLWattsUp
 from repro.measurement.powermeter import PowerMeter, PowerPhase, PowerTrace
-from repro.measurement.runner import ExperimentRunner
+from repro.measurement.stats import run_until_confident
 
 IDLE = 110.0
 
@@ -76,15 +76,15 @@ class TestProtocolUnderFaults:
         rng = np.random.default_rng(4)
         true_dynamic = 90.0
 
-        def trial():
+        def dynamic_power():
             duration = float(rng.normal(60.0, 1.0))
             reading = tool.measure(trace(duration, true_dynamic))
-            return duration, reading.dynamic_energy_j
+            return reading.dynamic_energy_j / duration
 
-        dp = ExperimentRunner(precision=0.025).measure(trial)
-        assert dp.converged
-        # Energy per second should recover the true dynamic power.
-        assert dp.energy_j / dp.time_s == pytest.approx(true_dynamic, rel=0.05)
+        result = run_until_confident(dynamic_power, precision=0.025)
+        assert result.converged
+        # Energy per second recovers the true dynamic power.
+        assert result.mean == pytest.approx(true_dynamic, rel=0.05)
 
     def test_faulty_channel_needs_no_more_than_max_runs(self):
         meter = PowerMeter(
@@ -92,10 +92,13 @@ class TestProtocolUnderFaults:
         )
         tool = HCLWattsUp(meter, IDLE, baseline_seconds=60.0)
         rng = np.random.default_rng(6)
+        calls = 0
 
-        def trial():
+        def dynamic_energy():
+            nonlocal calls
+            calls += 1
             duration = float(rng.normal(20.0, 0.5))
-            return duration, tool.measure(trace(duration, 50.0)).dynamic_energy_j
+            return tool.measure(trace(duration, 50.0)).dynamic_energy_j
 
-        dp = ExperimentRunner(max_runs=100).measure(trial)
-        assert dp.n_runs <= 100
+        result = run_until_confident(dynamic_energy, max_runs=100)
+        assert calls == result.n_runs <= 100

@@ -14,11 +14,9 @@ import pytest
 
 from repro.analysis.ep_analysis import weak_ep_study
 from repro.core.pareto import ParetoPoint, pareto_front
-from repro.machines import HASWELL, P100
 from repro.measurement.hclwattsup import HCLWattsUp
 from repro.measurement.powermeter import PowerMeter, PowerPhase, PowerTrace
-from repro.measurement.runner import ExperimentRunner
-from repro.measurement.stats import pearson_normality_check
+from repro.measurement.stats import pearson_normality_check, run_until_confident
 from repro.simgpu.device import GPUDevice
 
 NODE_IDLE_W = 110.0
@@ -44,14 +42,29 @@ def gpu_trial_factory(device, n, bs, g, r, seed):
     return trial
 
 
+def measure_point(trial, **protocol):
+    """Repeat ``trial`` until its dynamic energy meets the protocol's
+    precision; returns the mean time of the same runs and the energy
+    result."""
+    times = []
+
+    def energy():
+        time_s, energy_j = trial()
+        times.append(time_s)
+        return energy_j
+
+    result = run_until_confident(energy, **protocol)
+    return float(np.mean(times)), result
+
+
 class TestMeasurementPipeline:
     def test_converges_to_model_truth(self, p100: GPUDevice):
         truth = p100.run_matmul(6144, 24, g=2, r=12)
         trial = gpu_trial_factory(p100, 6144, 24, 2, 12, seed=0)
-        dp = ExperimentRunner(precision=0.025).measure(trial)
-        assert dp.converged
-        assert dp.time_s == pytest.approx(truth.time_s, rel=0.03)
-        assert dp.energy_j == pytest.approx(truth.dynamic_energy_j, rel=0.04)
+        time_s, energy = measure_point(trial, precision=0.025)
+        assert energy.converged
+        assert time_s == pytest.approx(truth.time_s, rel=0.03)
+        assert energy.mean == pytest.approx(truth.dynamic_energy_j, rel=0.04)
 
     def test_protocol_observations_look_normal(self, p100: GPUDevice):
         # The paper validates its normality assumption with Pearson χ²;
@@ -76,9 +89,9 @@ class TestMeasurementPipeline:
                 ParetoPoint(run.time_s, run.dynamic_energy_j, (bs, g, r))
             )
             trial = gpu_trial_factory(p100, n, bs, g, r, seed=100 + i)
-            dp = ExperimentRunner(precision=0.02).measure(trial)
+            time_s, energy = measure_point(trial, precision=0.02)
             measured_points.append(
-                ParetoPoint(dp.time_s, dp.energy_j, (bs, g, r))
+                ParetoPoint(time_s, energy.mean, (bs, g, r))
             )
         truth_front = {p.config for p in pareto_front(truth_points)}
         measured_front = {p.config for p in pareto_front(measured_points)}
@@ -92,10 +105,8 @@ class TestMeasurementPipeline:
         measured = []
         for i, (bs, g, r) in enumerate([(32, 1, 24), (20, 2, 12), (12, 2, 12)]):
             trial = gpu_trial_factory(p100, n, bs, g, r, seed=200 + i)
-            dp = ExperimentRunner().measure(trial)
-            measured.append(
-                ParetoPoint(dp.time_s, dp.energy_j, {"bs": bs})
-            )
+            time_s, energy = measure_point(trial)
+            measured.append(ParetoPoint(time_s, energy.mean, {"bs": bs}))
         study = weak_ep_study("p100", n, measured)
         assert not study.weak_ep.holds  # violation survives the channel
 
@@ -108,18 +119,16 @@ class TestCPUPipeline:
         meter = PowerMeter(rng=np.random.default_rng(8))
         tool = HCLWattsUp(meter, NODE_IDLE_W)
 
-        def trial():
+        def dynamic_energy():
             r = haswell_cpu.run_dgemm(8192, DGEMMConfig("row", 2, 12), rng=rng)
             trace = PowerTrace(
                 phases=(
                     PowerPhase(r.time_s, NODE_IDLE_W + r.power.dynamic_w),
                 )
             )
-            return r.time_s, tool.measure(trace).dynamic_energy_j
+            return tool.measure(trace).dynamic_energy_j
 
         truth = haswell_cpu.run_dgemm(8192, DGEMMConfig("row", 2, 12))
-        dp = ExperimentRunner().measure(trial)
-        assert dp.converged
-        assert dp.energy_j == pytest.approx(
-            truth.dynamic_energy_j, rel=0.05
-        )
+        energy = run_until_confident(dynamic_energy)
+        assert energy.converged
+        assert energy.mean == pytest.approx(truth.dynamic_energy_j, rel=0.05)

@@ -1,16 +1,13 @@
-"""Tests for sweep serialization and the resumable measurement session."""
+"""Tests for sweep serialization."""
 
 from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.core.pareto import ParetoPoint, pareto_front
 from repro.io import FORMAT, SweepDocument, load_sweep, save_sweep
-from repro.measurement.runner import ExperimentRunner
-from repro.measurement.session import MeasurementSession
 
 
 def sample_doc():
@@ -66,92 +63,3 @@ class TestSweepIO:
 
     def test_format_constant_exported(self):
         assert sample_doc().to_dict()["format"] == FORMAT
-
-
-def noisy_trial_factory(seed_base=0):
-    counters = {"calls": 0}
-
-    def factory(config):
-        rng = np.random.default_rng(seed_base + config["bs"])
-
-        def trial():
-            counters["calls"] += 1
-            t = float(rng.normal(10.0 + config["bs"], 0.1))
-            return t, t * 10.0
-
-        return trial
-
-    return factory, counters
-
-
-class TestMeasurementSession:
-    def test_measures_and_persists(self, tmp_path):
-        path = tmp_path / "session.jsonl"
-        factory, counters = noisy_trial_factory()
-        session = MeasurementSession(path, ExperimentRunner(min_runs=5))
-        record = session.measure({"bs": 4}, factory)
-        assert record.converged
-        assert path.exists()
-        assert len(session) == 1
-
-    def test_resume_skips_measured(self, tmp_path):
-        path = tmp_path / "session.jsonl"
-        factory, counters = noisy_trial_factory()
-        runner = ExperimentRunner(min_runs=5)
-        MeasurementSession(path, runner).measure({"bs": 4}, factory)
-        calls_after_first = counters["calls"]
-
-        reopened = MeasurementSession(path, runner)
-        assert {"bs": 4} in reopened
-        reopened.measure({"bs": 4}, factory)
-        assert counters["calls"] == calls_after_first  # no re-measurement
-
-    def test_sweep_mixes_cached_and_fresh(self, tmp_path):
-        path = tmp_path / "session.jsonl"
-        factory, _ = noisy_trial_factory()
-        runner = ExperimentRunner(min_runs=5)
-        session = MeasurementSession(path, runner)
-        session.measure({"bs": 4}, factory)
-        records = session.sweep([{"bs": 4}, {"bs": 8}], factory)
-        assert len(records) == 2
-        assert len(session) == 2
-
-    def test_points_ready_for_analysis(self, tmp_path):
-        path = tmp_path / "session.jsonl"
-        factory, _ = noisy_trial_factory()
-        session = MeasurementSession(path, ExperimentRunner(min_runs=5))
-        session.sweep([{"bs": 4}, {"bs": 8}, {"bs": 16}], factory)
-        front = pareto_front(session.points())
-        assert len(front) >= 1
-
-    def test_key_order_insensitive(self, tmp_path):
-        path = tmp_path / "session.jsonl"
-        factory, counters = noisy_trial_factory()
-        session = MeasurementSession(path, ExperimentRunner(min_runs=5))
-        session.measure({"bs": 4, "g": 1}, factory)
-        calls = counters["calls"]
-        session.measure({"g": 1, "bs": 4}, factory)
-        assert counters["calls"] == calls
-
-    def test_corrupt_store_rejected(self, tmp_path):
-        path = tmp_path / "session.jsonl"
-        path.write_text('{"config": {"bs": 4}}\n')  # missing fields
-        with pytest.raises(ValueError, match="corrupt"):
-            MeasurementSession(path)
-
-    def test_nonconvergent_not_persisted(self, tmp_path):
-        path = tmp_path / "session.jsonl"
-        rng = np.random.default_rng(0)
-
-        def factory(config):
-            def trial():
-                return float(rng.lognormal(0, 2.0)), 1.0
-
-            return trial
-
-        session = MeasurementSession(
-            path, ExperimentRunner(precision=0.0001, max_runs=10)
-        )
-        with pytest.raises(RuntimeError, match="did not converge"):
-            session.measure({"bs": 4}, factory)
-        assert len(session) == 0

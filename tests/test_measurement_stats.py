@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -82,10 +85,30 @@ class TestRunUntilConfident:
         result = run_until_confident(lambda: 7.0, min_runs=4)
         assert result.observations == (7.0,) * 4
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "bad", [0.0, -1.0, float("nan"), float("inf"), float("-inf")]
+    )
     def test_invalid_measurement_rejected(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="invalid"):
             run_until_confident(lambda: bad)
+
+    def test_invalid_value_raises_before_any_averaging(self):
+        """A bad observation on run k aborts; no result is produced."""
+        series = iter([1.0, 1.0, math.nan])
+        with pytest.raises(ValueError):
+            run_until_confident(lambda: next(series), min_runs=5)
+
+    def test_measure_called_once_per_run(self):
+        rng = np.random.default_rng(12)
+        calls = 0
+
+        def measure():
+            nonlocal calls
+            calls += 1
+            return float(rng.normal(100.0, 8.0))
+
+        result = run_until_confident(measure)
+        assert calls == result.n_runs == len(result.observations)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -99,6 +122,66 @@ class TestRunUntilConfident:
     def test_parameter_validation(self, kwargs):
         with pytest.raises(ValueError):
             run_until_confident(lambda: 1.0, **kwargs)
+
+
+class TestMaxRunsBound:
+    """The ``max_runs`` bound is hard, including the degenerate
+    ``min_runs == max_runs`` parameterization."""
+
+    def test_nonconvergence_at_max_runs_sets_flag(self):
+        noisy = itertools.cycle([1.0, 5.0, 0.2])
+        result = run_until_confident(
+            lambda: next(noisy), min_runs=2, max_runs=7
+        )
+        assert not result.converged
+        assert result.n_runs == 7
+        assert result.relative_precision > 0.025
+
+    def test_min_equals_max_never_loops_past_bound(self):
+        calls = 0
+        noisy = itertools.cycle([1.0, 9.0])
+
+        def measure():
+            nonlocal calls
+            calls += 1
+            return next(noisy)
+
+        result = run_until_confident(measure, min_runs=6, max_runs=6)
+        assert calls == 6
+        assert result.n_runs == 6
+        assert not result.converged
+
+    def test_min_equals_max_still_detects_convergence(self):
+        calls = 0
+
+        def measure():
+            nonlocal calls
+            calls += 1
+            return 3.0
+
+        result = run_until_confident(measure, min_runs=4, max_runs=4)
+        assert calls == 4
+        assert result.converged
+        assert result.n_runs == 4
+        assert result.mean == 3.0
+
+    @pytest.mark.parametrize(
+        "min_runs,max_runs", [(2, 2), (2, 5), (5, 5), (3, 10)]
+    )
+    def test_trial_count_never_exceeds_max_runs(self, min_runs, max_runs):
+        calls = 0
+        noisy = itertools.cycle([5.0, 500.0])
+
+        def measure():
+            nonlocal calls
+            calls += 1
+            return next(noisy)
+
+        result = run_until_confident(
+            measure, min_runs=min_runs, max_runs=max_runs
+        )
+        assert calls == result.n_runs <= max_runs
+        assert not result.converged
 
 
 class TestPearsonNormality:

@@ -2,21 +2,11 @@
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.pareto import ParetoPoint, pareto_front
 from repro.io import SweepDocument, load_sweep, save_sweep
-from repro.machines import HASWELL
-from repro.simcpu.procstat import (
-    parse_proc_stat,
-    render_proc_stat,
-    utilizations_between,
-)
-from repro.simcpu.topology import place_threads
-from repro.simcpu.utilization import utilization_vector
 
 point_strategy = st.tuples(
     st.floats(min_value=0.001, max_value=1e5),
@@ -60,56 +50,7 @@ class TestSweepDocumentRoundTrip:
         ]
 
 
-class TestProcStatRoundTrip:
-    @given(
-        st.integers(min_value=1, max_value=48),
-        st.lists(
-            st.floats(min_value=0.0, max_value=0.4),
-            min_size=48,
-            max_size=48,
-        ),
-        st.floats(min_value=100.0, max_value=5000.0),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_arbitrary_utilizations_recovered(self, n_threads, jit, duration):
-        placement = place_threads(HASWELL, n_threads)
-        jitter = np.array(jit[:n_threads])
-        util = utilization_vector(HASWELL, placement, jitter, os_noise=0.0)
-        zero = parse_proc_stat(
-            "cpu  0 0 0 0 0 0 0 0 0 0\n"
-            + "".join(f"cpu{i} 0 0 0 0 0 0 0 0 0 0\n" for i in range(48))
-        )
-        after = parse_proc_stat(render_proc_stat(HASWELL, util, duration))
-        recovered = utilizations_between(zero, after)[1:]
-        # Jiffy quantization bounds the error by ~1/(duration·HZ).
-        tol = max(0.02, 2.0 / duration)
-        for got, expected in zip(recovered, util.per_cpu):
-            assert got == pytest.approx(expected, abs=tol)
-
-
-class TestCanvasNeverCrashes:
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(min_value=-1e6, max_value=1e6),
-                st.floats(min_value=-1e6, max_value=1e6),
-            ),
-            min_size=1,
-            max_size=100,
-        )
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_scatter_plot_total(self, raw):
-        from repro.analysis.asciiplot import Series, scatter_plot
-
-        out = scatter_plot(
-            [Series("s", [x for x, _ in raw], [y for _, y in raw])]
-        )
-        # Canvas integrity: fixed row count, all plot rows same width.
-        rows = [l for l in out.splitlines() if l.startswith("|")]
-        assert len(rows) == 20
-        assert len({len(r) for r in rows}) <= 2  # trailing spaces kept
-
+class TestFormatTable:
     @given(
         st.lists(
             st.lists(

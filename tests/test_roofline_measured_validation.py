@@ -1,18 +1,13 @@
-"""Tests for roofline diagnostics, measured sweeps, and model validation."""
+"""Tests for roofline diagnostics and energy-model validation."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.analysis.measured import measured_gpu_sweep
-from repro.apps.matmul_gpu import MatmulGPUApp
-from repro.core.pareto import pareto_front
 from repro.energymodel.events import ApplicationProfile
 from repro.energymodel.validation import kfold_validation, loocv
 from repro.machines import K40C, P100
-from repro.measurement.runner import ExperimentRunner
-from repro.measurement.session import MeasurementSession
 from repro.simgpu.roofline import classify_matmul
 
 
@@ -46,60 +41,6 @@ class TestRoofline:
         assert p.classically_compute_bound == (
             p.arithmetic_intensity >= p.ridge_intensity
         )
-
-
-class TestMeasuredSweep:
-    def test_agrees_with_model_truth(self, tmp_path):
-        app = MatmulGPUApp(P100, bs_range=(20, 32))
-        session = MeasurementSession(
-            tmp_path / "s.jsonl", ExperimentRunner(precision=0.02)
-        )
-        n = 6144
-        measured = measured_gpu_sweep(app, n, session, seed=1, min_bs=20)
-        truth = app.sweep_points(n, min_bs=20)
-        assert len(measured) == len(truth)
-        truth_by_key = {
-            (p.config["bs"], p.config["g"], p.config["r"]): p for p in truth
-        }
-        for m in measured:
-            t = truth_by_key[(m.config["bs"], m.config["g"], m.config["r"])]
-            assert m.time_s == pytest.approx(t.time_s, rel=0.03)
-            assert m.energy_j == pytest.approx(t.energy_j, rel=0.05)
-
-    def test_front_structure_survives_measurement(self, tmp_path):
-        app = MatmulGPUApp(P100, bs_range=(20, 32))
-        session = MeasurementSession(
-            tmp_path / "s.jsonl", ExperimentRunner(precision=0.02)
-        )
-        measured = measured_gpu_sweep(app, 6144, session, seed=2, min_bs=20)
-        truth_front = {
-            (p.config["bs"], p.config["g"])
-            for p in pareto_front(app.sweep_points(6144, min_bs=20))
-        }
-        measured_front = {
-            (p.config["bs"], p.config["g"])
-            for p in pareto_front(measured)
-        }
-        assert len(truth_front.symmetric_difference(measured_front)) <= 2
-
-    def test_resume_skips_work(self, tmp_path):
-        app = MatmulGPUApp(K40C, bs_range=(30, 32))
-        path = tmp_path / "s.jsonl"
-        runner = ExperimentRunner(precision=0.03)
-        first = measured_gpu_sweep(
-            app, 4096, MeasurementSession(path, runner), seed=3, min_bs=30
-        )
-        session2 = MeasurementSession(path, runner)
-        before = len(session2)
-        second = measured_gpu_sweep(app, 4096, session2, seed=3, min_bs=30)
-        assert len(session2) == before  # nothing re-measured
-        assert len(second) == len(first)
-
-    def test_validation(self, tmp_path):
-        app = MatmulGPUApp(P100)
-        session = MeasurementSession(tmp_path / "s.jsonl")
-        with pytest.raises(ValueError):
-            measured_gpu_sweep(app, 4096, session, node_idle_w=-1.0)
 
 
 def _profiles(rng, n, noise=0.02):
