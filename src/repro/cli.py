@@ -33,10 +33,10 @@ custom workload, without writing code:
   and ``perf check BASELINE CURRENT`` (Mann-Whitney regression
   sentinel over the per-repeat samples of two bench documents,
   nonzero exit on confirmed regressions);
-* ``report`` — run everything and write a single markdown report; its
-  sweep figures run through one in-memory planner session filled by
-  the scalar model of record (:func:`repro.analysis.summary.
-  generate_report`).
+* ``report`` — run everything and print a single markdown report, or
+  write it to ``--output PATH``; its sweep figures run through one
+  in-memory planner session filled by the scalar model of record
+  (:func:`repro.analysis.summary.generate_report`).
 
 The sweep-driven commands (``experiment``, ``sweep``, ``all``) all
 evaluate through one :class:`repro.sweep.planner.EvalPlanner`, backed
@@ -371,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
         "report", help="regenerate every artifact into one markdown report"
     )
     report.add_argument(
-        "--output", default="REPORT.md", help="output path (default REPORT.md)"
+        "--output", metavar="PATH",
+        help="write the report to PATH instead of standard output",
     )
     report.add_argument(
         "--extras", action="store_true",
@@ -876,12 +877,16 @@ def _dispatch(args: argparse.Namespace) -> int:
 
         return run_from_args(args)
     elif args.command == "report":
-        _check_output("report", args.output)
+        if args.output is not None:
+            _check_output("report", args.output)
         from pathlib import Path
 
         from repro.analysis.summary import generate_report
 
         text = generate_report(include_extras=args.extras)
+        if args.output is None:
+            sys.stdout.write(text)
+            return 0
         try:
             Path(args.output).write_text(text)
         except OSError as exc:

@@ -19,8 +19,7 @@ callables:
   the observations against a fitted normal distribution.
 
 SciPy supplies the t, normal and χ² quantiles.  It is imported inside
-the functions that need them, so importing this module (which the GPU
-and power-meter simulators do) stays cheap.
+the functions that need them, so importing this module stays cheap.
 """
 
 from __future__ import annotations

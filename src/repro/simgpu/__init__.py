@@ -42,7 +42,6 @@ _EXPORTS = {
     "classify_matmul": "roofline",
     "PowerBreakdown": "power",
     "aux_decay": "power",
-    "kernel_power": "power",
     "lane_efficiency": "warps",
     "smem_replay_factor": "warps",
     "warps_per_block": "warps",

@@ -12,9 +12,9 @@ This module evaluates an *array* of configurations in one pass:
 * every per-configuration quantity of :mod:`repro.simgpu.kernel`,
   :mod:`repro.simgpu.memhier`, :mod:`repro.simgpu.warps` and
   :mod:`repro.simgpu.occupancy` becomes a vector over the config axis;
-* the clock-dependent timing/power evaluation
-  (:mod:`repro.simgpu.device` / :mod:`repro.simgpu.power`) is a
-  vectorized function of a clock array;
+* the clock-free terms and the clock probe are the scalar model's own
+  :func:`repro.simgpu.power.clock_free_terms` and
+  :func:`repro.simgpu.power.probe`, called on arrays;
 * the DVFS power-cap bisection (:mod:`repro.simgpu.dvfs`) runs as a
   *masked lockstep* bisection: every lane follows exactly the scalar
   solver's schedule — same initial bracket, same midpoint updates,
@@ -22,15 +22,21 @@ This module evaluates an *array* of configurations in one pass:
 * the calibration may vary per lane, so one call serves several
   calibrations of a device (see below).
 
-**Parity contract.**  Every arithmetic expression mirrors the scalar
-path's operation order, so intermediate values agree to the last few
-ulps (NumPy's SIMD ``pow``/``exp`` kernels may differ from libm by
-~1 ulp).  All branch decisions (power-cap comparisons, bisection
-early exit) compare against tolerances ≥ 0.25 W, twelve orders of
-magnitude above that noise, so the vectorized solver takes the same
-branch sequence as the scalar solver and the final ``(time, energy)``
-agree to ≤ 1e-9 relative error (``tests/test_batch_backend.py``
-enforces this over the full K40c and P100 configuration spaces).
+**Parity contract.**  The clock-free terms and the probe are the
+scalar model's own, with ``np.ceil``, ``np.minimum`` and ``np.maximum``
+for its ``math.ceil``, ``min`` and scalar maximum.  What still differs
+is the resource and occupancy model, which :func:`_lane_constants`
+copies expression by expression (same operation order, so products of
+exactly representable integers are bit-identical); NumPy's SIMD
+``pow``/``exp`` kernels, which may differ from libm by ~1 ulp on an
+array operand; and the DVFS schedules, the scalar bisection against
+the masked lockstep of :func:`_evaluate_lanes`.  All branch decisions
+(power-cap comparisons, bisection early exit) compare against
+tolerances ≥ 0.25 W, twelve orders of magnitude above that noise, so
+the vectorized solver takes the same branch sequence as the scalar
+solver and the final ``(time, energy)`` agree to ≤ 1e-9 relative
+error (``tests/test_batch_backend.py`` enforces this over the full
+K40c and P100 configuration spaces, and the probe's outputs to 1e-14).
 Quantities that must be *exact* — warp-row counts, the auxiliary
 decay — are computed per unique input value with the scalar functions
 and broadcast, not re-derived in floating point.
@@ -69,7 +75,7 @@ from repro.machines.specs import GPUSpec
 from repro.simgpu.calibration import GPUCalibration, calibration_for
 from repro.simgpu.dvfs import MIN_CLOCK_FRACTION
 from repro.simgpu.kernel import avg_rows_per_warp, max_group_size
-from repro.simgpu.power import aux_decay
+from repro.simgpu.power import aux_decay, clock_free_terms, probe
 
 __all__ = ["BatchRunResult", "batch_run_matmul", "evaluate_configs_batch"]
 
@@ -105,27 +111,35 @@ _COLUMN_FIELDS = (
 )
 #: ``pow`` exponents: one value per call (module docstring).
 _EXPONENT_FIELDS = ("volt_exp", "occ_exp")
+#: The spec and calibration constants a lane carries for the probe and
+#: the DVFS schedule.
+_SPEC_FIELDS = ("mem_bandwidth_bps", "sm_count", "base_clock_hz")
+_CAL_FIELDS = (
+    "mem_latency_cycles", "launch_overhead_s", "e_lane_j",
+    "e_dram_j_per_byte", "leak_quad", "power_cap_w", "thermal_tau_s",
+    "volt_exp",
+)
 
 
 class _LaneConstants:
     """Clock-independent per-configuration arrays.
 
-    Everything the clock-dependent timing/power evaluation needs, with
-    exact-integer quantities (tile counts, warp counts, residency)
-    pre-multiplied in the scalar path's association order so the
-    float64 products are bit-equal to the scalar path's.  The
-    calibration constants of that evaluation ride along: each is a
-    per-lane column, or a Python float when every lane shares it
-    (always so for ``volt_exp``).
+    A plain container of the fields :func:`repro.simgpu.power.probe`
+    reads, as ``device._KernelTerms`` holds them for one
+    configuration, plus ``r``, ``power_cap_w`` and ``thermal_tau_s``
+    for the DVFS schedule.  Exact-integer quantities (tile counts,
+    warp counts, residency) are pre-multiplied in the scalar path's
+    association order so the float64 products are bit-equal to the
+    scalar path's.  Each calibration constant is a per-lane column, or
+    a Python float when every lane shares it (always so for
+    ``volt_exp``).
     """
 
     __slots__ = (
-        "g", "r", "compute_cycles", "tile_fetch", "t_dram", "bsk",
-        "blocks", "lanes_issued", "total_dram", "act_base", "kaux",
-        "mem_latency_cycles", "launch_overhead_s", "e_lane_j",
-        "e_dram_j_per_byte", "leak_quad", "power_cap_w", "thermal_tau_s",
-        "volt_exp",
-    )
+        "g", "r", "compute_cycles", "tile_fetch_bytes", "t_dram",
+        "sm_steps", "blocks_per_sm", "lanes_issued", "dram_bytes",
+        "activity_base_w", "aux_windows_w",
+    ) + _SPEC_FIELDS + _CAL_FIELDS
 
     def __init__(self, **kw: np.ndarray | float) -> None:
         for name in self.__slots__:
@@ -255,9 +269,11 @@ def _lane_constants(
     Mirrors ``matmul_kernel_resources``, ``matmul_traffic`` and
     ``compute_occupancy`` expression by expression (same operation
     order, so products of exactly-representable integers are
-    bit-identical to the scalar path).  ``cal`` is a calibration or a
-    :func:`_calibration_columns` view; each constant enters the same
-    expression whether it is a Python float or a per-lane column.
+    bit-identical to the scalar path), then computes the lanes'
+    :func:`~repro.simgpu.power.clock_free_terms`.  ``cal`` is a
+    calibration or a :func:`_calibration_columns` view; each constant
+    enters the same expression whether it is a Python float or a
+    per-lane column.
     """
     ws = spec.warp_size
     n_f = n.astype(np.float64)
@@ -310,77 +326,30 @@ def _lane_constants(
     warp_occ = active_warps / max_warps
 
     # -- clock-independent timing/power terms --
-    bw_sat = np.minimum(1.0, active_warps / cal.warps_to_saturate_bw)
-    t_dram = (total_dram / g_f) / (spec.mem_bandwidth_bps * bw_sat)
-    bsk = np.ceil((tiles * tiles) / spec.sm_count) * tiles
-    act_base = cal.p_act0_w + cal.p_act1_w * warp_occ**cal.occ_exp
     if n[0] == n[-1] and (n == n[0]).all():  # the common one-N sweep
         decay = aux_decay(spec, int(n[0]))
-        kaux = cal.aux_power_w * decay * (g_f - 1.0)
     else:
         decay = _per_unique(n, lambda v: aux_decay(spec, v))
-        kaux = cal.aux_power_w * decay * (g_f - 1.0)
+    sm_steps, t_dram, activity_base_w, aux_windows_w = clock_free_terms(
+        spec, cal, tiles * tiles, tiles, total_dram, g_f, active_warps,
+        warp_occ, decay, np.ceil, np.minimum,
+    )
 
     return _LaneConstants(
         g=g_f,
         r=r.astype(np.float64),
         compute_cycles=compute_cycles * icache,
-        tile_fetch=tile_fetch,
+        tile_fetch_bytes=tile_fetch,
         t_dram=t_dram,
-        bsk=bsk,
-        blocks=blocks.astype(np.float64),
+        sm_steps=sm_steps,
+        blocks_per_sm=blocks.astype(np.float64),
         lanes_issued=lanes_issued,
-        total_dram=total_dram,
-        act_base=act_base,
-        kaux=kaux,
-        mem_latency_cycles=cal.mem_latency_cycles,
-        launch_overhead_s=cal.launch_overhead_s,
-        e_lane_j=cal.e_lane_j,
-        e_dram_j_per_byte=cal.e_dram_j_per_byte,
-        leak_quad=cal.leak_quad,
-        power_cap_w=cal.power_cap_w,
-        thermal_tau_s=cal.thermal_tau_s,
-        volt_exp=cal.volt_exp,
+        dram_bytes=total_dram,
+        activity_base_w=activity_base_w,
+        aux_windows_w=aux_windows_w,
+        **{name: getattr(spec, name) for name in _SPEC_FIELDS},
+        **{name: getattr(cal, name) for name in _CAL_FIELDS},
     )
-
-
-def _dynamic_power(
-    spec: GPUSpec, k: _LaneConstants, clock_hz: np.ndarray | float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(dynamic_w, product_time_s, launch_time_s)`` at a clock array.
-
-    The vectorized transcription of one clock probe of
-    ``GPUDevice.run_matmul`` (pipeline timing → launch time →
-    ``power_components``), preserving the scalar path's operation
-    order.
-    """
-    # ``clock_hz`` may be a Python float (one clock for every lane —
-    # the boost/base/floor probes) or a per-lane array (bisection
-    # midpoints, blended operating clocks); scalar clocks keep the
-    # clock-only subexpressions out of the array pipeline entirely.
-    bw_per_sm = spec.mem_bandwidth_bps / (clock_hz * spec.sm_count)
-    mem_cycles = k.mem_latency_cycles + k.tile_fetch / bw_per_sm
-    per_block = np.maximum(
-        k.compute_cycles, (k.compute_cycles + mem_cycles) / k.blocks
-    )
-    t_pipe = k.bsk * per_block / clock_hz
-    t_product = np.maximum(t_pipe, k.t_dram)
-    # The scalar path's launch-time g·t and power-rate g·t are the same
-    # product bit for bit, so one multiply serves both.
-    g_t = k.g * t_product
-    t_launch = k.launch_overhead_s + g_t
-
-    x = clock_hz / spec.base_clock_hz
-    scale = x ** (k.volt_exp - 1.0)
-    act_scale = x**k.volt_exp
-    compute = k.e_lane_j * scale * (k.lanes_issued / g_t)
-    dram = k.e_dram_j_per_byte * (k.total_dram / g_t)
-    activity = k.act_base * act_scale
-    aux = k.kaux * t_product / t_launch
-    electrical = compute + dram + activity + aux
-    leakage = k.leak_quad * electrical * electrical / 100.0
-    dynamic = compute + dram + activity + aux + leakage
-    return dynamic, t_product, t_launch
 
 
 def _evaluate_lanes(
@@ -407,11 +376,11 @@ def _evaluate_lanes(
     m = len(k.g)
     if not spec.has_autoboost:
         base = spec.base_clock_hz
-        dyn, _, tl = _dynamic_power(spec, k, base)
+        dyn, _, tl, _, _ = probe(k, base, np.maximum)
         return dyn, tl, np.full(m, base), np.zeros(m, dtype=bool)
 
     boost = spec.boost_clock_hz
-    dyn, _, tl = _dynamic_power(spec, k, boost)
+    dyn, _, tl, _, _ = probe(k, boost, np.maximum)
     p_boost = spec.idle_power_w + dyn
     clock = np.full(m, boost)
     throttled = np.zeros(m, dtype=bool)
@@ -421,8 +390,7 @@ def _evaluate_lanes(
         idx = np.flatnonzero(over)
         sub = _gather(k, idx)
         lo0 = MIN_CLOCK_FRACTION * spec.base_clock_hz
-        dyn_lo, _, _ = _dynamic_power(spec, sub, lo0)
-        p_lo = spec.idle_power_w + dyn_lo
+        p_lo = spec.idle_power_w + probe(sub, lo0, np.maximum)[0]
 
         cap_clock = np.full(len(idx), lo0)  # floor lanes keep lo0
         bisect = p_lo < sub.power_cap_w
@@ -436,7 +404,7 @@ def _evaluate_lanes(
             done = np.zeros(m_b, dtype=bool)
             for _ in range(max_iter):
                 mid = 0.5 * (lo + hi)
-                dyn_mid, _, _ = _dynamic_power(spec, kb, mid)
+                dyn_mid = probe(kb, mid, np.maximum)[0]
                 gap = (spec.idle_power_w + dyn_mid) - kb.power_cap_w
                 hit = ~done & (np.abs(gap) <= tol_w)
                 np.copyto(out, mid, where=hit)
@@ -458,7 +426,7 @@ def _evaluate_lanes(
         sub_clock = boost * (1.0 - soak) + cap_clock * soak
         clock[idx] = sub_clock
         throttled[idx] = soak > 0.5
-        dyn_sub, _, tl_sub = _dynamic_power(spec, sub, sub_clock)
+        dyn_sub, _, tl_sub, _, _ = probe(sub, sub_clock, np.maximum)
         dyn[idx] = dyn_sub
         tl[idx] = tl_sub
     return dyn, tl, clock, throttled

@@ -40,8 +40,10 @@ from repro.simgpu.kernel import KernelResources, matmul_kernel_resources
 from repro.simgpu.occupancy import Occupancy, compute_occupancy
 from repro.simgpu.power import (
     PowerBreakdown,
-    kernel_power_terms,
-    power_components,
+    aux_decay,
+    clock_free_terms,
+    probe,
+    scalar_max,
 )
 
 __all__ = ["KernelRunResult", "GPUDevice"]
@@ -73,19 +75,20 @@ class KernelRunResult(NamedTuple):
 class _KernelTerms:
     """The clock-independent terms of one ``run_matmul`` call.
 
-    Everything :meth:`at` needs that does not depend on the core clock —
-    the DRAM roofline time, the pipeline's cycle counts and the two
-    clock-free power terms — is computed once here, so a DVFS probe
-    only does the clock-dependent arithmetic.  :meth:`at` evaluates
-    each distinct clock once and returns the same tuple on a repeat;
-    the memo lives as long as the call, never across calls.
+    A plain container of the fields :func:`repro.simgpu.power.probe`
+    reads, each read or computed once here, so a DVFS probe does only
+    the clock-dependent arithmetic.  :meth:`at` evaluates each
+    distinct clock once and returns the same tuple on a repeat; the
+    memo lives as long as the call, never across calls.
     """
 
     __slots__ = (
-        "spec", "cal", "mem_bandwidth_bps", "sm_count", "mem_latency_cycles",
-        "launch_overhead_s", "idle_power_w", "blocks_per_sm", "compute_cycles",
-        "tile_fetch_bytes", "sm_steps", "t_dram", "g", "lanes", "dram_bytes",
-        "activity_base_w", "aux_windows_w", "evaluated",
+        "mem_bandwidth_bps", "sm_count", "base_clock_hz", "idle_power_w",
+        "mem_latency_cycles", "launch_overhead_s", "e_lane_j",
+        "e_dram_j_per_byte", "leak_quad", "volt_exp", "blocks_per_sm",
+        "compute_cycles", "tile_fetch_bytes", "g", "lanes_issued",
+        "dram_bytes", "sm_steps", "t_dram", "activity_base_w",
+        "aux_windows_w", "evaluated",
     )
 
     def __init__(
@@ -95,75 +98,44 @@ class _KernelTerms:
         res: KernelResources,
         occ: Occupancy,
     ) -> None:
-        self.spec, self.cal = spec, cal
         # The constants a probe reads, looked up once per call.
         self.mem_bandwidth_bps = spec.mem_bandwidth_bps
         self.sm_count = spec.sm_count
+        self.base_clock_hz = spec.base_clock_hz
+        self.idle_power_w = spec.idle_power_w
         self.mem_latency_cycles = cal.mem_latency_cycles
         self.launch_overhead_s = cal.launch_overhead_s
-        self.idle_power_w = spec.idle_power_w
+        self.e_lane_j = cal.e_lane_j
+        self.e_dram_j_per_byte = cal.e_dram_j_per_byte
+        self.leak_quad = cal.leak_quad
+        self.volt_exp = cal.volt_exp
         self.blocks_per_sm = occ.blocks_per_sm
         self.compute_cycles = res.compute_cycles_per_kstep
         self.tile_fetch_bytes = res.tile_fetch_bytes
-        # Tile steps one SM runs per product: its share of the grid's
-        # blocks, each walking every k-step.
-        self.sm_steps = (
-            math.ceil(res.grid_blocks / spec.sm_count) * res.ksteps_per_product
-        )
-        bw_sat = min(1.0, occ.active_warps_per_sm / cal.warps_to_saturate_bw)
-        self.t_dram = (res.total_dram_bytes / res.g) / (
-            spec.mem_bandwidth_bps * bw_sat
-        )
         self.g = res.g
-        self.lanes = res.lanes_issued
+        self.lanes_issued = res.lanes_issued
         self.dram_bytes = res.total_dram_bytes
-        self.activity_base_w, self.aux_windows_w = kernel_power_terms(
-            spec, cal, occupancy=occ.warp_occupancy, n=res.n, g=res.g
+        (self.sm_steps, self.t_dram, self.activity_base_w,
+         self.aux_windows_w) = clock_free_terms(
+            spec, cal, res.grid_blocks, res.ksteps_per_product,
+            res.total_dram_bytes, res.g, occ.active_warps_per_sm,
+            occ.warp_occupancy, aux_decay(spec, res.n), math.ceil, min,
         )
         self.evaluated: dict[float, tuple] = {}
 
     def at(self, clock_hz: float) -> tuple:
         """``(board_w, dynamic_w, product_s, launch_s, components)``.
 
-        ``components`` is the :func:`power_components` tuple at
-        ``clock_hz``; ``board_w`` adds the idle power the DVFS solver
-        compares against the cap.
+        The :func:`~repro.simgpu.power.probe` at ``clock_hz``;
+        ``board_w`` adds the idle power the DVFS solver compares
+        against the cap.
         """
         ev = self.evaluated.get(clock_hz)
         if ev is not None:
             return ev
-        bw_per_sm_bytes_per_cycle = self.mem_bandwidth_bps / (
-            clock_hz * self.sm_count
+        dynamic_w, t_product, t_launch, components, _ = probe(
+            self, clock_hz, scalar_max
         )
-        mem_cycles = (
-            self.mem_latency_cycles
-            + self.tile_fetch_bytes / bw_per_sm_bytes_per_cycle
-        )
-        # Each comparison returns the operand ``max`` would: the first,
-        # unless the second is strictly greater.
-        compute = self.compute_cycles
-        latency_bound = (compute + mem_cycles) / self.blocks_per_sm
-        per_block = latency_bound if latency_bound > compute else compute
-        t_pipe = self.sm_steps * per_block / clock_hz
-        t_dram = self.t_dram
-        t_product = t_dram if t_dram > t_pipe else t_pipe
-        # The launch time's G·t and the launch-average rates' G·t are
-        # the same product.
-        g_t = self.g * t_product
-        t_launch = self.launch_overhead_s + g_t
-        components = power_components(
-            self.spec,
-            self.cal,
-            clock_hz,
-            self.lanes / g_t,
-            self.dram_bytes / g_t,
-            self.activity_base_w,
-            self.aux_windows_w,
-            t_product,
-            t_launch,
-        )
-        compute_w, dram_w, activity_w, aux_w, leakage_w = components
-        dynamic_w = compute_w + dram_w + activity_w + aux_w + leakage_w
         ev = self.evaluated[clock_hz] = (
             self.idle_power_w + dynamic_w,
             dynamic_w,

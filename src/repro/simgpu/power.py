@@ -16,6 +16,13 @@ Dynamic board power during a kernel is the sum of:
 
 Core-clocked components scale as ``(f/f_base)^volt_exp`` along the DVFS
 curve (V²f scaling); DRAM power does not scale with core clock.
+
+The model is written once, here, over Python numbers or NumPy arrays
+alike: :func:`clock_free_terms` computes what the clock does not move,
+and :func:`probe` evaluates one clock.  The scalar model
+(:meth:`repro.simgpu.device.GPUDevice.run_matmul`), the batch model
+(:func:`repro.simgpu.batch.batch_run_matmul`) and the roofline verdict
+(:func:`repro.simgpu.roofline.classify_matmul`) all call them.
 """
 
 from __future__ import annotations
@@ -23,14 +30,13 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from repro.machines.specs import GPUSpec
-from repro.simgpu.calibration import GPUCalibration
 
 __all__ = [
     "PowerBreakdown",
     "aux_decay",
-    "kernel_power",
-    "kernel_power_terms",
-    "power_components",
+    "clock_free_terms",
+    "probe",
+    "scalar_max",
 ]
 
 
@@ -74,19 +80,32 @@ def aux_decay(spec: GPUSpec, n: int) -> float:
     return max(0.0, 1.0 - ratio**4)
 
 
-def kernel_power_terms(
-    spec: GPUSpec, cal: GPUCalibration, *, occupancy: float, n: int, g: int
-) -> tuple[float, float]:
-    """The clock-independent power terms of one launch.
+def scalar_max(a, b):
+    """:func:`probe`'s ``maximum`` on floats: the operand ``max(a, b)``
+    returns, at a fraction of the builtin's cost (docs/MODEL.md §1.9)."""
+    return b if b > a else a
 
-    Returns ``(activity_base_w, aux_windows_w)``: the activity floor
-    before clock scaling, ``a0 + a1·ω^k``, and the auxiliary draw summed
-    over the (G-1) inter-group windows, ``58 W · decay(N) · (G-1)``.
-    Both are the same at every clock, so a DVFS solve computes them
-    once and hands them to :func:`power_components` at each probe.
+
+def clock_free_terms(
+    spec: GPUSpec, cal, grid_blocks, ksteps, dram_bytes, g, active_warps,
+    occupancy, decay, ceil, minimum,
+) -> tuple:
+    """``(sm_steps, t_dram, activity_base_w, aux_windows_w)`` of a launch.
+
+    What :func:`probe` needs that the clock does not move, computed once
+    per DVFS solve: the tile steps one SM runs per product, the
+    whole-launch DRAM roofline time, the activity floor before clock
+    scaling, ``a0 + a1·ω^k``, and the auxiliary draw over the (G-1)
+    inter-group windows, ``58 W · decay(N) · (G-1)``.  The operands are
+    Python numbers with ``math.ceil`` and ``min``, or per-lane arrays
+    with ``np.ceil`` and ``np.minimum``; ``decay`` is :func:`aux_decay`.
     """
-    if not (0.0 < occupancy <= 1.0):
-        raise ValueError("occupancy must be in (0, 1]")
+    # Tile steps one SM runs per product: its share of the grid's
+    # blocks, each walking every k-step.
+    sm_steps = ceil(grid_blocks / spec.sm_count) * ksteps
+    # DRAM bandwidth saturates with resident warps.
+    bw_sat = minimum(1.0, active_warps / cal.warps_to_saturate_bw)
+    t_dram = (dram_bytes / g) / (spec.mem_bandwidth_bps * bw_sat)
     # Activity power is superlinear in occupancy on parts with
     # fine-grained clock gating (occ_exp > 1: near-zero draw at low
     # residency, steep near full residency); Kepler-class coarse gating
@@ -94,78 +113,57 @@ def kernel_power_terms(
     activity_base_w = cal.p_act0_w + cal.p_act1_w * occupancy**cal.occ_exp
     # The auxiliary component draws aux_power_w during the (G-1)
     # inter-group windows, each lasting one product time.
-    aux_windows_w = cal.aux_power_w * aux_decay(spec, n) * (g - 1)
-    return activity_base_w, aux_windows_w
+    aux_windows_w = cal.aux_power_w * decay * (g - 1)
+    return sm_steps, t_dram, activity_base_w, aux_windows_w
 
 
-def power_components(
-    spec: GPUSpec,
-    cal: GPUCalibration,
-    clock_hz: float,
-    lane_rate_per_s: float,
-    dram_bytes_per_s: float,
-    activity_base_w: float,
-    aux_windows_w: float,
-    product_time_s: float,
-    active_time_s: float,
-) -> tuple[float, float, float, float, float]:
-    """``(compute, dram, activity, aux, leakage)`` watts at one clock.
+def probe(terms, clock_hz, maximum) -> tuple:
+    """One clock of one launch, or of every lane of a batch.
 
-    The one copy of the component formula: :func:`kernel_power` and
-    every clock probe of :meth:`repro.simgpu.device.GPUDevice.run_matmul`
-    evaluate power through it.  The two clock-independent terms come
-    from :func:`kernel_power_terms`.
+    Returns ``(dynamic_w, t_product_s, t_launch_s, components,
+    pipeline)``: ``components`` is ``(compute, dram, activity, aux,
+    leakage)`` watts, ``dynamic_w`` their left-to-right sum, and
+    ``pipeline`` is ``(mem_cycles, per_block_cycles, t_pipe_s)`` of one
+    tile step and one product, which name the binding resource.
+    ``terms`` holds, as attributes of the names read below, the
+    configuration's counts, its :func:`clock_free_terms` and the spec
+    and calibration constants.  They and ``clock_hz`` are Python
+    numbers, with ``maximum`` being :func:`scalar_max`, or arrays over
+    lanes with ``np.maximum``; a clock every lane shares stays a Python
+    float.
     """
-    if active_time_s <= 0 or product_time_s <= 0:
-        raise ValueError("times must be positive")
-    x = clock_hz / spec.base_clock_hz
-    compute = cal.e_lane_j * x ** (cal.volt_exp - 1.0) * lane_rate_per_s
-    dram = cal.e_dram_j_per_byte * dram_bytes_per_s
-    activity = activity_base_w * x**cal.volt_exp
+    k = terms
+    # Per tile step per block: global-memory latency plus the tile
+    # transfer at the SM's bandwidth share, in core cycles.
+    bw_per_sm = k.mem_bandwidth_bps / (clock_hz * k.sm_count)
+    mem_cycles = k.mem_latency_cycles + k.tile_fetch_bytes / bw_per_sm
+    # Not double-buffered: a block's load hides only under the other
+    # resident blocks' compute (docs/MODEL.md §1.5).
+    compute = k.compute_cycles
+    per_block = maximum(compute, (compute + mem_cycles) / k.blocks_per_sm)
+    t_pipe = k.sm_steps * per_block / clock_hz
+    t_product = maximum(t_pipe, k.t_dram)
+    # The launch time's G·t and the launch-average rates' G·t are the
+    # same product.
+    g_t = k.g * t_product
+    t_launch = k.launch_overhead_s + g_t
+    x = clock_hz / k.base_clock_hz
+    compute_w = k.e_lane_j * x ** (k.volt_exp - 1.0) * (k.lanes_issued / g_t)
+    dram_w = k.e_dram_j_per_byte * (k.dram_bytes / g_t)
+    activity_w = k.activity_base_w * x**k.volt_exp
     # Averaged over the launch.
-    aux = aux_windows_w * product_time_s / active_time_s
+    aux_w = k.aux_windows_w * t_product / t_launch
     # Steady-state die temperature rises roughly linearly with electrical
     # power and leakage rises superlinearly with temperature; the
     # quadratic term captures the composition.  Measured against a
     # cold-idle baseline this excess leakage is part of *dynamic* energy.
-    electrical = compute + dram + activity + aux
-    leakage = cal.leak_quad * electrical * electrical / 100.0
-    return compute, dram, activity, aux, leakage
-
-
-def kernel_power(
-    spec: GPUSpec,
-    cal: GPUCalibration,
-    *,
-    lane_rate_per_s: float,
-    dram_bytes_per_s: float,
-    occupancy: float,
-    n: int,
-    g: int,
-    product_time_s: float,
-    active_time_s: float,
-    clock_hz: float,
-) -> PowerBreakdown:
-    """Average dynamic power over one kernel launch.
-
-    ``lane_rate_per_s`` and ``dram_bytes_per_s`` are launch-average
-    rates at the operating clock; ``product_time_s`` is the duration of
-    one product inside the launch and ``active_time_s`` the whole
-    launch duration (= G·product time plus overheads).
-    """
-    activity_base_w, aux_windows_w = kernel_power_terms(
-        spec, cal, occupancy=occupancy, n=n, g=g
-    )
-    return PowerBreakdown(
-        *power_components(
-            spec,
-            cal,
-            clock_hz,
-            lane_rate_per_s,
-            dram_bytes_per_s,
-            activity_base_w,
-            aux_windows_w,
-            product_time_s,
-            active_time_s,
-        )
+    electrical = compute_w + dram_w + activity_w + aux_w
+    leakage_w = k.leak_quad * electrical * electrical / 100.0
+    dynamic_w = compute_w + dram_w + activity_w + aux_w + leakage_w
+    return (
+        dynamic_w,
+        t_product,
+        t_launch,
+        (compute_w, dram_w, activity_w, aux_w, leakage_w),
+        (mem_cycles, per_block, t_pipe),
     )

@@ -6,6 +6,11 @@ model — the diagnostic that explains the simulator's (and the paper's)
 BS structure: tiny tiles drown in DRAM traffic and latency, the
 BS ∈ [16, 32] band is shared-memory-issue bound, and BS = 32 wins by
 shedding replays, not by bandwidth.
+
+The verdict reads the device's own clock probe
+(:func:`repro.simgpu.power.probe`) at the base clock, over the terms
+``run_matmul`` builds for the configuration, so it cannot drift from
+the timing model it explains.
 """
 
 from __future__ import annotations
@@ -14,8 +19,10 @@ from dataclasses import dataclass
 
 from repro.machines.specs import GPUSpec
 from repro.simgpu.calibration import GPUCalibration, calibration_for
+from repro.simgpu.device import _KernelTerms
 from repro.simgpu.kernel import matmul_kernel_resources
 from repro.simgpu.occupancy import compute_occupancy
+from repro.simgpu.power import probe, scalar_max
 
 __all__ = ["RooflinePlacement", "classify_matmul"]
 
@@ -70,28 +77,12 @@ def classify_matmul(
         cal = calibration_for(spec)
     res = matmul_kernel_resources(spec, cal, n, bs, g)
     occ = compute_occupancy(spec, res.threads_per_block, res.smem_per_block_bytes)
-
-    ai = res.useful_flops / res.total_dram_bytes
-    ridge = spec.peak_dp_flops / spec.mem_bandwidth_bps
-
-    bw_per_sm = spec.mem_bandwidth_bps / (spec.base_clock_hz * spec.sm_count)
-    mem_cycles = cal.mem_latency_cycles + res.tile_fetch_bytes / bw_per_sm
-    issue = res.compute_cycles_per_kstep
-    c = occ.blocks_per_sm
-
-    # Pipeline verdict mirrors the device timing model.
-    per_block = max(issue, (issue + mem_cycles) / c)
-    bw_sat = min(1.0, occ.active_warps_per_sm / cal.warps_to_saturate_bw)
-    import math
-
-    t_pipe = (
-        math.ceil(res.grid_blocks / spec.sm_count)
-        * res.ksteps_per_product
-        * per_block
-        / spec.base_clock_hz
+    terms = _KernelTerms(spec, cal, res, occ)
+    *_, (mem_cycles, per_block, t_pipe) = probe(
+        terms, spec.base_clock_hz, scalar_max
     )
-    t_dram = (res.total_dram_bytes / res.g) / (spec.mem_bandwidth_bps * bw_sat)
-    if t_dram > t_pipe:
+    issue = terms.compute_cycles
+    if terms.t_dram > t_pipe:
         bound = "bandwidth"
     elif per_block > issue:
         bound = "latency"
@@ -102,10 +93,10 @@ def classify_matmul(
         n=n,
         bs=bs,
         g=g,
-        arithmetic_intensity=ai,
-        ridge_intensity=ridge,
+        arithmetic_intensity=res.useful_flops / res.total_dram_bytes,
+        ridge_intensity=spec.peak_dp_flops / spec.mem_bandwidth_bps,
         bound=bound,
         issue_cycles=issue,
         memory_cycles=mem_cycles,
-        blocks_per_sm=c,
+        blocks_per_sm=occ.blocks_per_sm,
     )

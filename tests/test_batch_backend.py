@@ -14,6 +14,7 @@ one-calibration call.  The scalar path stays the model of record.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -23,12 +24,16 @@ from repro.machines.specs import K40C, P100
 from repro.simgpu.batch import (
     _COLUMN_FIELDS,
     BatchRunResult,
+    _lane_constants,
     batch_run_matmul,
     evaluate_configs_batch,
 )
 from repro.simgpu.calibration import calibration_for
-from repro.simgpu.device import GPUDevice
-from repro.simgpu.kernel import max_group_size
+from repro.simgpu.device import GPUDevice, _KernelTerms
+from repro.simgpu.dvfs import MIN_CLOCK_FRACTION
+from repro.simgpu.kernel import matmul_kernel_resources, max_group_size
+from repro.simgpu.occupancy import compute_occupancy
+from repro.simgpu.power import probe, scalar_max
 from repro.sweep import EvalPlanner
 
 PARITY_RTOL = 1e-9
@@ -169,6 +174,55 @@ def _scaled(cal, name, factor):
     """``cal`` with one constant scaled (an int constant stays int)."""
     value = getattr(cal, name)
     return dataclasses.replace(cal, **{name: type(value)(value * factor)})
+
+
+def _probe_outputs(terms, clock_hz, maximum):
+    """The probe's eight outputs: five components, the dynamic power,
+    the product time and the launch time."""
+    dynamic_w, t_product, t_launch, components, _ = probe(
+        terms, clock_hz, maximum
+    )
+    return (*components, dynamic_w, t_product, t_launch)
+
+
+class TestProbeParity:
+    """The scalar and batch models probe the same terms: each of the
+    probe's outputs agrees to 1e-14 at every clock the DVFS schedules
+    visit (all but ~1 ulp of them bit for bit; the rest is NumPy's
+    array ``pow`` against libm's in the activity floor's ``ω^k``)."""
+
+    @pytest.mark.parametrize("n", [5120, 18432])
+    @pytest.mark.parametrize("spec", [K40C, P100], ids=["k40c", "p100"])
+    def test_components_match_at_every_clock(self, spec, n):
+        cal = calibration_for(spec)
+        configs = [
+            (bs, g)
+            for bs in range(1, math.isqrt(spec.max_threads_per_block) + 1)
+            for g in range(1, max_group_size(spec, bs) + 1)
+        ]
+        bs, g = (np.array(axis, dtype=np.int64) for axis in zip(*configs))
+        lanes = _lane_constants(
+            spec, cal, np.full(len(configs), n), bs, g, np.ones_like(bs)
+        )
+        floor = MIN_CLOCK_FRACTION * spec.base_clock_hz
+        clocks = (
+            spec.base_clock_hz, spec.boost_clock_hz, floor,
+            0.5 * (floor + spec.boost_clock_hz),
+        )
+        for clock in clocks:
+            batch = _probe_outputs(lanes, clock, np.maximum)
+            for i, (b, gi) in enumerate(configs):
+                res = matmul_kernel_resources(spec, cal, n, b, gi)
+                occ = compute_occupancy(
+                    spec, res.threads_per_block, res.smem_per_block_bytes
+                )
+                scalar = _probe_outputs(
+                    _KernelTerms(spec, cal, res, occ), clock, scalar_max
+                )
+                np.testing.assert_allclose(
+                    [out[i] for out in batch], scalar, rtol=1e-14, atol=0,
+                    err_msg=f"{spec.name} n={n} bs={b} g={gi} f={clock}",
+                )
 
 
 class TestCalibrationRuns:

@@ -96,6 +96,16 @@ class TestReport:
             assert marker in text
         assert "```" in text
 
+    def test_bare_cli_report_prints_to_stdout(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """Without --output no file is written, not even REPORT.md in
+        the working directory."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["report"]) == 0
+        assert capsys.readouterr().out == generate_report(include_extras=False)
+        assert list(tmp_path.iterdir()) == []
+
     def test_cli_report_writes_file(self, tmp_path, capsys):
         out = tmp_path / "R.md"
         assert main(["report", "--output", str(out)]) == 0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.machines import K40C, P100
-from repro.simgpu import device
+from repro.simgpu import device, power
 from repro.simgpu.device import GPUDevice
 
 
@@ -237,13 +237,13 @@ class TestClockEvaluations:
     def clocks(self, monkeypatch) -> list[float]:
         """Clocks the device evaluates power at, in call order."""
         seen: list[float] = []
-        real = device.power_components
 
-        def counting(spec, cal, clock_hz, *rest):
+        def counting(terms, clock_hz, maximum):
             seen.append(clock_hz)
-            return real(spec, cal, clock_hz, *rest)
+            return power.probe(terms, clock_hz, maximum)
 
-        monkeypatch.setattr(device, "power_components", counting)
+        # The name device.py calls repro.simgpu.power.probe by.
+        monkeypatch.setattr(device, "probe", counting)
         return seen
 
     @pytest.mark.parametrize(

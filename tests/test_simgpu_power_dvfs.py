@@ -2,12 +2,23 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.machines import K40C, P100
 from repro.simgpu.calibration import calibration_for
 from repro.simgpu.dvfs import MIN_CLOCK_FRACTION, solve_operating_clock
-from repro.simgpu.power import aux_decay, kernel_power
+from repro.simgpu.device import _KernelTerms
+from repro.simgpu.kernel import matmul_kernel_resources
+from repro.simgpu.occupancy import compute_occupancy
+from repro.simgpu.power import (
+    PowerBreakdown,
+    aux_decay,
+    clock_free_terms,
+    probe,
+    scalar_max,
+)
 
 
 class TestAuxDecay:
@@ -35,99 +46,109 @@ class TestAuxDecay:
             aux_decay(P100, 0)
 
 
-def make_power(spec, **overrides):
+def kernel_terms(spec, n=8192, bs=32, g=1, **fields):
+    """The ``_KernelTerms`` of a real ``(n, bs, g)`` launch, with
+    ``fields`` set over the computed ones."""
     cal = calibration_for(spec)
-    kwargs = dict(
-        lane_rate_per_s=5e11,
-        dram_bytes_per_s=2e11,
-        occupancy=1.0,
-        n=8192,
-        g=1,
-        product_time_s=1.0,
-        active_time_s=1.0,
-        clock_hz=spec.base_clock_hz,
+    res = matmul_kernel_resources(spec, cal, n, bs, g)
+    occ = compute_occupancy(spec, res.threads_per_block, res.smem_per_block_bytes)
+    terms = _KernelTerms(spec, cal, res, occ)
+    for name, value in fields.items():
+        setattr(terms, name, value)
+    return terms
+
+
+def probed(terms, clock_hz=None):
+    """``(PowerBreakdown, dynamic_w, t_product, t_launch)`` of one probe,
+    at the base clock unless ``clock_hz`` is given."""
+    if clock_hz is None:
+        clock_hz = terms.base_clock_hz
+    dynamic_w, t_product, t_launch, components, _ = probe(
+        terms, clock_hz, scalar_max
     )
-    kwargs.update(overrides)
-    return kernel_power(spec, cal, **kwargs)
+    return PowerBreakdown(*components), dynamic_w, t_product, t_launch
 
 
-class TestKernelPower:
-    def test_components_sum(self):
-        p = make_power(P100)
-        assert p.dynamic_w == pytest.approx(
-            p.compute_w + p.dram_w + p.activity_w + p.aux_w + p.leakage_w
-        )
+def activity_base(spec, occupancy):
+    """The activity floor ``a0 + a1·ω^k`` at one occupancy."""
+    return clock_free_terms(
+        spec, calibration_for(spec), grid_blocks=1, ksteps=1, dram_bytes=1.0,
+        g=1, active_warps=1, occupancy=occupancy, decay=0.0,
+        ceil=math.ceil, minimum=min,
+    )[2]
 
-    def test_compute_scales_with_lane_rate(self):
-        lo = make_power(P100, lane_rate_per_s=1e11)
-        hi = make_power(P100, lane_rate_per_s=2e11)
+
+class TestProbePower:
+    """The component power formula of :func:`repro.simgpu.power.probe`."""
+
+    def test_components_sum_to_dynamic_power(self):
+        for spec in (K40C, P100):
+            power, dynamic_w, _, _ = probed(kernel_terms(spec, g=2, n=5120))
+            assert dynamic_w == (
+                power.compute_w + power.dram_w + power.activity_w
+                + power.aux_w + power.leakage_w
+            )
+            assert dynamic_w == power.dynamic_w
+
+    def test_compute_doubles_with_lanes_issued(self):
+        terms = kernel_terms(P100)
+        lo = probed(terms)[0]
+        hi = probed(kernel_terms(P100, lanes_issued=2 * terms.lanes_issued))[0]
         assert hi.compute_w == pytest.approx(2 * lo.compute_w)
+        assert hi.dram_w == lo.dram_w
 
     def test_aux_zero_for_g1(self):
-        assert make_power(P100, g=1).aux_w == 0.0
+        assert probed(kernel_terms(P100, n=5120, g=1))[0].aux_w == 0.0
 
     def test_aux_window_accounting(self):
-        spec = P100
-        cal = calibration_for(spec)
-        p = make_power(
-            spec, g=4, n=5120, product_time_s=1.0, active_time_s=4.0
-        )
-        expected = cal.aux_power_w * aux_decay(spec, 5120) * 3 * 1.0 / 4.0
-        assert p.aux_w == pytest.approx(expected)
+        spec, cal = P100, calibration_for(P100)
+        terms = kernel_terms(spec, n=5120, bs=16, g=4)
+        power, _, t_product, t_launch = probed(terms)
+        kaux = cal.aux_power_w * aux_decay(spec, 5120) * 3
+        assert power.aux_w > 0.0
+        assert power.aux_w == pytest.approx(kaux * t_product / t_launch)
 
     def test_aux_vanishes_beyond_threshold(self):
-        p = make_power(P100, g=4, n=16000, active_time_s=4.0)
-        assert p.aux_w == 0.0
+        assert probed(kernel_terms(P100, n=16000, bs=16, g=4))[0].aux_w == 0.0
 
     def test_activity_superlinear_on_p100(self):
         # Pascal occ_exp > 1: half occupancy costs far less than half.
-        full = make_power(P100, occupancy=1.0).activity_w
-        half = make_power(P100, occupancy=0.5).activity_w
         cal = calibration_for(P100)
+        full, half = activity_base(P100, 1.0), activity_base(P100, 0.5)
         assert half - cal.p_act0_w < 0.5 * (full - cal.p_act0_w)
 
     def test_activity_linear_on_k40c(self):
         cal = calibration_for(K40C)
-        full = make_power(K40C, occupancy=1.0).activity_w
-        half = make_power(K40C, occupancy=0.5).activity_w
+        full, half = activity_base(K40C, 1.0), activity_base(K40C, 0.5)
         assert full - half == pytest.approx(0.5 * cal.p_act1_w)
 
-    def test_leakage_superlinear(self):
-        lo = make_power(P100, lane_rate_per_s=1e11)
-        hi = make_power(P100, lane_rate_per_s=4e11)
-        ratio_electrical = (
-            (hi.compute_w + hi.dram_w + hi.activity_w)
-            / (lo.compute_w + lo.dram_w + lo.activity_w)
-        )
+    def test_leakage_quadratic_in_electrical_power(self):
+        terms = kernel_terms(P100)
+        lo = probed(terms)[0]
+        hi = probed(kernel_terms(P100, lanes_issued=4 * terms.lanes_issued))[0]
+
+        def electrical(p):
+            return p.compute_w + p.dram_w + p.activity_w + p.aux_w
+
         assert hi.leakage_w / lo.leakage_w == pytest.approx(
-            ratio_electrical**2, rel=1e-6
+            (electrical(hi) / electrical(lo)) ** 2, rel=1e-12
         )
 
     def test_clock_scaling_exponent(self):
-        spec = P100
-        cal = calibration_for(spec)
-        base = make_power(spec, clock_hz=spec.base_clock_hz)
-        boosted = make_power(spec, clock_hz=1.1 * spec.base_clock_hz)
+        # DRAM-bound (t_dram above the pipeline time at both clocks), so
+        # the product time, and with it every rate, stays put.
+        spec, cal = P100, calibration_for(P100)
+        terms = kernel_terms(spec, t_dram=1.0)
+        base, _, t_base, _ = probed(terms, spec.base_clock_hz)
+        boosted, _, t_boost, _ = probed(terms, 1.1 * spec.base_clock_hz)
+        assert t_base == t_boost == 1.0
         assert boosted.activity_w / base.activity_w == pytest.approx(
             1.1**cal.volt_exp
         )
         assert boosted.compute_w / base.compute_w == pytest.approx(
             1.1 ** (cal.volt_exp - 1.0)
         )
-        assert boosted.dram_w == pytest.approx(base.dram_w)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"occupancy": 0.0},
-            {"occupancy": 1.5},
-            {"product_time_s": 0.0},
-            {"active_time_s": 0.0},
-        ],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            make_power(P100, **kwargs)
+        assert boosted.dram_w == base.dram_w
 
 
 class TestDVFSSolver:

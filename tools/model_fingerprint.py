@@ -1,15 +1,22 @@
-"""Bit-level fingerprint of the two scalar models of record.
+"""Bit-level fingerprint of the GPU and CPU models.
 
-Prints one tab-separated row per call of ``GPUDevice.run_matmul`` and
-``MulticoreCPU.run_dgemm`` over a wide sweep, with every numeric
-result as ``float.hex``:
+Prints one tab-separated row per modelled configuration, with every
+numeric result as ``float.hex``, from every evaluation path of the
+models:
 
-* GPU: 43,680 calls -- K40c and P100, seven matrix sizes, every valid
-  BS and G, R in {1, 3, 8}, in five clock modes (default, fixed base
-  clock, pinned to base, pinned to boost, seeded run-to-run jitter);
-* CPU: 4,752 calls -- Haswell, two matrix sizes, both BLAS libraries,
-  every partition and (p, t) with p·t <= 48, at frequency scales 1.0
-  and 0.7.
+* scalar GPU: 43,680 calls of ``GPUDevice.run_matmul`` -- K40c and
+  P100, seven matrix sizes, every valid BS and G, R in {1, 3, 8}, in
+  five clock modes (default, fixed base clock, pinned to base, pinned
+  to boost, seeded run-to-run jitter);
+* batch GPU: the same 8,736 configurations through
+  ``batch_run_matmul``, one call per device and size (mode ``batch``),
+  and again in one call per device over every size with two
+  calibrations as columns (mode ``batch-2cal``, 17,472 lanes);
+* roofline: ``classify_matmul`` of the 2,912 ``(N, BS, G)``
+  placements of the same grid;
+* CPU: 4,752 calls of ``MulticoreCPU.run_dgemm`` -- Haswell, two
+  matrix sizes, both BLAS libraries, every partition and (p, t) with
+  p·t <= 48, at frequency scales 1.0 and 0.7.
 
 A row is ``model, mode, configuration, value, value, ...``.  The
 values are *named* attributes of each result (``power.compute_w``,
@@ -23,15 +30,15 @@ they are.
 
 Usage, from the root of a checkout::
 
-    PYTHONPATH=src python tools/scalar_fingerprint.py > rows.tsv
-    python tools/scalar_fingerprint.py --against HEAD~1
+    PYTHONPATH=src python tools/model_fingerprint.py > rows.tsv
+    python tools/model_fingerprint.py --against HEAD~1
 
 ``--against REV`` extracts ``src/`` of REV with ``git archive``, runs
 this same script on it and on this checkout's ``src/`` (two processes
-side by side, each with its own random hash seed, about 9 s on two
-CPUs), and prints the number of differing rows per model and clock
-mode.  It exits 1 if any row differs, so 0 differing rows means every
-field of every call is bit-identical.  ``--against HEAD`` on a clean
+side by side, each with its own random hash seed, about 10 s on two
+CPUs), and prints the number of differing rows per model and mode.
+It exits 1 if any row differs, so 0 differing rows means every field
+of every call is bit-identical.  ``--against HEAD`` on a clean
 checkout compares the code with itself under two hash seeds: CI runs
 it to catch a result that depends on dict or hash order.
 """
@@ -64,6 +71,21 @@ GPU_ATTRS = (
     "power.compute_w", "power.dram_w", "power.activity_w", "power.aux_w",
     "power.leakage_w", "power.dynamic_w",
     "occupancy", "resources",
+)
+#: Fields of a ``BatchRunResult`` printed on each batch row.
+BATCH_ATTRS = (
+    "time_s", "dynamic_energy_j", "dynamic_power_w", "clock_hz", "throttled",
+)
+#: Calibration constants the second calibration of a ``batch-2cal``
+#: call scales, so that each of them is a per-lane column.
+SECOND_CAL_SCALES = {
+    "power_cap_w": 0.9, "e_lane_j": 1.1, "p_act1_w": 1.1,
+    "mem_latency_cycles": 1.2, "aux_power_w": 0.8,
+}
+#: Attributes of a ``RooflinePlacement`` printed on each roofline row.
+ROOFLINE_ATTRS = (
+    "arithmetic_intensity", "ridge_intensity", "bound", "issue_cycles",
+    "memory_cycles", "blocks_per_sm", "classically_compute_bound",
 )
 #: Attributes of a ``CPURunResult`` printed on each CPU row.
 CPU_ATTRS = (
@@ -104,12 +126,21 @@ def _values(result, attrs: tuple[str, ...]) -> list[str]:
     return out
 
 
+def _gpu_grid(spec):
+    """Every ``(n, bs, g)`` of the GPU sweep on ``spec``."""
+    from repro.simgpu.kernel import max_group_size
+
+    for n in GPU_SIZES:
+        for bs in range(1, math.isqrt(spec.max_threads_per_block) + 1):
+            for g in range(1, max_group_size(spec, bs) + 1):
+                yield n, bs, g
+
+
 def _gpu_rows():
     import numpy as np
 
     from repro.machines.specs import K40C, P100
     from repro.simgpu.device import GPUDevice
-    from repro.simgpu.kernel import max_group_size
 
     i = 0
     for spec in (K40C, P100):
@@ -121,17 +152,67 @@ def _gpu_rows():
             ("pin-boost", lambda: {"pinned_clock_hz": spec.boost_clock_hz}),
             ("rng", lambda: {"rng": np.random.default_rng(i)}),
         )
-        for n in GPU_SIZES:
-            for bs in range(1, math.isqrt(spec.max_threads_per_block) + 1):
-                for g in range(1, max_group_size(spec, bs) + 1):
-                    for r in GPU_REPEATS:
-                        i += 1
-                        for mode, kwargs in modes:
-                            result = dev.run_matmul(n, bs, g, r, **kwargs())
-                            yield (
-                                spec.name, mode, f"n={n} bs={bs} g={g} r={r}",
-                                *_values(result, GPU_ATTRS),
-                            )
+        for n, bs, g in _gpu_grid(spec):
+            for r in GPU_REPEATS:
+                i += 1
+                for mode, kwargs in modes:
+                    result = dev.run_matmul(n, bs, g, r, **kwargs())
+                    yield (
+                        spec.name, mode, f"n={n} bs={bs} g={g} r={r}",
+                        *_values(result, GPU_ATTRS),
+                    )
+
+
+def _batch_lanes(spec, mode, cal, lanes):
+    """Rows of one ``batch_run_matmul`` call over ``(n, bs, g, r)``
+    lanes, tagged with their calibration's index."""
+    from repro.simgpu.batch import batch_run_matmul
+
+    n, bs, g, r, _ = zip(*lanes)
+    out = batch_run_matmul(spec, cal, n, bs, g, r)
+    columns = [getattr(out, name).tolist() for name in BATCH_ATTRS]
+    for (n, bs, g, r, tag), *values in zip(lanes, *columns):
+        yield (
+            spec.name, mode, f"n={n} bs={bs} g={g} r={r}{tag}",
+            *map(_format, values),
+        )
+
+
+def _batch_rows():
+    import dataclasses
+
+    from repro.machines.specs import K40C, P100
+    from repro.simgpu.calibration import calibration_for
+
+    for spec in (K40C, P100):
+        cal = calibration_for(spec)
+        grid = [
+            (n, bs, g, r, "")
+            for n, bs, g in _gpu_grid(spec)
+            for r in GPU_REPEATS
+        ]
+        for size in GPU_SIZES:
+            lanes = [lane for lane in grid if lane[0] == size]
+            yield from _batch_lanes(spec, "batch", cal, lanes)
+        second = dataclasses.replace(cal, **{
+            name: getattr(cal, name) * scale
+            for name, scale in SECOND_CAL_SCALES.items()
+        })
+        lanes = grid + [(*lane[:4], " cal=2") for lane in grid]
+        runs = [(cal, len(grid)), (second, len(grid))]
+        yield from _batch_lanes(spec, "batch-2cal", runs, lanes)
+
+
+def _roofline_rows():
+    from repro.machines.specs import K40C, P100
+    from repro.simgpu.roofline import classify_matmul
+
+    for spec in (K40C, P100):
+        for n, bs, g in _gpu_grid(spec):
+            yield (
+                spec.name, "roofline", f"n={n} bs={bs} g={g}",
+                *_values(classify_matmul(spec, n, bs, g), ROOFLINE_ATTRS),
+            )
 
 
 def _cpu_rows():
@@ -155,8 +236,8 @@ def _cpu_rows():
 
 
 def dump(out) -> None:
-    """Write every GPU row, then every CPU row, to ``out``."""
-    for rows in (_gpu_rows(), _cpu_rows()):
+    """Write the scalar GPU, batch, roofline and CPU rows to ``out``."""
+    for rows in (_gpu_rows(), _batch_rows(), _roofline_rows(), _cpu_rows()):
         for row in rows:
             out.write("\t".join(row) + "\n")
 
@@ -194,7 +275,7 @@ def compare(base: Path, change: Path) -> tuple[Counter, Counter]:
 
 def against(rev: str) -> int:
     """Dump REV's ``src/`` and this checkout's, and report the diff."""
-    with tempfile.TemporaryDirectory(prefix="scalar-fingerprint-") as tmp:
+    with tempfile.TemporaryDirectory(prefix="model-fingerprint-") as tmp:
         tree = Path(tmp) / "tree"
         tree.mkdir()
         try:
@@ -204,7 +285,7 @@ def against(rev: str) -> int:
             ).stdout
         except subprocess.CalledProcessError as exc:
             raise SystemExit(
-                f"scalar_fingerprint: git archive {rev}: "
+                f"model_fingerprint: git archive {rev}: "
                 f"{exc.stderr.decode().strip()}"
             ) from None
         subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
@@ -213,7 +294,7 @@ def against(rev: str) -> int:
         codes = [proc.wait() for proc in procs]
         for code, side in zip(codes, (rev, "checkout")):
             if code != 0:
-                raise SystemExit(f"scalar_fingerprint: the {side} dump failed")
+                raise SystemExit(f"model_fingerprint: the {side} dump failed")
         rows, differing = compare(base, change)
     table = [("model", "mode", "rows", "differing")]
     table += [(*key, str(rows[key]), str(differing[key])) for key in rows]
@@ -230,12 +311,12 @@ def against(rev: str) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Fingerprint the scalar GPU and CPU models bit by bit."
+        description="Fingerprint the GPU and CPU models bit by bit."
     )
     parser.add_argument(
         "--against", metavar="REV",
         help="compare this checkout with git revision REV and print the "
-        "differing rows per model and clock mode",
+        "differing rows per model and mode",
     )
     args = parser.parse_args(argv)
     if args.against is not None:
