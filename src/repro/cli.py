@@ -5,7 +5,9 @@ entry points so a user can regenerate any paper artifact, or analyze a
 custom workload, without writing code:
 
 * ``experiment <id>`` — regenerate one paper artifact or extension
-  study (the ids are :data:`repro.experiments.EXPERIMENTS`);
+  study (the ids are :data:`repro.experiments.EXPERIMENTS`), headed by
+  its paper-vs-measured table where it has one; the output is the
+  golden ``benchmarks/output/<id>.txt``;
 * ``sweep`` — evaluate a GPU matmul configuration sweep and print the
   point cloud, the Pareto front, and the trade-off table;
 * ``tradeoff`` — answer "how much energy can I save within an X%
@@ -382,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_planner(store_dir: str | None, ids=()):
+def _build_planner(command: str, store_dir: str | None, ids=()):
     """The planner every sweep-driven command evaluates through.
 
     Backed by the columnar store at ``store_dir``, else at
@@ -391,18 +393,30 @@ def _build_planner(store_dir: str | None, ids=()):
     before it is returned (:func:`repro.sweep.planner.session_planner`),
     so the experiments that follow are served from it and each device's
     misses are filled in one batch call.
+
+    A store path that is a file or a dangling link, or lies under one,
+    exits in one line before any work, as :func:`_check_output` does;
+    a missing directory is fine, since the store creates it.
     """
+    import errno
     import os
+    from pathlib import Path
 
     from repro.sweep.planner import session_planner
 
     if store_dir is None:
         store_dir = os.environ.get("REPRO_STORE_DIR")
+    if store_dir is not None:
+        target = Path(store_dir)
+        for path in (target, *target.parents):
+            if path.exists() or path.is_symlink():
+                if not path.is_dir():
+                    raise SystemExit(
+                        f"repro {command}: {store_dir}: "
+                        f"{os.strerror(errno.ENOTDIR)}"
+                    )
+                break
     return session_planner(ids, store_dir=store_dir)
-
-
-def _run_experiment(exp_id: str, engine=None) -> str:
-    return EXPERIMENTS[exp_id].render(engine=engine)
 
 
 def _run_all(store_dir: str | None) -> str:
@@ -414,11 +428,11 @@ def _run_all(store_dir: str | None) -> str:
     """
     from repro.sweep.planner import SESSION_EXPERIMENTS
 
-    planner = _build_planner(store_dir, SESSION_EXPERIMENTS)
+    planner = _build_planner("all", store_dir, SESSION_EXPERIMENTS)
     out = []
     for exp_id in SESSION_EXPERIMENTS:
         out.append(f"== {exp_id} ==")
-        out.append(_run_experiment(exp_id, engine=planner))
+        out.append(EXPERIMENTS[exp_id].render(engine=planner))
         out.append("")
     s = planner.stats
     out.append(
@@ -833,15 +847,19 @@ def _check_output(command: str, path: str) -> None:
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "experiment":
-        planner = _build_planner(args.store_dir, _sweep_ids(args.id))
-        print(_run_experiment(args.id, engine=planner))
+        planner = _build_planner(
+            "experiment", args.store_dir, _sweep_ids(args.id)
+        )
+        from repro.experiments.claims import page
+
+        print(page(args.id, engine=planner))
     elif args.command == "sweep":
         if args.save is not None:
             _check_output("sweep", args.save)
         print(
             _run_sweep(
                 args.device, args.n, args.products, args.all_points,
-                save=args.save, engine=_build_planner(args.store_dir),
+                save=args.save, engine=_build_planner("sweep", args.store_dir),
             )
         )
     elif args.command == "front":

@@ -11,7 +11,10 @@ deduplicate a whole session up front.
 ``experiment`` ids, ``repro all``'s session
 (:data:`repro.sweep.planner.SESSION_EXPERIMENTS`), the provenance
 requests of ``repro experiment`` and the sections of ``repro report``
-all read it, in its order, which is the report's.
+all read it, in its order, which is the report's.  ``repro experiment
+ID`` heads the render with the id's paper-vs-measured table, where
+:mod:`repro.experiments.claims` has one; ``repro all`` and ``repro
+report`` print the render alone.
 
 Submodules load lazily (PEP 562), and this package imports none of
 them: ``from repro.experiments import headline`` or
@@ -75,8 +78,9 @@ class Experiment(NamedTuple):
             module = sys.modules[name]
         return module
 
-    def render(self, engine=None) -> str:
-        """Run the experiment and render its result.
+    def results(self, engine=None) -> tuple:
+        """Run the experiment: one result per name in ``devices``, in
+        that order, or a single result when ``devices`` is empty.
 
         ``engine`` (an :class:`~repro.sweep.planner.EvalPlanner`) is
         passed to sweep-driven experiments only; None runs them on the
@@ -85,13 +89,25 @@ class Experiment(NamedTuple):
         fn = getattr(self.load(), self.function)
         kwargs = {"engine": engine} if self.sweep else {}
         if not self.devices:
-            return fn(**kwargs).render()
+            return (fn(**kwargs),)
         from repro.machines import get_machine
 
-        return "\n\n".join(
-            f"{name}:\n" + fn(get_machine(name), **kwargs).render()
-            for name in self.devices
+        return tuple(
+            fn(get_machine(name), **kwargs) for name in self.devices
         )
+
+    def render_results(self, results: tuple) -> str:
+        """Render what :meth:`results` returned."""
+        if not self.devices:
+            return results[0].render()
+        return "\n\n".join(
+            f"{name}:\n" + result.render()
+            for name, result in zip(self.devices, results)
+        )
+
+    def render(self, engine=None) -> str:
+        """Run the experiment and render its results."""
+        return self.render_results(self.results(engine))
 
 
 #: Every experiment by id, in report order: the core sections, then

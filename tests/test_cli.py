@@ -3,21 +3,21 @@
 from __future__ import annotations
 
 import functools
-from pathlib import Path
 
 import pytest
 
 from repro import cli
 from repro.cli import build_parser, main
+from repro.experiments.claims import page
 from repro.store.columnar import StoreIntegrityWarning
 from repro.sweep import EvalPlanner
 from repro.sweep.planner import SESSION_EXPERIMENTS
 
 
 @functools.lru_cache(maxsize=None)
-def _scalar_render(exp_id: str) -> str:
-    """An experiment rendered by the scalar model of record."""
-    return cli._run_experiment(exp_id)
+def _scalar_page(exp_id: str) -> str:
+    """``repro experiment``'s page, on the scalar model of record."""
+    return page(exp_id, engine=None)
 
 
 class TestParser:
@@ -181,11 +181,9 @@ class TestPlannerCommands:
 
     @pytest.mark.parametrize("exp_id", SESSION_EXPERIMENTS)
     def test_planner_served_experiment_matches_scalar_model(self, exp_id):
-        """The one evaluation path renders every sweep-driven artifact
+        """The one evaluation path prints every sweep-driven page
         byte-identically to the scalar model of record."""
-        assert cli._run_experiment(exp_id, engine=EvalPlanner()) == (
-            _scalar_render(exp_id)
-        )
+        assert page(exp_id, engine=EvalPlanner()) == _scalar_page(exp_id)
 
     @pytest.mark.parametrize(
         "exp_id,calls",
@@ -204,7 +202,7 @@ class TestPlannerCommands:
         """`repro experiment` fills its requests before it runs, so the
         misses of each device, across calibrations and matrix sizes,
         take one batch-model call; the output stays the scalar
-        model's."""
+        model's page."""
         from repro.simgpu import batch
 
         monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
@@ -219,23 +217,19 @@ class TestPlannerCommands:
         monkeypatch.setattr(batch, "batch_run_matmul", counted)
         assert main(["experiment", exp_id]) == 0
         assert len(lanes) == calls
-        assert capsys.readouterr().out == _scalar_render(exp_id) + "\n"
+        assert capsys.readouterr().out == _scalar_page(exp_id) + "\n"
 
     @pytest.mark.parametrize("exp_id", SESSION_EXPERIMENTS)
     def test_store_served_experiment_matches_scalar_model(
         self, exp_id, tmp_path
     ):
-        """Cold and warm store-backed runs render like the scalar
-        model; the warm run computes nothing."""
+        """Cold and warm store-backed runs print the scalar model's
+        page; the warm run computes nothing."""
         cold = EvalPlanner(store_dir=tmp_path)
-        assert cli._run_experiment(exp_id, engine=cold) == (
-            _scalar_render(exp_id)
-        )
+        assert page(exp_id, engine=cold) == _scalar_page(exp_id)
         assert cold.stats.computed > 0
         warm = EvalPlanner(store_dir=tmp_path)
-        assert cli._run_experiment(exp_id, engine=warm) == (
-            _scalar_render(exp_id)
-        )
+        assert page(exp_id, engine=warm) == _scalar_page(exp_id)
         assert warm.stats.computed == 0
 
 
@@ -383,11 +377,6 @@ class TestCommands:
         assert main(["experiment", "table1"]) == 0
         out = capsys.readouterr().out
         assert "Nvidia K40c" in out
-
-    def test_experiment_theory_prints_its_golden(self, capsys):
-        assert main(["experiment", "theory"]) == 0
-        golden = Path(__file__).parents[1] / "benchmarks/output/theory.txt"
-        assert capsys.readouterr().out.encode() == golden.read_bytes()
 
     def test_sweep_prints_front(self, capsys):
         assert main(["sweep", "--device", "k40c", "--n", "2048"]) == 0

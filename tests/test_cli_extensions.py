@@ -154,6 +154,45 @@ def test_unwritable_output_is_a_one_line_error(
     assert message == f"repro {argv[0]}: {path}: {reason}"
 
 
+@pytest.mark.parametrize(
+    "argv,from_env",
+    [
+        (["experiment", "fig7"], False),
+        (["sweep", "--device", "k40c", "--n", "2048"], False),
+        (["all"], False),
+        (["experiment", "fig7"], True),
+    ],
+    ids=["experiment", "sweep", "all", "env"],
+)
+@pytest.mark.parametrize("target", ["file", "under-file", "dangling-link"])
+def test_store_dir_on_a_file_is_a_one_line_error(
+    tmp_path, monkeypatch, argv, from_env, target
+):
+    """A store path that is a file or a dangling link, or lies under
+    one, is refused before the planner is built: no sweep is planned or
+    filled.  A missing directory is fine, since the store creates it."""
+    import repro.sweep.planner
+
+    def never(*args, **kwargs):
+        raise AssertionError("work done before the store path was checked")
+
+    monkeypatch.setattr(repro.sweep.planner, "session_planner", never)
+    blocker = tmp_path / "file"
+    if target == "dangling-link":
+        blocker.symlink_to(tmp_path / "nowhere")
+    else:
+        blocker.write_text("")
+    path = blocker / "store" if target == "under-file" else blocker
+    if from_env:
+        monkeypatch.setenv("REPRO_STORE_DIR", str(path))
+    else:
+        monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
+        argv = [*argv, "--store-dir", str(path)]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert str(info.value) == f"repro {argv[0]}: {path}: Not a directory"
+
+
 def test_failed_report_render_leaves_the_output_file_untouched(
     tmp_path, monkeypatch
 ):
@@ -168,13 +207,6 @@ def test_failed_report_render_leaves_the_output_file_untouched(
     with pytest.raises(RuntimeError, match="render failed"):
         main(["report", "--output", str(out)])
     assert out.read_text() == "previous report\n"
-
-
-class TestNewExperimentIds:
-    @pytest.mark.parametrize("exp", ["fig3", "fig5"])
-    def test_figure_ids(self, exp, capsys):
-        assert main(["experiment", exp]) == 0
-        assert capsys.readouterr().out.strip()
 
 
 class TestFFTDeviceDifferentiation:

@@ -15,7 +15,7 @@ import inspect
 import pytest
 
 from repro.analysis.summary import generate_report
-from repro.cli import build_parser, main
+from repro.cli import build_parser
 from repro.experiments import EXPERIMENTS, Experiment
 from repro.sweep.planner import SESSION_EXPERIMENTS
 
@@ -124,9 +124,3 @@ def test_lazy_exports_are_the_submodules_objects(package):
     assert set(pkg.__all__) <= set(dir(pkg))
     with pytest.raises(AttributeError):
         getattr(pkg, "no_such_name")
-
-
-@pytest.mark.parametrize("exp_id", EXPERIMENTS)
-def test_every_id_runs_from_the_cli(exp_id, capsys):
-    assert main(["experiment", exp_id]) == 0
-    assert capsys.readouterr().out.strip()

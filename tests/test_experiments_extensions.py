@@ -66,6 +66,8 @@ class TestMeasurementMethods:
     def test_wall_meter_is_most_accurate(self, result):
         """The paper's [13] conclusion, reproduced."""
         assert result.worst_error("wattsup") < 0.02
+        assert result.worst_error("wattsup") < result.worst_error("nvml")
+        assert result.worst_error("wattsup") < result.worst_error("rapl")
 
     def test_onboard_sensors_systematically_low(self, result):
         for c in result.comparisons:

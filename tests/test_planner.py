@@ -6,8 +6,8 @@ through the app) with the scalar model of record, cross-experiment
 dedup accounting, warm-store zero-compute reruns,
 mixed-size mega-batch exactness, one batch call per device across
 calibrations (bit-identical to per-calibration calls),
-calibration-separated shards, the noise bypass, and golden-snapshot
-identity of the planner-served figure set.
+calibration-separated shards, the noise bypass, and golden identity
+of the planner-served pages.
 """
 
 from __future__ import annotations
@@ -23,7 +23,11 @@ from repro.machines.specs import K40C, P100
 from repro.simgpu.batch import batch_run_matmul, evaluate_configs_batch
 from repro.simgpu.calibration import P100_CAL, calibration_for
 from repro.sweep import EvalPlanner, SweepRequest, resolve_device
-from repro.sweep.planner import POINT_DTYPE, collect_session_requests
+from repro.sweep.planner import (
+    POINT_DTYPE,
+    SESSION_EXPERIMENTS,
+    collect_session_requests,
+)
 
 
 def batch_points(req, configs):
@@ -269,7 +273,6 @@ class TestPlannerAccounting:
 
     def test_session_requests_of_ids_concatenate_in_order(self):
         from repro.experiments import EXPERIMENTS
-        from repro.sweep.planner import SESSION_EXPERIMENTS
 
         def identities(requests):
             return [(r, r.cal) for r in requests]
@@ -444,35 +447,17 @@ class TestPlannerServedExperiments:
         return planner
 
     def test_figures_match_golden_snapshots(self, session):
-        """Planner-served figures are byte-identical to the committed
-        snapshots (the acceptance bar of the `repro all` path)."""
+        """The store-backed session prints every sweep-driven page
+        byte-identically to its committed golden (the acceptance bar of
+        the `repro all` path)."""
         from pathlib import Path
 
-        from repro.analysis.goldens import (
-            render_fig7_snapshot,
-            render_fig8_snapshot,
-            render_headline_snapshot,
-        )
-        from repro.experiments import (
-            fig7_k40c_pareto,
-            fig8_p100_pareto,
-            headline,
-        )
+        from repro.experiments.claims import page
 
-        snapshots = Path(__file__).parent.parent / "benchmarks" / "output"
-        for name, rendered in [
-            (
-                "fig7_k40c_pareto",
-                render_fig7_snapshot(fig7_k40c_pareto.run(engine=session)),
-            ),
-            (
-                "fig8_p100_pareto",
-                render_fig8_snapshot(fig8_p100_pareto.run(engine=session)),
-            ),
-            ("headline", render_headline_snapshot(headline.run(engine=session))),
-        ]:
-            # The bench emit() appends one trailing newline.
-            assert rendered + "\n" == (snapshots / f"{name}.txt").read_text()
+        goldens = Path(__file__).parent.parent / "benchmarks" / "output"
+        for exp_id in SESSION_EXPERIMENTS:
+            golden = (goldens / f"{exp_id}.txt").read_bytes().decode()
+            assert page(exp_id, engine=session) + "\n" == golden, exp_id
 
     def test_sensitivity_and_fig2_run_from_the_session(self, session):
         from repro.experiments import fig2_p100_n18432, sensitivity

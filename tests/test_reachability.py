@@ -28,7 +28,6 @@ PACKAGE = Path(repro.__file__).resolve().parent
 ADOPTED_BY_ITEM = {
     "repro.measurement.stats": 10,  # `repro bench`'s repetition protocol
     "repro.simgpu.roofline": 9,     # `repro explain`'s binding resource
-    "repro.analysis.goldens": 12,   # deleted with benchmarks/*.py
 }
 
 
