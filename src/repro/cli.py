@@ -130,8 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
             help=(
                 "columnar sweep store directory (.npy shards with "
                 ".meta.json sidecars; default: "
-                "$REPRO_STORE_DIR if set, else in-memory for this run "
-                "only)"
+                "$REPRO_STORE_DIR if set and not empty, else in-memory "
+                "for this run only)"
             ),
         )
         add_telemetry_flag(p)
@@ -388,15 +388,17 @@ def _build_planner(command: str, store_dir: str | None, ids=()):
     """The planner every sweep-driven command evaluates through.
 
     Backed by the columnar store at ``store_dir``, else at
-    ``$REPRO_STORE_DIR``, else held in memory for this run only.  The
-    requests of the experiments ``ids`` are registered and filled
-    before it is returned (:func:`repro.sweep.planner.session_planner`),
-    so the experiments that follow are served from it and each device's
-    misses are filled in one batch call.
+    ``$REPRO_STORE_DIR`` (unless empty), else held in memory for this
+    run only.  The requests of the experiments ``ids`` are registered
+    and filled before it is returned
+    (:func:`repro.sweep.planner.session_planner`), so the experiments
+    that follow are served from it and each device's misses are filled
+    in one batch call.
 
-    A store path that is a file or a dangling link, or lies under one,
-    exits in one line before any work, as :func:`_check_output` does;
-    a missing directory is fine, since the store creates it.
+    An empty store path, or one that is a file or a dangling link, or
+    lies under one, exits in one line before any work, as
+    :func:`_check_output` does; a missing directory is fine, since the
+    store creates it.
     """
     import errno
     import os
@@ -405,7 +407,11 @@ def _build_planner(command: str, store_dir: str | None, ids=()):
     from repro.sweep.planner import session_planner
 
     if store_dir is None:
-        store_dir = os.environ.get("REPRO_STORE_DIR")
+        store_dir = os.environ.get("REPRO_STORE_DIR") or None
+    if store_dir == "":
+        # Path("") is ".": the store would write into the working
+        # directory.
+        raise SystemExit(f"repro {command}: '': {os.strerror(errno.ENOENT)}")
     if store_dir is not None:
         target = Path(store_dir)
         for path in (target, *target.parents):

@@ -1,5 +1,5 @@
-"""GPU simulator substrate: occupancy, warp efficiency, memory
-hierarchy, kernel pipeline timing, component power, DVFS, CUPTI.
+"""GPU simulator substrate: occupancy, kernel resources, memory
+hierarchy, pipeline timing, component power, DVFS, CUPTI.
 
 Exports resolve lazily (PEP 562): ``from repro.simgpu import
 GPUDevice`` imports :mod:`repro.simgpu.device` and what it needs, not
@@ -42,9 +42,6 @@ _EXPORTS = {
     "classify_matmul": "roofline",
     "PowerBreakdown": "power",
     "aux_decay": "power",
-    "lane_efficiency": "warps",
-    "smem_replay_factor": "warps",
-    "warps_per_block": "warps",
 }
 
 __all__ = list(_EXPORTS)

@@ -9,12 +9,11 @@ overhead — not the model mathematics — dominates sweep wall-clock.
 
 This module evaluates an *array* of configurations in one pass:
 
-* every per-configuration quantity of :mod:`repro.simgpu.kernel`,
-  :mod:`repro.simgpu.memhier`, :mod:`repro.simgpu.warps` and
-  :mod:`repro.simgpu.occupancy` becomes a vector over the config axis;
-* the clock-free terms and the clock probe are the scalar model's own
-  :func:`repro.simgpu.power.clock_free_terms` and
-  :func:`repro.simgpu.power.probe`, called on arrays;
+* the launch bounds, the traffic, resource and residency terms, the
+  clock-free terms and the clock probe are the scalar model's own
+  functions (:mod:`repro.simgpu.kernel`, :mod:`repro.simgpu.memhier`,
+  :mod:`repro.simgpu.occupancy`, :mod:`repro.simgpu.power`), each
+  called once on arrays over the config axis;
 * the DVFS power-cap bisection (:mod:`repro.simgpu.dvfs`) runs as a
   *masked lockstep* bisection: every lane follows exactly the scalar
   solver's schedule — same initial bracket, same midpoint updates,
@@ -22,21 +21,20 @@ This module evaluates an *array* of configurations in one pass:
 * the calibration may vary per lane, so one call serves several
   calibrations of a device (see below).
 
-**Parity contract.**  The clock-free terms and the probe are the
-scalar model's own, with ``np.ceil``, ``np.minimum`` and ``np.maximum``
-for its ``math.ceil``, ``min`` and scalar maximum.  What still differs
-is the resource and occupancy model, which :func:`_lane_constants`
-copies expression by expression (same operation order, so products of
-exactly representable integers are bit-identical); NumPy's SIMD
-``pow``/``exp`` kernels, which may differ from libm by ~1 ulp on an
-array operand; and the DVFS schedules, the scalar bisection against
-the masked lockstep of :func:`_evaluate_lanes`.  All branch decisions
+**Parity contract.**  Every per-configuration and per-clock
+expression is the scalar model's own, with ``np.ceil``, ``np.minimum``
+and ``np.maximum`` for its ``math.ceil``, ``min`` and scalar maximum.
+What still differs is NumPy's SIMD ``pow``/``exp`` kernels, which may
+differ from libm by ~1 ulp on an array operand, and the DVFS
+schedules, the scalar bisection against the masked lockstep of
+:func:`_evaluate_lanes`.  All branch decisions
 (power-cap comparisons, bisection early exit) compare against
 tolerances ≥ 0.25 W, twelve orders of magnitude above that noise, so
 the vectorized solver takes the same branch sequence as the scalar
 solver and the final ``(time, energy)`` agree to ≤ 1e-9 relative
 error (``tests/test_batch_backend.py`` enforces this over the full
-K40c and P100 configuration spaces, and the probe's outputs to 1e-14).
+K40c and P100 configuration spaces, the probe's outputs to 1e-14 and
+the traffic, resource and residency terms bit for bit).
 Quantities that must be *exact* — warp-row counts, the auxiliary
 decay — are computed per unique input value with the scalar functions
 and broadcast, not re-derived in floating point.
@@ -62,7 +60,6 @@ the parity tests compare this batch against it.
 
 from __future__ import annotations
 
-import math
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -74,7 +71,15 @@ from repro import obs
 from repro.machines.specs import GPUSpec
 from repro.simgpu.calibration import GPUCalibration, calibration_for
 from repro.simgpu.dvfs import MIN_CLOCK_FRACTION
-from repro.simgpu.kernel import avg_rows_per_warp, max_group_size
+from repro.simgpu.kernel import (
+    avg_rows_per_warp,
+    check_launch,
+    group_fits,
+    resource_terms,
+    tile_fits,
+)
+from repro.simgpu.memhier import TrafficModel, traffic_terms
+from repro.simgpu.occupancy import residency
 from repro.simgpu.power import aux_decay, clock_free_terms, probe
 
 __all__ = ["BatchRunResult", "batch_run_matmul", "evaluate_configs_batch"]
@@ -127,11 +132,8 @@ class _LaneConstants:
     A plain container of the fields :func:`repro.simgpu.power.probe`
     reads, as ``device._KernelTerms`` holds them for one
     configuration, plus ``r``, ``power_cap_w`` and ``thermal_tau_s``
-    for the DVFS schedule.  Exact-integer quantities (tile counts,
-    warp counts, residency) are pre-multiplied in the scalar path's
-    association order so the float64 products are bit-equal to the
-    scalar path's.  Each calibration constant is a per-lane column, or
-    a Python float when every lane shares it (always so for
+    for the DVFS schedule.  Each calibration constant is a per-lane
+    column, or a Python float when every lane shares it (always so for
     ``volt_exp``).
     """
 
@@ -181,36 +183,19 @@ def _validate(
 ) -> None:
     """Reject configurations the scalar path would reject.
 
-    Mirrors the checks of ``GPUDevice.run_matmul`` and
-    ``matmul_kernel_resources``; reports the first offending lane.
+    Finds the first offending lane with the scalar model's own bounds
+    (:func:`~repro.simgpu.kernel.tile_fits`,
+    :func:`~repro.simgpu.kernel.group_fits`) and raises its error from
+    :func:`~repro.simgpu.kernel.check_launch`.
     """
     if (r < 1).any():
         raise ValueError("R must be at least 1")
-    if (n < 1).any():
-        raise ValueError("N must be positive")
-    bs_max = int(math.isqrt(spec.max_threads_per_block))
-    bad = (bs < 1) | (bs > bs_max)
+    bad = (n < 1) | ~tile_fits(spec, bs)
+    if not bad.any():  # G is bounded only for a valid BS
+        bad = ~group_fits(spec, bs, g, np.minimum)
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
-        raise ValueError(
-            f"BS={int(bs[i])} invalid: BS² must not exceed "
-            f"{spec.max_threads_per_block} threads per block"
-        )
-    # Vectorized max_group_size: the shared-memory bound of one G=1
-    # product, capped by the kernel source's largest group (dgemmG8).
-    per_product = 2 * bs * bs * 8
-    gmax = np.where(
-        per_product > spec.shared_mem_per_block_bytes,
-        0,
-        np.minimum(8, spec.shared_mem_per_block_bytes // per_product),
-    )
-    bad = (g < 1) | (g > gmax)
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        raise ValueError(
-            f"G={int(g[i])} not permissible for BS={int(bs[i])} on "
-            f"{spec.name} (max {max_group_size(spec, int(bs[i]))})"
-        )
+        check_launch(spec, int(n[i]), int(bs[i]), int(g[i]))
 
 
 def _calibration_columns(
@@ -264,87 +249,44 @@ def _lane_constants(
     g: np.ndarray,
     r: np.ndarray,
 ) -> _LaneConstants:
-    """Vectorized kernel-resource + occupancy model.
+    """The scalar model's traffic, resource, residency and clock-free
+    terms, each of its functions called once on the lanes' arrays.
 
-    Mirrors ``matmul_kernel_resources``, ``matmul_traffic`` and
-    ``compute_occupancy`` expression by expression (same operation
-    order, so products of exactly-representable integers are
-    bit-identical to the scalar path), then computes the lanes'
-    :func:`~repro.simgpu.power.clock_free_terms`.  ``cal`` is a
-    calibration or a :func:`_calibration_columns` view; each constant
-    enters the same expression whether it is a Python float or a
-    per-lane column.
+    ``cal`` is a calibration or a :func:`_calibration_columns` view;
+    each constant enters the same expression whether it is a Python
+    float or a per-lane column.
     """
-    ws = spec.warp_size
-    n_f = n.astype(np.float64)
-    bs_f = bs.astype(np.float64)
-    g_f = g.astype(np.float64)
-
-    tiles = np.ceil(n / bs)  # float64, exact integer values
-    threads = bs * bs
-    threads_f = threads.astype(np.float64)
-    wpb = np.ceil(threads / ws)
-    rows = _rows_table(ws, int(bs.max()))[bs]
-    replay = 1.0 + cal.replay_slope * (rows - 1.0)
-    compute_cycles = (
-        2.0 * wpb * bs_f * (spec.warp_size / cal.lsu_lanes) * replay * cal.cpi
+    traffic = TrafficModel(
+        *traffic_terms(spec, n, bs, cal.l2_hit_cap, np.ceil, np.minimum)
     )
-
-    # -- traffic (matmul_traffic) --
-    element_loads = 2.0 * (tiles * tiles * tiles) * bs_f * bs_f
-    useful_read = element_loads * 8.0
-    row_bytes = (8 * bs).astype(np.float64)
-    sectors = np.ceil(row_bytes / spec.dram_sector_bytes)
-    coal = row_bytes / (sectors * spec.dram_sector_bytes)
-    fetched = useful_read / coal
-    strip_bytes = n_f * bs_f * 8.0
-    l2_hit = np.minimum(
-        cal.l2_hit_cap, cal.l2_hit_cap * spec.l2_bytes / strip_bytes
+    rows = _rows_table(spec.warp_size, int(bs.max()))[bs]
+    (threads, smem, grid_blocks, ksteps, compute_cycles, tile_fetch,
+     dram_bytes, lanes_issued, _, _) = resource_terms(
+        spec, cal, n, bs, g, rows, traffic, np.ceil
     )
-    dram_read = fetched * (1.0 - l2_hit)
-    dram_write = n_f * n_f * 8.0
-    tile_fetch = 2.0 * threads_f * 8.0 / coal * (1.0 - l2_hit)
-
-    icache = 1.0 + cal.icache_penalty * (g_f - 1.0)
-    total_dram = g_f * (dram_read + dram_write)
-    lanes_issued = (
-        g_f * (tiles * tiles) * tiles * wpb * ws * bs_f * replay
+    *_, blocks, active_warps, warp_occ = residency(
+        spec, threads, smem, np.ceil, np.minimum
     )
-
-    # -- occupancy (compute_occupancy; the paper's kernel never hits
-    #    the register or raw-block limits for the admitted BS range) --
-    smem = g * 2 * threads * 8
-    max_warps = spec.max_threads_per_sm // ws
-    by_threads = spec.max_threads_per_sm // threads
-    by_warps = max_warps // wpb.astype(np.int64)
-    by_smem = spec.shared_mem_per_sm_bytes // smem
-    blocks = np.minimum(
-        np.minimum(by_threads, by_warps),
-        np.minimum(np.int64(spec.max_blocks_per_sm), by_smem),
-    )
-    active_warps = blocks * wpb.astype(np.int64)
-    warp_occ = active_warps / max_warps
-
-    # -- clock-independent timing/power terms --
     if n[0] == n[-1] and (n == n[0]).all():  # the common one-N sweep
         decay = aux_decay(spec, int(n[0]))
     else:
         decay = _per_unique(n, lambda v: aux_decay(spec, v))
+    g_f = g.astype(np.float64)
     sm_steps, t_dram, activity_base_w, aux_windows_w = clock_free_terms(
-        spec, cal, tiles * tiles, tiles, total_dram, g_f, active_warps,
+        spec, cal, grid_blocks, ksteps, dram_bytes, g_f, active_warps,
         warp_occ, decay, np.ceil, np.minimum,
     )
 
     return _LaneConstants(
         g=g_f,
         r=r.astype(np.float64),
-        compute_cycles=compute_cycles * icache,
+        compute_cycles=compute_cycles,
         tile_fetch_bytes=tile_fetch,
         t_dram=t_dram,
         sm_steps=sm_steps,
-        blocks_per_sm=blocks.astype(np.float64),
+        blocks_per_sm=blocks,
         lanes_issued=lanes_issued,
-        dram_bytes=total_dram,
+        dram_bytes=dram_bytes,
         activity_base_w=activity_base_w,
         aux_windows_w=aux_windows_w,
         **{name: getattr(spec, name) for name in _SPEC_FIELDS},

@@ -150,7 +150,7 @@ class _KernelTerms:
 #: (the oldest pair's table is dropped first) ...
 DEVICE_TABLES = 64
 #: ... and at most this many ``(n, bs, g)`` entries per table (a full
-#: table is emptied), the bound of ``matmul_kernel_resources``' memo.
+#: table is emptied).
 DEVICE_TABLE_SIZE = 4096
 
 #: ``(spec, cal)`` -> that pair's device table: ``(n, bs, g)`` ->
@@ -190,8 +190,8 @@ class GPUDevice:
 
     A device resolves its ``(spec, cal)`` pair's table once, when it is
     built: :meth:`run_matmul` finds a configuration's kernel resources
-    and occupancy there by ``(n, bs, g)``, and builds them through the
-    memoized :func:`matmul_kernel_resources` and
+    and occupancy there by ``(n, bs, g)``, and builds them through
+    :func:`matmul_kernel_resources` and the memoized
     :func:`compute_occupancy` only on a miss.
     """
 
@@ -202,7 +202,7 @@ class GPUDevice:
 
     def _records(self, n: int, bs: int, g: int) -> tuple:
         """``(KernelResources, Occupancy)`` of ``(n, bs, g)``, a table
-        miss: built (or found in their memos) and entered."""
+        miss: built and entered."""
         spec, table = self.spec, self._table
         res = matmul_kernel_resources(spec, self.cal, n, bs, g)
         occ = compute_occupancy(

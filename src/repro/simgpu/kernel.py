@@ -25,12 +25,15 @@ from functools import lru_cache
 from repro.machines.specs import GPUSpec
 from repro.simgpu.calibration import GPUCalibration
 from repro.simgpu.memhier import TrafficModel, matmul_traffic
-from repro.simgpu.warps import lane_efficiency, warps_per_block
 
 __all__ = [
     "avg_rows_per_warp",
     "shared_mem_per_block",
     "max_group_size",
+    "tile_fits",
+    "group_fits",
+    "check_launch",
+    "resource_terms",
     "KernelResources",
     "matmul_kernel_resources",
 ]
@@ -58,25 +61,101 @@ def avg_rows_per_warp(bs: int, warp_size: int = 32) -> float:
     return total_rows / n_warps
 
 
-def shared_mem_per_block(bs: int, g: int) -> int:
-    """Shared memory one block allocates: G tile pairs of BS² doubles."""
-    if bs < 1 or g < 1:
-        raise ValueError("BS and G must be at least 1")
+def shared_mem_per_block(bs, g):
+    """Shared memory one block allocates: G tile pairs of BS² doubles
+    (Python ints, or int64 arrays of lanes)."""
     return g * 2 * bs * bs * 8
 
 
-def max_group_size(spec: GPUSpec, bs: int, g_cap: int = 8) -> int:
+def max_group_size(spec: GPUSpec, bs, g_cap: int = 8, minimum=min):
     """Largest permissible G for tile dimension BS on this GPU.
 
     Bounded by the per-block shared-memory limit (the paper: "due to
     the limited size of the per-block shared memory, only certain
     (G, R) combinations are permissible for a given BS") and by the
-    kernel source's largest group (dgemmG8 ⇒ G ≤ 8).
+    kernel source's largest group (dgemmG8 ⇒ G ≤ 8); 0 when not even
+    one product's tile pair fits.  ``minimum`` is ``np.minimum`` for an
+    int64 array of BS.
     """
-    per_product = 2 * bs * bs * 8
-    if per_product > spec.shared_mem_per_block_bytes:
-        return 0
-    return min(g_cap, spec.shared_mem_per_block_bytes // per_product)
+    per_product = shared_mem_per_block(bs, 1)
+    return minimum(g_cap, spec.shared_mem_per_block_bytes // per_product)
+
+
+def tile_fits(spec: GPUSpec, bs):
+    """Whether BS is a tile dimension: at least 1, with BS² threads
+    within one block's limit.  Python ints, or int64 arrays of lanes."""
+    return (bs >= 1) & (bs <= math.isqrt(spec.max_threads_per_block))
+
+
+def group_fits(spec: GPUSpec, bs, g, minimum):
+    """Whether G is permissible for the tile dimension BS (which
+    :func:`tile_fits`), as :func:`max_group_size` bounds it."""
+    return (g >= 1) & (g <= max_group_size(spec, bs, minimum=minimum))
+
+
+def check_launch(spec: GPUSpec, n: int, bs: int, g: int) -> None:
+    """Raise ValueError for a non-positive N, an invalid BS or a G over
+    the shared-memory limit: launches that fail on real hardware."""
+    if n < 1:
+        raise ValueError("N must be positive")
+    if not tile_fits(spec, bs):
+        raise ValueError(
+            f"BS={bs} invalid: BS² must not exceed "
+            f"{spec.max_threads_per_block} threads per block"
+        )
+    if not group_fits(spec, bs, g, min):
+        raise ValueError(
+            f"G={g} not permissible for BS={bs} on {spec.name} "
+            f"(max {max_group_size(spec, bs)})"
+        )
+
+
+def resource_terms(
+    spec: GPUSpec, cal, n, bs, g, rows, traffic: TrafficModel, ceil
+) -> tuple:
+    """:class:`KernelResources`' fields from ``threads_per_block`` to
+    ``lanes_issued``, in order, then the warps per block and the replay
+    factor, given ``rows`` (:func:`avg_rows_per_warp` of BS) and one
+    product's ``traffic``.
+
+    The one copy of these terms: :func:`matmul_kernel_resources` calls
+    it on Python ints with ``math.ceil``, the batch model on int64
+    arrays of lanes with ``np.ceil``.  No ``pow`` enters it, and its
+    integer products are exact in float64 for any N a GPU's memory
+    holds, so each lane has its scalar call's bits.
+    """
+    tiles = ceil(n / bs)
+    grid_blocks = tiles * tiles
+    threads = bs * bs
+    warps = ceil(threads / spec.warp_size)
+    replay = 1.0 + cal.replay_slope * (rows - 1.0)
+
+    # Per tile step per block: each warp issues BS iterations, each with
+    # two shared loads through lsu_lanes-wide LSU pipes, scaled by the
+    # replay factor and the CPI fudge.
+    compute_cycles = (
+        2.0 * warps * bs * (spec.warp_size / cal.lsu_lanes) * replay * cal.cpi
+    )
+    # Icache pressure: each extra repeated product code slows issue.
+    icache = 1.0 + cal.icache_penalty * (g - 1)
+    tile_fetch = (
+        2.0 * threads * 8.0
+        / traffic.coalescing
+        * (1.0 - traffic.l2_hit_fraction)
+    )
+    lanes_issued = g * grid_blocks * tiles * warps * spec.warp_size * bs * replay
+    return (
+        threads,
+        shared_mem_per_block(bs, g),
+        grid_blocks,
+        tiles,
+        compute_cycles * icache,
+        tile_fetch,
+        g * traffic.total_dram_bytes,
+        lanes_issued,
+        warps,
+        replay,
+    )
 
 
 @dataclass(frozen=True)
@@ -112,76 +191,25 @@ class KernelResources:
     traffic: TrafficModel
 
 
-@lru_cache(maxsize=4096)
 def matmul_kernel_resources(
     spec: GPUSpec, cal: GPUCalibration, n: int, bs: int, g: int
 ) -> KernelResources:
     """Build the resource model for one (N, BS, G) kernel launch.
 
-    Memoized across calls: the resource model depends only on the
-    hashable frozen ``(spec, cal, n, bs, g)`` — R only scales time and
-    energy linearly — so R-repeats and repeated sweeps of the same
-    configuration reuse one :class:`KernelResources` instance.
-
-    Raises
-    ------
-    ValueError
-        For invalid sizes or a G exceeding the shared-memory limit —
-        configurations that fail to compile/launch on real hardware.
+    Not memoized: a :class:`repro.simgpu.device.GPUDevice` keeps the
+    records it builds in its device table.  Raises ValueError where
+    :func:`check_launch` does.
     """
-    if n < 1:
-        raise ValueError("N must be positive")
-    if not (1 <= bs <= int(math.isqrt(spec.max_threads_per_block))):
-        raise ValueError(
-            f"BS={bs} invalid: BS² must not exceed "
-            f"{spec.max_threads_per_block} threads per block"
-        )
-    gmax = max_group_size(spec, bs)
-    if g < 1 or g > gmax:
-        raise ValueError(
-            f"G={g} not permissible for BS={bs} on {spec.name} (max {gmax})"
-        )
-
-    tiles = math.ceil(n / bs)
-    threads = bs * bs
-    wpb = warps_per_block(threads, spec.warp_size)
-    leff = lane_efficiency(threads, spec.warp_size)
-    rows = avg_rows_per_warp(bs, spec.warp_size)
-    replay = 1.0 + cal.replay_slope * (rows - 1.0)
-
-    # Per tile step per block: each warp issues BS iterations, each with
-    # two shared loads through lsu_lanes-wide LSU pipes, scaled by the
-    # replay factor and the CPI fudge.
-    compute_cycles = (
-        2.0 * wpb * bs * (spec.warp_size / cal.lsu_lanes) * replay * cal.cpi
-    )
-
+    check_launch(spec, n, bs, g)
     traffic = matmul_traffic(spec, n, bs, l2_hit_cap=cal.l2_hit_cap)
-    tile_fetch = (
-        2.0 * threads * 8.0
-        / traffic.coalescing
-        * (1.0 - traffic.l2_hit_fraction)
+    *fields, warps, replay = resource_terms(
+        spec, cal, n, bs, g, avg_rows_per_warp(bs, spec.warp_size), traffic,
+        math.ceil,
     )
-
-    # Icache pressure: each extra repeated product code slows issue.
-    icache = 1.0 + cal.icache_penalty * (g - 1)
-
     return KernelResources(
-        n=n,
-        bs=bs,
-        g=g,
-        threads_per_block=threads,
-        smem_per_block_bytes=shared_mem_per_block(bs, g),
-        grid_blocks=tiles * tiles,
-        ksteps_per_product=tiles,
-        compute_cycles_per_kstep=compute_cycles * icache,
-        tile_fetch_bytes=tile_fetch,
-        total_dram_bytes=g * traffic.total_dram_bytes,
-        lanes_issued=(
-            g * float(tiles * tiles) * tiles * wpb * spec.warp_size * bs * replay
-        ),
+        n, bs, g, *fields,
         useful_flops=g * 2.0 * float(n) ** 3,
-        lane_eff=leff,
+        lane_eff=fields[0] / (warps * spec.warp_size),
         replay_factor=replay,
         traffic=traffic,
     )

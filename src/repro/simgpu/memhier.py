@@ -24,20 +24,20 @@ from functools import lru_cache
 
 from repro.machines.specs import GPUSpec
 
-__all__ = ["coalescing_efficiency", "TrafficModel", "matmul_traffic"]
+__all__ = [
+    "coalescing_efficiency", "TrafficModel", "matmul_traffic", "traffic_terms",
+]
 
 
-def coalescing_efficiency(row_bytes: int, sector_bytes: int) -> float:
+def coalescing_efficiency(row_bytes, sector_bytes, ceil=math.ceil):
     """Useful fraction of DRAM sectors fetched for one contiguous row.
 
-    ``row_bytes`` contiguous useful bytes require
+    ``row_bytes`` (at least 1) contiguous useful bytes require
     ``ceil(row_bytes / sector_bytes)`` sectors; efficiency is the useful
-    fraction ∈ (0, 1].
+    fraction ∈ (0, 1].  Python ints with ``math.ceil``, or int64 arrays
+    with ``np.ceil``.
     """
-    if row_bytes < 1 or sector_bytes < 1:
-        raise ValueError("byte counts must be positive")
-    sectors = math.ceil(row_bytes / sector_bytes)
-    return row_bytes / (sectors * sector_bytes)
+    return row_bytes / (ceil(row_bytes / sector_bytes) * sector_bytes)
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,36 @@ class TrafficModel:
         return self.dram_read_bytes + self.dram_write_bytes
 
 
+def traffic_terms(spec: GPUSpec, n, bs, l2_hit_cap, ceil, minimum) -> tuple:
+    """:class:`TrafficModel`'s fields, in order, of one product.
+
+    The one copy of the traffic model: :func:`matmul_traffic` calls it
+    on Python ints with ``math.ceil`` and ``min``, and the batch model
+    (:mod:`repro.simgpu.batch`) on int64 arrays of lanes with
+    ``np.ceil`` and ``np.minimum``.  No ``pow`` enters it, so each lane
+    holds the bits of its scalar call.
+    """
+    tiles_per_dim = ceil(n / bs)
+    # Element loads: each block walks tiles_per_dim tile pairs of BS²
+    # elements; grid has tiles_per_dim² blocks.
+    cube = tiles_per_dim * tiles_per_dim * tiles_per_dim
+    useful_read = 2.0 * cube * bs * bs * 8.0
+
+    coal = coalescing_efficiency(8 * bs, spec.dram_sector_bytes, ceil)
+    fetched = useful_read / coal
+
+    # L2 reuse: the blocks of one grid row share the same column strip
+    # of B (N·BS·8 bytes per tile step).  The hit fraction is the share
+    # of that strip the L2 retains, at most 50% of the combined A+B
+    # stream (A tiles are block-private and stream through).
+    strip_bytes = n * bs * 8.0
+    l2_hit = minimum(l2_hit_cap, l2_hit_cap * spec.l2_bytes / strip_bytes)
+
+    dram_read = fetched * (1.0 - l2_hit)
+    dram_write = n * n * 8.0  # one C writeback per product
+    return useful_read, l2_hit, dram_read, dram_write, coal
+
+
 @lru_cache(maxsize=4096)
 def matmul_traffic(
     spec: GPUSpec, n: int, bs: int, *, l2_hit_cap: float = 0.5
@@ -90,28 +120,6 @@ def matmul_traffic(
         raise ValueError("BS must be positive")
     if not (0.0 <= l2_hit_cap <= 1.0):
         raise ValueError("l2_hit_cap must be in [0, 1]")
-    tiles_per_dim = math.ceil(n / bs)
-    # Element loads: each block walks tiles_per_dim tile pairs of BS²
-    # elements; grid has tiles_per_dim² blocks.
-    element_loads = 2.0 * tiles_per_dim**3 * bs * bs
-    useful_read = element_loads * 8.0
-
-    coal = coalescing_efficiency(8 * bs, spec.dram_sector_bytes)
-    fetched = useful_read / coal
-
-    # L2 reuse: the blocks of one grid row share the same column strip
-    # of B (N·BS·8 bytes per tile step).  The hit fraction is the share
-    # of that strip the L2 retains, at most 50% of the combined A+B
-    # stream (A tiles are block-private and stream through).
-    strip_bytes = n * bs * 8.0
-    l2_hit = min(l2_hit_cap, l2_hit_cap * spec.l2_bytes / strip_bytes)
-
-    dram_read = fetched * (1.0 - l2_hit)
-    dram_write = float(n) * n * 8.0  # one C writeback per product
     return TrafficModel(
-        useful_read_bytes=useful_read,
-        l2_hit_fraction=l2_hit,
-        dram_read_bytes=dram_read,
-        dram_write_bytes=dram_write,
-        coalescing=coal,
+        *traffic_terms(spec, n, bs, l2_hit_cap, math.ceil, min)
     )

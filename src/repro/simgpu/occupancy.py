@@ -11,7 +11,7 @@ behind the jagged energy/performance landscape of Figs. 2, 7, 8.
 
 This mirrors the vendor occupancy-calculator rules for the limits we
 model; register pressure is not modelled (the paper's kernel is
-register-light).
+register-light, about 30 registers a thread, and never register-bound).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from functools import lru_cache
 
 from repro.machines.specs import GPUSpec
 
-__all__ = ["Occupancy", "compute_occupancy"]
+__all__ = ["Occupancy", "compute_occupancy", "residency"]
 
 
 @dataclass(frozen=True)
@@ -54,63 +54,19 @@ class Occupancy:
     limiter: str
 
 
-#: Register file size per SM on the modelled parts (64K 32-bit regs).
-REGISTERS_PER_SM = 65536
+def residency(
+    spec: GPUSpec, threads_per_block, smem_per_block_bytes, ceil, minimum
+) -> tuple:
+    """``(by_threads, by_warps, by_smem, blocks_per_sm,
+    active_warps_per_sm, warp_occupancy)``: the blocks each per-SM
+    budget admits, their minimum with the block slots, and the resident
+    warps and warp occupancy that gives.
 
-
-@lru_cache(maxsize=4096)
-def compute_occupancy(
-    spec: GPUSpec,
-    threads_per_block: int,
-    smem_per_block_bytes: int,
-    *,
-    regs_per_thread: int = 0,
-) -> Occupancy:
-    """Apply the CUDA per-SM residency rules.
-
-    ``regs_per_thread`` adds the register-pressure limit
-    (``floor(64K / (regs · threads))`` blocks); 0 disables it — the
-    paper's kernel is register-light (≈ 30 regs, never the limiter for
-    BS ≥ 8), so the default models it as unconstrained.
-
-    Memoized across calls, like
-    :func:`repro.simgpu.kernel.matmul_kernel_resources`: the result is a
-    frozen :class:`Occupancy` that depends only on the hashable spec,
-    the block shape and the register count, and a sweep revisits the
-    same few block shapes at every matrix size.
-
-    Raises
-    ------
-    ValueError
-        If the block violates a hard launch limit (too many threads per
-        block, more shared memory than a block may allocate, or more
-        registers than the file holds) — such configurations fail to
-        launch on real hardware and are excluded from the paper's
-        sweeps.
+    The one copy of the residency rule: :func:`compute_occupancy` calls
+    it on Python ints with ``math.ceil`` and ``min``, the batch model on
+    int64 arrays of lanes with ``np.ceil`` and ``np.minimum``.
     """
-    if threads_per_block < 1:
-        raise ValueError("block must have at least one thread")
-    if threads_per_block > spec.max_threads_per_block:
-        raise ValueError(
-            f"{threads_per_block} threads/block exceeds the launch limit "
-            f"{spec.max_threads_per_block} on {spec.name}"
-        )
-    if smem_per_block_bytes < 0:
-        raise ValueError("shared memory per block must be non-negative")
-    if smem_per_block_bytes > spec.shared_mem_per_block_bytes:
-        raise ValueError(
-            f"{smem_per_block_bytes} B shared memory/block exceeds the "
-            f"limit {spec.shared_mem_per_block_bytes} B on {spec.name}"
-        )
-    if regs_per_thread < 0:
-        raise ValueError("registers per thread must be non-negative")
-    if regs_per_thread * threads_per_block > REGISTERS_PER_SM:
-        raise ValueError(
-            f"{regs_per_thread} regs x {threads_per_block} threads "
-            f"exceed the {REGISTERS_PER_SM}-register file"
-        )
-
-    warps_per_block = math.ceil(threads_per_block / spec.warp_size)
+    warps_per_block = ceil(threads_per_block / spec.warp_size)
     max_warps = spec.max_threads_per_sm // spec.warp_size
     by_threads = spec.max_threads_per_sm // threads_per_block
     # Residency is warp-granular: a block of 676 threads occupies 22
@@ -119,28 +75,63 @@ def compute_occupancy(
     # residency rule and a major source of the non-monotone energy
     # landscape over BS.
     by_warps = max_warps // warps_per_block
-    by_blocks = spec.max_blocks_per_sm
-    if smem_per_block_bytes > 0:
-        by_smem = spec.shared_mem_per_sm_bytes // smem_per_block_bytes
-    else:
-        by_smem = by_blocks  # shared memory imposes no limit
-    if regs_per_thread > 0:
-        by_regs = REGISTERS_PER_SM // (regs_per_thread * threads_per_block)
-    else:
-        by_regs = by_blocks
-    blocks = min(by_threads, by_warps, by_blocks, by_smem, by_regs)
-    if blocks < 1:
-        # threads/smem fit a single block by the launch-limit checks
-        # above, so this can only happen through by_smem == 0 with
-        # smem_per_block <= per-block limit but > per-SM budget, which
-        # no real part exhibits; guard anyway.
+    by_smem = spec.shared_mem_per_sm_bytes // smem_per_block_bytes
+    blocks = minimum(
+        minimum(by_threads, by_warps),
+        minimum(spec.max_blocks_per_sm, by_smem),
+    )
+    active_warps = blocks * warps_per_block
+    return (
+        by_threads, by_warps, by_smem, blocks, active_warps,
+        active_warps / max_warps,
+    )
+
+
+@lru_cache(maxsize=4096)
+def compute_occupancy(
+    spec: GPUSpec, threads_per_block: int, smem_per_block_bytes: int
+) -> Occupancy:
+    """Apply the CUDA per-SM residency rules (:func:`residency`).
+
+    Memoized across calls: the result is a frozen :class:`Occupancy`
+    that depends only on the hashable spec and the block shape, and a
+    sweep revisits the same few block shapes at every matrix size.
+
+    Raises
+    ------
+    ValueError
+        If the block violates a hard launch limit (too many threads per
+        block, or more shared memory than a block may allocate) — such
+        configurations fail to launch on real hardware and are excluded
+        from the paper's sweeps — or allocates no shared memory, which
+        no launch of the paper's kernel does.
+    """
+    if threads_per_block < 1:
+        raise ValueError("block must have at least one thread")
+    if threads_per_block > spec.max_threads_per_block:
+        raise ValueError(
+            f"{threads_per_block} threads/block exceeds the launch limit "
+            f"{spec.max_threads_per_block} on {spec.name}"
+        )
+    if smem_per_block_bytes < 1:
+        raise ValueError(
+            "shared memory per block must be positive: every launch "
+            "allocates at least one tile pair"
+        )
+    if smem_per_block_bytes > spec.shared_mem_per_block_bytes:
+        raise ValueError(
+            f"{smem_per_block_bytes} B shared memory/block exceeds the "
+            f"limit {spec.shared_mem_per_block_bytes} B on {spec.name}"
+        )
+
+    by_threads, by_warps, by_smem, blocks, active_warps, warp_occupancy = (
+        residency(spec, threads_per_block, smem_per_block_bytes, math.ceil, min)
+    )
+    if blocks < 1:  # a block over the per-SM, not per-block, smem budget
         raise ValueError("kernel cannot fit a single block on an SM")
 
-    if regs_per_thread > 0 and blocks == by_regs and by_regs < min(
-        by_threads, by_warps, by_blocks, by_smem
-    ):
-        limiter = "registers"
-    elif blocks == by_smem and by_smem < min(by_threads, by_warps, by_blocks):
+    by_blocks = spec.max_blocks_per_sm
+    if blocks == by_smem and by_smem < min(by_threads, by_warps, by_blocks):
         limiter = "shared_memory"
     elif blocks == min(by_threads, by_warps) and blocks < by_blocks:
         limiter = "warps" if by_warps < by_threads else "threads"
@@ -151,8 +142,8 @@ def compute_occupancy(
     return Occupancy(
         blocks_per_sm=blocks,
         active_threads_per_sm=threads,
-        active_warps_per_sm=blocks * warps_per_block,
+        active_warps_per_sm=active_warps,
         occupancy=threads / spec.max_threads_per_sm,
-        warp_occupancy=blocks * warps_per_block / max_warps,
+        warp_occupancy=warp_occupancy,
         limiter=limiter,
     )

@@ -20,12 +20,12 @@ samples were taken on: ``repro perf check BASELINE CURRENT`` judges
 the samples of two documents only when their hosts are the same.  Four
 regression gates fail the run (:func:`run_from_args`).
 
-The per-``(N, BS, G)`` memo caches, and the scalar model's device
-tables that answer before them, are cleared before every timed run: a
-production sweep of a new matrix size never hits them, so warm repeats
-would time the benchmark loop, not the cost users pay.  Caches keyed by
-the block shape (``avg_rows_per_warp``, ``compute_occupancy``) are
-shared across sweeps and stay warm.
+The scalar model's per-``(N, BS, G)`` device tables, and the
+per-``(N, BS)`` traffic memo behind them, are cleared before every
+timed run: a production sweep of a new matrix size never hits them, so
+warm repeats would time the benchmark loop, not the cost users pay.
+Caches keyed by the block shape (``avg_rows_per_warp``,
+``compute_occupancy``) are shared across sweeps and stay warm.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import sys
 import tempfile
 import time
@@ -67,14 +66,12 @@ PLANNER_DEVICES = ("k40c", "p100")
 
 
 def _clear_sweep_memo() -> None:
-    """Reset the per-(N, BS, G) memo caches and the device tables in
-    front of them (see module docstring)."""
+    """Reset the device tables and the traffic memo behind them (see
+    module docstring)."""
     from repro.simgpu.device import clear_device_tables
-    from repro.simgpu.kernel import matmul_kernel_resources
     from repro.simgpu.memhier import matmul_traffic
 
     clear_device_tables()
-    matmul_kernel_resources.cache_clear()
     matmul_traffic.cache_clear()
 
 
@@ -345,6 +342,8 @@ def _bench_incremental(*, repeats: int, points: int = 50_000) -> dict:
 def _host() -> dict:
     """The identity under which two runs' timings are comparable: CPU
     model, core count, machine arch, Python and NumPy versions."""
+    import platform
+
     import numpy
 
     cpu_model = ""

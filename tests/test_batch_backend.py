@@ -25,14 +25,23 @@ from repro.simgpu.batch import (
     _COLUMN_FIELDS,
     BatchRunResult,
     _lane_constants,
+    _rows_table,
     batch_run_matmul,
     evaluate_configs_batch,
 )
 from repro.simgpu.calibration import calibration_for
 from repro.simgpu.device import GPUDevice, _KernelTerms
 from repro.simgpu.dvfs import MIN_CLOCK_FRACTION
-from repro.simgpu.kernel import matmul_kernel_resources, max_group_size
-from repro.simgpu.occupancy import compute_occupancy
+from repro.simgpu.kernel import (
+    avg_rows_per_warp,
+    group_fits,
+    matmul_kernel_resources,
+    max_group_size,
+    resource_terms,
+    tile_fits,
+)
+from repro.simgpu.memhier import TrafficModel, traffic_terms
+from repro.simgpu.occupancy import compute_occupancy, residency
 from repro.simgpu.power import probe, scalar_max
 from repro.sweep import EvalPlanner
 
@@ -223,6 +232,58 @@ class TestProbeParity:
                     [out[i] for out in batch], scalar, rtol=1e-14, atol=0,
                     err_msg=f"{spec.name} n={n} bs={b} g={gi} f={clock}",
                 )
+
+
+#: The matrix sizes of ``tools/model_fingerprint.py``'s GPU sweep.
+FINGERPRINT_SIZES = (1024, 5120, 8704, 10240, 14336, 18432, 30000)
+
+
+class TestTermParity:
+    """The batch model's traffic, resource and residency terms and its
+    launch bounds are the scalar model's own functions: for every valid
+    BS and G of both GPUs at the fingerprint's seven sizes, each lane
+    of one call on int64 arrays (``np.ceil``, ``np.minimum``) equals
+    the call on that lane's Python ints (``math.ceil``, ``min``),
+    compared with ``==``.  No ``pow`` enters them, so no tolerance is
+    needed."""
+
+    @staticmethod
+    def _terms(spec, cal, n, bs, g, rows, ceil, minimum):
+        traffic = traffic_terms(spec, n, bs, cal.l2_hit_cap, ceil, minimum)
+        resources = resource_terms(
+            spec, cal, n, bs, g, rows, TrafficModel(*traffic), ceil
+        )
+        occupancy = residency(spec, *resources[:2], ceil, minimum)
+        bounds = (
+            max_group_size(spec, bs, minimum=minimum),
+            tile_fits(spec, bs),
+            group_fits(spec, bs, g, minimum),
+        )
+        return (*traffic, *resources, *occupancy, *bounds)
+
+    @pytest.mark.parametrize("spec", [K40C, P100], ids=["k40c", "p100"])
+    def test_array_lanes_equal_int_calls(self, spec):
+        cal = calibration_for(spec)
+        grid = [
+            (n, bs, g)
+            for n in FINGERPRINT_SIZES
+            for bs in range(1, math.isqrt(spec.max_threads_per_block) + 1)
+            for g in range(1, max_group_size(spec, bs) + 1)
+        ]
+        n, bs, g = (np.array(axis, dtype=np.int64) for axis in zip(*grid))
+        rows = _rows_table(spec.warp_size, int(bs.max()))
+        lanes = self._terms(
+            spec, cal, n, bs, g, rows[bs], np.ceil, np.minimum
+        )
+        for i, (ni, bi, gi) in enumerate(grid):
+            scalar = self._terms(
+                spec, cal, ni, bi, gi, avg_rows_per_warp(bi, spec.warp_size),
+                math.ceil, min,
+            )
+            assert [lane[i] for lane in lanes] == list(scalar), (
+                f"{spec.name} n={ni} bs={bi} g={gi}"
+            )
+        assert all(lanes[-2]) and all(lanes[-1])
 
 
 class TestCalibrationRuns:

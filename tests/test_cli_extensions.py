@@ -10,7 +10,6 @@ from repro.cli import main
 from repro.experiments.dvfs_comparison import GPU_CLOCK_LADDER_FRACTIONS
 from repro.machines import K40C, P100
 from repro.simgpu.device import GPUDevice
-from repro.simgpu.occupancy import REGISTERS_PER_SM, compute_occupancy
 
 
 class TestPinnedClock:
@@ -59,31 +58,6 @@ class TestPinnedClock:
         dev = GPUDevice(K40C)
         r = dev.run_matmul(4096, 16, pinned_clock_hz=600e6)
         assert r.clock_hz == pytest.approx(600e6)
-
-
-class TestRegisterOccupancy:
-    def test_register_limit_binds(self):
-        # 128 regs x 256 threads = 32K regs/block -> 2 blocks/SM.
-        occ = compute_occupancy(P100, 256, 0, regs_per_thread=128)
-        assert occ.blocks_per_sm == 2
-        assert occ.limiter == "registers"
-
-    def test_light_kernel_unaffected(self):
-        free = compute_occupancy(P100, 1024, 2 * 1024 * 8)
-        light = compute_occupancy(P100, 1024, 2 * 1024 * 8, regs_per_thread=30)
-        assert light.blocks_per_sm == free.blocks_per_sm
-
-    def test_register_file_launch_limit(self):
-        with pytest.raises(ValueError, match="register file"):
-            compute_occupancy(P100, 1024, 0, regs_per_thread=128)
-
-    def test_negative_registers_rejected(self):
-        with pytest.raises(ValueError):
-            compute_occupancy(P100, 256, 0, regs_per_thread=-1)
-
-    def test_register_budget_respected(self):
-        occ = compute_occupancy(P100, 100, 0, regs_per_thread=200)
-        assert occ.blocks_per_sm * 200 * 100 <= REGISTERS_PER_SM
 
 
 class TestReport:
@@ -191,6 +165,33 @@ def test_store_dir_on_a_file_is_a_one_line_error(
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert str(info.value) == f"repro {argv[0]}: {path}: Not a directory"
+
+
+@pytest.mark.parametrize("from_env", [True, False], ids=["env", "flag"])
+def test_empty_store_path_writes_nothing_into_the_working_directory(
+    tmp_path, monkeypatch, capsys, from_env
+):
+    """``Path("")`` is the working directory: an empty
+    ``$REPRO_STORE_DIR`` counts as unset, so the run keeps its results
+    in memory, and an empty ``--store-dir`` is refused in one line
+    before the planner is built."""
+    import repro.sweep.planner
+
+    monkeypatch.chdir(tmp_path)
+    if from_env:
+        monkeypatch.setenv("REPRO_STORE_DIR", "")
+        assert main(["experiment", "fig7"]) == 0
+        assert capsys.readouterr().out
+    else:
+        def never(*args, **kwargs):
+            raise AssertionError("work done before the store path was checked")
+
+        monkeypatch.setattr(repro.sweep.planner, "session_planner", never)
+        monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
+        with pytest.raises(SystemExit) as info:
+            main(["all", "--store-dir", ""])
+        assert str(info.value) == "repro all: '': No such file or directory"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_failed_report_render_leaves_the_output_file_untouched(

@@ -16,8 +16,9 @@ the batch model nor the store.  A cold ``repro all`` or ``repro
 report`` loads no ``statistics`` (nor the ``fractions`` and ``decimal``
 it imports), and the dataclasses their modules define are exactly the
 listed ones, each kept for a stated reason.  Set-up and a cold ``repro
-all`` load no ``hashlib``, and ``python -X importtime`` logs every
-module the lazy loaders import.  The guard
+all`` load no ``hashlib``, no repro module imports ``platform`` at
+set-up, and ``python -X importtime`` logs every module the lazy
+loaders import.  The guard
 starts a fresh interpreter and checks which modules are loaded, so
 unlike a timing gate it cannot flake on a slow host.
 """
@@ -209,6 +210,36 @@ def test_setup_and_cold_all_load_no_hashlib(cold_runs):
     all`` need none of them (``hashlib`` with OpenSSL: about 4 ms)."""
     assert cold_runs["all"]["hashlib"] == {"setup": False, "command": False}
     assert cold_runs["report"]["hashlib"] == {"setup": False, "command": True}
+
+
+def test_setup_imports_no_platform_itself():
+    """Only ``repro bench``'s host fingerprint reads ``platform`` (about
+    2 ms to import), so no repro module imports it at set-up.  NumPy 2
+    imports it itself (``numpy.lib._utils_impl``), so set-up may still
+    load it, but only through NumPy: in ``-X importtime``'s tree, the
+    module that imports ``platform`` is never a repro module."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c",
+         "import repro.cli; repro.cli.build_parser()"],
+        env=_child_env(), capture_output=True, text=True, check=True,
+    )
+    # Each entry is a module name indented by its depth in the tree; a
+    # module's importer is the next entry indented less.
+    tree = [
+        line.rsplit("|", 1)[-1]
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    ]
+
+    def depth(entry: str) -> int:
+        return len(entry) - len(entry.lstrip())
+
+    importers = [
+        next((e.strip() for e in tree[i + 1:] if depth(e) < depth(entry)), "")
+        for i, entry in enumerate(tree)
+        if entry.strip() == "platform"
+    ]
+    assert not [m for m in importers if m.split(".")[0] == "repro"]
 
 
 def test_cold_commands_define_only_the_allowlisted_dataclasses(cold_runs):

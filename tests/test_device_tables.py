@@ -25,7 +25,6 @@ from repro.simgpu import device
 from repro.simgpu.calibration import K40C_CAL, GPUCalibration
 from repro.simgpu.device import GPUDevice, clear_device_tables
 from repro.simgpu.kernel import matmul_kernel_resources
-from repro.simgpu.occupancy import compute_occupancy
 
 
 @pytest.fixture(autouse=True)
@@ -85,26 +84,30 @@ class TestGPUDeviceTable:
     def test_hit_returns_the_records_the_miss_built(self):
         dev = GPUDevice(K40C)
         miss = dev.run_matmul(8704, 16, 2)
+        res, occ = dev._table[8704, 16, 2]
         hit = dev.run_matmul(8704, 16, 2, 3)
         shared = GPUDevice(K40C, K40C_CAL).run_matmul(8704, 16, 2)
-        res = matmul_kernel_resources(K40C, K40C_CAL, 8704, 16, 2)
-        occ = compute_occupancy(
-            K40C, res.threads_per_block, res.smem_per_block_bytes
-        )
         for result in (miss, hit, shared):
             assert result.resources is res
             assert result.occupancy is occ
+        assert res == matmul_kernel_resources(K40C, K40C_CAL, 8704, 16, 2)
 
-    def test_only_a_miss_reaches_the_kernel_memo(self):
+    def test_only_a_miss_reaches_the_record_builder(self, monkeypatch):
+        builds = Counter()
+        build = device.matmul_kernel_resources
+
+        def counted(*args):
+            builds[args[2:]] += 1
+            return build(*args)
+
+        monkeypatch.setattr(device, "matmul_kernel_resources", counted)
         dev = GPUDevice(P100)
         dev.run_matmul(10240, 8, 4)
-        before = matmul_kernel_resources.cache_info()
         dev.run_matmul(10240, 8, 4, 2)
-        assert matmul_kernel_resources.cache_info() == before
+        assert builds == Counter({(10240, 8, 4): 1})
         clear_device_tables()
         GPUDevice(P100).run_matmul(10240, 8, 4)
-        after = matmul_kernel_resources.cache_info()
-        assert after.hits + after.misses == before.hits + before.misses + 1
+        assert builds == Counter({(10240, 8, 4): 2})
 
     def test_an_invalid_configuration_enters_nothing(self):
         dev = GPUDevice(K40C)
@@ -139,10 +142,6 @@ class TestGPUDeviceTable:
             result = dev.run_matmul(5120, bs)
             assert result.resources.bs == bs
             assert 1 <= len(dev._table) <= 4
-
-    def test_a_table_holds_what_the_kernel_memo_holds(self):
-        memo = matmul_kernel_resources.cache_parameters()["maxsize"]
-        assert device.DEVICE_TABLE_SIZE == memo
 
     def test_bench_memo_reset_clears_the_tables(self):
         from repro.sweep.bench import _clear_sweep_memo

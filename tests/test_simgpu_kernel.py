@@ -19,12 +19,6 @@ class TestSharedMemory:
         assert shared_mem_per_block(32, 3) == 3 * 2 * 1024 * 8
         assert shared_mem_per_block(16, 2) == 2 * 2 * 256 * 8
 
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            shared_mem_per_block(0, 1)
-        with pytest.raises(ValueError):
-            shared_mem_per_block(16, 0)
-
 
 class TestMaxGroupSize:
     def test_bs32_limits(self):
@@ -91,6 +85,8 @@ class TestKernelResources:
         cal = calibration_for(P100)
         with pytest.raises(ValueError, match="not permissible"):
             matmul_kernel_resources(P100, cal, 1024, 32, 4)
+        with pytest.raises(ValueError, match="not permissible"):
+            matmul_kernel_resources(P100, cal, 1024, 32, 0)
 
     def test_invalid_bs_rejected(self):
         cal = calibration_for(P100)

@@ -43,13 +43,10 @@ class TestResidencyRules:
         occ = compute_occupancy(K40C, 16, 256)
         assert occ.blocks_per_sm == 16
 
-    def test_zero_smem_means_no_smem_limit(self):
-        occ = compute_occupancy(P100, 256, 0)
-        assert occ.blocks_per_sm == 8  # thread-limited
-
     def test_warp_occupancy_counts_partial_warps(self):
-        # 33 threads occupy 2 warps though occupancy counts 33/2048.
-        occ = compute_occupancy(P100, 33, 0)
+        # A 6x6 block's 36 threads occupy 2 warps though occupancy
+        # counts 36/2048.
+        occ = compute_occupancy(P100, 6 * 6, 2 * 6 * 6 * 8)
         assert occ.active_warps_per_sm == 2 * occ.blocks_per_sm
         assert occ.warp_occupancy > occ.occupancy
 
@@ -70,6 +67,11 @@ class TestLaunchLimits:
     def test_negative_smem_rejected(self):
         with pytest.raises(ValueError):
             compute_occupancy(P100, 256, -1)
+
+    def test_zero_smem_rejected(self):
+        # Every launch allocates at least one tile pair.
+        with pytest.raises(ValueError, match="tile pair"):
+            compute_occupancy(P100, 256, 0)
 
 
 class TestInvariants:

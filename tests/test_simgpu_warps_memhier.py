@@ -1,4 +1,4 @@
-"""Tests for warp efficiency, replay factors, and memory-hierarchy model."""
+"""Tests for warp efficiency, warp-row counts and the memory-hierarchy model."""
 
 from __future__ import annotations
 
@@ -9,61 +9,49 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.machines import K40C, P100
-from repro.simgpu.kernel import avg_rows_per_warp
+from repro.simgpu.calibration import P100_CAL
+from repro.simgpu.kernel import avg_rows_per_warp, matmul_kernel_resources
 from repro.simgpu.memhier import coalescing_efficiency, matmul_traffic
-from repro.simgpu.warps import (
-    lane_efficiency,
-    smem_replay_factor,
-    warps_per_block,
-)
+from repro.simgpu.occupancy import compute_occupancy
+
+
+def _resources(bs):
+    return matmul_kernel_resources(P100, P100_CAL, 2048, bs, 1)
 
 
 class TestLaneEfficiency:
+    """``KernelResources.lane_eff``: the useful share of issued lanes."""
+
     @pytest.mark.parametrize(
         "bs,expected",
         [(32, 1.0), (24, 576 / 576), (16, 1.0), (8, 1.0), (4, 0.5)],
     )
     def test_known_values(self, bs, expected):
-        assert lane_efficiency(bs * bs) == pytest.approx(expected)
+        assert _resources(bs).lane_eff == pytest.approx(expected)
 
     def test_partial_warp_penalty(self):
         # 25² = 625 threads = 20 warps of 640 lanes.
-        assert lane_efficiency(625) == pytest.approx(625 / 640)
+        assert _resources(25).lane_eff == pytest.approx(625 / 640)
 
-    @given(st.integers(min_value=1, max_value=1024))
-    def test_bounds(self, threads):
-        eff = lane_efficiency(threads)
+    @pytest.mark.parametrize("bs", range(1, 33))
+    def test_bounds(self, bs):
+        eff = _resources(bs).lane_eff
         assert 0.0 < eff <= 1.0
-        # Exact when threads is a warp multiple.
-        if threads % 32 == 0:
+        # Exact when the block is a warp multiple.
+        if bs * bs % 32 == 0:
             assert eff == 1.0
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            lane_efficiency(0)
 
 
 class TestWarpsPerBlock:
-    @pytest.mark.parametrize("threads,warps", [(1, 1), (32, 1), (33, 2), (1024, 32)])
+    """``Occupancy``'s warp counts: each resident block holds
+    ``ceil(threads / 32)`` warps."""
+
+    @pytest.mark.parametrize(
+        "threads,warps", [(1, 1), (32, 1), (33, 2), (1024, 32)]
+    )
     def test_values(self, threads, warps):
-        assert warps_per_block(threads) == warps
-
-
-class TestReplayFactor:
-    def test_full_width_tile_has_no_replay(self):
-        assert smem_replay_factor(32) == 1.0
-
-    def test_half_width_tile(self):
-        # Two rows per warp: (2+1)/2 = 1.5 raw factor.
-        assert smem_replay_factor(16) == pytest.approx(1.5)
-
-    def test_monotone_nonincreasing_in_bs(self):
-        factors = [smem_replay_factor(bs) for bs in range(1, 33)]
-        assert all(a >= b for a, b in zip(factors, factors[1:]))
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            smem_replay_factor(0)
+        occ = compute_occupancy(P100, threads, 16)
+        assert occ.active_warps_per_sm == warps * occ.blocks_per_sm
 
 
 class TestAvgRowsPerWarp:
@@ -106,9 +94,6 @@ class TestCoalescing:
         eff = coalescing_efficiency(row, 32)
         assert 0.0 < eff <= 1.0
 
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            coalescing_efficiency(0, 32)
 
 
 class TestMatmulTraffic:
