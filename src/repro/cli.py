@@ -23,8 +23,6 @@ custom workload, without writing code:
   ``repro-device/1`` files, ``synth`` profiling samples from a
   registered device, and ``fit`` a calibration from (time, energy)
   samples;
-* ``bench`` — time the scalar model, the vectorized batch model and
-  the planner session path, and write ``BENCH_sweep.json``;
 * ``trace`` — render a telemetry JSONL file (written by
   ``--telemetry jsonl:PATH``) as a span tree with self-time, metrics
   and the run-provenance manifest (see :mod:`repro.obs`);
@@ -32,9 +30,10 @@ custom workload, without writing code:
   ``perf report`` (per-span-name self/total profile + critical path
   of a telemetry stream), ``perf diff A B`` (self-time deltas between
   two streams), ``perf flamegraph`` (Brendan-Gregg folded stacks),
-  and ``perf check BASELINE CURRENT`` (Mann-Whitney regression
-  sentinel over the per-repeat samples of two bench documents,
-  nonzero exit on confirmed regressions);
+  and ``perf check BASELINE CURRENT`` (the regression sentinel over
+  two files of ``perfbench/run.py`` result lines, one line per run:
+  the paper's 95% CI protocol, then a Mann-Whitney test; nonzero exit
+  on confirmed regressions);
 * ``report`` — run everything and print a single markdown report, or
   write it to ``--output PATH``; its sweep figures run through one
   in-memory planner session filled by the scalar model of record
@@ -58,6 +57,13 @@ import math
 import sys
 from collections.abc import Sequence
 
+# The planner, and with it the GPU model and NumPy, loads at set-up
+# although only the sweep commands call it.  Deferred, the cost moves
+# rather than vanishes: without this import, in six fresh processes
+# each, raw in process on a 2-CPU host, set-up fell from 0.20-0.24 s
+# to 0.06-0.07 s and the first `repro all` pass rose from 0.05-0.08 s
+# to 0.19-0.25 s.
+import repro.sweep.planner
 from repro.analysis.report import format_pct, format_table
 from repro.experiments import EXPERIMENTS
 
@@ -213,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
         "perf",
         help=(
             "performance observatory: span profiles, flamegraphs and "
-            "the regression sentinel over two bench runs"
+            "the regression sentinel over two sets of benchmark runs"
         ),
     )
     perf_sub = perf.add_subparsers(dest="perf_command", required=True)
@@ -253,16 +259,18 @@ def build_parser() -> argparse.ArgumentParser:
     perf_check = perf_sub.add_parser(
         "check",
         help=(
-            "judge each case of a bench document against the same case "
-            "of a baseline one (Mann-Whitney U + median shift); exits "
-            "nonzero on confirmed regressions"
+            "judge each end-to-end metric of perfbench runs against a "
+            "baseline's (95%% CI within 2.5%%, then Mann-Whitney U + "
+            "median shift); exits nonzero on confirmed regressions"
         ),
     )
     perf_check.add_argument(
-        "baseline", help="baseline bench document (the parent's)"
+        "baseline",
+        help="the parent's perfbench result lines (JSON lines, one per run)",
     )
     perf_check.add_argument(
-        "current", help="bench document to judge (the change's)"
+        "current",
+        help="the change's perfbench result lines (JSON lines, one per run)",
     )
 
     sub.add_parser("machines", help="list the platform registry")
@@ -357,17 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     dev_fit.add_argument(
         "--description", default="", help="description for the output file"
     )
-
-    from repro.sweep.bench import add_bench_flags
-
-    bench = sub.add_parser(
-        "bench",
-        help="time the scalar vs vectorized sweep models and the planner",
-        # The sweep commands' `--telemetry` is a usage error here, not
-        # an abbreviation of `--telemetry-output`.
-        allow_abbrev=False,
-    )
-    add_bench_flags(bench)
 
     report = sub.add_parser(
         "report", help="regenerate every artifact into one markdown report"
@@ -464,10 +461,10 @@ def _run_sweep(
     if save is not None:
         from repro.io import SweepDocument, save_sweep
 
-        try:
-            save_sweep(save, SweepDocument(device, n, tuple(points)))
-        except OSError as exc:
-            raise SystemExit(f"repro sweep: {save}: {exc.strerror}") from None
+        _write_output(
+            "sweep", save,
+            lambda: save_sweep(save, SweepDocument(device, n, tuple(points))),
+        )
         out.append(f"saved sweep to {save}\n")
     if all_points:
         rows = [
@@ -657,7 +654,10 @@ def _run_devices_synth(
     samples = synthesize_samples(
         spec, device_calibration(device), noise=noise, seed=seed,
     )
-    save_samples(output, samples, device=device)
+    _write_output(
+        "devices synth", output,
+        lambda: save_samples(output, samples, device=device),
+    )
     return (
         f"wrote {len(samples)} pinned-clock samples for {spec.name} "
         f"to {output}"
@@ -683,10 +683,16 @@ def _run_devices_fit(args: argparse.Namespace) -> str:
     out = [result.render(base=template)]
     if args.output is not None:
         key = args.key or f"{args.device}-fit"
-        dump_device_json(
-            args.output, key, spec, result.calibration,
-            description=args.description
-            or f"Fitted from {len(samples)} samples in {args.samples}.",
+        description = (
+            args.description
+            or f"Fitted from {len(samples)} samples in {args.samples}."
+        )
+        _write_output(
+            "devices fit", args.output,
+            lambda: dump_device_json(
+                args.output, key, spec, result.calibration,
+                description=description,
+            ),
         )
         out.append(f"\nwrote {args.output} (key {key!r})")
     return "\n".join(out)
@@ -788,10 +794,10 @@ def _load_perf_run(path: str) -> list:
 
 
 def _run_perf_check(args: argparse.Namespace) -> int:
-    from repro.obs.sentinel import check_bench
+    from repro.obs.sentinel import check_runs
 
     try:
-        report = check_bench(args.baseline, args.current)
+        report = check_runs(args.baseline, args.current)
     except ValueError as exc:
         raise SystemExit(f"repro perf check: {exc}") from None
     print(report.render())
@@ -815,9 +821,14 @@ def _run_perf(args: argparse.Namespace) -> int:
             )
         )
     elif args.perf_command == "flamegraph":
+        if args.output is not None:
+            _check_output("perf flamegraph", args.output)
         folded = perf_mod.render_folded(_load_perf_run(args.file))
         if args.output is not None:
-            Path(args.output).write_text(folded + "\n")
+            _write_output(
+                "perf flamegraph", args.output,
+                lambda: Path(args.output).write_text(folded + "\n"),
+            )
             print(f"wrote {args.output}")
         else:
             print(folded)
@@ -849,6 +860,15 @@ def _check_output(command: str, path: str) -> None:
     else:
         return
     raise SystemExit(f"repro {command}: {path}: {os.strerror(code)}")
+
+
+def _write_output(command: str, path: str, write) -> None:
+    """Call ``write()``, which writes ``path``; a failed write exits in
+    one line naming ``path``, as :func:`_check_output` does."""
+    try:
+        write()
+    except OSError as exc:
+        raise SystemExit(f"repro {command}: {path}: {exc.strerror}") from None
 
 
 def _dispatch(args: argparse.Namespace) -> int:
@@ -884,8 +904,11 @@ def _dispatch(args: argparse.Namespace) -> int:
         elif args.devices_command == "validate":
             return _run_devices_validate(args.files, args.all)
         elif args.devices_command == "synth":
+            _check_output("devices synth", args.output)
             print(_run_devices_synth(args.device, args.output, args.noise, args.seed))
         elif args.devices_command == "fit":
+            if args.output is not None:
+                _check_output("devices fit", args.output)
             print(_run_devices_fit(args))
         else:  # pragma: no cover - argparse enforces choices
             raise AssertionError(args.devices_command)
@@ -893,13 +916,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(_run_trace(args.file))
     elif args.command == "perf":
         return _run_perf(args)
-    elif args.command == "bench":
-        _check_output("bench", args.output)
-        if args.telemetry_output is not None:
-            _check_output("bench", args.telemetry_output)
-        from repro.sweep.bench import run_from_args
-
-        return run_from_args(args)
     elif args.command == "report":
         if args.output is not None:
             _check_output("report", args.output)
@@ -911,12 +927,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         if args.output is None:
             sys.stdout.write(text)
             return 0
-        try:
-            Path(args.output).write_text(text)
-        except OSError as exc:
-            raise SystemExit(
-                f"repro report: {args.output}: {exc.strerror}"
-            ) from None
+        _write_output(
+            "report", args.output, lambda: Path(args.output).write_text(text)
+        )
         print(f"wrote {args.output} ({len(text.splitlines())} lines)")
     else:  # pragma: no cover - argparse enforces choices
         raise AssertionError(args.command)

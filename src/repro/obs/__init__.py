@@ -18,8 +18,9 @@ On top of those, the **performance observatory** (``docs/MODEL.md``
 * :mod:`repro.obs.perf` — the span tree and everything rendered from
   it: ``repro trace``, self/total profiles, the critical path and
   folded-stack flamegraphs (``repro perf report|diff|flamegraph``);
-* :mod:`repro.obs.sentinel` — the Mann-Whitney regression sentinel
-  over two bench documents (``repro perf check BASELINE CURRENT``).
+* :mod:`repro.obs.sentinel` — the regression sentinel over two files
+  of ``perfbench/run.py`` result lines (``repro perf check BASELINE
+  CURRENT``): the paper's 95% CI protocol, then a Mann-Whitney test.
 
 Off by default: the module-level helpers are no-ops until the CLI (or
 a test) installs an enabled :class:`Telemetry` via :func:`configure`.

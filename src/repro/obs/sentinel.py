@@ -1,48 +1,63 @@
-"""Statistical regression sentinel over two bench documents.
+"""Statistical regression sentinel over two sets of benchmark runs.
 
-``repro perf check BASELINE CURRENT`` compares two ``BENCH_sweep.json``
-documents, say the parent's and the change's, one case at a time, and
-only calls something a regression when **both** of two independent
-bars are cleared:
+``repro perf check BASELINE CURRENT`` reads two files of
+``perfbench/run.py --trace 0`` result lines, one JSON line per run, say
+the parent's and the change's, and judges each end-to-end metric
+(``setup_s``, ``first_s``, ``pass_p50_s``, ``pass_p90_s``,
+``peak_rss_mb``; every one lower-is-better) over its per-run values:
 
+* **enough runs** — the paper's measurement protocol (Sections I and
+  V): each side's Student-t 95% confidence interval of the mean must
+  lie within :data:`PRECISION` (2.5%) of the mean
+  (:func:`repro.measurement.stats.confidence_halfwidth`), on at least
+  :data:`MIN_SAMPLES` runs; otherwise the metric is
+  ``insufficient-samples``, not a verdict;
 * **significance** — a two-sided Mann-Whitney U test (SciPy's exact
   distribution for small tie-free samples, its normal approximation
   with tie correction otherwise) rejects "same distribution" at
-  :data:`ALPHA`; rank-based, so one garbage-collection outlier cannot
-  manufacture or mask a result the way a t-test's mean would;
+  :data:`ALPHA`; rank-based, so one slow run cannot manufacture or
+  mask a result the way a t-test's mean would;
 * **effect size** — the median shift exceeds :data:`MIN_SHIFT` (10%);
   a statistically detectable 0.3% drift is not worth failing a build
   over.
 
-A case with fewer than :data:`MIN_SAMPLES` samples on either side is
-``insufficient-samples`` rather than a false verdict.  Two documents
-that cannot be compared at all (recorded on different hosts, or
-holding different cases) are an error, not a verdict.
+A metric is a regression only when it has enough runs and clears both
+bars.  The ``failed`` row sums each side's failed and attempted passes;
+a higher failed share in the current runs is a regression.  Files that
+cannot be compared at all (missing, not JSON lines, not ``--trace 0``
+results, or holding different metrics) are an error, not a verdict.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import statistics
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Sequence
+from typing import NamedTuple, Sequence
 
 __all__ = [
     "mann_whitney_u",
-    "case_samples",
-    "CaseVerdict",
+    "Runs",
+    "load_runs",
+    "MetricVerdict",
     "CheckReport",
-    "check_bench",
+    "check_runs",
 ]
 
 #: Mann-Whitney significance level.
 ALPHA = 0.05
 #: Smallest relative median shift called a confirmed change.
 MIN_SHIFT = 0.10
-#: Fewest samples per case, on each side, the sentinel will judge.
+#: Fewest runs per metric, on each side, the sentinel will judge.
 MIN_SAMPLES = 3
+#: The paper's protocol: the 95% CI half-width of each side's mean must
+#: be within this share of the mean.
+PRECISION = 0.025
+#: Units of perfbench's end-to-end metrics; ``--trace 1`` results carry
+#: per-layer metrics in other units as well.
+END_TO_END_UNITS = ("s", "MB")
 
 #: Outcome vocabulary, in severity order.
 OUTCOMES = ("regression", "improvement", "neutral", "insufficient-samples")
@@ -75,51 +90,126 @@ def mann_whitney_u(
     return float(min(u_a, n * m - u_a)), float(p)
 
 
-def case_samples(doc: dict[str, Any]) -> dict[str, list[float]]:
-    """``case-key -> wall-time samples`` of one bench document.
+class Runs(NamedTuple):
+    """The result lines of one file: each metric's unit and per-run
+    values, in line order, and the passes attempted and failed over all
+    runs."""
 
-    Case keys are stable strings (``p100/N10240/vectorized``,
-    ``planner/warm`` …) so two documents address the same measurement
-    the same way.  Documents older than bench v5 carry no samples and
-    yield nothing.
+    path: Path
+    units: dict[str, str]
+    values: dict[str, list[float]]
+    attempted: int
+    failed: int
+
+
+def load_runs(path: str | Path) -> Runs:
+    """Read one file of perfbench ``--trace 0`` result lines.
+
+    Raises :class:`ValueError` with a one-line message naming ``path``
+    (and the line, where one is at fault) when the file is missing or
+    holds no result line, or when a line is not JSON, has no
+    ``metrics`` or no pass counts, has a metric whose unit is not an
+    end-to-end one (a ``--trace 1`` result), or has other metrics than
+    the first line.
     """
-    out: dict[str, list[float]] = {}
-    for case in doc.get("cases", ()):
-        prefix = f"{case['device']}/N{case['n']}"
-        for backend, values in (case.get("samples") or {}).items():
-            if values:
-                out[f"{prefix}/{backend}"] = [float(v) for v in values]
-    planner = doc.get("planner") or {}
-    for path_name, values in (planner.get("samples") or {}).items():
-        if values:
-            out[f"planner/{path_name}"] = [float(v) for v in values]
-    return out
+    path = Path(path)
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror}") from None
+    units: dict[str, str] = {}
+    values: dict[str, list[float]] = {}
+    attempted = failed = 0
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            result = json.loads(line)
+        except ValueError as exc:
+            raise ValueError(f"{where}: not JSON ({exc})") from None
+        metrics = result.get("metrics") if isinstance(result, dict) else None
+        if not isinstance(metrics, dict) or not metrics:
+            raise ValueError(f"{where}: no metrics")
+        counts = result.get("attempted"), result.get("failed")
+        if not all(type(c) is int and c >= 0 for c in counts):
+            raise ValueError(f"{where}: no attempted and failed pass counts")
+        if units and metrics.keys() != units.keys():
+            raise ValueError(f"{where}: other metrics than the first line")
+        for name, metric in metrics.items():
+            unit = metric.get("unit") if isinstance(metric, dict) else None
+            value = metric.get("value") if isinstance(metric, dict) else None
+            if unit not in END_TO_END_UNITS:
+                raise ValueError(
+                    f"{where}: metric {name} has unit {unit!r}, not one of "
+                    f"{', '.join(END_TO_END_UNITS)}: not a --trace 0 result"
+                )
+            if type(value) not in (int, float) or not math.isfinite(value):
+                raise ValueError(f"{where}: metric {name} has no value")
+            units[name] = unit
+            values.setdefault(name, []).append(float(value))
+        attempted += counts[0]
+        failed += counts[1]
+    if not units:
+        raise ValueError(f"{path}: no result lines")
+    return Runs(path, units, values, attempted, failed)
 
 
-@dataclass(frozen=True)
-class CaseVerdict:
-    """One case's comparison of the current samples with the baseline's."""
+class MetricVerdict(NamedTuple):
+    """One metric's comparison of the current runs with the baseline's.
 
-    case: str
+    For a metric: each side's run count, medians, the shift, the p-value
+    (only once judged), each side's CI half-width as a share of its mean
+    (with two runs or more) and the runs the current side won, pairing
+    runs by line index.  For the ``failed`` row: each side's attempted
+    passes (``current_n``, ``baseline_n``) and failed ones.
+    """
+
+    metric: str
     outcome: str
     current_n: int
     baseline_n: int
+    unit: str = ""
     median_current: float | None = None
     median_baseline: float | None = None
     shift: float | None = None
     p_value: float | None = None
+    ci_current: float | None = None
+    ci_baseline: float | None = None
+    current_wins: int = 0
+    failed_current: int = 0
+    failed_baseline: int = 0
+
+    def detail(self) -> str:
+        if self.metric == "failed":
+            return (
+                f"{self.failed_current}/{self.current_n} vs "
+                f"{self.failed_baseline}/{self.baseline_n} passes failed"
+            )
+
+        def share(ci: float | None) -> str:
+            return "-" if ci is None else f"{ci:.1%}"
+
+        p = "-" if self.p_value is None else f"{self.p_value:.3f}"
+        return (
+            f"median {self.median_current:.4g} vs "
+            f"{self.median_baseline:.4g} {self.unit} "
+            f"({self.shift:+.1%}, p={p}, CI ±{share(self.ci_current)} vs "
+            f"±{share(self.ci_baseline)}, won "
+            f"{self.current_wins}/{min(self.current_n, self.baseline_n)}, "
+            f"n={self.current_n} vs {self.baseline_n})"
+        )
 
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
     """``repro perf check``'s full result."""
 
     baseline: str
     current: str
-    verdicts: list[CaseVerdict]
+    verdicts: list[MetricVerdict]
 
     @property
-    def regressions(self) -> list[CaseVerdict]:
+    def regressions(self) -> list[MetricVerdict]:
         return [v for v in self.verdicts if v.outcome == "regression"]
 
     @property
@@ -127,30 +217,20 @@ class CheckReport:
         return 1 if self.regressions else 0
 
     def render(self) -> str:
+        runs = self.verdicts[0]  # every metric has one value per run
         lines = [
-            f"perf check: {len(self.verdicts)} case(s), {self.current} "
-            f"vs {self.baseline} "
-            f"(alpha={ALPHA:g}, min shift={MIN_SHIFT:.0%}, "
-            f"min samples={MIN_SAMPLES})",
+            f"perf check: {len(self.verdicts) - 1} metric(s), "
+            f"{self.current} ({runs.current_n} runs) vs {self.baseline} "
+            f"({runs.baseline_n} runs) "
+            f"(95% CI within {PRECISION:.1%} of the mean, alpha={ALPHA:g}, "
+            f"min shift={MIN_SHIFT:.0%}, min samples={MIN_SAMPLES})",
         ]
-        width = max((len(v.case) for v in self.verdicts), default=4)
+        width = max(len(v.metric) for v in self.verdicts)
         for v in sorted(
-            self.verdicts, key=lambda v: (OUTCOMES.index(v.outcome), v.case)
+            self.verdicts, key=lambda v: OUTCOMES.index(v.outcome)
         ):
-            if v.median_baseline is not None:
-                detail = (
-                    f"median {v.median_current * 1e3:9.3f} ms vs "
-                    f"{v.median_baseline * 1e3:9.3f} ms "
-                    f"({v.shift:+7.1%}, p={v.p_value:.3f}, "
-                    f"n={v.current_n} vs {v.baseline_n})"
-                )
-            else:
-                detail = (
-                    f"n={v.current_n} current, {v.baseline_n} baseline "
-                    f"sample(s)"
-                )
             lines.append(
-                f"  {v.outcome:<20} {v.case:<{width}}  {detail}"
+                f"  {v.outcome:<20} {v.metric:<{width}}  {v.detail()}"
             )
         counts = Counter(v.outcome for v in self.verdicts)
         lines.append(
@@ -162,14 +242,36 @@ class CheckReport:
         return "\n".join(lines)
 
 
-def _judge(case: str, base: list[float], cur: list[float]) -> CaseVerdict:
-    """One case's verdict from its baseline and current samples."""
-    sizes = dict(current_n=len(cur), baseline_n=len(base))
-    if min(len(base), len(cur)) < MIN_SAMPLES:
-        return CaseVerdict(case, "insufficient-samples", **sizes)
+def _ci_share(values: list[float]) -> float | None:
+    """The 95% CI half-width of ``values``' mean as a share of it."""
+    if len(values) < 2:
+        return None
+    # Imported here: `repro.measurement` is CPU-side code that no other
+    # command loads.
+    from repro.measurement.stats import confidence_halfwidth
+
+    mean = statistics.fmean(values)
+    halfwidth = confidence_halfwidth(values)  # 95%, the paper's level
+    return halfwidth / mean if mean > 0 else math.inf
+
+
+def _judge(
+    metric: str, unit: str, base: list[float], cur: list[float]
+) -> MetricVerdict:
+    """One metric's verdict from its baseline and current runs."""
     med_cur = statistics.median(cur)
     med_base = statistics.median(base)
     shift = (med_cur - med_base) / med_base if med_base else 0.0
+    ci_cur, ci_base = _ci_share(cur), _ci_share(base)
+    verdict = MetricVerdict(
+        metric, "insufficient-samples", len(cur), len(base), unit,
+        med_cur, med_base, shift, None, ci_cur, ci_base,
+        current_wins=sum(c < b for b, c in zip(base, cur)),
+    )
+    if min(len(base), len(cur)) < MIN_SAMPLES:
+        return verdict
+    if max(ci_cur, ci_base) > PRECISION:
+        return verdict
     _, p = mann_whitney_u(cur, base)
     if p < ALPHA and shift > MIN_SHIFT:
         outcome = "regression"
@@ -177,69 +279,52 @@ def _judge(case: str, base: list[float], cur: list[float]) -> CaseVerdict:
         outcome = "improvement"
     else:
         outcome = "neutral"
-    return CaseVerdict(
-        case, outcome, **sizes, median_current=med_cur,
-        median_baseline=med_base, shift=shift, p_value=p,
+    return verdict._replace(outcome=outcome, p_value=p)
+
+
+def _judge_failed(base: Runs, cur: Runs) -> MetricVerdict:
+    """The ``failed`` row: a higher failed share of the current runs'
+    passes is a regression, a lower one an improvement."""
+    share_cur = cur.failed / cur.attempted if cur.attempted else 0.0
+    share_base = base.failed / base.attempted if base.attempted else 0.0
+    if share_cur > share_base:
+        outcome = "regression"
+    elif share_cur < share_base:
+        outcome = "improvement"
+    else:
+        outcome = "neutral"
+    return MetricVerdict(
+        "failed", outcome, current_n=cur.attempted,
+        baseline_n=base.attempted, failed_current=cur.failed,
+        failed_baseline=base.failed,
     )
 
 
-def _load(path: Path) -> tuple[dict[str, Any], dict[str, list[float]]]:
-    """A bench document's ``host`` section, less ``peak_rss_kb``, and its
-    case samples; :class:`ValueError` naming ``path`` when it is
-    missing, not JSON, or holds no per-case samples."""
-    try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
-        raise ValueError(f"{path}: {exc.strerror}") from None
-    except ValueError as exc:
-        raise ValueError(f"{path}: not a JSON document ({exc})") from None
-    try:
-        samples = case_samples(doc)
-    except (AttributeError, KeyError, TypeError, ValueError):
-        samples = {}
-    if not samples:
-        raise ValueError(f"{path}: no per-case samples")
-    host = doc.get("host")
-    if not isinstance(host, dict):
-        host = {}
-    return {k: v for k, v in host.items() if k != "peak_rss_kb"}, samples
-
-
-def check_bench(baseline: str | Path, current: str | Path) -> CheckReport:
-    """Judge every case of the bench document ``current`` against the
-    same case of ``baseline``.
+def check_runs(baseline: str | Path, current: str | Path) -> CheckReport:
+    """Judge every end-to-end metric of the runs in ``current`` against
+    the same metric of the runs in ``baseline``.
 
     Raises :class:`ValueError`, with a one-line message naming the
-    file(s), when a file cannot be read as a bench document with
-    samples, when the two ``host`` sections differ in anything but
-    ``peak_rss_kb``, or when the two documents hold different cases.
+    file(s), when a file cannot be read as perfbench ``--trace 0``
+    result lines (:func:`load_runs`), or when the two files hold
+    different metrics.
     """
-    base_path, cur_path = Path(baseline), Path(current)
-    base_host, base = _load(base_path)
-    cur_host, cur = _load(cur_path)
-    pair = f"{base_path} and {cur_path}"
-    differing = sorted(
-        k for k in base_host.keys() | cur_host.keys()
-        if base_host.get(k) != cur_host.get(k)
-    )
-    if differing:
-        detail = ", ".join(
-            f"{k}: {base_host.get(k)!r} vs {cur_host.get(k)!r}"
-            for k in differing
-        )
-        raise ValueError(f"{pair} were recorded on different hosts ({detail})")
-    if base.keys() != cur.keys():
+    base, cur = load_runs(baseline), load_runs(current)
+    if base.units.keys() != cur.units.keys():
         detail = "; ".join(
-            f"only in {path}: {', '.join(sorted(extra))}"
-            for path, extra in (
-                (base_path, base.keys() - cur.keys()),
-                (cur_path, cur.keys() - base.keys()),
+            f"only in {runs.path}: {', '.join(sorted(extra))}"
+            for runs, extra in (
+                (base, base.units.keys() - cur.units.keys()),
+                (cur, cur.units.keys() - base.units.keys()),
             )
             if extra
         )
-        raise ValueError(f"{pair} hold different cases ({detail})")
-    return CheckReport(
-        str(base_path),
-        str(cur_path),
-        [_judge(case, base[case], cur[case]) for case in sorted(cur)],
-    )
+        raise ValueError(
+            f"{base.path} and {cur.path} hold different metrics ({detail})"
+        )
+    verdicts = [
+        _judge(name, unit, base.values[name], cur.values[name])
+        for name, unit in cur.units.items()
+    ]
+    verdicts.append(_judge_failed(base, cur))
+    return CheckReport(str(base.path), str(cur.path), verdicts)

@@ -20,11 +20,13 @@ Event names follow the CUPTI convention for the parts
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.machines.specs import GPUSpec
 from repro.simgpu.calibration import GPUCalibration
 from repro.simgpu.kernel import KernelResources, matmul_kernel_resources
+from repro.simgpu.occupancy import warps_per_block
 
 __all__ = ["EventReading", "CuptiProfiler", "EVENT_NAMES"]
 
@@ -79,8 +81,10 @@ class CuptiProfiler:
             raise ValueError("R must be at least 1")
         spec = self.spec
         warps_per_launch = (
-            res.grid_blocks * -(-res.threads_per_block // spec.warp_size)
-        ) * res.g
+            res.grid_blocks
+            * warps_per_block(spec, res.threads_per_block, math.ceil)
+            * res.g
+        )
         warp_insts = res.lanes_issued / spec.warp_size
         shared_loads = 2.0 * warp_insts  # two shared reads per FMA step
         shared_stores = (

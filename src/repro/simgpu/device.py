@@ -170,14 +170,6 @@ def _device_table(spec: GPUSpec, cal: GPUCalibration) -> dict:
     return table
 
 
-def clear_device_tables() -> None:
-    """Empty every device table, so the next call of each configuration
-    misses (``repro bench``'s cold scalar sweeps)."""
-    for table in _device_tables.values():
-        table.clear()
-    _device_tables.clear()
-
-
 class GPUDevice:
     """Analytical model of one GPU running the paper's matmul kernel.
 

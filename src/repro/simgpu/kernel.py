@@ -25,6 +25,7 @@ from functools import lru_cache
 from repro.machines.specs import GPUSpec
 from repro.simgpu.calibration import GPUCalibration
 from repro.simgpu.memhier import TrafficModel, matmul_traffic
+from repro.simgpu.occupancy import warps_per_block
 
 __all__ = [
     "avg_rows_per_warp",
@@ -127,7 +128,7 @@ def resource_terms(
     tiles = ceil(n / bs)
     grid_blocks = tiles * tiles
     threads = bs * bs
-    warps = ceil(threads / spec.warp_size)
+    warps = warps_per_block(spec, threads, ceil)
     replay = 1.0 + cal.replay_slope * (rows - 1.0)
 
     # Per tile step per block: each warp issues BS iterations, each with

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 from repro.machines.specs import GPUSpec
 
-__all__ = ["Occupancy", "compute_occupancy", "residency"]
+__all__ = ["Occupancy", "compute_occupancy", "residency", "warps_per_block"]
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,17 @@ class Occupancy:
     limiter: str
 
 
+def warps_per_block(spec: GPUSpec, threads_per_block, ceil):
+    """The warps one block occupies: a partial warp counts whole.
+
+    The one copy of the warp count: the residency rule, the issue terms
+    (:func:`repro.simgpu.kernel.resource_terms`) and the CUPTI event
+    model call it on Python ints with ``math.ceil``, the batch model on
+    int64 arrays of lanes with ``np.ceil``.
+    """
+    return ceil(threads_per_block / spec.warp_size)
+
+
 def residency(
     spec: GPUSpec, threads_per_block, smem_per_block_bytes, ceil, minimum
 ) -> tuple:
@@ -66,7 +77,7 @@ def residency(
     it on Python ints with ``math.ceil`` and ``min``, the batch model on
     int64 arrays of lanes with ``np.ceil`` and ``np.minimum``.
     """
-    warps_per_block = ceil(threads_per_block / spec.warp_size)
+    block_warps = warps_per_block(spec, threads_per_block, ceil)
     max_warps = spec.max_threads_per_sm // spec.warp_size
     by_threads = spec.max_threads_per_sm // threads_per_block
     # Residency is warp-granular: a block of 676 threads occupies 22
@@ -74,13 +85,13 @@ def residency(
     # would fit the raw thread budget.  This jaggedness is a real CUDA
     # residency rule and a major source of the non-monotone energy
     # landscape over BS.
-    by_warps = max_warps // warps_per_block
+    by_warps = max_warps // block_warps
     by_smem = spec.shared_mem_per_sm_bytes // smem_per_block_bytes
     blocks = minimum(
         minimum(by_threads, by_warps),
         minimum(spec.max_blocks_per_sm, by_smem),
     )
-    active_warps = blocks * warps_per_block
+    active_warps = blocks * block_warps
     return (
         by_threads, by_warps, by_smem, blocks, active_warps,
         active_warps / max_warps,

@@ -1,4 +1,4 @@
-"""Sweep requests, the session planner and the backend benchmark.
+"""Sweep requests and the session planner.
 
 The paper's results (Figs. 2, 7, 8 and the headline statistics) all
 derive from exhaustive sweeps of the ``(BS, G, R)`` configuration
@@ -20,13 +20,8 @@ evaluation path every sweep-driven experiment runs on:
   (:func:`~repro.sweep.keys.shard_digest`), and the packed
   ``(BS, G, R)`` int64 key that the planner and the store sort,
   search and merge (:func:`~repro.sweep.keys.pack_configs`).
-* :func:`~repro.sweep.bench.run_benchmark` — times the scalar model,
-  the vectorized batch model and the planner session against each
-  other and returns the ``BENCH_sweep.json`` document as a plain dict
-  (``repro bench``).
 """
 
-from repro.sweep.bench import run_benchmark
 from repro.sweep.keys import MODEL_VERSION, canonical_json, shard_digest
 from repro.sweep.plan import SweepRequest, resolve_device
 from repro.sweep.planner import (
@@ -43,6 +38,5 @@ __all__ = [
     "canonical_json",
     "collect_session_requests",
     "resolve_device",
-    "run_benchmark",
     "shard_digest",
 ]

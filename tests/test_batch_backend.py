@@ -8,13 +8,16 @@ spaces (property-based, seeded), and through the planner
 (:class:`repro.sweep.planner.EvalPlanner`), which serves every
 sweep-driven command from this batch.  A call over several
 calibrations of a device must give every lane the bits of its own
-one-calibration call.  The scalar path stays the model of record.
+one-calibration call, and a paper-scale sweep must be faster than the
+scalar path sweeping it cold.  The scalar path stays the model of
+record.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -44,6 +47,7 @@ from repro.simgpu.memhier import TrafficModel, traffic_terms
 from repro.simgpu.occupancy import compute_occupancy, residency
 from repro.simgpu.power import probe, scalar_max
 from repro.sweep import EvalPlanner
+from repro.sweep.planner import scalar_sweep
 
 PARITY_RTOL = 1e-9
 
@@ -97,6 +101,37 @@ class TestFullSpaceParity:
         for (t, e), r in zip(got, ref):
             assert t == pytest.approx(r.time_s, rel=PARITY_RTOL)
             assert e == pytest.approx(r.dynamic_energy_j, rel=PARITY_RTOL)
+
+
+class TestFasterThanScalar:
+    """The batch model's reason to exist: a paper-scale P100 sweep is
+    faster than the scalar model of record sweeping it cold."""
+
+    @pytest.mark.parametrize("n", [10240, 18432])
+    def test_batch_beats_the_cold_scalar_sweep(self, n, cold_scalar_model):
+        app = MatmulGPUApp(P100)
+        cal = app.device.cal
+        configs = app.sweep_enumeration()
+        _, bs, g, r = configs.columns
+        scalar_s, batch_s = [], []
+        for _ in range(5):
+            cold_scalar_model()
+            t0 = time.perf_counter()
+            times, energies = scalar_sweep(P100, cal, n, bs, g, r)
+            scalar_s.append(time.perf_counter() - t0)
+            t0 = time.perf_counter()
+            pairs = evaluate_configs_batch(P100, cal, n, configs)
+            batch_s.append(time.perf_counter() - t0)
+        deviation = max(
+            max(abs(t - ts) / ts, abs(e - es) / es)
+            for (t, e), ts, es in zip(pairs, times, energies)
+        )
+        assert deviation <= PARITY_RTOL
+        speedup = min(scalar_s) / min(batch_s)
+        assert speedup >= 1.0, (
+            f"batch {min(batch_s) * 1e3:.2f} ms vs cold scalar "
+            f"{min(scalar_s) * 1e3:.2f} ms ({speedup:.2f}x)"
+        )
 
 
 @pytest.mark.parametrize("seed", range(10))

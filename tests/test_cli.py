@@ -71,23 +71,15 @@ class TestPlannerCommands:
             ["experiment", "fig7", "--backend", "vectorized"],
             ["sweep", "--backend", "vectorized"],
             ["all", "--backend", "vectorized"],
-            ["bench", "--no-parallel"],
-            # The million-point shard case, the single-repeat alias and
-            # the planner skip; each flag is spelled in two parts so
-            # that a search for it finds no live use.
-            ["bench", "--" + "large"],
-            ["bench", "--" + "quick"],
-            ["bench", "--" + "no-planner"],
+            # The backend benchmark, with every flag it had; perfbench
+            # is the one benchmark.
+            ["bench"],
             ["cache", "migrate"],
             # The sentinel's thresholds, constants of repro.obs.sentinel.
             ["perf", "check", "a.json", "b.json", "--" + "alpha", "0.05"],
             ["perf", "check", "a.json", "b.json", "--" + "min-shift", "0.10"],
             ["perf", "check", "a.json", "b.json", "--" + "min-samples", "3"],
-            # The bench's telemetry sink (it writes its stream with
-            # --telemetry-output) and the bench history store.
-            ["bench", "--telemetry", "summary"],
-            ["bench", "--" + "history", "F"],
-            ["bench", "--no-" + "history"],
+            # The bench history store.
             ["perf", "check", "a.json", "b.json", "--" + "bench", "F"],
             ["perf", "check", "a.json", "b.json", "--" + "history", "F"],
             ["perf", "check", "a.json", "b.json", "--report-" + "only"],
@@ -95,12 +87,10 @@ class TestPlannerCommands:
         ids=" ".join,
     )
     def test_removed_options_are_usage_errors(self, argv, capsys):
-        """The backend choice, the process pool, the million-point
-        mapped-shard benchmark, the bench's single-repeat alias,
-        planner skip and telemetry sink, the JSON-cache migration, the
-        sentinel's threshold flags and the bench history store are
-        gone: asking for one is a usage error, not a silently different
-        run."""
+        """The backend choice, the backend benchmark, the JSON-cache
+        migration, the sentinel's threshold flags and the bench history
+        store are gone: asking for one is a usage error, not a silently
+        different run."""
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
@@ -131,8 +121,6 @@ class TestPlannerCommands:
             (["sweep", "--n", "-4096"], "must be at least 1 (got -4096)"),
             (["sweep", "--products", "0"], "must be at least 1 (got 0)"),
             (["tradeoff", "--n", "0"], "must be at least 1 (got 0)"),
-            (["bench", "--repeats", "0"], "must be at least 1 (got 0)"),
-            (["bench", "--sizes", "0"], "must be at least 1 (got 0)"),
             (["tradeoff", "--budget", "-3"], "budget must be non-negative"),
             (["tradeoff", "--budget", "nan"], "budget must be non-negative"),
         ],
@@ -231,70 +219,6 @@ class TestPlannerCommands:
         warm = EvalPlanner(store_dir=tmp_path)
         assert page(exp_id, engine=warm) == _scalar_page(exp_id)
         assert warm.stats.computed == 0
-
-
-class TestBenchCommand:
-    def test_bench_quick_writes_document(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        monkeypatch.chdir(tmp_path)
-        out = tmp_path / "BENCH_sweep.json"
-        assert main(
-            ["bench", "--repeats", "3", "--sizes", "1024",
-             "--output", str(out)]
-        ) == 0
-        import json
-
-        doc = json.loads(out.read_text())
-        assert doc["version"] == "repro-bench/7"
-        (case,) = doc["cases"]
-        assert case["device"] == "p100" and case["n"] == 1024
-        assert case["configs"] == 146
-        assert case["max_rel_deviation"] <= 1e-9
-        assert case["vectorized_s"] > 0 and case["scalar_s"] > 0
-        # Bench v6: no process pool, so no parallel case or fields.
-        for gone in ("parallel_s", "speedup_parallel", "jobs", "auto_mode"):
-            assert gone not in case
-        assert set(case["samples"]) == {"scalar", "vectorized"}
-        assert "speedup_vectorized" in case
-        planner = doc["planner"]
-        assert planner["unique_points"] > 0
-        assert planner["dedup_ratio"] > 1.0
-        assert planner["planner_warm_s"] > 0
-        assert "parallel_crossover" not in doc
-        incremental = doc["incremental_front"]
-        assert incremental["equivalent"] is True
-        assert incremental["front_size"] > 0
-        assert "large" not in doc  # no million-point shard case
-        # Bench v7: the host fingerprint `perf check` compares.
-        assert set(doc["host"]) == {
-            "cpu_model", "cpus", "machine", "python", "numpy",
-            "peak_rss_kb",
-        }
-        assert doc["host"]["peak_rss_kb"] > 0
-        # Bench v5: raw per-repeat samples + provenance.
-        assert len(case["samples"]["vectorized"]) == 3
-        assert min(case["samples"]["vectorized"]) == case["vectorized_s"]
-        assert len(planner["samples"]["warm"]) == 3
-        # 40-hex sha, possibly "-dirty"; empty outside a checkout.
-        assert len(doc["git_sha"]) == 0 or doc["git_sha"][:40].isalnum()
-        assert len(doc["inputs_digest"]) == 64
-        assert "vectorized" in capsys.readouterr().out
-        # The document and the telemetry stream, and no history file.
-        assert sorted(p.name for p in tmp_path.rglob("*")) == [
-            "BENCH_sweep.json", "BENCH_telemetry.jsonl",
-        ]
-        # The round trip on a real document: every case, judged against
-        # itself, is neutral.
-        assert main(["perf", "check", str(out), str(out)]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        verdicts = [line.split()[:2] for line in lines[1:-1]]
-        assert sorted(case for _, case in verdicts) == [
-            "p100/N1024/scalar", "p100/N1024/vectorized",
-            "planner/cold", "planner/per_experiment", "planner/warm",
-        ]
-        assert {outcome for outcome, _ in verdicts} == {"neutral"}
-        assert lines[-1] == "summary: 5 neutral"
 
     def test_sweep_with_store_dir_populates_store(self, tmp_path, capsys):
         store = tmp_path / "store"

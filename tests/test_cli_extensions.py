@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pathlib
+
 import pytest
 
 from repro.analysis.summary import generate_report
@@ -89,14 +91,19 @@ class TestReport:
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "command,argv",
     [
-        ["report", "--output"],
-        ["sweep", "--device", "k40c", "--n", "2048", "--save"],
-        ["bench", "--output"],
-        ["bench", "--telemetry-output"],
+        ("report", ["report", "--output"]),
+        ("sweep", ["sweep", "--device", "k40c", "--n", "2048", "--save"]),
+        ("perf flamegraph",
+         ["perf", "flamegraph", "t.jsonl", "--output"]),
+        ("devices synth",
+         ["devices", "synth", "--device", "p100", "--output"]),
+        ("devices fit",
+         ["devices", "fit", "--device", "p100", "--samples", "s.json",
+          "--output"]),
     ],
-    ids=["report", "sweep", "bench", "bench-telemetry"],
+    ids=["report", "sweep", "perf-flamegraph", "devices-synth", "devices-fit"],
 )
 @pytest.mark.parametrize(
     "target,reason",
@@ -106,26 +113,66 @@ class TestReport:
     ],
 )
 def test_unwritable_output_is_a_one_line_error(
-    tmp_path, monkeypatch, argv, target, reason
+    tmp_path, monkeypatch, command, argv, target, reason
 ):
     """The path is checked before any work: no report is rendered, no
-    sweep is evaluated or planned and no bench case runs."""
+    sweep is evaluated or planned, no telemetry stream is read and no
+    samples are synthesized, read or fitted."""
     import repro.analysis.summary
-    import repro.sweep.bench
+    import repro.devices.fit
+    import repro.obs.ingest
     import repro.sweep.planner
 
     def never(*args, **kwargs):
         raise AssertionError("work done before the output path was checked")
 
     monkeypatch.setattr(repro.analysis.summary, "generate_report", never)
-    monkeypatch.setattr(repro.sweep.bench, "run_benchmark", never)
     monkeypatch.setattr(MatmulGPUApp, "sweep_points", never)
     monkeypatch.setattr(repro.sweep.planner, "session_planner", never)
+    monkeypatch.setattr(repro.obs.ingest, "load_cli_stream", never)
+    for name in ("synthesize_samples", "load_samples", "fit_calibration"):
+        monkeypatch.setattr(repro.devices.fit, name, never)
     path = tmp_path / "missing" / "out" if target == "missing-dir" else tmp_path
     with pytest.raises(SystemExit) as info:
         main([*argv, str(path)])
     message = str(info.value)
-    assert message == f"repro {argv[0]}: {path}: {reason}"
+    assert message == f"repro {command}: {path}: {reason}"
+
+
+@pytest.mark.skipif(
+    not pathlib.Path("/dev/full").exists(), reason="needs /dev/full"
+)
+@pytest.mark.parametrize(
+    "command,argv",
+    [
+        ("report", ["report", "--output"]),
+        ("sweep", ["sweep", "--device", "k40c", "--n", "2048", "--save"]),
+        ("perf flamegraph", ["perf", "flamegraph", "{stream}", "--output"]),
+        ("devices synth",
+         ["devices", "synth", "--device", "p100", "--output"]),
+        ("devices fit",
+         ["devices", "fit", "--device", "p100", "--samples", "{samples}",
+          "--output"]),
+    ],
+    ids=["report", "sweep", "perf-flamegraph", "devices-synth", "devices-fit"],
+)
+def test_failed_write_is_a_one_line_error(tmp_path, capsys, command, argv):
+    """A write that fails after the path passed its check (/dev/full
+    takes no byte) exits in one line, as a bad path does."""
+    inputs = {
+        "stream": tmp_path / "run.jsonl",
+        "samples": tmp_path / "samples.json",
+    }
+    assert main(["sweep", "--device", "k40c", "--n", "2048",
+                 "--telemetry", f"jsonl:{inputs['stream']}"]) == 0
+    assert main(["devices", "synth", "--device", "p100",
+                 "--output", str(inputs["samples"])]) == 0
+    argv = [arg.format(**inputs) for arg in argv]
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "/dev/full"])
+    assert str(info.value) == (
+        f"repro {command}: /dev/full: No space left on device"
+    )
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,9 @@
 Importing SciPy would cost most of a command's start-up, and neither
 ``repro all`` nor ``repro report`` calls it; only the sentinel's
 Mann-Whitney test does.  Nor does building the parser load a process
-pool: every sweep is evaluated in-process.
+pool: every sweep is evaluated in-process.  Set-up does load the
+planner and NumPy, which ``repro.cli`` imports so that a sweep
+command's first pass does not pay for them.
 ``repro all``, with or without a store, loads neither ``numpy.ma``
 (``np.unique`` and ``np.union1d`` import it, about 12 ms) nor a thread
 pool (shards are read one after another).  A command imports only what
@@ -40,7 +42,8 @@ from repro.sweep.planner import SESSION_EXPERIMENTS
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: Runs in the child: records the scipy modules loaded after each stage,
-#: the pool modules loaded once the parser is built, and the masked-array
+#: the pool modules, NumPy and the planner loaded once the parser is
+#: built, and the masked-array
 #: and thread-pool modules loaded by ``repro all`` (``all:unneeded``),
 #: then by two more runs, cold and warm, on a store
 #: (``all --store-dir:unneeded``).  ``:experiments`` and ``:cpu-side``
@@ -68,6 +71,7 @@ import repro.cli
 repro.cli.build_parser()
 stages["import"] = scipy_modules()
 stages["pool"] = loaded("multiprocessing", "concurrent.futures.process")
+stages["import:planner"] = loaded("numpy", "repro.sweep.planner")
 stages["import:experiments"] = under("repro.experiments")
 stages["import:cpu-side"] = under(*CPU_SIDE, "repro.store")
 import repro.obs.sentinel
@@ -213,8 +217,8 @@ def test_setup_and_cold_all_load_no_hashlib(cold_runs):
 
 
 def test_setup_imports_no_platform_itself():
-    """Only ``repro bench``'s host fingerprint reads ``platform`` (about
-    2 ms to import), so no repro module imports it at set-up.  NumPy 2
+    """Only the provenance manifest reads ``platform`` (about 2 ms to
+    import), so no repro module imports it at set-up.  NumPy 2
     imports it itself (``numpy.lib._utils_impl``), so set-up may still
     load it, but only through NumPy: in ``-X importtime``'s tree, the
     module that imports ``platform`` is never a repro module."""
@@ -269,6 +273,13 @@ def test_mann_whitney_u_loads_scipy(loaded_modules):
 
 def test_parser_loads_no_process_pool(loaded_modules):
     assert loaded_modules["pool"] == []
+
+
+def test_setup_loads_the_planner_and_numpy(loaded_modules):
+    """``repro.cli`` imports the planner itself: with nothing else at
+    set-up loading it, NumPy and the GPU model would move into every
+    sweep command's first pass."""
+    assert loaded_modules["import:planner"] == ["numpy", "repro.sweep.planner"]
 
 
 @pytest.mark.parametrize("stage", ["all", "all --store-dir"])

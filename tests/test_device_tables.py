@@ -23,7 +23,7 @@ from repro.simcpu.processor import DGEMMConfig, MulticoreCPU
 from repro.simcpu.topology import place_threads
 from repro.simgpu import device
 from repro.simgpu.calibration import K40C_CAL, GPUCalibration
-from repro.simgpu.device import GPUDevice, clear_device_tables
+from repro.simgpu.device import GPUDevice
 from repro.simgpu.kernel import matmul_kernel_resources
 
 
@@ -105,7 +105,7 @@ class TestGPUDeviceTable:
         dev.run_matmul(10240, 8, 4)
         dev.run_matmul(10240, 8, 4, 2)
         assert builds == Counter({(10240, 8, 4): 1})
-        clear_device_tables()
+        monkeypatch.setattr(device, "_device_tables", {})
         GPUDevice(P100).run_matmul(10240, 8, 4)
         assert builds == Counter({(10240, 8, 4): 2})
 
@@ -142,15 +142,6 @@ class TestGPUDeviceTable:
             result = dev.run_matmul(5120, bs)
             assert result.resources.bs == bs
             assert 1 <= len(dev._table) <= 4
-
-    def test_bench_memo_reset_clears_the_tables(self):
-        from repro.sweep.bench import _clear_sweep_memo
-
-        dev = GPUDevice(P100)
-        dev.run_matmul(10240, 16)
-        _clear_sweep_memo()
-        assert device._device_tables == {}
-        assert dev._table == {}
 
 
 class TestPlacementTable:

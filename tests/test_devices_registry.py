@@ -432,7 +432,7 @@ class TestDeviceChoicesConsistency:
         flags = dict(self._device_flags(build_parser()))
         expected = gpu_device_choices()
         # The flag appears on every sweep-driven command...
-        for command in ("repro sweep", "repro tradeoff", "repro bench",
+        for command in ("repro sweep", "repro tradeoff",
                         "repro devices synth", "repro devices fit"):
             assert command in flags, sorted(flags)
         # ...and each one accepts exactly the registry's GPU keys.

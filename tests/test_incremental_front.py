@@ -8,8 +8,8 @@ enforced:
 * :class:`repro.core.incremental.IncrementalParetoFront` after *any*
   insert sequence (original, shuffled, reversed, adversarially sorted)
   equals ``pareto_front`` / rank 0 of ``nondominated_sort`` over the
-  same point multiset — the bench v4 incremental-vs-batch gate in
-  test form;
+  same point multiset, and on a 50,000-point cloud equals the array
+  kernel ``front_indices``;
 * the array kernels ``front_indices`` / ``front_mask`` select exactly
   the points ``pareto_front`` keeps, in the same order, including
   stable tie-breaking and duplicate collapse.
@@ -78,6 +78,20 @@ class TestIncrementalEquivalence:
             for order in insert_orders(cloud, seed):
                 inc = IncrementalParetoFront(order)
                 assert objectives(inc.points()) == batch, f"seed={seed}"
+
+    def test_large_uniform_cloud_matches_the_array_kernel(self):
+        """A 50,000-point cloud (seed 0, the regime-0 ranges) streamed
+        in: the same front, in the same order, as ``front_indices``."""
+        rng = np.random.default_rng(0)
+        times = rng.uniform(0.1, 10.0, 50_000)
+        energies = rng.uniform(1.0, 1000.0, 50_000)
+        inc = IncrementalParetoFront()
+        inc.extend(zip(times.tolist(), energies.tolist()))
+        idx = front_indices(times, energies)
+        assert [(p.time_s, p.energy_j) for p in inc.points()] == list(
+            zip(times[idx].tolist(), energies[idx].tolist())
+        )
+        assert len(idx) > 1
 
     def test_invariant_holds_after_every_insert(self):
         for seed in SEEDS:

@@ -2,8 +2,8 @@
 
 Covers the three pillars of ``docs/MODEL.md`` §6.6: tolerant telemetry
 ingestion (:mod:`repro.obs.ingest`), span-profile analytics
-(:mod:`repro.obs.perf`) and the Mann-Whitney regression sentinel over
-two bench documents (:mod:`repro.obs.sentinel`), plus the ``repro
+(:mod:`repro.obs.perf`) and the regression sentinel over two files of
+perfbench result lines (:mod:`repro.obs.sentinel`), plus the ``repro
 perf`` CLI family end to end.
 """
 
@@ -25,7 +25,8 @@ from repro.obs.perf import (
     render_report,
     span_profile,
 )
-from repro.obs.sentinel import case_samples, check_bench, mann_whitney_u
+from repro.measurement.stats import confidence_halfwidth
+from repro.obs.sentinel import check_runs, mann_whitney_u
 
 
 @pytest.fixture(autouse=True)
@@ -281,97 +282,79 @@ class TestMannWhitney:
         assert p < 0.001
 
 
-class TestCaseSamples:
-    DOC = {
-        "cases": [
-            {
-                "device": "p100",
-                "n": 1024,
-                "samples": {
-                    "scalar": [0.03, 0.031],
-                    "vectorized": [0.001, 0.0011],
-                },
-            }
-        ],
-        "planner": {"samples": {"warm": [0.002, 0.0021]}},
-    }
-
-    def test_case_samples_keys_are_stable(self):
-        samples = case_samples(self.DOC)
-        assert set(samples) == {
-            "p100/N1024/scalar",
-            "p100/N1024/vectorized",
-            "planner/warm",
-        }
-
-    def test_pre_v5_documents_yield_nothing(self):
-        doc = {"cases": [{"device": "p100", "n": 1024}], "planner": {}}
-        assert case_samples(doc) == {}
-
-
-#: The ``host`` section of every test document.
-HOST = {
-    "cpu_model": "Test CPU @ 2.00GHz",
-    "cpus": 2,
-    "machine": "x86_64",
-    "python": "3.11.7",
-    "numpy": "1.26.4",
+#: perfbench's end-to-end metrics and their units.
+UNITS = {
+    "setup_s": "s",
+    "first_s": "s",
+    "pass_p50_s": "s",
+    "pass_p90_s": "s",
+    "peak_rss_mb": "MB",
 }
 
 
-def _doc(samples, **extra):
-    """A minimal bench document with one vectorized case."""
-    doc = {
-        "version": "repro-bench/7",
-        "host": dict(HOST, peak_rss_kb=1000),
-        "repeats": len(samples),
-        "cases": [
-            {
-                "device": "p100",
-                "n": 1024,
-                "samples": {"vectorized": list(samples)},
-            }
-        ],
-    }
-    doc.update(extra)
-    return doc
+def _line(value, attempted=100, failed=0, units=UNITS):
+    """One ``perfbench/run.py --trace 0`` result line, every metric at
+    ``value``."""
+    return json.dumps({
+        "correct": failed == 0,
+        "attempted": attempted,
+        "failed": failed,
+        "metrics": {
+            name: {"value": value, "unit": unit}
+            for name, unit in units.items()
+        },
+    })
 
 
-def _write(path, doc):
-    path.write_text(json.dumps(doc))
+def _runs(path, values, **line):
+    """A file of one result line per run, one run per value."""
+    path.write_text("".join(_line(v, **line) + "\n" for v in values))
     return str(path)
 
 
-#: A baseline run around 10 ms, jittered so no two samples tie.
+#: A baseline around 10 ms, jittered so no two runs tie; its 95% CI
+#: half-width is 1.9% of its mean, within the 2.5% protocol.
 BASELINE = [0.0100, 0.0102, 0.0104, 0.0101, 0.0103]
+SLOWDOWN = [0.0200, 0.0204, 0.0208, 0.0202, 0.0206]
 
 
 class TestSentinel:
-    def _check(self, tmp_path, base, cur):
-        return check_bench(
-            _write(tmp_path / "base.json", _doc(base)),
-            _write(tmp_path / "cur.json", _doc(cur)),
+    def _check(self, tmp_path, base, cur, base_line=None, cur_line=None):
+        return check_runs(
+            _runs(tmp_path / "base.jsonl", base, **(base_line or {})),
+            _runs(tmp_path / "cur.jsonl", cur, **(cur_line or {})),
         )
 
+    def _metric(self, report, name="pass_p50_s"):
+        (verdict,) = [v for v in report.verdicts if v.metric == name]
+        return verdict
+
+    def test_every_metric_and_the_failed_row_get_a_verdict(self, tmp_path):
+        report = self._check(tmp_path, BASELINE, BASELINE)
+        assert [v.metric for v in report.verdicts] == [*UNITS, "failed"]
+        assert {(v.baseline_n, v.current_n) for v in report.verdicts} == {
+            (5, 5), (500, 500)
+        }
+
     def test_2x_slowdown_is_a_regression(self, tmp_path):
-        report = self._check(
-            tmp_path, BASELINE, [0.0200, 0.0204, 0.0208, 0.0202, 0.0206]
-        )
-        (verdict,) = report.verdicts
-        assert verdict.outcome == "regression"
-        assert verdict.case == "p100/N1024/vectorized"
-        assert verdict.shift == pytest.approx(1.0, abs=0.1)  # ~2x
-        assert verdict.p_value == pytest.approx(2 / 252)  # exact, n=m=5
+        report = self._check(tmp_path, BASELINE, SLOWDOWN)
+        for name in UNITS:
+            verdict = self._metric(report, name)
+            assert verdict.outcome == "regression"
+            assert verdict.shift == pytest.approx(1.0, abs=0.1)  # ~2x
+            assert verdict.p_value == pytest.approx(2 / 252)  # exact, n=m=5
+            assert verdict.current_wins == 0
+        assert self._metric(report, "failed").outcome == "neutral"
         assert report.exit_code == 1
         rendered = report.render()
         assert "regression" in rendered
-        assert "p100/N1024/vectorized" in rendered
+        assert "pass_p50_s" in rendered
 
     def test_2x_speedup_is_an_improvement(self, tmp_path):
-        report = self._check(
-            tmp_path, BASELINE, [0.0050, 0.0052, 0.0048, 0.0051, 0.0049]
-        )
-        assert report.verdicts[0].outcome == "improvement"
+        report = self._check(tmp_path, BASELINE, [v / 2 for v in BASELINE])
+        verdict = self._metric(report)
+        assert verdict.outcome == "improvement"
+        assert verdict.current_wins == 5
         assert report.exit_code == 0  # getting faster never fails a build
 
     def test_significant_but_tiny_shift_is_neutral(self, tmp_path):
@@ -382,7 +365,7 @@ class TestSentinel:
             [0.01000, 0.01002, 0.01004, 0.01001, 0.01003],
             [0.01050, 0.01052, 0.01054, 0.01051, 0.01053],
         )
-        (verdict,) = report.verdicts
+        verdict = self._metric(report)
         assert verdict.p_value < 0.05
         assert verdict.shift == pytest.approx(0.05, abs=0.005)
         assert verdict.outcome == "neutral"
@@ -392,7 +375,7 @@ class TestSentinel:
         report = self._check(
             tmp_path, BASELINE, [0.0101, 0.0103, 0.0099, 0.0104, 0.0102]
         )
-        assert report.verdicts[0].outcome == "neutral"
+        assert {v.outcome for v in report.verdicts} == {"neutral"}
         assert report.exit_code == 0
 
     @pytest.mark.parametrize(
@@ -406,44 +389,86 @@ class TestSentinel:
     def test_fewer_than_min_samples_is_insufficient(
         self, tmp_path, base, cur
     ):
-        # A 2x slowdown, but too few samples on one side to judge it.
+        # A 2x slowdown, but too few runs on one side to judge it.
         report = self._check(tmp_path, base, cur)
-        (verdict,) = report.verdicts
+        verdict = self._metric(report)
         assert verdict.outcome == "insufficient-samples"
         assert verdict.p_value is None
         assert (verdict.baseline_n, verdict.current_n) == (
             len(base), len(cur)
         )
         assert report.exit_code == 0
-        assert "1 insufficient-samples" in report.render()
+        assert "5 insufficient-samples" in report.render()
 
-    def test_same_file_twice_is_all_neutral(self, tmp_path):
-        doc = _doc(
-            BASELINE,
-            planner={
-                "samples": {
-                    "cold": [0.030, 0.031, 0.029],
-                    "warm": [0.002, 0.0021, 0.0019],
-                }
-            },
-        )
-        path = _write(tmp_path / "BENCH_sweep.json", doc)
-        report = check_bench(path, path)
-        assert [v.case for v in report.verdicts] == [
-            "p100/N1024/vectorized", "planner/cold", "planner/warm",
-        ]
-        assert {v.outcome for v in report.verdicts} == {"neutral"}
-        assert {v.p_value for v in report.verdicts} == {1.0}
+    #: A 2x slowdown's runs, one side 1.9% wide, the other 13%.
+    NOISY = [0.0100, 0.0120, 0.0090, 0.0110, 0.0105]
+
+    @pytest.mark.parametrize(
+        "base,cur",
+        [(BASELINE, [2 * v for v in NOISY]), (NOISY, SLOWDOWN)],
+        ids=["current", "baseline"],
+    )
+    def test_ci_wider_than_the_protocol_is_insufficient(
+        self, tmp_path, base, cur
+    ):
+        """The paper's protocol: a side whose 95% CI half-width exceeds
+        2.5% of its mean has too few runs for a verdict, however far
+        its median moved."""
+        report = self._check(tmp_path, base, cur)
+        verdict = self._metric(report)
+        assert verdict.outcome == "insufficient-samples"
+        assert verdict.p_value is None
+        for ci, runs in ((verdict.ci_baseline, base), (verdict.ci_current, cur)):
+            share = confidence_halfwidth(runs) / (sum(runs) / len(runs))
+            assert ci == pytest.approx(share)
+        assert max(verdict.ci_baseline, verdict.ci_current) > 0.025
+        assert min(verdict.ci_baseline, verdict.ci_current) < 0.025
         assert report.exit_code == 0
 
-    def test_peak_rss_may_differ(self, tmp_path):
-        cur = _doc(BASELINE)
-        cur["host"]["peak_rss_kb"] = 999_999
-        report = check_bench(
-            _write(tmp_path / "base.json", _doc(BASELINE)),
-            _write(tmp_path / "cur.json", cur),
+    def test_wins_pair_runs_by_line_and_ties_count_for_neither(
+        self, tmp_path
+    ):
+        # Line by line: won, tie, lost, won, tie; the sixth run has no
+        # baseline partner.
+        report = self._check(
+            tmp_path, BASELINE,
+            [0.0099, 0.0102, 0.0105, 0.0100, 0.0103, 0.0001],
         )
-        assert report.verdicts[0].outcome == "neutral"
+        assert self._metric(report).current_wins == 2
+        assert "won 2/5" in report.render()
+
+    def test_higher_failed_share_is_a_regression(self, tmp_path):
+        report = self._check(
+            tmp_path, BASELINE, BASELINE, cur_line={"failed": 1}
+        )
+        verdict = self._metric(report, "failed")
+        assert verdict.outcome == "regression"
+        assert (verdict.failed_current, verdict.current_n) == (5, 500)
+        assert (verdict.failed_baseline, verdict.baseline_n) == (0, 500)
+        assert "5/500 vs 0/500 passes failed" in report.render()
+        assert report.exit_code == 1
+
+    def test_failed_share_not_count_is_compared(self, tmp_path):
+        report = self._check(
+            tmp_path, BASELINE, BASELINE,
+            base_line={"attempted": 100, "failed": 1},
+            cur_line={"attempted": 200, "failed": 2},
+        )
+        assert self._metric(report, "failed").outcome == "neutral"
+        lower = self._check(
+            tmp_path, BASELINE, BASELINE, base_line={"failed": 1}
+        )
+        assert self._metric(lower, "failed").outcome == "improvement"
+        assert lower.exit_code == 0
+
+    def test_same_file_twice_is_all_neutral(self, tmp_path):
+        path = _runs(tmp_path / "runs.jsonl", BASELINE)
+        report = check_runs(path, path)
+        assert {v.outcome for v in report.verdicts} == {"neutral"}
+        assert {
+            v.p_value for v in report.verdicts if v.metric != "failed"
+        } == {1.0}
+        assert report.exit_code == 0
 
 
 class TestPerfCli:
@@ -500,22 +525,23 @@ class TestPerfCli:
         with pytest.raises(SystemExit, match="no such file"):
             main(["perf", "report", str(tmp_path / "gone.jsonl")])
 
-    def _check(self, tmp_path, cur, base=BASELINE):
+    def _check(self, tmp_path, cur, base=BASELINE, **cur_line):
         return main(
             ["perf", "check",
-             _write(tmp_path / "base.json", _doc(base)),
-             _write(tmp_path / "cur.json", _doc(cur))]
+             _runs(tmp_path / "base.jsonl", base),
+             _runs(tmp_path / "cur.jsonl", cur, **cur_line)]
         )
 
     def test_check_flags_injected_slowdown(self, tmp_path, capsys):
-        code = self._check(
-            tmp_path, [0.0200, 0.0204, 0.0208, 0.0202, 0.0206]
-        )
+        code = self._check(tmp_path, SLOWDOWN)
         out = capsys.readouterr().out
         assert code == 1
         assert "regression" in out
-        assert "p100/N1024/vectorized" in out
-        assert f"{tmp_path / 'cur.json'} vs {tmp_path / 'base.json'}" in out
+        assert "pass_p50_s" in out
+        assert (
+            f"{tmp_path / 'cur.jsonl'} (5 runs) vs "
+            f"{tmp_path / 'base.jsonl'} (5 runs)"
+        ) in out
 
     def test_check_neutral_rerun_exits_zero(self, tmp_path, capsys):
         code = self._check(
@@ -523,7 +549,14 @@ class TestPerfCli:
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert "1 neutral" in out
+        assert out.splitlines()[-1] == "summary: 6 neutral"
+
+    def test_check_higher_failed_share_exits_one(self, tmp_path, capsys):
+        code = self._check(tmp_path, BASELINE, failed=3)
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "15/500 vs 0/500 passes failed" in out
+        assert out.splitlines()[-1] == "summary: 1 regression, 5 neutral"
 
     def _error(self, *argv):
         """The message of a ``perf check`` that exits with an error."""
@@ -537,55 +570,50 @@ class TestPerfCli:
 
     @pytest.mark.parametrize("side", ["baseline", "current"])
     def test_check_missing_file_names_it(self, tmp_path, side):
-        present = _write(tmp_path / "present.json", _doc(BASELINE))
-        missing = str(tmp_path / "missing.json")
+        present = _runs(tmp_path / "present.jsonl", BASELINE)
+        missing = str(tmp_path / "missing.jsonl")
         argv = [missing, present] if side == "baseline" else [present, missing]
         message = self._error(*argv)
         assert f"{missing}: No such file" in message
         assert present not in message
 
-    def test_check_non_json_file_names_it(self, tmp_path):
-        garbage = tmp_path / "garbage.json"
-        garbage.write_text("{truncated")
-        present = _write(tmp_path / "present.json", _doc(BASELINE))
-        message = self._error(present, str(garbage))
-        assert f"{garbage}: not a JSON document" in message
-
     @pytest.mark.parametrize(
-        "doc",
+        "text,error",
         [
-            {"version": "repro-bench/4", "cases": [
-                {"device": "p100", "n": 1024, "scalar_s": 0.01}
-            ]},
-            {"cases": [{"device": "p100", "n": 1024, "samples": {}}]},
-            {"cases": "p100"},
-            [1, 2, 3],
+            ("{truncated\n", ":1: not JSON"),
+            ('{"correct": true, "attempted": 1, "failed": 0}\n',
+             ":1: no metrics"),
+            ("[1, 2, 3]\n", ":1: no metrics"),
+            (_line(0.01, units={"planner.add_s": "s", "batch.calls": "count"})
+             + "\n",
+             ":1: metric batch.calls has unit 'count', not one of s, MB: "
+             "not a --trace 0 result"),
+            (json.dumps({"metrics": {"setup_s": {"value": 1, "unit": "s"}}})
+             + "\n",
+             ":1: no attempted and failed pass counts"),
+            (_line(0.01) + "\n"
+             + _line(0.01, units={"setup_s": "s"}) + "\n",
+             ":2: other metrics than the first line"),
+            ("\n", ": no result lines"),
         ],
-        ids=["pre-v5", "empty-samples", "malformed", "not-an-object"],
+        ids=[
+            "not-json", "no-metrics", "not-an-object", "trace-1",
+            "no-counts", "metrics-differ", "empty",
+        ],
     )
-    def test_check_file_without_samples_names_it(self, tmp_path, doc):
-        empty = _write(tmp_path / "empty.json", doc)
-        present = _write(tmp_path / "present.json", _doc(BASELINE))
-        message = self._error(empty, present)
-        assert f"{empty}: no per-case samples" in message
+    def test_check_unreadable_line_names_file_and_line(
+        self, tmp_path, text, error
+    ):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(text)
+        present = _runs(tmp_path / "present.jsonl", BASELINE)
+        message = self._error(present, str(bad))
+        assert f"{bad}{error}" in message
 
-    def test_check_different_hosts_names_both_files(self, tmp_path):
-        base = _write(tmp_path / "base.json", _doc(BASELINE))
-        other = _doc(BASELINE)
-        other["host"]["cpus"] = 64
-        cur = _write(tmp_path / "cur.json", other)
+    def test_check_different_metrics_names_both_files(self, tmp_path):
+        base = _runs(tmp_path / "base.jsonl", BASELINE)
+        fewer = {k: v for k, v in UNITS.items() if k != "peak_rss_mb"}
+        cur = _runs(tmp_path / "cur.jsonl", BASELINE, units=fewer)
         message = self._error(base, cur)
-        assert f"{base} and {cur} were recorded on different hosts" in (
-            message
-        )
-        assert "cpus: 2 vs 64" in message
-
-    def test_check_different_cases_names_both_files(self, tmp_path):
-        base = _write(tmp_path / "base.json", _doc(BASELINE))
-        cur = _write(
-            tmp_path / "cur.json",
-            _doc(BASELINE, planner={"samples": {"warm": BASELINE}}),
-        )
-        message = self._error(base, cur)
-        assert f"{base} and {cur} hold different cases" in message
-        assert f"only in {cur}: planner/warm" in message
+        assert f"{base} and {cur} hold different metrics" in message
+        assert f"only in {base}: peak_rss_mb" in message

@@ -6,13 +6,15 @@ through the app) with the scalar model of record, cross-experiment
 dedup accounting, warm-store zero-compute reruns,
 mixed-size mega-batch exactness, one batch call per device across
 calibrations (bit-identical to per-calibration calls),
-calibration-separated shards, the noise bypass, and golden identity
-of the planner-served pages.
+calibration-separated shards, the noise bypass, golden identity of
+the planner-served pages, and a warm-store session faster than
+per-experiment scalar sweeps.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from repro.sweep.planner import (
     POINT_DTYPE,
     SESSION_EXPERIMENTS,
     collect_session_requests,
+    scalar_sweep,
 )
 
 
@@ -314,6 +317,38 @@ class TestPlannerAccounting:
         assert planner.stats.requested == 0
         assert not any(tmp_path.iterdir())
         assert len(noisy) == len(app.sweep_configs())
+
+
+class TestFasterThanPerExperiment:
+    def test_warm_store_session_beats_the_per_experiment_scalar_loop(
+        self, overlapping_grid, warm_grid_session, cold_scalar_model
+    ):
+        """A session served from a warm store is faster than each
+        experiment running its own cold scalar sweep, duplicates
+        included, as experiments did before the planner."""
+        assert warm_grid_session().stats.computed == 0
+
+        def per_experiment() -> None:
+            for request in overlapping_grid:
+                _, bs, g, r = request.enumeration().columns
+                scalar_sweep(
+                    request.spec, request.calibration, request.n, bs, g, r
+                )
+
+        per_experiment_s, session_s = [], []
+        for _ in range(3):
+            cold_scalar_model()
+            t0 = time.perf_counter()
+            per_experiment()
+            per_experiment_s.append(time.perf_counter() - t0)
+            t0 = time.perf_counter()
+            warm_grid_session()
+            session_s.append(time.perf_counter() - t0)
+        speedup = min(per_experiment_s) / min(session_s)
+        assert speedup >= 1.0, (
+            f"warm session {min(session_s) * 1e3:.2f} ms vs per-experiment "
+            f"{min(per_experiment_s) * 1e3:.2f} ms ({speedup:.2f}x)"
+        )
 
 
 def _three_calibrations() -> list[SweepRequest]:

@@ -26,7 +26,6 @@ PACKAGE = Path(repro.__file__).resolve().parent
 #: Modules no command reaches yet, each kept for the ROADMAP open item
 #: that adopts it.  When the item lands, its module leaves this map.
 ADOPTED_BY_ITEM = {
-    "repro.measurement.stats": 10,  # `repro bench`'s repetition protocol
     "repro.simgpu.roofline": 9,     # `repro explain`'s binding resource
 }
 

@@ -7,7 +7,12 @@ import pytest
 from repro.machines import K40C, P100
 from repro.simgpu.calibration import calibration_for
 from repro.simgpu.cupti import EVENT_NAMES, CuptiProfiler
-from repro.simgpu.kernel import matmul_kernel_resources
+from repro.simgpu.kernel import (
+    matmul_kernel_resources,
+    max_group_size,
+    tile_fits,
+)
+from repro.simgpu.occupancy import compute_occupancy
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +39,30 @@ class TestTrueCounts:
         c2 = profiler.true_counts(r2)
         for name in ("flop_count_dp", "gst_transactions", "warps_launched"):
             assert c2[name] == pytest.approx(2 * c1[name], rel=1e-9)
+
+    @pytest.mark.parametrize("spec", [K40C, P100], ids=["k40c", "p100"])
+    def test_warps_launched_counts_the_resident_warps_per_block(self, spec):
+        """One warp count: ``warps_launched`` is ``grid_blocks x G`` times
+        the warps per block of the occupancy record
+        (``active_warps_per_sm / blocks_per_sm``), for every valid BS
+        and G."""
+        cal = calibration_for(spec)
+        profiler = CuptiProfiler(spec, cal)
+        checked = 0
+        for bs in filter(lambda bs: tile_fits(spec, bs), range(1, 33)):
+            for g in range(1, max_group_size(spec, bs) + 1):
+                res = matmul_kernel_resources(spec, cal, 10240, bs, g)
+                occ = compute_occupancy(
+                    spec, res.threads_per_block, res.smem_per_block_bytes
+                )
+                block_warps, rest = divmod(
+                    occ.active_warps_per_sm, occ.blocks_per_sm
+                )
+                assert rest == 0
+                warps = profiler.true_counts(res)["warps_launched"]
+                assert warps == res.grid_blocks * g * block_warps, (bs, g)
+                checked += 1
+        assert checked > 32
 
     def test_shared_loads_two_per_fma(self, profiler):
         res = matmul_kernel_resources(P100, profiler.cal, 1024, 32, 1)
