@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import threading
 
 import pytest
@@ -54,6 +55,19 @@ def make_space(valid=None):
         variables={"x": list(range(4, 33)), "y": [0, 1, 2, 3]},
         is_valid=valid if valid else lambda c: True,
     )
+
+
+def diagonal_space():
+    """Valid only on the diagonal: every one-variable move leaves it,
+    so no probe from any front member can ever be valid."""
+    return ConfigurationSpace(
+        variables={"x": list(range(10)), "y": list(range(10))},
+        is_valid=lambda c: c["x"] == c["y"],
+    )
+
+
+def diagonal_evaluator(cfg):
+    return 1.0 + cfg["x"], 10.0 - cfg["x"]
 
 
 class TestConfigurationSpace:
@@ -172,31 +186,101 @@ class TestGreedySearch:
         assert [p.config for p in front] == [{"x": 7, "y": 1}]
 
     def test_space_without_valid_moves_jumps_to_unseen_configs(self):
-        # Valid only on the diagonal: every one-variable move leaves
-        # it, so no probe from any front member can ever be valid.
-        space = ConfigurationSpace(
-            variables={"x": list(range(10)), "y": list(range(10))},
-            is_valid=lambda c: c["x"] == c["y"],
-        )
-
-        def evaluator(cfg):
-            return 1.0 + cfg["x"], 10.0 - cfg["x"]
-
+        space = diagonal_space()
         _, evaluated = finishes(
-            lambda: greedy_front_search(space, evaluator, budget=8, seed=0)
+            lambda: greedy_front_search(
+                space, diagonal_evaluator, budget=8, seed=0
+            )
         )
         keys = [(ec.config["x"], ec.config["y"]) for ec in evaluated]
         assert len(keys) == 8 == len(set(keys))
         assert all(x == y for x, y in keys)
 
     def test_exhausted_space_stops(self):
-        space = ConfigurationSpace(
-            variables={"x": list(range(10)), "y": list(range(10))},
-            is_valid=lambda c: c["x"] == c["y"],
-        )
+        space = diagonal_space()
         _, evaluated = finishes(
             lambda: greedy_front_search(
                 space, synthetic_evaluator, budget=50, seed=4
             )
         )
         assert len(evaluated) == space.size() == 10
+
+
+#: (space, evaluator, budget, seed) -> the number of ``random.Random.
+#: choice`` draws, the summed length of the sequences drawn from, the
+#: position in the space's enumeration of each configuration evaluated,
+#: in evaluation order, and the returned front's ``(x, y)``.  The
+#: diagonal space only jumps, and at budget 20 it stops when no
+#: configuration is left; the ``x != 20`` space probes, jumps out of
+#: duplicates, and at budget 200 stops on a duplicate with none left.
+PINNED_TRAJECTORIES = {
+    "diagonal-budget8-seed0": (
+        diagonal_space, diagonal_evaluator, 8, 0,
+        6, 33, (0, 5, 8, 9, 4, 1, 6, 7),
+        [(0, 0), (1, 1), (4, 4), (5, 5), (6, 6), (7, 7), (8, 8), (9, 9)],
+    ),
+    "diagonal-budget20-seed4": (
+        diagonal_space, diagonal_evaluator, 20, 4,
+        5, 15, (0, 2, 4, 6, 8, 3, 7, 1, 9, 5),
+        [(x, x) for x in range(10)],
+    ),
+    "x-not-20-budget60-seed2": (
+        lambda: make_space(lambda c: c["x"] != 20), synthetic_evaluator,
+        60, 2,
+        196, 3084,
+        (0, 7, 14, 21, 28, 35, 42, 49, 56, 63, 70, 77, 84, 91, 98, 105, 101,
+         102, 87, 103, 109, 78, 83, 26, 79, 94, 95, 110, 43, 25, 50, 108, 31,
+         52, 106, 45, 72, 62, 99, 73, 6, 44, 100, 8, 5, 4, 53, 64, 68, 90, 86,
+         69, 17, 24, 29, 58, 3, 15, 13, 96),
+        [(32, 0), (32, 1), (32, 2), (31, 2), (30, 2), (30, 3), (29, 3),
+         (28, 3), (27, 3), (26, 2), (24, 1), (23, 1), (22, 0), (21, 0)],
+    ),
+    "x-not-20-budget200-seed3": (
+        lambda: make_space(lambda c: c["x"] != 20), synthetic_evaluator,
+        200, 3,
+        260, 2527,
+        (0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30, 32, 34,
+         36, 38, 40, 42, 44, 46, 48, 50, 52, 54, 56, 58, 60, 62, 64, 66, 68,
+         70, 72, 74, 76, 78, 80, 82, 84, 86, 88, 90, 92, 94, 96, 98, 100, 102,
+         104, 106, 108, 110, 77, 109, 89, 107, 83, 91, 105, 3, 65, 87, 93, 19,
+         111, 95, 47, 99, 79, 97, 11, 53, 25, 67, 55, 7, 103, 37, 63, 33, 43,
+         69, 81, 41, 85, 73, 35, 57, 39, 45, 27, 1, 29, 21, 9, 71, 15, 75, 13,
+         51, 23, 59, 61, 5, 101, 49, 31, 17),
+        [(32, 0), (32, 1), (32, 2), (32, 3), (31, 3), (30, 3), (29, 3),
+         (28, 3), (27, 3), (26, 2), (25, 2), (24, 1), (23, 1), (22, 0),
+         (21, 0)],
+    ),
+}
+
+
+class TestPinnedTrajectory:
+    """The jump and stop paths draw and evaluate exactly as pinned
+    (the study's own searches are pinned in
+    ``tests/test_experiments_budgeted.py``)."""
+
+    @pytest.mark.parametrize("case", list(PINNED_TRAJECTORIES))
+    def test_draws_evaluations_and_front(self, monkeypatch, case):
+        make, evaluator, budget, seed, draws, drawn, order, front = (
+            PINNED_TRAJECTORIES[case]
+        )
+        lengths: list[int] = []
+        choice = random.Random.choice
+
+        def counted(rng, seq):
+            lengths.append(len(seq))
+            return choice(rng, seq)
+
+        monkeypatch.setattr(random.Random, "choice", counted)
+        space = make()
+        approx, evaluated = finishes(
+            lambda: greedy_front_search(
+                space, evaluator, budget=budget, seed=seed
+            )
+        )
+        configs = list(space)
+        assert (len(lengths), sum(lengths)) == (draws, drawn)
+        assert tuple(configs.index(ec.config) for ec in evaluated) == order
+        assert [(p.config["x"], p.config["y"]) for p in approx] == front
+        assert [p.objectives() for p in approx] == [
+            evaluator(p.config) for p in approx
+        ]
