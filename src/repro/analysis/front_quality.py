@@ -16,14 +16,35 @@ standard multi-objective pair:
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 
 import numpy as np
 
 from repro.core.pareto import ParetoPoint
 
-__all__ = ["igd", "additive_epsilon", "normalized_objectives"]
+__all__ = [
+    "igd",
+    "additive_epsilon",
+    "normalized_objectives",
+    "objective_array",
+    "reference_scale",
+    "normalized_igd",
+    "normalized_additive_epsilon",
+]
+
+
+def objective_array(points: Sequence[ParetoPoint]) -> np.ndarray:
+    """The points' ``(time_s, energy_j)`` as an ``(n, 2)`` float array."""
+    return np.array([[p.time_s, p.energy_j] for p in points], dtype=float)
+
+
+def reference_scale(reference: np.ndarray) -> np.ndarray:
+    """Per-objective minima of a reference ``(n, 2)`` array: the scale
+    that :func:`normalized_objectives` divides both point sets by."""
+    mins = reference.min(axis=0)
+    if np.any(mins <= 0):
+        raise ValueError("reference objectives must be positive")
+    return mins
 
 
 def normalized_objectives(
@@ -36,11 +57,9 @@ def normalized_objectives(
     """
     if not reference or not other:
         raise ValueError("point sets must be non-empty")
-    ref = np.array([[p.time_s, p.energy_j] for p in reference], dtype=float)
-    oth = np.array([[p.time_s, p.energy_j] for p in other], dtype=float)
-    mins = ref.min(axis=0)
-    if np.any(mins <= 0):
-        raise ValueError("reference objectives must be positive")
+    ref = objective_array(reference)
+    oth = objective_array(other)
+    mins = reference_scale(ref)
     return ref / mins, oth / mins
 
 
@@ -52,7 +71,11 @@ def igd(
     Mean Euclidean distance in normalized objective space from each
     reference point to the nearest approximation point.
     """
-    ref, app = normalized_objectives(reference, approximation)
+    return normalized_igd(*normalized_objectives(reference, approximation))
+
+
+def normalized_igd(ref: np.ndarray, app: np.ndarray) -> float:
+    """:func:`igd` of two arrays already in normalized objective space."""
     dists = np.sqrt(
         ((ref[:, None, :] - app[None, :, :]) ** 2).sum(axis=2)
     ).min(axis=1)
@@ -68,7 +91,14 @@ def additive_epsilon(
     is an approximation point ``a`` with ``a ≤ r + ε`` componentwise.
     0 means the approximation weakly dominates the whole reference.
     """
-    ref, app = normalized_objectives(reference, approximation)
+    return normalized_additive_epsilon(
+        *normalized_objectives(reference, approximation)
+    )
+
+
+def normalized_additive_epsilon(ref: np.ndarray, app: np.ndarray) -> float:
+    """:func:`additive_epsilon` of two arrays already in normalized
+    objective space."""
     # For each (r, a) pair, the ε needed is max over objectives of a-r;
     # per reference point take the best a; overall take the worst r.
     per_pair = (app[None, :, :] - ref[:, None, :]).max(axis=2)

@@ -1,8 +1,9 @@
-"""Plain-text tables and series for benches and EXPERIMENTS.md.
+"""Plain-text tables and series for experiment output and EXPERIMENTS.md.
 
-Every experiment module renders its result through these helpers so
-the bench output ("the same rows/series the paper reports") has one
-consistent format.
+Every experiment module renders its result through these helpers, so
+``repro experiment ID`` output and the goldens under
+``benchmarks/output/`` ("the same rows/series the paper reports") have
+one consistent format.
 """
 
 from __future__ import annotations

@@ -23,13 +23,14 @@ This module provides:
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_left
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, NamedTuple
 
-from repro.core.pareto import ParetoPoint, pareto_front
+from repro.core.pareto import ParetoPoint, check_objectives, pareto_front
 
 __all__ = [
     "ConfigurationSpace",
@@ -122,6 +123,51 @@ class ConfigurationSpace:
         """Number of valid configurations."""
         return len(self._valid_keys)
 
+    @cached_property
+    def _neighbours(self) -> _Neighbours:
+        """The search's neighbour table, filled one key at a time."""
+        return _Neighbours(self)
+
+
+class _Neighbours(dict):
+    """Valid key -> one ``(down, up)`` pair per variable, in variable
+    order: the valid key one admissible value below and one above in
+    that variable, or None where the step leaves the variable's values
+    or the valid set.
+
+    An entry is built on its first lookup and kept, so a space builds
+    only the entries of the keys a search moves from, once for all its
+    searches.
+    """
+
+    def __init__(self, space: ConfigurationSpace) -> None:
+        super().__init__()
+        self._valid = frozenset(space._valid_keys)
+        self._axes = tuple(
+            (i, tuple(values))
+            for i, values in enumerate(space.variables.values())
+        )
+        #: The entry of a key with no valid step.
+        self._blocked = ((None, None),) * len(self._axes)
+
+    def __missing__(self, key: tuple[Any, ...]) -> tuple:
+        pairs = []
+        for i, values in self._axes:
+            at = values.index(key[i])
+            pair = []
+            for j in (at - 1, at + 1):
+                step = None
+                if 0 <= j < len(values):
+                    step = key[:i] + (values[j],) + key[i + 1:]
+                pair.append(step if step in self._valid else None)
+            pairs.append(tuple(pair))
+        entry = self[key] = tuple(pairs)
+        return entry
+
+    def movable(self, key: tuple[Any, ...]) -> bool:
+        """Whether one step of one variable from ``key`` is valid."""
+        return self[key] != self._blocked
+
 
 def exhaustive_front(
     space: ConfigurationSpace, evaluate: Evaluator
@@ -160,15 +206,22 @@ def greedy_front_search(
     ``seed``.  Stops after ``budget`` evaluations, or when every valid
     configuration has been evaluated.
 
-    The search works on value tuples: each configuration's tuple is
-    computed once, at enumeration, a probe is checked by membership in
-    the set of valid tuples (the same test as ``is_valid``, since a
-    probe never leaves the product of the variables), and a random
-    jump picks from the unevaluated configurations, kept in
-    enumeration order as each evaluation removes its own.  The running
-    front is maintained incrementally
-    (:class:`repro.core.incremental.IncrementalParetoFront`), which is
-    provably identical to ``pareto_front`` over the evaluations so far.
+    The search works on value tuples.  A probe draws a front member,
+    then one of its variables, then a direction, and reads the
+    neighbour from the space's neighbour table: the valid key one
+    admissible value down or up, or None where that step leaves the
+    values or the valid set (the same test as ``is_valid``, since a
+    step never leaves the product of the variables).  The table is
+    filled one key at a time, on first lookup, and kept by the space,
+    so the searches of one space share it.  A random jump picks from
+    the unevaluated configurations, kept in enumeration order as each
+    evaluation removes its own.  Each evaluation is offered to the
+    running front (:class:`repro.core.incremental.IncrementalParetoFront`,
+    provably identical to ``pareto_front`` over the evaluations so far)
+    as plain objectives, checked finite and non-negative as a
+    :class:`~repro.core.pareto.ParetoPoint` would check them; the front
+    and whether any member can move are read again only when an
+    evaluation changed the front.
 
     Returns the approximate front and every configuration evaluated.
     The approximation is only as good as the budget; integration tests
@@ -181,17 +234,13 @@ def greedy_front_search(
 
     from repro.core.incremental import IncrementalParetoFront
 
-    rng = random.Random(seed)
+    choice = random.Random(seed).choice
     all_keys = space._valid_keys
     if not all_keys:
         raise ValueError("configuration space has no valid configurations")
 
     names = tuple(space.variables)
-    # Per variable: its position in a key, and its values.
-    axes = [
-        (i, tuple(values)) for i, values in enumerate(space.variables.values())
-    ]
-    valid = set(all_keys)
+    neighbours = space._neighbours
     # Enumeration positions of every key, and the unevaluated ones in
     # order: the list a random jump picks from.
     positions: dict[tuple, list[int]] = {}
@@ -203,60 +252,49 @@ def greedy_front_search(
     configs: dict[tuple, dict[str, Any]] = {}
     running = IncrementalParetoFront()
 
-    def try_eval(k: tuple) -> None:
-        if k in configs or len(evaluated) >= budget:
-            return
+    def evaluate_key(k: tuple) -> bool:
+        """Evaluate ``k``; whether it changed the front."""
         for pos in positions[k]:
             del unseen[bisect_left(unseen, pos)]
         cfg = configs[k] = dict(zip(names, k))
         ec = EvaluatedConfig(cfg, *evaluate(cfg))
         evaluated.append(ec)
-        running.insert_point(ParetoPoint(ec.time_s, ec.energy_j, config=k))
-
-    def movable(k: tuple) -> bool:
-        """Whether one step of one variable from ``k`` is valid."""
-        for i, values in axes:
-            at = values.index(k[i])
-            for j in (at - 1, at + 1):
-                if 0 <= j < len(values) and (
-                    k[:i] + (values[j],) + k[i + 1:] in valid
-                ):
-                    return True
-        return False
+        _, t, e = ec
+        if not (0.0 <= t < math.inf and 0.0 <= e < math.inf):
+            check_objectives(t, e)
+        return running.insert(t, e, k)
 
     # Seed phase: stride-sample ~1/4 of the budget across the space.
     n_seed = max(2, budget // 4)
     stride = max(1, len(all_keys) // n_seed)
     for k in all_keys[::stride]:
-        try_eval(k)
+        if len(evaluated) == budget:
+            break
+        if k not in configs:
+            evaluate_key(k)
 
-    # Refinement: perturb front members one variable at a time.
-    checked = -1
+    # Refinement: perturb front members one variable at a time.  When
+    # no member can move, no probe can ever land on a valid config, so
+    # each step jumps instead.
+    front = running.configs()
+    stuck = not any(map(neighbours.movable, front))
     while len(evaluated) < budget:
-        if checked != len(evaluated):
-            # The front changed: take its members afresh, and escape
-            # if no probe from it can ever land on a valid config.
-            checked = len(evaluated)
-            front = running.configs()
-            if not any(map(movable, front)):
-                if not unseen:
-                    break
-                try_eval(all_keys[rng.choice(unseen)])
-                continue
-        base = rng.choice(front)
-        i, values = rng.choice(axes)
-        j = values.index(base[i]) + rng.choice((-1, 1))
-        if not (0 <= j < len(values)):
-            continue
-        cand = base[:i] + (values[j],) + base[i + 1:]
-        if cand not in valid:
-            continue
-        if cand in configs:
-            # Duplicate; jump to a random unseen configuration to escape.
+        if stuck:
             if not unseen:
                 break
-            cand = all_keys[rng.choice(unseen)]
-        try_eval(cand)
+            cand = all_keys[choice(unseen)]
+        else:
+            cand = choice(choice(neighbours[choice(front)]))
+            if cand is None:
+                continue
+            if cand in configs:
+                # Duplicate; jump to a random unseen configuration to escape.
+                if not unseen:
+                    break
+                cand = all_keys[choice(unseen)]
+        if evaluate_key(cand):
+            front = running.configs()
+            stuck = not any(map(neighbours.movable, front))
 
     front_points = [
         ParetoPoint(p.time_s, p.energy_j, config=configs[p.config])

@@ -31,6 +31,7 @@ import numpy as np
 
 __all__ = [
     "ParetoPoint",
+    "check_objectives",
     "dominates",
     "pareto_front",
     "local_pareto_front",
@@ -64,20 +65,26 @@ class ParetoPoint:
     config: Any = None
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.time_s) or not math.isfinite(self.energy_j):
-            raise ValueError(
-                f"objectives must be finite, got time={self.time_s} "
-                f"energy={self.energy_j}"
-            )
-        if self.time_s < 0 or self.energy_j < 0:
-            raise ValueError(
-                f"objectives must be non-negative, got time={self.time_s} "
-                f"energy={self.energy_j}"
-            )
+        check_objectives(self.time_s, self.energy_j)
 
     def objectives(self) -> tuple[float, float]:
         """Return the ``(time, energy)`` objective tuple."""
         return (self.time_s, self.energy_j)
+
+
+def check_objectives(time_s: float, energy_j: float) -> None:
+    """Raise ValueError unless both objectives are finite and
+    non-negative: the check every :class:`ParetoPoint` makes."""
+    if not math.isfinite(time_s) or not math.isfinite(energy_j):
+        raise ValueError(
+            f"objectives must be finite, got time={time_s} "
+            f"energy={energy_j}"
+        )
+    if time_s < 0 or energy_j < 0:
+        raise ValueError(
+            f"objectives must be non-negative, got time={time_s} "
+            f"energy={energy_j}"
+        )
 
 
 def dominates(a: ParetoPoint, b: ParetoPoint, *, tol: float = 0.0) -> bool:

@@ -16,11 +16,18 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from repro.analysis.front_quality import additive_epsilon, igd
+import numpy as np
+
+from repro.analysis.front_quality import (
+    normalized_additive_epsilon,
+    normalized_igd,
+    objective_array,
+    reference_scale,
+)
 from repro.analysis.report import format_table
 from repro.apps.matmul_gpu import MatmulGPUApp
 from repro.core.biobjective import greedy_front_search
-from repro.core.pareto import ParetoPoint, pareto_front
+from repro.core.pareto import check_objectives, front_indices
 from repro.machines import P100
 from repro.machines.specs import GPUSpec
 
@@ -88,10 +95,10 @@ def run(
 ) -> BudgetedSearchResult:
     """Score the greedy search at several evaluation budgets.
 
-    With ``engine`` given, one planner table over the whole
-    configuration space serves the exhaustive sweep and every greedy
-    probe; without it the in-run memo below still guarantees each
-    configuration is run through the scalar model at most once.
+    The exhaustive pass evaluates every configuration once, through one
+    planner table over the whole configuration space when ``engine`` is
+    given and through the scalar model of record otherwise; every
+    greedy probe is then served from those objectives.
     """
     from repro import obs
 
@@ -109,61 +116,64 @@ def _run_scored(
     app = MatmulGPUApp(spec)
     space = app.config_space()
     size = space.size()
-
-    cache: dict[tuple[int, int, int], tuple[float, float]] = {}
+    # The space's own configurations, in its enumeration order.
+    configs = app.sweep_enumeration(min_bs=1)
 
     if engine is not None:
-        # Columnar prefill: one table request covers the exhaustive
-        # pass and every configuration a greedy probe can touch, so
-        # ``evaluate`` below never leaves the in-run memo.
         from repro.sweep.plan import SweepRequest
 
         request = SweepRequest(
             device=spec, n=n, min_bs=1, cal=app.device.cal
         )
-        rows = engine.table(request, app.sweep_enumeration(min_bs=1))
-        cache.update(
-            zip(
-                zip(
-                    rows["bs"].tolist(),
-                    rows["g"].tolist(),
-                    rows["r"].tolist(),
-                ),
-                zip(rows["time_s"].tolist(), rows["energy_j"].tolist()),
-            )
+        rows = engine.table(request, configs)
+        times, energies = rows["time_s"], rows["energy_j"]
+    else:
+        runs = [app.device.run_matmul(n, c.bs, c.g, c.r) for c in configs]
+        times = np.array([r.time_s for r in runs])
+        energies = np.array([r.dynamic_energy_j for r in runs])
+    # Every objective finite and non-negative: the check a ParetoPoint makes.
+    valid = (0 <= times) & (times < np.inf)
+    valid &= (0 <= energies) & (energies < np.inf)
+    if not valid.all():
+        bad = int(np.argmin(valid))
+        check_objectives(float(times[bad]), float(energies[bad]))
+    objectives = dict(
+        zip(
+            [(c.bs, c.g, c.r) for c in configs],
+            zip(times.tolist(), energies.tolist()),
         )
+    )
 
     def evaluate(cfg) -> tuple[float, float]:
-        key = (cfg["bs"], cfg["g"], cfg["r"])
-        if key not in cache:
-            run_ = app.device.run_matmul(n, cfg["bs"], cfg["g"], cfg["r"])
-            cache[key] = (run_.time_s, run_.dynamic_energy_j)
-        return cache[key]
+        return objectives[cfg["bs"], cfg["g"], cfg["r"]]
 
-    exhaustive_pts = [
-        ParetoPoint(*evaluate(cfg), config=cfg) for cfg in space
-    ]
-    reference = pareto_front(exhaustive_pts)
+    front = front_indices(times, energies)
+    reference = np.column_stack((times[front], energies[front]))
+    scale = reference_scale(reference)
+    normalized_reference = reference / scale
 
-    rows = []
+    scored = []
     for frac in budget_fractions:
         budget = max(2, int(round(frac * size)))
         approx, _ = greedy_front_search(
             space, evaluate, budget=budget, seed=seed
         )
-        rows.append(
+        normalized_approx = objective_array(approx) / scale
+        scored.append(
             BudgetRow(
                 budget=budget,
                 budget_fraction=budget / size,
                 front_size=len(approx),
-                igd=igd(reference, approx),
-                epsilon=additive_epsilon(reference, approx),
+                igd=normalized_igd(normalized_reference, normalized_approx),
+                epsilon=normalized_additive_epsilon(
+                    normalized_reference, normalized_approx
+                ),
             )
         )
     return BudgetedSearchResult(
         device=spec.name,
         n=n,
         space_size=size,
-        exhaustive_front_size=len(reference),
-        rows=tuple(rows),
+        exhaustive_front_size=len(front),
+        rows=tuple(scored),
     )

@@ -50,13 +50,16 @@ def load_stream(path: str | Path) -> TelemetryStream:
 
     Blank lines are skipped; a truncated final line after valid ones
     is dropped with a warning.  Raises :class:`TelemetryStreamError`
-    for an unreadable file, for garbage or a non-event on any other
-    line and for a file with no valid line.
+    for a path that cannot be read (``PATH: reason``, the reason as
+    the system words it) or decoded as text, for garbage or a
+    non-event on any other line and for a file with no valid line.
     """
     target = Path(path)
     try:
         lines = target.read_text().splitlines()
     except OSError as exc:
+        raise TelemetryStreamError(f"{target}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
         raise TelemetryStreamError(f"{target}: {exc}") from None
     last_nonempty = max(
         (i for i, line in enumerate(lines, 1) if line.strip()), default=0
@@ -100,15 +103,13 @@ def load_stream(path: str | Path) -> TelemetryStream:
 def load_cli_stream(path: str | Path, command: str) -> TelemetryStream:
     """:func:`load_stream` for a CLI command such as ``"repro trace"``.
 
-    A missing file or a :class:`TelemetryStreamError` exits with a
-    message prefixed by ``command``; each warning goes to stderr under
-    the same prefix.
+    A :class:`TelemetryStreamError`, an unreadable path among them,
+    exits with its message prefixed by ``command``: for a directory,
+    ``repro perf: DIR: Is a directory``.  Each warning goes to stderr
+    under the same prefix.
     """
-    target = Path(path)
-    if not target.is_file():
-        raise SystemExit(f"{command}: no such file: {target}")
     try:
-        stream = load_stream(target)
+        stream = load_stream(path)
     except TelemetryStreamError as exc:
         raise SystemExit(f"{command}: {exc}") from None
     for warning in stream.warnings:

@@ -213,7 +213,7 @@ class TestJsonlAndTrace:
             load_stream(empty)
 
     def test_main_reports_missing_file(self, tmp_path):
-        with pytest.raises(SystemExit, match="no such file"):
+        with pytest.raises(SystemExit, match="No such file or directory"):
             _run_trace(tmp_path / "nope.jsonl")
 
     def test_orphan_spans_are_rendered_as_roots(self, tmp_path, capsys):
@@ -721,5 +721,5 @@ class TestCliTelemetry:
         assert list(tmp_path.iterdir()) == []
 
     def test_trace_on_missing_file_is_a_clean_error(self, tmp_path):
-        with pytest.raises(SystemExit, match="no such file"):
+        with pytest.raises(SystemExit, match="No such file or directory"):
             main(["trace", str(tmp_path / "gone.jsonl")])

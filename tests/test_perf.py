@@ -522,8 +522,44 @@ class TestPerfCli:
         assert "total self:" in out
 
     def test_missing_file_is_a_clean_error(self, tmp_path):
-        with pytest.raises(SystemExit, match="no such file"):
+        with pytest.raises(SystemExit, match="No such file or directory"):
             main(["perf", "report", str(tmp_path / "gone.jsonl")])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", "{path}"],
+            ["perf", "report", "{path}"],
+            ["perf", "diff", "{path}", "{path}"],
+            ["perf", "flamegraph", "{path}"],
+        ],
+        ids=["trace", "perf-report", "perf-diff", "perf-flamegraph"],
+    )
+    @pytest.mark.parametrize(
+        "kind,reason",
+        [("directory", "Is a directory"),
+         ("missing", "No such file or directory")],
+    )
+    def test_unreadable_stream_names_path_and_reason(
+        self, tmp_path, argv, kind, reason
+    ):
+        """A directory is not reported missing: each stream command
+        names the path and the system's reason, as ``perf check``
+        does."""
+        path = tmp_path if kind == "directory" else tmp_path / "gone.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(path=path) for arg in argv])
+        command = "repro trace" if argv[0] == "trace" else "repro perf"
+        assert exc.value.code == f"{command}: {path}: {reason}"
+
+    @pytest.mark.parametrize("argv", [["trace"], ["perf", "report"]])
+    def test_binary_stream_is_a_clean_error(self, tmp_path, argv):
+        path = tmp_path / "binary.jsonl"
+        path.write_bytes(b"\xc0\xff\x00\n")
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, str(path)])
+        assert exc.value.code.startswith(f"repro {argv[0]}: {path}: ")
+        assert "can't decode" in exc.value.code
 
     def _check(self, tmp_path, cur, base=BASELINE, **cur_line):
         return main(
