@@ -2,8 +2,7 @@
 
 Glue between the simulators/apps and the core library: run a sweep,
 apply the strong/weak EP checks, extract fronts and trade-offs, and
-package everything into one result object the experiments and benches
-render.
+package everything into one result object the experiments render.
 """
 
 from __future__ import annotations

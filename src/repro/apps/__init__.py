@@ -32,7 +32,6 @@ _EXPORTS = {
     "FFTDeviceProfile": "fft2d",
     "FFTRunResult": "fft2d",
     "fft_work": "fft2d",
-    "largest_prime_factor": "fft2d",
     "radix_penalty": "fft2d",
     "MatmulConfig": "matmul_gpu",
     "MatmulGPUApp": "matmul_gpu",

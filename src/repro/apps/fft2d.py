@@ -30,7 +30,6 @@ from repro.machines.specs import CPUSpec, GPUSpec, HASWELL, K40C, P100
 
 __all__ = [
     "fft_work",
-    "largest_prime_factor",
     "radix_penalty",
     "FFTDeviceProfile",
     "FFT2DApp",
@@ -46,22 +45,6 @@ def fft_work(n: int) -> float:
     if n < 2:
         raise ValueError("N must be at least 2")
     return 5.0 * float(n) * n * math.log2(n)
-
-
-def largest_prime_factor(n: int) -> int:
-    """Largest prime factor of n (n ≥ 2)."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    largest = 1
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            largest = d
-            n //= d
-        d += 1
-    if n > 1:
-        largest = n
-    return largest
 
 
 def radix_penalty(n: int, *, bluestein_factor: float = 2.2) -> float:

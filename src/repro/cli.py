@@ -66,6 +66,7 @@ from collections.abc import Sequence
 import repro.sweep.planner
 from repro.analysis.report import format_pct, format_table
 from repro.experiments import EXPERIMENTS
+from repro.sweep.keys import FIELD_MAX
 
 __all__ = ["main", "build_parser"]
 
@@ -92,6 +93,17 @@ def positive_int(text: str) -> int:
     return _int_at_least(text, 1)
 
 
+def product_count(text: str) -> int:
+    """Argparse type for ``sweep --products``: T = G*R runs R up to T
+    (at G = 1), so T must fit the packed key's R field."""
+    value = positive_int(text)
+    if value > FIELD_MAX:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {FIELD_MAX} (got {value})"
+        )
+    return value
+
+
 def nonnegative_int(text: str) -> int:
     """Argparse type for flags that must be >= 0 (``--seed``, which
     NumPy's generator rejects when negative)."""
@@ -100,7 +112,8 @@ def nonnegative_int(text: str) -> int:
 
 def nonnegative_float(text: str) -> float:
     """Argparse type for flags that must be finite and >= 0
-    (``--noise``); NaN and infinity are usage errors, not data."""
+    (``--noise``, ``--budget``); NaN and infinity are usage errors, not
+    data."""
     try:
         value = float(text)
     except ValueError:
@@ -169,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--n", type=positive_int, default=10240, help="matrix size"
     )
     sweep.add_argument(
-        "--products", type=positive_int, default=24,
+        "--products", type=product_count, default=24,
         help="total products T = G*R",
     )
     sweep.add_argument(
@@ -193,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     trade.add_argument("--device", choices=device_choices, default="p100")
     trade.add_argument("--n", type=positive_int, default=10240)
     trade.add_argument(
-        "--budget", type=float, default=5.0,
+        "--budget", type=nonnegative_float, default=5.0,
         help="tolerated slowdown in percent",
     )
 
@@ -452,7 +465,7 @@ def _run_sweep(
     save: str | None = None, engine=None,
 ) -> str:
     from repro.apps.matmul_gpu import MatmulGPUApp
-    from repro.core import pareto_front, tradeoff_table
+    from repro.core import pareto_front
     from repro.machines import get_machine
 
     app = MatmulGPUApp(get_machine(device), total_products=products)
@@ -467,26 +480,32 @@ def _run_sweep(
         )
         out.append(f"saved sweep to {save}\n")
     if all_points:
-        rows = [
-            (str(p.config), f"{p.time_s:.3f}", f"{p.energy_j:.0f}")
-            for p in sorted(points, key=lambda p: p.time_s)
-        ]
-        out.append(format_table(["config", "time (s)", "energy (J)"], rows))
+        out.append(_points_table(sorted(points, key=lambda p: p.time_s)))
         out.append("")
-    front = pareto_front(points)
     out.append("Pareto front:")
-    out.append(
-        format_table(
-            ["config", "time (s)", "energy (J)"],
-            [
-                (str(p.config), f"{p.time_s:.3f}", f"{p.energy_j:.0f}")
-                for p in front
-            ],
-        )
+    out.extend(_front_tables(pareto_front(points)))
+    return "\n".join(out)
+
+
+def _points_table(points) -> str:
+    return format_table(
+        ["config", "time (s)", "energy (J)"],
+        [
+            (str(p.config), f"{p.time_s:.3f}", f"{p.energy_j:.0f}")
+            for p in points
+        ],
     )
-    out.append("")
-    out.append("Trade-offs vs the performance optimum:")
-    out.append(
+
+
+def _front_tables(front) -> list[str]:
+    """The front table, then its trade-offs against the performance
+    optimum: what ``repro sweep`` and ``repro front`` print."""
+    from repro.core import tradeoff_table
+
+    return [
+        _points_table(front),
+        "",
+        "Trade-offs vs the performance optimum:",
         format_table(
             ["config", "slowdown", "energy saving"],
             [
@@ -495,11 +514,10 @@ def _run_sweep(
                     format_pct(e.perf_degradation),
                     format_pct(e.energy_saving),
                 )
-                for e in tradeoff_table(points)
+                for e in tradeoff_table(front)
             ],
-        )
-    )
-    return "\n".join(out)
+        ),
+    ]
 
 
 def _run_tradeoff(device: str, n: int, budget_pct: float) -> str:
@@ -507,8 +525,6 @@ def _run_tradeoff(device: str, n: int, budget_pct: float) -> str:
     from repro.core import saving_at_degradation
     from repro.machines import get_machine
 
-    if math.isnan(budget_pct) or budget_pct < 0:
-        raise SystemExit("budget must be non-negative")
     app = MatmulGPUApp(get_machine(device))
     points = app.sweep_points(n)
     entry = saving_at_degradation(points, budget_pct / 100.0)
@@ -521,7 +537,7 @@ def _run_tradeoff(device: str, n: int, budget_pct: float) -> str:
 
 
 def _run_front(path: str) -> str:
-    from repro.core import pareto_front, tradeoff_table
+    from repro.core import pareto_front
     from repro.io import load_sweep
 
     try:
@@ -529,31 +545,11 @@ def _run_front(path: str) -> str:
     except (OSError, ValueError) as exc:
         raise SystemExit(f"repro front: {path}: {exc}") from None
     front = pareto_front(doc.points)
-    out = [
+    return "\n".join([
         f"{doc.device}, N={doc.workload}: {len(doc.points)} points, "
         f"front = {len(front)}",
-        format_table(
-            ["config", "time (s)", "energy (J)"],
-            [
-                (str(p.config), f"{p.time_s:.3f}", f"{p.energy_j:.0f}")
-                for p in front
-            ],
-        ),
-        "",
-        "Trade-offs vs the performance optimum:",
-        format_table(
-            ["config", "slowdown", "energy saving"],
-            [
-                (
-                    str(e.point.config),
-                    format_pct(e.perf_degradation),
-                    format_pct(e.energy_saving),
-                )
-                for e in tradeoff_table(list(doc.points))
-            ],
-        ),
-    ]
-    return "\n".join(out)
+        *_front_tables(front),
+    ])
 
 
 def _run_machines() -> str:

@@ -20,30 +20,21 @@ _EXPORTS = {
     "dominates": "pareto",
     "pareto_front": "pareto",
     "local_pareto_front": "pareto",
-    "epsilon_pareto_front": "pareto",
-    "nondominated_sort": "pareto",
-    "hypervolume_2d": "pareto",
-    "front_spread": "pareto",
     "front_indices": "pareto",
-    "front_mask": "pareto",
     "IncrementalParetoFront": "incremental",
     "TradeoffEntry": "tradeoff",
     "tradeoff_table": "tradeoff",
     "max_energy_saving": "tradeoff",
     "saving_at_degradation": "tradeoff",
-    "knee_point": "tradeoff",
     "PAPER_PRECISION": "definitions",
     "StrongEPResult": "definitions",
     "WeakEPResult": "definitions",
     "check_strong_ep": "definitions",
     "check_weak_ep": "definitions",
     "ryckbosch_ep": "metrics",
-    "wong_annavaram_ld": "metrics",
     "wong_annavaram_pr": "metrics",
     "hsu_poole_ep": "metrics",
     "idle_to_peak_ratio": "metrics",
-    "sen_wood_gap": "metrics",
-    "SimpleEPCore": "theory",
     "TwoCoreModel": "theory",
     "NCoreModel": "theory",
     "ConfigurationSpace": "biobjective",

@@ -1,9 +1,9 @@
 """Incrementally-maintained Pareto front (streaming inserts).
 
 :func:`~repro.core.pareto.pareto_front` re-sorts the world on every
-call — fine for a figure rendered once, wasteful for serving workloads
-that grow a candidate set point by point (a search loop probing
-configurations, a planner folding in batch after batch).
+call — fine for a figure rendered once, wasteful for a search loop
+that grows its candidate set one evaluation at a time
+(:func:`~repro.core.biobjective.greedy_front_search`).
 :class:`IncrementalParetoFront` maintains the front *under insertion*:
 
 * the front invariant — strictly increasing time, strictly decreasing
@@ -14,8 +14,7 @@ configurations, a planner folding in batch after batch).
   inserts costs O(n log n) amortized — the same total as one batch
   sort, without ever re-sorting;
 * after *any* insert sequence (orders, duplicates, objective ties) the
-  maintained front equals ``pareto_front`` / rank 0 of
-  ``nondominated_sort`` over the same multiset
+  maintained front equals ``pareto_front`` over the same multiset
   (``tests/test_incremental_front.py`` property-checks this).
 
 Duplicate objective vectors collapse to the first representative
@@ -112,35 +111,6 @@ class IncrementalParetoFront:
                     float(t), float(e), rest[0] if rest else None
                 )
         return joined
-
-    def extend_table(self, table: np.ndarray) -> int:
-        """Offer the rows of a POINT_DTYPE structured array.
-
-        The columnar adapter: configs become ``(bs, g, r)``-keyed dicts
-        only for rows that actually join the front.
-        """
-        joined = 0
-        times = table["time_s"].tolist()
-        energies = table["energy_j"].tolist()
-        bs, g, r = table["bs"], table["g"], table["r"]
-        for i, (t, e) in enumerate(zip(times, energies)):
-            if self.insert(
-                t, e, {"bs": int(bs[i]), "g": int(g[i]), "r": int(r[i])}
-            ):
-                joined += 1
-        return joined
-
-    def dominated(self, time_s: float, energy_j: float) -> bool:
-        """Whether a point would be rejected, without inserting it."""
-        times, energies = self._times, self._energies
-        pos = bisect_left(times, float(time_s))
-        if pos > 0 and energies[pos - 1] <= energy_j:
-            return True
-        return (
-            pos < len(times)
-            and times[pos] == time_s
-            and energies[pos] <= energy_j
-        )
 
     def points(self) -> list[ParetoPoint]:
         """The current front as ParetoPoints (reporting boundary only)."""

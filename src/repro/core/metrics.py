@@ -2,23 +2,19 @@
 
 The related-work section (Section II.B) reviews several quantitative EP
 metrics, all defined on the functional relationship between a server's
-power consumption and its utilization.  This module implements the ones
-the paper cites so simulated platforms can be scored the same way:
+power consumption and its utilization.  This module implements the
+ones the EP-metric study (``repro experiment ep-metrics``) scores the
+simulated platforms with:
 
 * :func:`ryckbosch_ep` — Ryckbosch, Polfliet & Eeckhout [5]: one minus
   the area between the actual and ideal power curves, normalized by the
   area under the ideal curve.
-* :func:`wong_annavaram_ld` / :func:`wong_annavaram_pr` — Wong &
-  Annavaram [6]: linear deviation (LD) and proportionality ratio (PR),
-  which expose that EP improvements are not uniform across utilization.
+* :func:`wong_annavaram_pr` — Wong & Annavaram [6]: the
+  proportionality ratio (PR), dynamic range over peak power.
 * :func:`hsu_poole_ep` — Hsu & Poole [30]: EP = 2 − SPECpower-style
   ratio of average actual to average ideal normalized power.
 * :func:`idle_to_peak_ratio` — Barroso & Hölzle's [4] original concern:
   the fraction of peak power burned at idle.
-* :func:`sen_wood_gap` — Sen & Wood [31] recast EP through the
-  *proportionality gap*: the pointwise excess of actual over ideal
-  power, normalized by peak; we report the curve's maximum (0 for a
-  perfectly proportional server).
 
 All metrics take a power-vs-utilization curve sampled at arbitrary
 utilization points.  The *ideal* (energy-proportional) curve is the
@@ -36,11 +32,9 @@ import numpy as np
 
 __all__ = [
     "ryckbosch_ep",
-    "wong_annavaram_ld",
     "wong_annavaram_pr",
     "hsu_poole_ep",
     "idle_to_peak_ratio",
-    "sen_wood_gap",
 ]
 
 
@@ -85,27 +79,6 @@ def ryckbosch_ep(
     a_between = float(np.trapezoid(np.abs(p - ideal), u))
     a_ideal = float(np.trapezoid(ideal, u))
     return 1.0 - a_between / a_ideal
-
-
-def wong_annavaram_ld(
-    utilization: Sequence[float], power_w: Sequence[float]
-) -> float:
-    """Linear deviation (LD) of Wong & Annavaram [6].
-
-    ``LD = mean( P(u)/P_linear(u) ) − 1`` where ``P_linear`` is the
-    straight line between the measured idle and peak powers (not the
-    through-origin ideal).  LD > 0 means the curve bulges above the
-    linear interconnect (sub-proportional mid-range); LD < 0 means it
-    sags below (better than linear).  Samples at u=0 use the idle point
-    itself and are excluded from the mean to avoid division issues.
-    """
-    u, p = _curve(utilization, power_w)
-    p_idle, p_peak = p[0], p[-1]
-    linear = p_idle + (p_peak - p_idle) * (u - u[0]) / (u[-1] - u[0])
-    mask = linear > 0
-    if not np.any(mask):
-        raise ValueError("degenerate curve: linear interpolant is zero")
-    return float(np.mean(p[mask] / linear[mask]) - 1.0)
 
 
 def wong_annavaram_pr(
@@ -154,22 +127,3 @@ def idle_to_peak_ratio(
     if p[-1] <= 0:
         raise ValueError("peak power must be positive")
     return float(p[0] / p[-1])
-
-
-def sen_wood_gap(
-    utilization: Sequence[float], power_w: Sequence[float]
-) -> float:
-    """Maximum proportionality gap in the spirit of Sen & Wood [31].
-
-    ``PG(u) = (P(u) − u·P_peak) / P_peak``; the reported value is
-    ``max_u PG(u)`` over the sampled range.  A perfectly proportional
-    server scores 0; a server burning peak power at idle scores 1.
-    Unlike the area metrics, the max gap localizes *where* the
-    proportionality is worst.
-    """
-    u, p = _curve(utilization, power_w)
-    p_peak = p[-1]
-    if p_peak <= 0:
-        raise ValueError("peak power must be positive")
-    gap = (p - u * p_peak) / p_peak
-    return float(gap.max())

@@ -21,41 +21,12 @@ energy, and energy is strictly monotone in the imbalance.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["TwoCoreModel", "NCoreModel", "SimpleEPCore"]
-
-
-@dataclass(frozen=True)
-class SimpleEPCore:
-    """A single core obeying the simple EP model of [4], [14], [15], [5].
-
-    ``a`` is the dynamic-power slope (W per unit utilization) and ``b``
-    the work constant such that a core at utilization ``U`` completes
-    its share of the workload in time ``t = b / U``.  Both are the same
-    for every application configuration solving the same workload.
-    """
-
-    a: float
-    b: float
-
-    def __post_init__(self) -> None:
-        if self.a <= 0 or self.b <= 0:
-            raise ValueError("model constants a, b must be positive")
-
-    def power(self, u: float) -> float:
-        """Dynamic power at utilization ``u`` ∈ (0, 1]."""
-        _validate_utilization(u)
-        return self.a * u
-
-    def solo_time(self, u: float) -> float:
-        """Time for this core to finish its share at utilization ``u``."""
-        _validate_utilization(u)
-        return self.b / u
+__all__ = ["TwoCoreModel", "NCoreModel"]
 
 
 def _validate_utilization(u: float) -> None:
@@ -189,24 +160,7 @@ class NCoreModel:
         """Energy of any balanced configuration: ``n·a·b`` (U cancels)."""
         return self.n * self.a * self.b
 
-    def energy_excess(self, utilizations: Sequence[float]) -> float:
-        """Relative excess over the balanced optimum, ``E/E_bal − 1``.
-
-        Zero iff the configuration is balanced; this is the theory's
-        quantitative measure of energy nonproportionality.
-        """
-        return self.dynamic_energy(utilizations) / self.balanced_energy() - 1.0
-
     def imbalance(self, utilizations: Sequence[float]) -> float:
         """Max/min utilization ratio minus one (0 for balanced vectors)."""
         u = self._validate(utilizations)
         return float(u.max() / u.min() - 1.0)
-
-    def excess_lower_bound(self, utilizations: Sequence[float]) -> float:
-        """Closed-form lower bound on the energy excess from imbalance.
-
-        With ``m = min u``, ``E = a·Σu·b/m ≥ a·(n·m + (max−m))·b/m``,
-        so ``E/E_bal − 1 ≥ (max/m − 1)/n = imbalance/n``.  Useful for
-        sanity-checking simulated energies against the theory.
-        """
-        return self.imbalance(utilizations) / self.n

@@ -10,9 +10,7 @@ Pareto front:
   performance degradation relative to the performance-optimal point;
 * :func:`max_energy_saving` — the paper's headline pair;
 * :func:`saving_at_degradation` — the best energy saving achievable
-  within a degradation budget;
-* :func:`knee_point` — the front point with the best marginal
-  saving/degradation ratio.
+  within a degradation budget.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ __all__ = [
     "tradeoff_table",
     "max_energy_saving",
     "saving_at_degradation",
-    "knee_point",
 ]
 
 
@@ -109,20 +106,3 @@ def saving_at_degradation(
         raise ValueError("cannot analyze an empty point set")
     admissible = [e for e in table if e.perf_degradation <= max_degradation]
     return max(admissible, key=lambda e: e.energy_saving)
-
-
-def knee_point(points: Sequence[ParetoPoint]) -> TradeoffEntry:
-    """Front point with the best saving-per-degradation ratio.
-
-    The knee is a practical default answer to "which trade-off should I
-    pick?": among front points with strictly positive degradation it
-    maximizes ``energy_saving / perf_degradation``.  Falls back to the
-    time-optimal entry when the front has a single point.
-    """
-    table = tradeoff_table(points)
-    if not table:
-        raise ValueError("cannot analyze an empty point set")
-    candidates = [e for e in table if e.perf_degradation > 0]
-    if not candidates:
-        return table[0]
-    return max(candidates, key=lambda e: e.energy_saving / e.perf_degradation)

@@ -25,7 +25,6 @@ _EXPORTS = {
     "select_events": "selection",
     "ValidationResult": "validation",
     "loocv": "validation",
-    "kfold_validation": "validation",
 }
 
 __all__ = list(_EXPORTS)

@@ -4,8 +4,7 @@ In-sample fit quality overstates a model's worth — the energy-modelling
 literature the paper builds on ([33], [35]-[37]) validates on held-out
 applications.  This module provides leave-one-out cross-validation
 (LOOCV, the right tool for the small profile sets these studies use)
-and k-fold splitting over :class:`~repro.energymodel.events.
-ApplicationProfile` sets.
+over :class:`~repro.energymodel.events.ApplicationProfile` sets.
 """
 
 from __future__ import annotations
@@ -15,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.energymodel.events import ApplicationProfile
-from repro.energymodel.linear import LinearEnergyModel, fit_energy_model
+from repro.energymodel.linear import fit_energy_model
 
-__all__ = ["ValidationResult", "loocv", "kfold_validation"]
+__all__ = ["ValidationResult", "loocv"]
 
 
 @dataclass(frozen=True)
@@ -65,32 +64,3 @@ def loocv(
         model = fit_energy_model(training, event_names)
         errors.append(model.relative_error(held_out))
     return ValidationResult(errors=tuple(errors), n_folds=len(profiles))
-
-
-def kfold_validation(
-    profiles: list[ApplicationProfile],
-    event_names: list[str],
-    *,
-    k: int = 5,
-    seed: int = 0,
-) -> ValidationResult:
-    """k-fold cross-validation with a seeded shuffle.
-
-    Each fold's training split must remain determined
-    (``n - fold_size ≥ n_events``); raises otherwise.
-    """
-    n = len(profiles)
-    if not (2 <= k <= n):
-        raise ValueError("k must lie in [2, n_profiles]")
-    order = np.random.default_rng(seed).permutation(n)
-    folds = np.array_split(order, k)
-    if any(n - len(f) < len(event_names) for f in folds):
-        raise ValueError("folds too large: training splits underdetermined")
-    errors = []
-    for fold in folds:
-        test_idx = set(int(i) for i in fold)
-        training = [p for i, p in enumerate(profiles) if i not in test_idx]
-        model: LinearEnergyModel = fit_energy_model(training, event_names)
-        for i in sorted(test_idx):
-            errors.append(model.relative_error(profiles[i]))
-    return ValidationResult(errors=tuple(errors), n_folds=k)

@@ -1,9 +1,9 @@
 """JSON serialization for sweep results and Pareto fronts.
 
 Sweeps are the expensive artifact of this methodology (the paper notes
-exhaustive evaluation "can be expensive"); persisting them lets
-sessions resume, benches share data, and users exchange results.  The
-format is a small, versioned JSON document:
+exhaustive evaluation "can be expensive"); ``repro sweep --save``
+persists one so that ``repro front`` can analyze it again and users
+can exchange results.  The format is a small, versioned JSON document:
 
 .. code-block:: json
 

@@ -207,7 +207,7 @@ P100 = GPUSpec(
     additivity_threshold_n=15360,
 )
 
-#: Registry keyed by short name, used by experiments and benches.
+#: Registry keyed by short name: the device registry's built-in entries.
 MACHINES: dict[str, CPUSpec | GPUSpec] = {
     "haswell": HASWELL,
     "k40c": K40C,

@@ -23,7 +23,6 @@ _EXPORTS = {
     "NormalityCheck": "stats",
     "confidence_halfwidth": "stats",
     "run_until_confident": "stats",
-    "required_runs_estimate": "stats",
     "pearson_normality_check": "stats",
 }
 

@@ -102,11 +102,6 @@ class HCLWattsUp:
         samples = self._meter.sample_run(trace)
         return float(np.mean([s.power_w for s in samples]))
 
-    def recalibrate(self) -> float:
-        """Force a fresh baseline estimate and return it."""
-        self._baseline_w = self._calibrate_baseline()
-        return self._baseline_w
-
     def measure(self, trace: PowerTrace) -> EnergyReading:
         """Measure one application run described by ``trace``.
 

@@ -35,7 +35,6 @@ __all__ = [
     "NormalityCheck",
     "confidence_halfwidth",
     "run_until_confident",
-    "required_runs_estimate",
     "pearson_normality_check",
 ]
 
@@ -163,58 +162,6 @@ def run_until_confident(
         n_runs=len(observations),
         converged=False,
         observations=tuple(observations),
-    )
-
-
-def required_runs_estimate(
-    pilot: np.ndarray,
-    *,
-    precision: float = 0.025,
-    confidence: float = 0.95,
-    max_runs: int = 100000,
-) -> int:
-    """Predict the repetitions the protocol will need from a pilot sample.
-
-    Returns the smallest ``n >= 2`` with ``t_{n-1} · cv / sqrt(n) <=
-    precision``, where ``cv`` is the pilot's coefficient of variation —
-    the planning step a measurement campaign runs before committing to
-    a full sweep ("can we afford the exhaustive front at this noise
-    level?").
-
-    Raises
-    ------
-    ValueError
-        If even ``max_runs`` repetitions cannot reach the precision.
-    """
-    obs = np.asarray(pilot, dtype=float)
-    if len(obs) < 3:
-        raise ValueError("need a pilot of at least 3 observations")
-    if not np.isfinite(obs).all():
-        raise ValueError("pilot observations must be finite")
-    if not (0.0 < precision < 1.0):
-        raise ValueError("precision must be a fraction in (0, 1)")
-    if not (0.0 < confidence < 1.0):
-        raise ValueError("confidence must be in (0, 1)")
-    mean = float(obs.mean())
-    if mean <= 0:
-        raise ValueError("pilot mean must be positive")
-    cv = float(obs.std(ddof=1)) / mean
-    if cv == 0.0:
-        return 2
-    from scipy import stats as sps
-
-    q = 0.5 + confidence / 2.0
-    # t_{n-1} > z for every n, so no n below the normal-quantile bound
-    # (z·cv/precision)² qualifies.  The left-hand side falls as n grows,
-    # so the first n from that bound up that qualifies is the smallest.
-    n = max(2, math.ceil((float(sps.norm.ppf(q)) * cv / precision) ** 2))
-    while n <= max_runs:
-        if float(sps.t.ppf(q, df=n - 1)) * cv / math.sqrt(n) <= precision:
-            return n
-        n += 1
-    raise ValueError(
-        f"pilot CV {cv:.3f} needs more than {max_runs} runs for "
-        f"{precision:.1%} precision"
     )
 
 

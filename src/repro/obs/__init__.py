@@ -5,8 +5,8 @@ metric namespace and the manifest schema):
 
 * hierarchical **spans** with monotonic timings and attributes
   (:func:`span`),
-* a process-wide **metrics registry** — counters, gauges, histogram
-  summaries (:func:`count` / :func:`gauge` / :func:`observe`),
+* a process-wide **metrics registry** — counters and gauges
+  (:func:`count` / :func:`gauge`),
 * a **run-provenance manifest** (:func:`repro.obs.provenance.run_manifest`)
   attached to every experiment output.
 
@@ -28,28 +28,24 @@ a test) installs an enabled :class:`Telemetry` via :func:`configure`.
 
 from repro.obs.telemetry import (
     TELEMETRY_FORMAT,
-    HistogramSummary,
     SpanRecord,
     Telemetry,
     configure,
     count,
     gauge,
     get_telemetry,
-    observe,
     set_telemetry,
     span,
 )
 
 __all__ = [
     "TELEMETRY_FORMAT",
-    "HistogramSummary",
     "SpanRecord",
     "Telemetry",
     "configure",
     "count",
     "gauge",
     "get_telemetry",
-    "observe",
     "set_telemetry",
     "span",
 ]

@@ -153,20 +153,12 @@ def render_trace(events: Sequence[dict[str, Any]]) -> str:
     metrics = _event(events, "metrics") or {}
     counters = metrics.get("counters") or {}
     gauges = metrics.get("gauges") or {}
-    histograms = metrics.get("histograms") or {}
-    if counters or gauges or histograms:
+    if counters or gauges:
         lines.append("metrics:")
     for name, value in sorted(counters.items()):
         lines.append(f"  {name:<44} {value}")
     for name, value in sorted(gauges.items()):
         lines.append(f"  {name:<44} {value:.6g}")
-    for name, hist in sorted(histograms.items()):
-        lines.append(
-            f"  {name:<44} n={hist.get('count', 0)} "
-            f"mean={hist.get('mean', 0.0):.6g} "
-            f"min={hist.get('min', 0.0):.6g} "
-            f"max={hist.get('max', 0.0):.6g}"
-        )
     return "\n".join(lines).rstrip()
 
 

@@ -3,11 +3,11 @@
 The subsystem is zero-dependency (stdlib only) and built around one
 invariant: **when telemetry is off, the instrumented hot paths pay
 (almost) nothing**.  Every instrumentation site goes through the
-module-level helpers (:func:`span`, :func:`count`, :func:`gauge`,
-:func:`observe`), which check one boolean and return a shared no-op
-object on the fast path — no allocation, no locking, no string
-formatting (``tests/test_obs.py`` bounds the off-path cost at < 2% of
-a vectorized sweep).
+module-level helpers (:func:`span`, :func:`count`, :func:`gauge`),
+which check one boolean and return a shared no-op object on the fast
+path — no allocation, no locking, no string formatting
+(``tests/test_obs.py`` bounds the off-path cost at < 2% of a
+vectorized sweep).
 
 Design
 ------
@@ -19,9 +19,7 @@ Design
   only the timestamps vary.
 * **Metrics** live in a flat, process-wide registry under a stable,
   documented namespace (``docs/MODEL.md`` §6): counters (monotonic
-  ints), gauges (last-write floats) and histograms
-  (count/total/min/max summaries — enough for rates and spread
-  without unbounded storage).
+  ints) and gauges (last-write floats).
 * **Sinks**: ``off`` (the default — nothing is recorded),
   ``summary`` (human-readable digest appended to stdout at command
   exit) and ``jsonl:PATH`` (one JSON object per line: provenance,
@@ -45,14 +43,12 @@ __all__ = [
     "TELEMETRY_FORMAT",
     "Telemetry",
     "SpanRecord",
-    "HistogramSummary",
     "configure",
     "get_telemetry",
     "set_telemetry",
     "span",
     "count",
     "gauge",
-    "observe",
 ]
 
 #: Schema tag of the JSONL event stream (``repro trace`` input).
@@ -91,37 +87,6 @@ class SpanRecord:
             "start_ns": self.start_ns,
             "duration_ns": self.duration_ns,
             "attrs": self.attrs,
-        }
-
-
-@dataclass
-class HistogramSummary:
-    """Bounded-memory distribution summary (count/total/min/max)."""
-
-    count: int = 0
-    total: float = 0.0
-    min: float = float("inf")
-    max: float = float("-inf")
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "count": self.count,
-            "total": self.total,
-            "mean": self.mean,
-            "min": self.min if self.count else 0.0,
-            "max": self.max if self.count else 0.0,
         }
 
 
@@ -192,7 +157,6 @@ class Telemetry:
         self._log: list[_ActiveSpan | tuple[_ActiveSpan, int, int]] = []
         self.counters: dict[str, int] = {}
         self.gauges: dict[str, float] = {}
-        self.histograms: dict[str, HistogramSummary] = {}
         self.manifest: dict[str, Any] | None = None
         self._span_stack: list[int] = []
         self._next_span_id = 1
@@ -224,7 +188,7 @@ class Telemetry:
 
     # -- recording ----------------------------------------------------------
     #
-    # Spans, counters, gauges and histograms are recorded by the
+    # Spans, counters and gauges are recorded by the
     # module-level helpers below, which every instrumentation site calls.
 
     def set_manifest(self, manifest: dict[str, Any]) -> None:
@@ -239,10 +203,6 @@ class Telemetry:
         return {
             "counters": dict(sorted(self.counters.items())),
             "gauges": dict(sorted(self.gauges.items())),
-            "histograms": {
-                name: hist.as_dict()
-                for name, hist in sorted(self.histograms.items())
-            },
         }
 
     def structure(self) -> list[tuple[int, int | None, str, tuple]]:
@@ -304,10 +264,6 @@ class Telemetry:
             lines.append(f"  counter {name:<36} {value}")
         for name, value in sorted(self.gauges.items()):
             lines.append(f"  gauge {name:<38} {value:.6g}")
-        for name, hist in sorted(self.histograms.items()):
-            lines.append(
-                f"  hist {name:<39} n={hist.count} mean={hist.mean:.6g}"
-            )
         if self.manifest is not None:
             lines.append(
                 "  provenance "
@@ -391,13 +347,3 @@ def gauge(name: str, value: float) -> None:
     tel = _CURRENT
     if tel.enabled:
         tel.gauges[name] = float(value)
-
-
-def observe(name: str, value: float) -> None:
-    """Record a histogram observation (no-op when off)."""
-    tel = _CURRENT
-    if tel.enabled:
-        hist = tel.histograms.get(name)
-        if hist is None:
-            hist = tel.histograms[name] = HistogramSummary()
-        hist.add(float(value))

@@ -14,7 +14,6 @@ from repro import _lazy_exports
 _EXPORTS = {
     "BatchRunResult": "batch",
     "batch_run_matmul": "batch",
-    "evaluate_configs_batch": "batch",
     "GPUCalibration": "calibration",
     "K40C_CAL": "calibration",
     "P100_CAL": "calibration",

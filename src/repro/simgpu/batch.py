@@ -60,7 +60,6 @@ the parity tests compare this batch against it.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -82,7 +81,7 @@ from repro.simgpu.memhier import TrafficModel, traffic_terms
 from repro.simgpu.occupancy import residency
 from repro.simgpu.power import aux_decay, clock_free_terms, probe
 
-__all__ = ["BatchRunResult", "batch_run_matmul", "evaluate_configs_batch"]
+__all__ = ["BatchRunResult", "batch_run_matmul"]
 
 
 @dataclass(frozen=True)
@@ -433,17 +432,13 @@ def batch_run_matmul(
         )
     if not isinstance(cal, GPUCalibration):
         cal = _calibration_columns(cal, lanes)
-    t0 = time.perf_counter()
     with obs.span("batch.run_matmul", device=spec.name, lanes=lanes):
         k = _lane_constants(spec, cal, n, bs, g, r)
         dynamic_w, t_launch, clock, throttled = _evaluate_lanes(spec, k)
         time_s = k.r * t_launch
         energy_j = dynamic_w * time_s
-    elapsed = time.perf_counter() - t0
     obs.count("batch.calls")
     obs.count("batch.points", lanes)
-    if elapsed > 0.0:
-        obs.observe("batch.points_per_sec", lanes / elapsed)
     return BatchRunResult(
         time_s=time_s,
         dynamic_energy_j=energy_j,
@@ -451,25 +446,3 @@ def batch_run_matmul(
         clock_hz=clock,
         throttled=throttled,
     )
-
-
-def evaluate_configs_batch(
-    spec: GPUSpec,
-    cal: GPUCalibration | None,
-    n: int,
-    configs,
-) -> list[tuple[float, float]]:
-    """``(time_s, dynamic_energy_j)`` pairs of one sweep, in one batch.
-
-    ``configs`` is any sequence of objects with ``bs``/``g``/``r``
-    attributes (e.g. :class:`repro.apps.matmul_gpu.MatmulConfig`);
-    returns index-aligned ``(time_s, dynamic_energy_j)`` pairs.
-    """
-    count = len(configs)
-    bs = np.fromiter((c.bs for c in configs), dtype=np.int64, count=count)
-    g = np.fromiter((c.g for c in configs), dtype=np.int64, count=count)
-    r = np.fromiter((c.r for c in configs), dtype=np.int64, count=count)
-    out = batch_run_matmul(
-        spec, cal, np.full(count, n, dtype=np.int64), bs, g, r
-    )
-    return list(zip(out.time_s.tolist(), out.dynamic_energy_j.tolist()))

@@ -132,13 +132,6 @@ class CuptiProfiler:
             for name, count in true.items()
         }
 
-    def reliable_events(
-        self, n: int, bs: int, g: int = 1, r: int = 1
-    ) -> list[str]:
-        """Names of events that did not overflow for this launch."""
-        readings = self.profile(n, bs, g, r)
-        return [name for name, rd in readings.items() if rd.reliable]
-
     def metrics(
         self, n: int, bs: int, g: int = 1, r: int = 1
     ) -> dict[str, float]:

@@ -298,9 +298,3 @@ class GPUDevice:
             time_s, energy_j, dynamic_w, clock_hz, throttled, occ, power, res,
             r, t_product,
         )
-
-    def performance_gflops(self, result: KernelRunResult) -> float:
-        """Useful double-precision GFLOP/s of a modelled run."""
-        if result.time_s <= 0:
-            return 0.0
-        return result.r * result.resources.useful_flops / result.time_s / 1e9

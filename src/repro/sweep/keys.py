@@ -34,6 +34,7 @@ from repro.simgpu.calibration import GPUCalibration
 
 __all__ = [
     "MODEL_VERSION",
+    "FIELD_MAX",
     "SHARD_BACKEND",
     "canonical_json",
     "pack_configs",
@@ -59,7 +60,7 @@ SHARD_BACKEND = "vectorized"
 #: admissible value (BS ≤ 32, G ≤ 8, R ≤ total_products) while keeping
 #: the packed key inside exact int64 range.
 _FIELD_BITS = 21
-_FIELD_MAX = (1 << _FIELD_BITS) - 1
+FIELD_MAX = (1 << _FIELD_BITS) - 1
 
 
 def pack_keys(bs: np.ndarray, g: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -70,11 +71,11 @@ def pack_keys(bs: np.ndarray, g: np.ndarray, r: np.ndarray) -> np.ndarray:
     its neighbour.
     """
     if len(bs) and not (
-        0 < bs.min() and bs.max() <= _FIELD_MAX
-        and 0 < g.min() and g.max() <= _FIELD_MAX
-        and 0 < r.min() and r.max() <= _FIELD_MAX
+        0 < bs.min() and bs.max() <= FIELD_MAX
+        and 0 < g.min() and g.max() <= FIELD_MAX
+        and 0 < r.min() and r.max() <= FIELD_MAX
     ):
-        raise ValueError(f"configuration outside the packable range 1..{_FIELD_MAX}")
+        raise ValueError(f"configuration outside the packable range 1..{FIELD_MAX}")
     return (bs << (2 * _FIELD_BITS)) | (g << _FIELD_BITS) | r
 
 
@@ -96,8 +97,8 @@ def unpack_keys(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """Invert :func:`pack_keys`; returns the ``(bs, g, r)`` columns."""
     return (
         packed >> (2 * _FIELD_BITS),
-        (packed >> _FIELD_BITS) & _FIELD_MAX,
-        packed & _FIELD_MAX,
+        (packed >> _FIELD_BITS) & FIELD_MAX,
+        packed & FIELD_MAX,
     )
 
 

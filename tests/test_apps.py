@@ -9,12 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.apps.dgemm_cpu import DGEMMCPUApp, _factor_pairs
-from repro.apps.fft2d import (
-    FFT2DApp,
-    fft_work,
-    largest_prime_factor,
-    radix_penalty,
-)
+from repro.apps.fft2d import FFT2DApp, fft_work, radix_penalty
 from repro.apps.matmul_gpu import MatmulGPUApp, config_enumeration, divisors
 from repro.core.biobjective import ConfigurationSpace, greedy_front_search
 from repro.machines import HASWELL, K40C, P100
@@ -185,12 +180,6 @@ class TestFFTWork:
 
 
 class TestRadix:
-    @pytest.mark.parametrize(
-        "n,expected", [(2, 2), (12, 3), (97, 97), (2048, 2), (1021, 1021)]
-    )
-    def test_largest_prime_factor(self, n, expected):
-        assert largest_prime_factor(n) == expected
-
     def test_power_of_two_cheapest(self):
         assert radix_penalty(2048) == pytest.approx(1.0)
 

@@ -30,7 +30,6 @@ from repro.simgpu.batch import (
     _lane_constants,
     _rows_table,
     batch_run_matmul,
-    evaluate_configs_batch,
 )
 from repro.simgpu.calibration import calibration_for
 from repro.simgpu.device import GPUDevice, _KernelTerms
@@ -50,6 +49,15 @@ from repro.sweep import EvalPlanner
 from repro.sweep.planner import scalar_sweep
 
 PARITY_RTOL = 1e-9
+
+
+def lane_arrays(n, configs):
+    """The ``(n, bs, g, r)`` int64 lane arrays of one sweep's configs."""
+    count = len(configs)
+    bs = np.fromiter((c.bs for c in configs), dtype=np.int64, count=count)
+    g = np.fromiter((c.g for c in configs), dtype=np.int64, count=count)
+    r = np.fromiter((c.r for c in configs), dtype=np.int64, count=count)
+    return np.full(count, n, dtype=np.int64), bs, g, r
 
 
 def scalar_reference(spec, cal, n, configs):
@@ -85,9 +93,11 @@ class TestFullSpaceParity:
         app = MatmulGPUApp(spec)
         configs = app.sweep_configs()
         ref = scalar_reference(spec, app.device.cal, n, configs)
-        got = evaluate_configs_batch(spec, app.device.cal, n, configs)
+        got = batch_run_matmul(
+            spec, app.device.cal, *lane_arrays(n, configs)
+        )
         assert len(got) == len(configs) == 146
-        for (t, e), r in zip(got, ref):
+        for t, e, r in zip(got.time_s, got.dynamic_energy_j, ref):
             assert t == pytest.approx(r.time_s, rel=PARITY_RTOL)
             assert e == pytest.approx(r.dynamic_energy_j, rel=PARITY_RTOL)
 
@@ -96,9 +106,11 @@ class TestFullSpaceParity:
         app = MatmulGPUApp(P100)
         configs = app.sweep_configs(min_bs=1)
         assert any(c.bs < 4 for c in configs)
-        got = evaluate_configs_batch(P100, app.device.cal, 1024, configs)
+        got = batch_run_matmul(
+            P100, app.device.cal, *lane_arrays(1024, configs)
+        )
         ref = scalar_reference(P100, app.device.cal, 1024, configs)
-        for (t, e), r in zip(got, ref):
+        for t, e, r in zip(got.time_s, got.dynamic_energy_j, ref):
             assert t == pytest.approx(r.time_s, rel=PARITY_RTOL)
             assert e == pytest.approx(r.dynamic_energy_j, rel=PARITY_RTOL)
 
@@ -120,11 +132,14 @@ class TestFasterThanScalar:
             times, energies = scalar_sweep(P100, cal, n, bs, g, r)
             scalar_s.append(time.perf_counter() - t0)
             t0 = time.perf_counter()
-            pairs = evaluate_configs_batch(P100, cal, n, configs)
+            out = batch_run_matmul(P100, cal, *lane_arrays(n, configs))
             batch_s.append(time.perf_counter() - t0)
         deviation = max(
             max(abs(t - ts) / ts, abs(e - es) / es)
-            for (t, e), ts, es in zip(pairs, times, energies)
+            for t, e, ts, es in zip(
+                out.time_s.tolist(), out.dynamic_energy_j.tolist(),
+                times, energies,
+            )
         )
         assert deviation <= PARITY_RTOL
         speedup = min(scalar_s) / min(batch_s)
@@ -184,9 +199,6 @@ class TestBatchInputHandling:
         a = batch_run_matmul(P100, None, 1024, 32, 1, 24)
         b = batch_run_matmul(P100, calibration_for(P100), 1024, 32, 1, 24)
         assert a.time_s[0] == b.time_s[0]
-
-    def test_empty_config_list(self):
-        assert evaluate_configs_batch(P100, None, 1024, []) == []
 
     def test_empty_batch_gives_empty_result(self):
         out = batch_run_matmul(P100, None, [], [], [], [])

@@ -121,8 +121,15 @@ class TestPlannerCommands:
             (["sweep", "--n", "-4096"], "must be at least 1 (got -4096)"),
             (["sweep", "--products", "0"], "must be at least 1 (got 0)"),
             (["tradeoff", "--n", "0"], "must be at least 1 (got 0)"),
-            (["tradeoff", "--budget", "-3"], "budget must be non-negative"),
-            (["tradeoff", "--budget", "nan"], "budget must be non-negative"),
+            (["tradeoff", "--budget", "-3"],
+             "must be a finite number >= 0 (got -3)"),
+            (["tradeoff", "--budget", "nan"],
+             "must be a finite number >= 0 (got nan)"),
+            # R = T/G must fit the packed key's 21-bit field.
+            (["sweep", "--products", "3000000"],
+             "must be at most 2097151 (got 3000000)"),
+            (["tradeoff", "--budget", "inf"],
+             "must be a finite number >= 0 (got inf)"),
         ],
     )
     def test_bad_numbers_are_clean_usage_errors(self, argv, message, capsys):

@@ -276,11 +276,14 @@ class TestSweepSaveAndFront:
             ["sweep", "--device", "k40c", "--n", "2048", "--save", str(out)]
         ) == 0
         assert out.exists()
-        capsys.readouterr()
+        swept = capsys.readouterr().out
         assert main(["front", str(out)]) == 0
         text = capsys.readouterr().out
         assert "front = " in text
         assert "Trade-offs" in text
+        # Both commands print the same front and trade-off tables.
+        tables = text.split("\n", 1)[1]
+        assert swept.endswith("Pareto front:\n" + tables)
 
     def test_front_rejects_garbage(self, tmp_path):
         bad = tmp_path / "bad.json"

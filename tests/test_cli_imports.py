@@ -171,7 +171,6 @@ DATACLASSES = {
     "ConfigurationSpace": "mutable, with a cached_property",
     "Placement": "cached_property counts",
     "PlannerStats": "mutable session counters",
-    "HistogramSummary": "mutable running summary",
     "SpanRecord": "its attrs dict is built by default_factory",
     "WeakEPStudy": "its ndarray field is compare=False; a tuple compares it",
     "Fig2Result": "its ndarray field is compare=False; a tuple compares it",

@@ -11,7 +11,6 @@ from repro.core.metrics import (
     hsu_poole_ep,
     idle_to_peak_ratio,
     ryckbosch_ep,
-    wong_annavaram_ld,
     wong_annavaram_pr,
 )
 
@@ -52,18 +51,6 @@ class TestRyckbosch:
 
 
 class TestWongAnnavaram:
-    def test_linear_curve_has_zero_ld(self):
-        assert wong_annavaram_ld(U, legacy(U)) == pytest.approx(0.0, abs=1e-9)
-
-    def test_bulging_curve_positive_ld(self):
-        # Concave-down bulge above the idle-to-peak chord.
-        p = 100.0 + 100.0 * np.sqrt(U)
-        assert wong_annavaram_ld(U, p) > 0.0
-
-    def test_sagging_curve_negative_ld(self):
-        p = 100.0 + 100.0 * U**2
-        assert wong_annavaram_ld(U, p) < 0.0
-
     def test_pr_ideal_is_one(self):
         assert wong_annavaram_pr(U, ideal(U)) == pytest.approx(1.0)
 
@@ -99,8 +86,7 @@ class TestIdleToPeak:
 class TestValidation:
     @pytest.mark.parametrize(
         "fn",
-        [ryckbosch_ep, wong_annavaram_ld, wong_annavaram_pr, hsu_poole_ep,
-         idle_to_peak_ratio],
+        [ryckbosch_ep, wong_annavaram_pr, hsu_poole_ep, idle_to_peak_ratio],
     )
     def test_rejects_out_of_range_utilization(self, fn):
         with pytest.raises(ValueError):

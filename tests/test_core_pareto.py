@@ -11,11 +11,7 @@ from hypothesis import strategies as st
 from repro.core.pareto import (
     ParetoPoint,
     dominates,
-    epsilon_pareto_front,
-    front_spread,
-    hypervolume_2d,
     local_pareto_front,
-    nondominated_sort,
     pareto_front,
 )
 
@@ -181,112 +177,3 @@ class TestLocalFront:
 
     def test_empty_region(self):
         assert local_pareto_front([P(1, 1, "a")], lambda p: False) == []
-
-
-# -- epsilon front ----------------------------------------------------------
-
-
-class TestEpsilonFront:
-    def test_zero_epsilon_is_exact_front(self):
-        pts = [P(1, 5), P(2, 3), P(4, 1)]
-        assert epsilon_pareto_front(pts, 0.0) == pareto_front(pts)
-
-    def test_large_epsilon_thins(self):
-        pts = [P(1.0, 3.0), P(1.05, 2.9), P(1.1, 2.85)]
-        thin = epsilon_pareto_front(pts, 0.5)
-        assert len(thin) == 1
-
-    def test_negative_epsilon_rejected(self):
-        with pytest.raises(ValueError):
-            epsilon_pareto_front([P(1, 1)], -0.1)
-
-    @given(finite_points, st.floats(min_value=0.0, max_value=2.0))
-    @settings(max_examples=50)
-    def test_coverage_invariant(self, raw, eps):
-        pts = [P(t, e) for t, e in raw]
-        exact = pareto_front(pts)
-        approx = epsilon_pareto_front(pts, eps)
-        scale = 1.0 + eps
-        for p in exact:
-            assert any(
-                s.time_s <= scale * p.time_s + 1e-9
-                and s.energy_j <= scale * p.energy_j + 1e-9
-                for s in approx
-            )
-
-
-# -- non-dominated sorting --------------------------------------------------
-
-
-class TestNondominatedSort:
-    def test_layers_partition_points(self):
-        pts = [P(1, 5), P(2, 3), P(4, 1), P(2, 6), P(5, 5)]
-        layers = nondominated_sort(pts)
-        assert sum(len(l) for l in layers) == len(pts)
-
-    def test_rank0_is_front(self):
-        pts = [P(1, 5), P(2, 3), P(4, 1), P(2, 6), P(5, 5)]
-        layers = nondominated_sort(pts)
-        assert [p.objectives() for p in layers[0]] == [
-            p.objectives() for p in pareto_front(pts)
-        ]
-
-    def test_later_layers_dominated_by_earlier(self):
-        pts = [P(1, 5), P(2, 3), P(4, 1), P(2, 6), P(5, 5), P(6, 6)]
-        layers = nondominated_sort(pts)
-        for k in range(1, len(layers)):
-            for p in layers[k]:
-                assert any(
-                    dominates(q, p) or q.objectives() == p.objectives()
-                    for q in layers[k - 1]
-                )
-
-    def test_empty(self):
-        assert nondominated_sort([]) == []
-
-
-# -- hypervolume ------------------------------------------------------------
-
-
-class TestHypervolume:
-    def test_single_point_rectangle(self):
-        assert hypervolume_2d([P(1, 1)], (3, 3)) == pytest.approx(4.0)
-
-    def test_two_point_staircase(self):
-        hv = hypervolume_2d([P(1, 2), P(2, 1)], (3, 3))
-        # (3-1)*(3-2) + (3-2)*(2-1) = 2 + 1 = 3
-        assert hv == pytest.approx(3.0)
-
-    def test_points_beyond_reference_ignored(self):
-        assert hypervolume_2d([P(5, 5)], (3, 3)) == 0.0
-
-    def test_dominated_point_adds_nothing(self):
-        base = hypervolume_2d([P(1, 1)], (4, 4))
-        more = hypervolume_2d([P(1, 1), P(2, 2)], (4, 4))
-        assert more == pytest.approx(base)
-
-    @given(finite_points)
-    @settings(max_examples=50)
-    def test_monotone_under_union(self, raw):
-        pts = [P(t, e) for t, e in raw]
-        ref = (2e6, 2e6)
-        part = pareto_front(pts[: len(pts) // 2 + 1])
-        full = pareto_front(pts)
-        assert hypervolume_2d(full, ref) >= hypervolume_2d(part, ref) - 1e-6
-
-
-# -- spread -----------------------------------------------------------------
-
-
-class TestFrontSpread:
-    def test_degenerate(self):
-        assert front_spread([P(1, 1)]) == (0.0, 0.0)
-
-    def test_known_values(self):
-        ts, es = front_spread([P(1.0, 2.0), P(1.1, 1.0)])
-        assert ts == pytest.approx(0.1)
-        assert es == pytest.approx(1.0)
-
-    def test_zero_min_rejected(self):
-        with pytest.raises(ValueError):
-            front_spread([P(0.0, 1.0), P(1.0, 2.0)])

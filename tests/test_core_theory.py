@@ -9,36 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.theory import NCoreModel, SimpleEPCore, TwoCoreModel
+from repro.core.theory import NCoreModel, TwoCoreModel
 
 util = st.floats(min_value=0.05, max_value=0.95)
-
-
-class TestSimpleEPCore:
-    def test_power_linear_in_utilization(self):
-        core = SimpleEPCore(a=2.0, b=3.0)
-        assert core.power(0.5) == pytest.approx(1.0)
-        assert core.power(1.0) == pytest.approx(2.0)
-
-    def test_time_inverse_in_utilization(self):
-        core = SimpleEPCore(a=2.0, b=3.0)
-        assert core.solo_time(0.5) == pytest.approx(6.0)
-
-    def test_solo_energy_constant(self):
-        # The single-core era: E = P·t = a·b regardless of U.
-        core = SimpleEPCore(a=2.0, b=3.0)
-        for u in (0.1, 0.4, 0.9, 1.0):
-            assert core.power(u) * core.solo_time(u) == pytest.approx(6.0)
-
-    @pytest.mark.parametrize("a,b", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
-    def test_invalid_constants(self, a, b):
-        with pytest.raises(ValueError):
-            SimpleEPCore(a=a, b=b)
-
-    @pytest.mark.parametrize("u", [0.0, -0.5, 1.5])
-    def test_invalid_utilization(self, u):
-        with pytest.raises(ValueError):
-            SimpleEPCore(a=1, b=1).power(u)
 
 
 class TestTwoCoreModel:
@@ -89,6 +62,16 @@ class TestTwoCoreModel:
             m.dynamic_energy(0.8, 0.3)
         )
 
+    @pytest.mark.parametrize("a,b", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
+    def test_invalid_constants(self, a, b):
+        with pytest.raises(ValueError):
+            TwoCoreModel(a=a, b=b)
+
+    @pytest.mark.parametrize("u", [0.0, -0.5, 1.5])
+    def test_invalid_utilization(self, u):
+        with pytest.raises(ValueError):
+            TwoCoreModel(a=1, b=1).execution_time(u, 0.5)
+
     def test_delta_validation(self):
         m = TwoCoreModel(a=1.0, b=1.0)
         with pytest.raises(ValueError):
@@ -125,13 +108,6 @@ class TestNCoreModel:
         base = m.dynamic_energy(utils)
         for perm in itertools.islice(itertools.permutations(utils), 6):
             assert m.dynamic_energy(list(perm)) == pytest.approx(base)
-
-    @given(st.lists(util, min_size=2, max_size=12))
-    def test_excess_lower_bound_holds(self, utils):
-        m = NCoreModel(a=1.0, b=1.0, n=len(utils))
-        assert (
-            m.energy_excess(utils) >= m.excess_lower_bound(utils) - 1e-9
-        )
 
     @given(util, st.integers(min_value=2, max_value=10))
     def test_raising_one_core_increases_energy(self, u, n):

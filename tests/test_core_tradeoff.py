@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.core.pareto import ParetoPoint
 from repro.core.tradeoff import (
-    knee_point,
     max_energy_saving,
     saving_at_degradation,
     tradeoff_table,
@@ -82,15 +81,6 @@ class TestSavingAtDegradation:
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
             saving_at_degradation(FRONTISH, -0.1)
-
-
-class TestKneePoint:
-    def test_best_ratio(self):
-        # mid: 0.2/0.1 = 2.0; slow: 0.3/0.3 = 1.0
-        assert knee_point(FRONTISH).point.config == "mid"
-
-    def test_single_point_fallback(self):
-        assert knee_point([P(1, 1, "only")]).point.config == "only"
 
 
 points_strategy = st.lists(

@@ -1,4 +1,4 @@
-"""Property tests: incremental front ≡ batch front, array kernels ≡ points.
+"""Property tests: incremental front ≡ batch front, array kernel ≡ points.
 
 Same hand-rolled seeded-random property style as
 ``tests/test_pareto_properties.py``: every cloud is deterministic in
@@ -7,12 +7,14 @@ enforced:
 
 * :class:`repro.core.incremental.IncrementalParetoFront` after *any*
   insert sequence (original, shuffled, reversed, adversarially sorted)
-  equals ``pareto_front`` / rank 0 of ``nondominated_sort`` over the
-  same point multiset, and on a 50,000-point cloud equals the array
-  kernel ``front_indices``;
-* the array kernels ``front_indices`` / ``front_mask`` select exactly
-  the points ``pareto_front`` keeps, in the same order, including
-  stable tie-breaking and duplicate collapse.
+  equals ``pareto_front`` over the same point multiset, and on a
+  50,000-point cloud equals the array kernel ``front_indices``;
+* each insert's verdict and evictions follow weak dominance against
+  the members before it, and the front's columns and configs stay
+  aligned with its points;
+* the array kernel ``front_indices`` selects exactly the points
+  ``pareto_front`` keeps, in the same order, including stable
+  tie-breaking and duplicate collapse.
 """
 
 from __future__ import annotations
@@ -20,15 +22,10 @@ from __future__ import annotations
 import random
 
 import numpy as np
+import pytest
 
 from repro.core.incremental import IncrementalParetoFront
-from repro.core.pareto import (
-    ParetoPoint,
-    front_indices,
-    front_mask,
-    nondominated_sort,
-    pareto_front,
-)
+from repro.core.pareto import ParetoPoint, front_indices, pareto_front
 
 SEEDS = range(25)
 
@@ -73,8 +70,6 @@ class TestIncrementalEquivalence:
         for seed in SEEDS:
             cloud = random_cloud(seed)
             batch = objectives(pareto_front(cloud))
-            rank0 = objectives(nondominated_sort(cloud)[0])
-            assert batch == rank0  # staircase rank 0 is the front
             for order in insert_orders(cloud, seed):
                 inc = IncrementalParetoFront(order)
                 assert objectives(inc.points()) == batch, f"seed={seed}"
@@ -126,18 +121,6 @@ class TestIncrementalEquivalence:
         ]
         assert pareto_front(pts)[0].config == "first"
 
-    def test_dominated_query_predicts_insert_without_mutating(self):
-        for seed in SEEDS:
-            cloud = random_cloud(seed)
-            inc = IncrementalParetoFront(cloud[: len(cloud) // 2])
-            snapshot = objectives(inc.points())
-            for p in cloud[len(cloud) // 2 :]:
-                predicted = not inc.dominated(p.time_s, p.energy_j)
-                assert objectives(inc.points()) == snapshot or predicted
-                accepted = inc.insert_point(p)
-                assert accepted == predicted
-                snapshot = objectives(inc.points())
-
     def test_stream_accounting(self):
         cloud = random_cloud(3)
         inc = IncrementalParetoFront()
@@ -145,24 +128,6 @@ class TestIncrementalEquivalence:
         assert inc.inserted == len(cloud)
         assert inc.accepted == joined >= len(inc)
         assert len(inc) == len(pareto_front(cloud))
-
-    def test_extend_table_matches_point_inserts(self):
-        from repro.sweep.planner import POINT_DTYPE
-
-        for seed in SEEDS:
-            cloud = random_cloud(seed)
-            table = np.empty(len(cloud), dtype=POINT_DTYPE)
-            table["bs"] = np.arange(len(cloud)) % 32 + 1
-            table["g"] = 1
-            table["r"] = np.arange(len(cloud)) + 1
-            table["time_s"] = [p.time_s for p in cloud]
-            table["energy_j"] = [p.energy_j for p in cloud]
-            inc = IncrementalParetoFront()
-            inc.extend_table(table)
-            assert objectives(inc.points()) == objectives(pareto_front(cloud))
-            for p in inc.points():
-                assert set(p.config) == {"bs", "g", "r"}
-                assert all(isinstance(v, int) for v in p.config.values())
 
     def test_iter_len_bool(self):
         inc = IncrementalParetoFront()
@@ -175,6 +140,56 @@ class TestIncrementalEquivalence:
         inc = IncrementalParetoFront([(2.0, 1.0), (1.0, 2.0, {"bs": 4})])
         assert objectives(inc.points()) == [(1.0, 2.0), (2.0, 1.0)]
         assert inc.points()[0].config == {"bs": 4}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+class TestInsertContract:
+    def test_insert_accepts_iff_no_member_weakly_dominates(self, seed):
+        """Checked against the members before each insert (shuffled
+        stream): rejected iff one is no worse in both objectives, and
+        an accepted point evicts exactly the members it weakly
+        dominates."""
+        stream = random_cloud(seed)
+        random.Random(seed).shuffle(stream)
+        inc = IncrementalParetoFront()
+        for p in stream:
+            before = inc.points()
+            blocked = any(
+                q.time_s <= p.time_s and q.energy_j <= p.energy_j
+                for q in before
+            )
+            assert inc.insert_point(p) == (not blocked)
+            if blocked:
+                expected = before
+            else:
+                expected = sorted(
+                    [
+                        q for q in before
+                        if q.time_s < p.time_s or q.energy_j < p.energy_j
+                    ] + [p],
+                    key=lambda q: q.time_s,
+                )
+            assert [(q.objectives(), q.config) for q in inc.points()] == [
+                (q.objectives(), q.config) for q in expected
+            ]
+
+    def test_columns_and_configs_align_with_points(self, seed):
+        """After a stream in input order: the columns, the configs and
+        the iteration read the same members, the representatives of
+        duplicated vectors are ``pareto_front``'s, and the counters
+        add up."""
+        cloud = random_cloud(seed)
+        inc = IncrementalParetoFront()
+        joined = inc.extend(cloud)
+        points = inc.points()
+        times, energies = inc.arrays()
+        assert times.tolist() == [p.time_s for p in points]
+        assert energies.tolist() == [p.energy_j for p in points]
+        assert inc.configs() == [p.config for p in points]
+        assert list(inc) == points
+        assert inc.configs() == [p.config for p in pareto_front(cloud)]
+        assert (inc.inserted, inc.accepted) == (len(cloud), joined)
+        assert len(points) <= joined
 
 
 class TestArrayKernels:
@@ -193,16 +208,5 @@ class TestArrayKernels:
                 p.config for p in pareto_front(cloud)
             ]
 
-    def test_front_mask_marks_the_same_rows(self):
-        for seed in SEEDS:
-            cloud = random_cloud(seed)
-            times = np.array([p.time_s for p in cloud])
-            energies = np.array([p.energy_j for p in cloud])
-            mask = front_mask(times, energies)
-            assert sorted(np.flatnonzero(mask)) == sorted(
-                front_indices(times, energies)
-            )
-
     def test_empty_inputs(self):
         assert front_indices([], []).size == 0
-        assert front_mask([], []).size == 0

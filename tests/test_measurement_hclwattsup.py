@@ -32,13 +32,6 @@ class TestBaseline:
         tool = make(noise=0.01, seed=3)
         assert tool.baseline_power_w == tool.baseline_power_w
 
-    def test_recalibrate_redraws(self):
-        tool = make(noise=0.02, seed=4)
-        first = tool.baseline_power_w
-        second = tool.recalibrate()
-        assert first != second  # new noise draw
-        assert second == pytest.approx(IDLE, rel=0.02)
-
     def test_short_baseline_rejected(self):
         with pytest.raises(ValueError):
             HCLWattsUp(PowerMeter(), IDLE, baseline_seconds=1.0)

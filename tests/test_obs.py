@@ -89,11 +89,9 @@ class TestSpans:
         with obs.span("x"):
             obs.count("c")
             obs.gauge("g", 1.0)
-            obs.observe("h", 2.0)
         assert tel.spans == []
         assert tel.counters == {}
         assert tel.gauges == {}
-        assert tel.histograms == {}
 
     def test_noop_span_is_reentrant_and_shared(self):
         a = obs.span("x")
@@ -114,14 +112,6 @@ class TestMetrics:
         obs.gauge("ratio", 1.5)
         obs.gauge("ratio", 2.5)
         assert tel.gauges == {"ratio": 2.5}
-
-    def test_histograms_summarize(self):
-        tel = obs.set_telemetry(obs.Telemetry("summary"))
-        for v in (1.0, 3.0, 2.0):
-            obs.observe("wall", v)
-        hist = tel.histograms["wall"]
-        assert (hist.count, hist.total, hist.min, hist.max) == (3, 6.0, 1.0, 3.0)
-        assert hist.mean == 2.0
 
     def test_snapshot_sorts_names(self):
         tel = obs.set_telemetry(obs.Telemetry("summary"))
@@ -188,6 +178,22 @@ class TestJsonlAndTrace:
         assert "outer  [device=p100]" in out
         assert "    inner  [points=3]" in out  # nested one level deeper
         assert "store.shard.hits" in out
+
+    def test_histograms_of_an_old_stream_are_ignored(self, tmp_path):
+        """A stream written while telemetry still kept histograms
+        loads; its ``histograms`` object renders nothing."""
+        events = [
+            {"event": "header", "format": obs.TELEMETRY_FORMAT},
+            {"event": "metrics", "counters": {"batch.calls": 2},
+             "gauges": {}, "histograms": {"batch.points_per_sec": {
+                 "count": 2, "total": 3.0, "mean": 1.5, "min": 1.0,
+                 "max": 2.0}}},
+        ]
+        path = tmp_path / "old.jsonl"
+        path.write_text("".join(json.dumps(e) + "\n" for e in events))
+        out = _run_trace(path)
+        assert "batch.calls" in out
+        assert "points_per_sec" not in out
 
     def test_self_time_subtracts_direct_children(self, tmp_path):
         tel = obs.set_telemetry(obs.Telemetry("summary"))
@@ -474,7 +480,7 @@ class TestOnPathOverhead:
     def test_telemetry_on_adds_under_five_percent_to_a_warm_session(
         self, warm_grid_session
     ):
-        """Bound what recording costs: spans, counters and histograms in
+        """Bound what recording costs: spans and counters in
         an enabled in-memory registry (the ``summary`` sink, no I/O)
         against the same warm store-backed session with telemetry off.
 

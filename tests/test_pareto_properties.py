@@ -1,4 +1,5 @@
-"""Property-based invariant tests for :mod:`repro.core.pareto`.
+"""Property-based invariant tests for :mod:`repro.core.pareto` and the
+trade-off table built on its front (:mod:`repro.core.tradeoff`).
 
 Hand-rolled randomized property testing (the environment has no
 ``hypothesis``): each property is checked over many seeded random
@@ -18,11 +19,13 @@ import pytest
 from repro.core.pareto import (
     ParetoPoint,
     dominates,
-    epsilon_pareto_front,
-    hypervolume_2d,
     local_pareto_front,
-    nondominated_sort,
     pareto_front,
+)
+from repro.core.tradeoff import (
+    max_energy_saving,
+    saving_at_degradation,
+    tradeoff_table,
 )
 
 SEEDS = range(25)
@@ -62,6 +65,26 @@ def brute_force_front_vectors(
         for p in points
         if not any(dominates(q, p) for q in points)
     }
+
+
+def dominated_area(
+    points: list[ParetoPoint], reference: tuple[float, float]
+) -> float:
+    """2-D hypervolume: the area that ``points`` weakly dominate below
+    ``reference``, counted cell by cell on the grid their coordinates
+    cut the box into.  A cell counts when some point is no worse than
+    its lower-left corner — no sort and no sweep, so the reference
+    shares nothing with the front extraction it checks."""
+    ref_t, ref_e = reference
+    times = np.array([p.time_s for p in points])
+    energies = np.array([p.energy_j for p in points])
+    t_grid = np.unique(np.append(times[times < ref_t], ref_t))
+    e_grid = np.unique(np.append(energies[energies < ref_e], ref_e))
+    covered = (
+        (times[:, None, None] <= t_grid[None, :-1, None])
+        & (energies[:, None, None] <= e_grid[None, None, :-1])
+    ).any(axis=0)
+    return float(np.diff(t_grid) @ covered.astype(float) @ np.diff(e_grid))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -111,6 +134,105 @@ class TestParetoFrontProperties:
         front = pareto_front(random_cloud(seed))
         assert pareto_front(front) == front
 
+    def test_every_point_weakly_dominated_by_front(self, seed):
+        cloud = random_cloud(seed)
+        front = pareto_front(cloud)
+        for p in cloud:
+            assert any(
+                f.time_s <= p.time_s and f.energy_j <= p.energy_j
+                for f in front
+            )
+
+    def test_front_invariant_under_rescaling(self, seed):
+        """Positive rescaling of either objective keeps every
+        comparison, ties included (powers of two scale exactly), so
+        the same configurations form the front in the same order."""
+        cloud = random_cloud(seed)
+        baseline = [p.config for p in pareto_front(cloud)]
+        for t_scale, e_scale in ((2.0, 1.0), (1.0, 0.25), (0.5, 8.0)):
+            scaled = [
+                ParetoPoint(p.time_s * t_scale, p.energy_j * e_scale, p.config)
+                for p in cloud
+            ]
+            assert [p.config for p in pareto_front(scaled)] == baseline
+
+    def test_dominated_additions_leave_front_unchanged(self, seed):
+        """Appending, for each member, a copy and points worse in one
+        objective changes nothing: the copies lose the tie to the
+        member seen first."""
+        cloud = random_cloud(seed)
+        front = pareto_front(cloud)
+        extra = []
+        for p in front:
+            extra.append(ParetoPoint(p.time_s, p.energy_j, "copy"))
+            extra.append(ParetoPoint(p.time_s * 2, p.energy_j, "slower"))
+            extra.append(ParetoPoint(p.time_s, p.energy_j * 2, "costlier"))
+        assert [id(p) for p in pareto_front(cloud + extra)] == [
+            id(p) for p in front
+        ]
+
+    def test_point_dominating_all_is_whole_front(self, seed):
+        cloud = random_cloud(seed)
+        best = ParetoPoint(
+            min(p.time_s for p in cloud) / 2,
+            min(p.energy_j for p in cloud) / 2,
+            "best",
+        )
+        assert pareto_front(cloud + [best]) == [best]
+        assert pareto_front([best] + cloud) == [best]
+
+    def test_front_of_union_within_union_of_fronts(self, seed):
+        a = random_cloud(seed)
+        b = random_cloud(seed + len(SEEDS))
+        parts = {id(p) for p in pareto_front(a) + pareto_front(b)}
+        assert all(id(p) in parts for p in pareto_front(a + b))
+
+    def test_raw_tuples_give_the_same_front(self, seed):
+        cloud = random_cloud(seed)
+        raw = [(p.time_s, p.energy_j, p.config) for p in cloud]
+        assert [(p.objectives(), p.config) for p in pareto_front(raw)] == [
+            (p.objectives(), p.config) for p in pareto_front(cloud)
+        ]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+class TestDominanceRelation:
+    """``dominates`` is the oracle the front tests trust, so its own
+    laws are checked on the same degenerate clouds (first 30 points:
+    all ordered triples stay cheap)."""
+
+    def test_strict_partial_order(self, seed):
+        pts = random_cloud(seed)[:30]
+        for a in pts:
+            assert not dominates(a, a)
+            for b in pts:
+                if dominates(a, b):
+                    assert not dominates(b, a)
+                    for c in pts:
+                        if dominates(b, c):
+                            assert dominates(a, c)
+
+    def test_tolerance_never_contradicts_exact_dominance(self, seed):
+        """With slack, dominance stays irreflexive and asymmetric, a
+        tolerant verdict is never reversed by the exact relation, and a
+        slack of twice the cloud's extent (clear of the rounding in
+        ``b - tol``) leaves nothing dominated."""
+        pts = random_cloud(seed)[:40]
+        for tol in (0.5, 2.0):
+            for a in pts:
+                assert not dominates(a, a, tol=tol)
+                for b in pts:
+                    if dominates(a, b, tol=tol):
+                        assert not dominates(b, a, tol=tol)
+                        assert not dominates(b, a)
+        spread = max(
+            max(p.time_s for p in pts) - min(p.time_s for p in pts),
+            max(p.energy_j for p in pts) - min(p.energy_j for p in pts),
+        )
+        assert not any(
+            dominates(a, b, tol=2 * spread) for a in pts for b in pts
+        )
+
 
 @pytest.mark.parametrize("seed", SEEDS)
 class TestDerivedFrontProperties:
@@ -122,102 +244,63 @@ class TestDerivedFrontProperties:
         assert local == pareto_front(inside)
         assert all(region(p) for p in local)
 
-    def test_nondominated_sort_partitions_cloud(self, seed):
-        cloud = random_cloud(seed)
-        layers = nondominated_sort(cloud)
-        assert sum(len(layer) for layer in layers) == len(cloud)
-        if layers:
-            assert [
-                p.objectives() for p in layers[0]
-            ] == [p.objectives() for p in pareto_front(cloud)]
-
-    def test_nondominated_sort_rank_monotone(self, seed):
-        cloud = random_cloud(seed)
-        layers = nondominated_sort(cloud)
-        # No point in layer k dominates any point in an earlier layer.
-        for k, layer in enumerate(layers):
-            for earlier in layers[:k]:
-                for p in layer:
-                    assert not any(dominates(p, q) for q in earlier)
-
-    def test_nondominated_sort_matches_peeling_oracle(self, seed):
-        """The single-sort staircase equals repeated front peeling —
-        layer by layer, identical member identity and order."""
-        cloud = random_cloud(seed)
-        remaining = cloud[:]
-        expected = []
-        while remaining:
-            front = pareto_front(remaining)
-            expected.append(front)
-            ids = {id(p) for p in front}
-            remaining = [p for p in remaining if id(p) not in ids]
-        got = nondominated_sort(cloud)
-        assert [[id(p) for p in layer] for layer in got] == [
-            [id(p) for p in layer] for layer in expected
-        ]
-
-
-def epsilon_front_oracle(
-    points: list[ParetoPoint], epsilon: float
-) -> list[ParetoPoint]:
-    """Quadratic greedy reference for the ε-approximate front."""
-    front = pareto_front(points)
-    kept: list[ParetoPoint] = []
-    scale = 1.0 + epsilon
-    for p in front:
-        covered = any(
-            s.time_s <= scale * p.time_s and s.energy_j <= scale * p.energy_j
-            for s in kept
-        )
-        if not covered:
-            kept.append(p)
-    return kept
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-class TestEpsilonFrontAgainstFront:
-    """ε-front properties relative to the O(n log n) exact front."""
-
-    EPSILONS = (0.0, 0.05, 0.3, 1.5)
-
-    def test_matches_quadratic_oracle(self, seed):
-        cloud = random_cloud(seed)
-        for eps in self.EPSILONS:
-            got = epsilon_pareto_front(cloud, eps)
-            assert [id(p) for p in got] == [
-                id(p) for p in epsilon_front_oracle(cloud, eps)
-            ]
-
-    def test_zero_epsilon_is_exact_front(self, seed):
-        cloud = random_cloud(seed)
-        assert epsilon_pareto_front(cloud, 0.0) == pareto_front(cloud)
-
-    def test_subset_of_front_and_covering(self, seed):
+    def test_local_front_with_trivial_regions(self, seed):
         cloud = random_cloud(seed)
         front = pareto_front(cloud)
-        ids = {id(p) for p in front}
-        for eps in self.EPSILONS:
-            kept = epsilon_pareto_front(cloud, eps)
-            assert all(id(p) in ids for p in kept)
-            scale = 1.0 + eps
-            for p in front:  # every front point is (1+ε)-dominated
-                assert any(
-                    s.time_s <= scale * p.time_s
-                    and s.energy_j <= scale * p.energy_j
-                    for s in kept
-                )
+        on_front = {id(p) for p in front}
+        assert local_pareto_front(cloud, lambda p: True) == front
+        assert local_pareto_front(cloud, lambda p: False) == []
+        assert (
+            local_pareto_front(cloud, lambda p: id(p) in on_front) == front
+        )
 
-    def test_monotone_in_epsilon(self, seed):
+    def test_tradeoff_table_walks_the_front(self, seed):
         cloud = random_cloud(seed)
-        sizes = [
-            len(epsilon_pareto_front(cloud, eps)) for eps in self.EPSILONS
-        ]
-        assert sizes == sorted(sizes, reverse=True)
+        front = pareto_front(cloud)
+        table = tradeoff_table(cloud)
+        assert [id(e.point) for e in table] == [id(p) for p in front]
+        ref = front[0]
+        assert (table[0].energy_saving, table[0].perf_degradation) == (0, 0)
+        for entry in table:
+            p = entry.point
+            assert entry.energy_saving == 1.0 - p.energy_j / ref.energy_j
+            assert entry.perf_degradation == p.time_s / ref.time_s - 1.0
+            assert 0.0 <= entry.energy_saving < 1.0
+        savings = [e.energy_saving for e in table]
+        degradations = [e.perf_degradation for e in table]
+        assert all(a < b for a, b in zip(savings, savings[1:]))
+        assert all(a < b for a, b in zip(degradations, degradations[1:]))
+
+    def test_saving_at_degradation_is_best_admissible(self, seed):
+        """At every budget — zero, each entry's own degradation and
+        the midpoints between them — the answer is admissible, no
+        admissible entry saves more, and a larger budget never saves
+        less; past the last degradation it is the headline maximum."""
+        cloud = random_cloud(seed)
+        table = tradeoff_table(cloud)
+        degradations = [e.perf_degradation for e in table]
+        budgets = sorted(
+            {0.0, *degradations}
+            | {(a + b) / 2 for a, b in zip(degradations, degradations[1:])}
+        )
+        previous = -1.0
+        for budget in budgets:
+            got = saving_at_degradation(cloud, budget)
+            assert got.perf_degradation <= budget
+            assert all(
+                e.energy_saving <= got.energy_saving
+                for e in table
+                if e.perf_degradation <= budget
+            )
+            assert got.energy_saving >= previous
+            previous = got.energy_saving
+        assert saving_at_degradation(cloud, budgets[-1] + 1.0) == table[-1]
+        assert max_energy_saving(cloud) == table[-1]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 class TestHypervolumeAgainstFront:
-    """Hypervolume consistency with the O(n log n) front extraction."""
+    """The front against an area view of dominance (:func:`dominated_area`)."""
 
     def reference(self, cloud):
         return (
@@ -230,27 +313,19 @@ class TestHypervolumeAgainstFront:
         equals the whole cloud's."""
         cloud = random_cloud(seed)
         ref = self.reference(cloud)
-        assert hypervolume_2d(pareto_front(cloud), ref) == pytest.approx(
-            hypervolume_2d(cloud, ref)
+        assert dominated_area(pareto_front(cloud), ref) == pytest.approx(
+            dominated_area(cloud, ref)
         )
 
-    def test_epsilon_front_never_gains_hypervolume(self, seed):
+    def test_every_front_member_adds_area(self, seed):
+        """No member is redundant — duplicates are collapsed and no
+        member is weakly dominated — so dropping any one of them
+        loses area."""
         cloud = random_cloud(seed)
         ref = self.reference(cloud)
-        full = hypervolume_2d(pareto_front(cloud), ref)
-        for eps in (0.0, 0.05, 0.3, 1.5):
-            kept = epsilon_pareto_front(cloud, eps)
-            hv = hypervolume_2d(kept, ref)
-            # A subset of the front can only lose dominated area (and
-            # at ε=0 it loses none).
-            assert hv <= full + 1e-12
-            if eps == 0.0:
-                assert hv == pytest.approx(full)
-
-    def test_rank0_layer_hypervolume_equals_front(self, seed):
-        cloud = random_cloud(seed)
-        ref = self.reference(cloud)
-        layers = nondominated_sort(cloud)
-        assert hypervolume_2d(layers[0], ref) == pytest.approx(
-            hypervolume_2d(pareto_front(cloud), ref)
-        )
+        front = pareto_front(cloud)
+        full = dominated_area(front, ref)
+        for i in range(len(front)):
+            rest = front[:i] + front[i + 1 :]
+            if rest:
+                assert dominated_area(rest, ref) < full

@@ -22,7 +22,7 @@ import pytest
 from repro.apps.matmul_gpu import MatmulConfig, MatmulGPUApp
 from repro.core.pareto import ParetoPoint, pareto_front
 from repro.machines.specs import K40C, P100
-from repro.simgpu.batch import batch_run_matmul, evaluate_configs_batch
+from repro.simgpu.batch import batch_run_matmul
 from repro.simgpu.calibration import P100_CAL, calibration_for
 from repro.sweep import EvalPlanner, SweepRequest, resolve_device
 from repro.sweep.planner import (
@@ -35,10 +35,15 @@ from repro.sweep.planner import (
 
 def batch_points(req, configs):
     """The request's points from one per-sweep batch evaluation."""
-    pairs = evaluate_configs_batch(req.spec, req.calibration, req.n, configs)
+    out = batch_run_matmul(
+        req.spec, req.calibration, req.n,
+        [c.bs for c in configs], [c.g for c in configs], [c.r for c in configs],
+    )
     return [
         ParetoPoint(time_s=t, energy_j=e, config=c.as_dict())
-        for c, (t, e) in zip(configs, pairs)
+        for c, t, e in zip(
+            configs, out.time_s.tolist(), out.dynamic_energy_j.tolist()
+        )
     ]
 
 

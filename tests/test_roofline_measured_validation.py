@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.energymodel.events import ApplicationProfile
-from repro.energymodel.validation import kfold_validation, loocv
+from repro.energymodel.validation import loocv
 from repro.machines import K40C, P100
 from repro.simgpu.roofline import classify_matmul
 
@@ -70,26 +70,3 @@ class TestValidation:
         rng = np.random.default_rng(2)
         with pytest.raises(ValueError):
             loocv(_profiles(rng, 2), ["a", "b"])
-
-    def test_kfold_covers_every_profile(self):
-        rng = np.random.default_rng(3)
-        result = kfold_validation(_profiles(rng, 15), ["a", "b"], k=5)
-        assert len(result.errors) == 15
-        assert result.n_folds == 5
-
-    def test_kfold_deterministic_per_seed(self):
-        rng = np.random.default_rng(4)
-        profiles = _profiles(rng, 12)
-        a = kfold_validation(profiles, ["a", "b"], k=4, seed=7)
-        b = kfold_validation(profiles, ["a", "b"], k=4, seed=7)
-        assert a.errors == b.errors
-
-    def test_kfold_k_validated(self):
-        rng = np.random.default_rng(5)
-        with pytest.raises(ValueError):
-            kfold_validation(_profiles(rng, 10), ["a", "b"], k=1)
-
-    def test_kfold_underdetermined_fold_rejected(self):
-        rng = np.random.default_rng(6)
-        with pytest.raises(ValueError, match="underdetermined"):
-            kfold_validation(_profiles(rng, 4), ["a", "b", "c", "d"], k=2)

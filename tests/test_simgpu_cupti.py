@@ -107,7 +107,8 @@ class TestOverflow:
         assert not profiler.profile(2048, 32)["flop_count_dp"].reliable
 
     def test_reliable_events_filter(self, profiler):
-        reliable = profiler.reliable_events(8192, 32)
+        readings = profiler.profile(8192, 32)
+        reliable = [name for name, rd in readings.items() if rd.reliable]
         assert "flop_count_dp" not in reliable
         assert len(reliable) < len(EVENT_NAMES)
         # Writeback transactions stay small (N² scale) and survive.

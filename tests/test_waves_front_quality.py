@@ -1,4 +1,4 @@
-"""Tests for the wave-tail argument, front-quality indicators, and Sen-Wood."""
+"""Tests for the wave-tail argument and the front-quality indicators."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.front_quality import additive_epsilon, igd
-from repro.core.metrics import sen_wood_gap
 from repro.core.pareto import ParetoPoint, pareto_front
 from repro.machines import K40C, P100
 from repro.simgpu.occupancy import compute_occupancy
@@ -90,23 +89,3 @@ class TestFrontQuality:
         ref = pareto_front(pts)
         assert igd(ref, pts) == pytest.approx(0.0, abs=1e-12)
         assert additive_epsilon(ref, pts) == pytest.approx(0.0, abs=1e-12)
-
-
-class TestSenWoodGap:
-    U = np.linspace(0.0, 1.0, 21)
-
-    def test_proportional_scores_zero(self):
-        assert sen_wood_gap(self.U, 200.0 * self.U) == pytest.approx(0.0)
-
-    def test_flat_curve_scores_one(self):
-        assert sen_wood_gap(self.U, np.full(21, 200.0)) == pytest.approx(1.0)
-
-    def test_legacy_server_half(self):
-        # 50% idle power: the gap is largest at u=0 where P = 0.5 peak.
-        p = 100.0 + 100.0 * self.U
-        assert sen_wood_gap(self.U, p) == pytest.approx(0.5)
-
-    def test_localizes_worst_point(self):
-        # A mid-range bulge: gap peaks at the bulge, not at idle.
-        p = 200.0 * self.U + 60.0 * np.exp(-((self.U - 0.5) ** 2) / 0.01)
-        assert sen_wood_gap(self.U, p) == pytest.approx(0.3, abs=0.02)
