@@ -15,6 +15,7 @@ import repro.simgpu.batch
 import repro.sweep.planner
 from repro.analysis.summary import generate_report
 from repro.experiments import EXPERIMENTS
+from repro.simgpu import device, power
 from repro.simgpu.device import GPUDevice
 from repro.sweep.planner import collect_session_requests, session_planner
 
@@ -87,6 +88,29 @@ def test_each_distinct_configuration_runs_once_on_the_scalar_model(
     # A new session per report: no result survives into the next one.
     generate_report(include_extras=include_extras)
     assert model_calls == {"scalar": 2 * scalar_calls, "batch": 0}
+
+
+@pytest.mark.parametrize(
+    "include_extras,scalar_calls,probes",
+    [(False, 2092, 8499), (True, 8257, 36009)],
+)
+def test_every_report_pass_probes_every_clock_of_every_call(
+    model_calls, monkeypatch, include_extras, scalar_calls, probes
+):
+    """The device tables hold no probe: a warm pass evaluates the
+    power model at every clock of every call, as the first pass does."""
+    evaluated = [0]
+
+    def counting(terms, clock_hz, maximum):
+        evaluated[0] += 1
+        return power.probe(terms, clock_hz, maximum)
+
+    # The name the scalar model calls repro.simgpu.power.probe by.
+    monkeypatch.setattr(device, "probe", counting)
+    for _ in range(2):
+        model_calls["scalar"] = evaluated[0] = 0
+        generate_report(include_extras=include_extras)
+        assert (model_calls["scalar"], evaluated[0]) == (scalar_calls, probes)
 
 
 @pytest.mark.parametrize("include_extras", [False, True])
