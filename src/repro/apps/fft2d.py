@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from repro.machines.specs import CPUSpec, GPUSpec, HASWELL, K40C, P100
+from repro.machines.specs import HASWELL, K40C, P100
 
 __all__ = [
     "fft_work",

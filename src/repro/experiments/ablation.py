@@ -35,7 +35,6 @@ from repro.machines.specs import HASWELL, P100
 from repro.simcpu.calibration import HASWELL_CAL
 from repro.simgpu.calibration import P100_CAL
 from repro.simgpu.device import GPUDevice
-from repro.simgpu.power import aux_decay
 
 __all__ = ["AblationRow", "AblationResult", "run"]
 

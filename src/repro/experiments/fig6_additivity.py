@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from repro.analysis.report import format_pct, format_table
 from repro.energymodel.additivity import additivity_error
-from repro.machines.specs import GPUSpec, K40C, P100
+from repro.machines.specs import GPUSpec, P100
 from repro.simgpu.device import GPUDevice
 from repro.simgpu.power import aux_decay
 

@@ -18,7 +18,7 @@ the vendor datasheets for the same parts and documented inline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ configuration give noisy-but-converging sample means.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np

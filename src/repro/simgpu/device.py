@@ -73,13 +73,14 @@ class KernelRunResult(NamedTuple):
 
 
 class _KernelTerms:
-    """The clock-independent terms of one ``run_matmul`` call.
+    """The clock-independent terms of one ``(n, bs, g)`` configuration.
 
     A plain container of the fields :func:`repro.simgpu.power.probe`
     reads, each read or computed once here, so a DVFS probe does only
-    the clock-dependent arithmetic.  :meth:`at` evaluates each
-    distinct clock once and returns the same tuple on a repeat; the
-    memo lives as long as the call, never across calls.
+    the clock-dependent arithmetic, and of the ``resources`` and
+    ``occupancy`` a result returns.  A device table holds one per
+    configuration (docs/MODEL.md §1.9); it depends on neither the
+    clock, R nor a seed.
     """
 
     __slots__ = (
@@ -88,7 +89,7 @@ class _KernelTerms:
         "e_dram_j_per_byte", "leak_quad", "volt_exp", "blocks_per_sm",
         "compute_cycles", "tile_fetch_bytes", "g", "lanes_issued",
         "dram_bytes", "sm_steps", "t_dram", "activity_base_w",
-        "aux_windows_w", "evaluated",
+        "aux_windows_w", "resources", "occupancy",
     )
 
     def __init__(
@@ -98,7 +99,7 @@ class _KernelTerms:
         res: KernelResources,
         occ: Occupancy,
     ) -> None:
-        # The constants a probe reads, looked up once per call.
+        # The constants a probe reads, looked up once per configuration.
         self.mem_bandwidth_bps = spec.mem_bandwidth_bps
         self.sm_count = spec.sm_count
         self.base_clock_hz = spec.base_clock_hz
@@ -121,29 +122,8 @@ class _KernelTerms:
             res.total_dram_bytes, res.g, occ.active_warps_per_sm,
             occ.warp_occupancy, aux_decay(spec, res.n), math.ceil, min,
         )
-        self.evaluated: dict[float, tuple] = {}
-
-    def at(self, clock_hz: float) -> tuple:
-        """``(board_w, dynamic_w, product_s, launch_s, components)``.
-
-        The :func:`~repro.simgpu.power.probe` at ``clock_hz``;
-        ``board_w`` adds the idle power the DVFS solver compares
-        against the cap.
-        """
-        ev = self.evaluated.get(clock_hz)
-        if ev is not None:
-            return ev
-        dynamic_w, t_product, t_launch, components, _ = probe(
-            self, clock_hz, scalar_max
-        )
-        ev = self.evaluated[clock_hz] = (
-            self.idle_power_w + dynamic_w,
-            dynamic_w,
-            t_product,
-            t_launch,
-            components,
-        )
-        return ev
+        self.resources = res
+        self.occupancy = occ
 
 
 #: Bounds of the device tables: at most this many ``(spec, cal)`` pairs
@@ -153,8 +133,8 @@ DEVICE_TABLES = 64
 #: table is emptied).
 DEVICE_TABLE_SIZE = 4096
 
-#: ``(spec, cal)`` -> that pair's device table: ``(n, bs, g)`` ->
-#: ``(KernelResources, Occupancy)`` (docs/MODEL.md §1.9).
+#: ``(spec, cal)`` -> that pair's device table: ``(n, bs, g)`` -> that
+#: configuration's ``_KernelTerms`` (docs/MODEL.md §1.9).
 _device_tables: dict[tuple[GPUSpec, GPUCalibration], dict] = {}
 
 
@@ -181,10 +161,11 @@ class GPUDevice:
         Calibration constants; defaults to the device's calibration.
 
     A device resolves its ``(spec, cal)`` pair's table once, when it is
-    built: :meth:`run_matmul` finds a configuration's kernel resources
-    and occupancy there by ``(n, bs, g)``, and builds them through
+    built: :meth:`run_matmul` finds a configuration's clock-free terms
+    there by ``(n, bs, g)``, and builds them, through
     :func:`matmul_kernel_resources` and the memoized
-    :func:`compute_occupancy` only on a miss.
+    :func:`compute_occupancy`, only on a miss.  A call then pays only
+    for its clocks: one probe per distinct clock, kept until it returns.
     """
 
     def __init__(self, spec: GPUSpec, cal: GPUCalibration | None = None) -> None:
@@ -192,18 +173,18 @@ class GPUDevice:
         self.cal = cal if cal is not None else calibration_for(spec)
         self._table = _device_table(self.spec, self.cal)
 
-    def _records(self, n: int, bs: int, g: int) -> tuple:
-        """``(KernelResources, Occupancy)`` of ``(n, bs, g)``, a table
-        miss: built and entered."""
-        spec, table = self.spec, self._table
-        res = matmul_kernel_resources(spec, self.cal, n, bs, g)
+    def _terms(self, n: int, bs: int, g: int) -> _KernelTerms:
+        """The ``_KernelTerms`` of ``(n, bs, g)``, a table miss: built
+        and entered."""
+        spec, cal, table = self.spec, self.cal, self._table
+        res = matmul_kernel_resources(spec, cal, n, bs, g)
         occ = compute_occupancy(
             spec, res.threads_per_block, res.smem_per_block_bytes
         )
         if len(table) >= DEVICE_TABLE_SIZE:
             table.clear()
-        table[n, bs, g] = records = (res, occ)
-        return records
+        table[n, bs, g] = terms = _KernelTerms(spec, cal, res, occ)
+        return terms
 
     def run_matmul(
         self,
@@ -244,14 +225,17 @@ class GPUDevice:
                     f"pinned clock {pinned_clock_hz/1e6:.0f} MHz outside "
                     f"the supported ladder [{lo/1e6:.0f}, {hi/1e6:.0f}] MHz"
                 )
-        records = self._table.get((n, bs, g))
-        if records is None:
-            records = self._records(n, bs, g)
-        res, occ = records
-        at = _KernelTerms(spec, cal, res, occ).at
+        terms = self._table.get((n, bs, g))
+        if terms is None:
+            terms = self._terms(n, bs, g)
+        # Clock -> its probe: each distinct clock is evaluated once.
+        probes: dict[float, tuple] = {}
 
         def board_power(clock_hz: float) -> float:
-            return at(clock_hz)[0]
+            ev = probes.get(clock_hz)
+            if ev is None:
+                ev = probes[clock_hz] = probe(terms, clock_hz, scalar_max)
+            return terms.idle_power_w + ev[0]
 
         # ``start_hz`` is the clock a throttled run starts from before
         # it heat-soaks: the pinned clock if there is one, else boost.
@@ -277,13 +261,16 @@ class GPUDevice:
             # heat-soaks.  A measurement sequence much shorter than the
             # thermal time constant runs (mostly) at its starting clock
             # at full voltage; long sequences settle at the cap.  Blend
-            # the operating clock by the heat-soak fraction.
-            launch_at_start_s = at(start_hz)[3]
-            total_start_s = r * launch_at_start_s
+            # the operating clock by the heat-soak fraction.  The solver
+            # or the pin check has already probed the start clock.
+            total_start_s = r * probes[start_hz][2]
             soak = 1.0 - math.exp(-total_start_s / cal.thermal_tau_s)
             clock_hz = start_hz * (1.0 - soak) + clock_hz * soak
             throttled = soak > 0.5
-        _, dynamic_w, t_product, t_launch, components = at(clock_hz)
+        ev = probes.get(clock_hz)
+        if ev is None:
+            ev = probe(terms, clock_hz, scalar_max)
+        dynamic_w, t_product, t_launch, components, _ = ev
         power = PowerBreakdown(*components)
 
         time_s = r * t_launch
@@ -295,6 +282,6 @@ class GPUDevice:
             energy_j *= max(0.5, 1.0 + 0.4 * tj * rng.standard_normal())
 
         return KernelRunResult(
-            time_s, energy_j, dynamic_w, clock_hz, throttled, occ, power, res,
-            r, t_product,
+            time_s, energy_j, dynamic_w, clock_hz, throttled,
+            terms.occupancy, power, terms.resources, r, t_product,
         )

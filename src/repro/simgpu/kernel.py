@@ -19,8 +19,8 @@ device timing and power models consume.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from repro.machines.specs import GPUSpec
 from repro.simgpu.calibration import GPUCalibration
@@ -159,8 +159,7 @@ def resource_terms(
     )
 
 
-@dataclass(frozen=True)
-class KernelResources:
+class KernelResources(NamedTuple):
     """Issue/traffic quantities of one launch of a G-group matmul kernel.
 
     All totals are for the *whole launch* (G products).
@@ -197,9 +196,9 @@ def matmul_kernel_resources(
 ) -> KernelResources:
     """Build the resource model for one (N, BS, G) kernel launch.
 
-    Not memoized: a :class:`repro.simgpu.device.GPUDevice` keeps the
-    records it builds in its device table.  Raises ValueError where
-    :func:`check_launch` does.
+    Not memoized: a :class:`repro.simgpu.device.GPUDevice` builds it
+    only on a device-table miss, and its table entry keeps the record.
+    Raises ValueError where :func:`check_launch` does.
     """
     check_launch(spec, n, bs, g)
     traffic = matmul_traffic(spec, n, bs, l2_hit_cap=cal.l2_hit_cap)
@@ -208,9 +207,6 @@ def matmul_kernel_resources(
         math.ceil,
     )
     return KernelResources(
-        n, bs, g, *fields,
-        useful_flops=g * 2.0 * float(n) ** 3,
-        lane_eff=fields[0] / (warps * spec.warp_size),
-        replay_factor=replay,
-        traffic=traffic,
+        n, bs, g, *fields, g * 2.0 * float(n) ** 3,
+        fields[0] / (warps * spec.warp_size), replay, traffic,
     )

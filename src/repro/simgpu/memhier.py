@@ -19,8 +19,8 @@ dimension BS:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from repro.machines.specs import GPUSpec
 
@@ -40,8 +40,7 @@ def coalescing_efficiency(row_bytes, sector_bytes, ceil=math.ceil):
     return row_bytes / (ceil(row_bytes / sector_bytes) * sector_bytes)
 
 
-@dataclass(frozen=True)
-class TrafficModel:
+class TrafficModel(NamedTuple):
     """Global-memory traffic of one matmul product on one GPU.
 
     Attributes

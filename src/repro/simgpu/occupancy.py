@@ -17,16 +17,15 @@ register-light, about 30 registers a thread, and never register-bound).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from repro.machines.specs import GPUSpec
 
 __all__ = ["Occupancy", "compute_occupancy", "residency", "warps_per_block"]
 
 
-@dataclass(frozen=True)
-class Occupancy:
+class Occupancy(NamedTuple):
     """Occupancy of one kernel on one GPU.
 
     Attributes
@@ -104,7 +103,7 @@ def compute_occupancy(
 ) -> Occupancy:
     """Apply the CUDA per-SM residency rules (:func:`residency`).
 
-    Memoized across calls: the result is a frozen :class:`Occupancy`
+    Memoized across calls: the result is an immutable :class:`Occupancy`
     that depends only on the hashable spec and the block shape, and a
     sweep revisits the same few block shapes at every matrix size.
 
@@ -151,10 +150,6 @@ def compute_occupancy(
 
     threads = blocks * threads_per_block
     return Occupancy(
-        blocks_per_sm=blocks,
-        active_threads_per_sm=threads,
-        active_warps_per_sm=active_warps,
-        occupancy=threads / spec.max_threads_per_sm,
-        warp_occupancy=warp_occupancy,
-        limiter=limiter,
+        blocks, threads, active_warps, threads / spec.max_threads_per_sm,
+        warp_occupancy, limiter,
     )

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from repro.apps.matmul_gpu import ConfigEnumeration, MatmulConfig, MatmulGPUApp
 from repro.machines.specs import GPUSpec, get_machine
 from repro.simgpu.calibration import GPUCalibration, calibration_for
+from repro.sweep.keys import FIELD_MAX
 
 __all__ = ["SweepRequest", "resolve_device"]
 
@@ -39,7 +40,9 @@ class SweepRequest:
     n:
         Matrix size N.
     total_products:
-        Workload T = G·R shared by every configuration.
+        Workload T = G·R shared by every configuration, at most
+        ``FIELD_MAX``: R runs up to T, and the packed key's R field
+        must hold it.
     min_bs:
         Smallest tile admitted; None applies the app's sweep default
         (BS ≥ 4, the paper's populated region).
@@ -53,6 +56,13 @@ class SweepRequest:
     total_products: int = 24
     min_bs: int | None = None
     cal: GPUCalibration | None = field(default=None, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.total_products > FIELD_MAX:
+            raise ValueError(
+                f"total_products must be at most {FIELD_MAX} "
+                f"(got {self.total_products})"
+            )
 
     @property
     def spec(self) -> GPUSpec:

@@ -177,13 +177,8 @@ DATACLASSES = {
     "BatchRunResult": "array fields and its own __len__",
     "MatmulConfig": "the planner and the request digest read its fields "
     "for every enumerated point; a tuple would equal its plain key",
-    "SweepRequest": "cal is compare=False; a tuple would compare it",
-    "KernelResources": "read ~13 times per run_matmul call; a named-tuple "
-    "field read costs about twice an attribute read",
-    "Occupancy": "read ~13 times per run_matmul call; a named-tuple "
-    "field read costs about twice an attribute read",
-    "TrafficModel": "read ~13 times per run_matmul call; a named-tuple "
-    "field read costs about twice an attribute read",
+    "SweepRequest": "cal is compare=False; a tuple would compare it; "
+    "validates total_products in __post_init__",
 }
 
 

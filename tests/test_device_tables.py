@@ -1,10 +1,11 @@
 """The scalar models' device tables (docs/MODEL.md §1.9).
 
 A :class:`GPUDevice` resolves its ``(spec, cal)`` pair's table when it
-is built and finds each ``(n, bs, g)``'s kernel resources and occupancy
-there; a :class:`MulticoreCPU` finds each thread count's placement in
-its spec's table.  So a warm call hashes no spec and no calibration, a
-hit returns the records a miss built, and every table stays bounded.
+is built and finds each ``(n, bs, g)``'s clock-free terms, with its
+kernel resources and occupancy, there; a :class:`MulticoreCPU` finds
+each thread count's placement in its spec's table.  So a warm call
+hashes no spec and no calibration, a hit returns the records a miss
+built, and every table stays bounded.
 """
 
 from __future__ import annotations
@@ -84,12 +85,16 @@ class TestGPUDeviceTable:
     def test_hit_returns_the_records_the_miss_built(self):
         dev = GPUDevice(K40C)
         miss = dev.run_matmul(8704, 16, 2)
-        res, occ = dev._table[8704, 16, 2]
+        entry = dev._table[8704, 16, 2]
+        res, occ = entry.resources, entry.occupancy
         hit = dev.run_matmul(8704, 16, 2, 3)
         shared = GPUDevice(K40C, K40C_CAL).run_matmul(8704, 16, 2)
         for result in (miss, hit, shared):
             assert result.resources is res
             assert result.occupancy is occ
+        # Calls that differ only in R share the configuration's entry.
+        assert list(dev._table) == [(8704, 16, 2)]
+        assert dev._table[8704, 16, 2] is entry
         assert res == matmul_kernel_resources(K40C, K40C_CAL, 8704, 16, 2)
 
     def test_only_a_miss_reaches_the_record_builder(self, monkeypatch):

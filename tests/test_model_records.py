@@ -1,8 +1,10 @@
 """The contract of the named-tuple records and results.
 
-``KernelRunResult``, ``PowerBreakdown`` and ``OperatingPoint``
-(``repro.simgpu``) and ``CPURunResult``, ``CPUPowerBreakdown`` and
-``UtilizationVector`` (``repro.simcpu``) are immutable named tuples:
+``KernelRunResult``, ``PowerBreakdown``, ``OperatingPoint`` and the
+per-configuration ``KernelResources``, ``Occupancy`` and
+``TrafficModel`` (``repro.simgpu``), and ``CPURunResult``,
+``CPUPowerBreakdown`` and ``UtilizationVector`` (``repro.simcpu``), are
+immutable named tuples:
 their fields keep the documented order, no field can be reassigned,
 and the derived ``dynamic_w`` is the left-to-right sum of the
 components, bit for bit.  The experiments' results and rows and the
@@ -38,6 +40,20 @@ FIELDS = {
     ),
     "CPUPowerBreakdown": ("cores_w", "flops_w", "uncore_w", "dram_w", "dtlb_w"),
     "UtilizationVector": ("per_cpu", "wall_time_scale", "average"),
+    "KernelResources": (
+        "n", "bs", "g", "threads_per_block", "smem_per_block_bytes",
+        "grid_blocks", "ksteps_per_product", "compute_cycles_per_kstep",
+        "tile_fetch_bytes", "total_dram_bytes", "lanes_issued",
+        "useful_flops", "lane_eff", "replay_factor", "traffic",
+    ),
+    "Occupancy": (
+        "blocks_per_sm", "active_threads_per_sm", "active_warps_per_sm",
+        "occupancy", "warp_occupancy", "limiter",
+    ),
+    "TrafficModel": (
+        "useful_read_bytes", "l2_hit_fraction", "dram_read_bytes",
+        "dram_write_bytes", "coalescing",
+    ),
     "StrongEPResult": (
         "holds", "coefficient", "max_relative_deviation", "r_squared",
         "tolerance",
@@ -116,6 +132,9 @@ MODULES = {
     "CPURunResult": "simcpu.processor",
     "CPUPowerBreakdown": "simcpu.power",
     "UtilizationVector": "simcpu.utilization",
+    "KernelResources": "simgpu.kernel",
+    "Occupancy": "simgpu.occupancy",
+    "TrafficModel": "simgpu.memhier",
     "StrongEPResult": "core.definitions",
     "WeakEPResult": "core.definitions",
     "TradeoffEntry": "core.tradeoff",
@@ -165,6 +184,9 @@ def _records() -> dict[str, object]:
         "CPURunResult": cpu,
         "CPUPowerBreakdown": cpu.power,
         "UtilizationVector": cpu.utilization,
+        "KernelResources": gpu.resources,
+        "Occupancy": gpu.occupancy,
+        "TrafficModel": gpu.resources.traffic,
     }
 
 

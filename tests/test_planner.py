@@ -25,6 +25,7 @@ from repro.machines.specs import K40C, P100
 from repro.simgpu.batch import batch_run_matmul
 from repro.simgpu.calibration import P100_CAL, calibration_for
 from repro.sweep import EvalPlanner, SweepRequest, resolve_device
+from repro.sweep.keys import FIELD_MAX
 from repro.sweep.planner import (
     POINT_DTYPE,
     SESSION_EXPERIMENTS,
@@ -66,6 +67,24 @@ class TestSweepRequest:
     def test_default_calibration(self):
         req = SweepRequest(device="k40c", n=8192)
         assert req.calibration is calibration_for(K40C)
+
+    def test_total_products_over_the_packed_field_is_rejected(self):
+        """T = G·R runs R up to T, which the packed key's R field must
+        hold: the request says so in one line, before the planner packs
+        a key; the scalar path, which packs none, still sweeps."""
+        message = rf"^total_products must be at most {FIELD_MAX} \(got 3000000\)$"
+        with pytest.raises(ValueError, match=message):
+            SweepRequest(device="p100", n=1024, total_products=3_000_000)
+        app = MatmulGPUApp(P100, total_products=3_000_000)
+        with pytest.raises(ValueError, match=message):
+            app.sweep_points(1024, engine=EvalPlanner())
+        assert len(app.sweep_points(1024)) == 167
+
+    def test_total_products_at_the_bound_runs_through_the_planner(self):
+        app = MatmulGPUApp(P100, total_products=FIELD_MAX)
+        served = app.sweep_points(1024, engine=EvalPlanner())
+        assert len(served) == 46
+        assert served == app.sweep_points(1024)
 
 
 class TestPlannerParity:

@@ -21,6 +21,11 @@ hooks), outside its own definition.  Docstrings, the ``__all__`` and
 Names are matched bare, so a name two modules define is referenced once
 either is; the walk can only err toward passing.  A name nothing
 references is code that only its tests run.
+
+Last, every name a module's top-level imports bind is used in that
+module, as a name, a string annotation included.  Package inits, which
+re-export, ``from __future__`` and a dotted ``import a.b``, which loads
+a submodule for its side effect, are exempt.
 """
 
 from __future__ import annotations
@@ -260,4 +265,53 @@ def test_each_kept_name_is_still_unreferenced(name):
     assert name in public_names(), f"{name} is gone: take it out of KEPT"
     assert public_names()[name] not in referenced(), (
         f"{name} is referenced now: take it out of KEPT"
+    )
+
+
+def _annotation_names(node: ast.AST) -> set[str]:
+    """The names in an annotation, string annotations parsed."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            found |= _annotation_names(ast.parse(sub.value, mode="eval"))
+    return found
+
+
+def _unused_imports(module: str) -> list[str]:
+    """The names ``module``'s top-level imports bind that it never uses."""
+    tree = ast.parse(_source(module).read_text())
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update(
+                a.asname or a.name for a in node.names
+                if a.asname or "." not in a.name
+            )
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+    used = set()
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.Name):
+            used.add(sub.id)
+        elif isinstance(sub, ast.arg) and sub.annotation is not None:
+            used |= _annotation_names(sub.annotation)
+        elif isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+            sub.returns is not None
+        ):
+            used |= _annotation_names(sub.returns)
+        elif isinstance(sub, ast.AnnAssign):
+            used |= _annotation_names(sub.annotation)
+    return sorted(bound - used)
+
+
+@pytest.mark.parametrize(
+    "module",
+    sorted(m for m in ALL_MODULES if _source(m).name != "__init__.py"),
+)
+def test_every_import_is_used(module):
+    unused = _unused_imports(module)
+    assert not unused, f"{module} never uses its imports of " + ", ".join(
+        unused
     )

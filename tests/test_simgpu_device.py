@@ -232,6 +232,38 @@ class TestExactValues:
         assert r.dynamic_power_w == r.power.dynamic_w
 
 
+#: A small grid of both GPUs: K40c calls, P100 calls that bisect under
+#: the cap and heat-soak above and below half, and small P100 kernels.
+PROBE_GRID = [
+    (K40C, (10240, 16, 2, 3)),
+    (K40C, (1024, 8, 4, 1)),
+    (P100, (18432, 32, 1, 24)),
+    (P100, (14336, 32, 1, 24)),
+    (P100, (10240, 24, 2, 1)),
+    (P100, (4096, 16, 2, 2)),
+    (P100, (1024, 8, 1, 8)),
+]
+
+#: ``tools/model_fingerprint.py``'s five clock modes, as ``(kwargs of a
+#: spec, the clocks each PROBE_GRID call evaluates)``.
+PROBE_COUNTS = {
+    "default": (lambda spec: {}, [1, 1, 10, 9, 11, 11, 11]),
+    "fixed": (lambda spec: {"fixed_clock": True}, [1, 1, 1, 1, 1, 1, 1]),
+    "pin-base": (
+        lambda spec: {"pinned_clock_hz": spec.base_clock_hz},
+        [1, 1, 1, 1, 1, 12, 12],
+    ),
+    "pin-boost": (
+        lambda spec: {"pinned_clock_hz": spec.boost_clock_hz},
+        [1, 1, 10, 9, 11, 11, 11],
+    ),
+    "rng": (
+        lambda spec: {"rng": np.random.default_rng(0)},
+        [1, 1, 10, 9, 11, 11, 11],
+    ),
+}
+
+
 class TestClockEvaluations:
     """``run_matmul`` evaluates each distinct clock once per call."""
 
@@ -269,55 +301,15 @@ class TestClockEvaluations:
         assert clocks.count(P100.boost_clock_hz) == 1
         assert len(clocks) == len(set(clocks))
 
-
-#: A small grid of both GPUs: K40c calls, P100 calls that bisect under
-#: the cap and heat-soak above and below half, and small P100 kernels.
-PROBE_GRID = [
-    (K40C, (10240, 16, 2, 3)),
-    (K40C, (1024, 8, 4, 1)),
-    (P100, (18432, 32, 1, 24)),
-    (P100, (14336, 32, 1, 24)),
-    (P100, (10240, 24, 2, 1)),
-    (P100, (4096, 16, 2, 2)),
-    (P100, (1024, 8, 1, 8)),
-]
-
-#: ``tools/model_fingerprint.py``'s five clock modes, as ``(kwargs of a
-#: spec, the clocks each PROBE_GRID call evaluates)``.
-PROBE_COUNTS = {
-    "default": (lambda spec: {}, [1, 1, 10, 9, 11, 11, 11]),
-    "fixed": (lambda spec: {"fixed_clock": True}, [1, 1, 1, 1, 1, 1, 1]),
-    "pin-base": (
-        lambda spec: {"pinned_clock_hz": spec.base_clock_hz},
-        [1, 1, 1, 1, 1, 12, 12],
-    ),
-    "pin-boost": (
-        lambda spec: {"pinned_clock_hz": spec.boost_clock_hz},
-        [1, 1, 10, 9, 11, 11, 11],
-    ),
-    "rng": (
-        lambda spec: {"rng": np.random.default_rng(0)},
-        [1, 1, 10, 9, 11, 11, 11],
-    ),
-}
-
-
-@pytest.mark.parametrize("mode", PROBE_COUNTS)
-def test_each_clock_mode_probes_each_distinct_clock_once(monkeypatch, mode):
-    """Every call of the grid evaluates exactly its distinct clocks:
-    no clock twice, and none skipped."""
-    seen: list[float] = []
-
-    def counting(terms, clock_hz, maximum):
-        seen.append(clock_hz)
-        return power.probe(terms, clock_hz, maximum)
-
-    monkeypatch.setattr(device, "probe", counting)
-    kwargs, expected = PROBE_COUNTS[mode]
-    counts = []
-    for spec, args in PROBE_GRID:
-        seen.clear()
-        GPUDevice(spec).run_matmul(*args, **kwargs(spec))
-        assert len(seen) == len(set(seen))
-        counts.append(len(seen))
-    assert counts == expected
+    @pytest.mark.parametrize("mode", PROBE_COUNTS)
+    def test_each_clock_mode_probes_each_distinct_clock_once(self, clocks, mode):
+        """Every call of the grid evaluates exactly its distinct clocks:
+        no clock twice, and none skipped."""
+        kwargs, expected = PROBE_COUNTS[mode]
+        counts = []
+        for spec, args in PROBE_GRID:
+            clocks.clear()
+            GPUDevice(spec).run_matmul(*args, **kwargs(spec))
+            assert len(clocks) == len(set(clocks))
+            counts.append(len(clocks))
+        assert counts == expected
